@@ -9,12 +9,19 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race bench bench-compare bench-scaling scaling-smoke fuzz-smoke fuzz-proto fmt-check vet doc-check static soak-smoke memory-smoke conformance chaos-smoke trace-smoke ci tables
+.PHONY: all build perfbench-check test race bench bench-compare bench-scaling scaling-smoke fuzz-smoke fuzz-proto fmt-check vet doc-check static soak-smoke memory-smoke conformance chaos-smoke trace-smoke ci tables
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# The frozen benchmark (perfbench/) is a separate Go module that replaces
+# adhocrace with this checkout, so the root `go build ./...` never compiles
+# it. Vet and build it here so an API change cannot break it silently; the
+# binary goes to /dev/null, so the check leaves nothing in perfbench/.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
 test:
 	$(GO) test ./...
@@ -96,7 +103,7 @@ memory-smoke:
 	$(GO) test -count=1 -run 'TestLongTraceFlatMemory|TestLongTraceGCEquivalence' ./internal/synth/
 	$(GO) test -count=1 -run 'TestServerSoakMemoryBaseline' ./internal/serve/
 
-# Server conformance: byte-identical streamed reports vs direct detect.Run
+# Server conformance: byte-identical streamed reports vs direct Prepared.Run
 # over the accuracy suite + synthesis corpus, swept over shards × overlap.
 # (`make test`/`make race` include it; this target is the labeled CI step.)
 conformance:
@@ -128,7 +135,7 @@ trace-smoke:
 # epoch-read and clock-store references, under -race — and the server
 # conformance suite as named steps before the race suite, purely so those
 # breaks fail with their own labels; `race` covers them.)
-ci: fmt-check vet doc-check static build conformance chaos-smoke race soak-smoke memory-smoke trace-smoke scaling-smoke bench fuzz-proto fuzz-smoke
+ci: fmt-check vet doc-check static build perfbench-check conformance chaos-smoke race soak-smoke memory-smoke trace-smoke scaling-smoke bench fuzz-proto fuzz-smoke
 
 # Regenerate the paper's tables and figures.
 tables:

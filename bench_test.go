@@ -9,6 +9,7 @@
 //	BenchmarkFigureMemory    — slide 31, shadow-memory overhead
 //	BenchmarkFigureRuntime   — slide 32, runtime overhead (wall clock)
 //	BenchmarkDetector*       — per-tool event-processing throughput
+//	BenchmarkLongTracePipeline — the pipeline knobs on the long stream
 package main
 
 import (
@@ -22,6 +23,7 @@ import (
 	"adhocrace/internal/harness"
 	"adhocrace/internal/ir"
 	"adhocrace/internal/sched"
+	"adhocrace/internal/synth"
 	"adhocrace/internal/vm"
 	"adhocrace/internal/workloads/parsec"
 )
@@ -116,7 +118,7 @@ func BenchmarkFigureRuntime(b *testing.B) {
 			cfg := detect.HelgrindPlusLib()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := detect.Run(prog, cfg, 1); err != nil {
+				if _, _, err := detect.Prepare(prog).Run(cfg, 1, detect.RunOpts{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -125,7 +127,7 @@ func BenchmarkFigureRuntime(b *testing.B) {
 			cfg := detect.HelgrindPlusLibSpin(7)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := detect.Run(prog, cfg, 1); err != nil {
+				if _, _, err := detect.Prepare(prog).Run(cfg, 1, detect.RunOpts{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -146,7 +148,7 @@ func BenchmarkDetectorThroughput(b *testing.B) {
 		b.Run(cfg.Name, func(b *testing.B) {
 			var events int64
 			for i := 0; i < b.N; i++ {
-				rep, _, err := detect.Run(prog, cfg, 1)
+				rep, _, err := detect.Prepare(prog).Run(cfg, 1, detect.RunOpts{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -209,6 +211,51 @@ func BenchmarkDetectorSharded(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkLongTracePipeline is the measurement behind the pipeline knobs
+// that stay: one GC'd Helgrind+ lib detector over synth.LongTrace's
+// lock-churn stream (20 windows, about half a million events) under the
+// plain synchronous pipeline, two shards, fixed-size overlap, and both.
+// Each mode reports events/s and must reproduce plain's report
+// fingerprint. A knob pays when its events/s beats plain's over repeated
+// samples (-count) at GOMAXPROCS >= 2; on one CPU every mode only adds
+// hand-off cost.
+func BenchmarkLongTracePipeline(b *testing.B) {
+	run := func(opts detect.RunOpts) *detect.Report {
+		opts.GCShadow = true
+		rep, err := synth.LongTrace(1, synth.LongTraceOpts{
+			Cfg: detect.HelgrindPlusLib(), Opts: opts, Windows: 20,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return rep
+	}
+	want := harness.ReportFingerprint(run(detect.RunOpts{}))
+	for _, mode := range []struct {
+		name string
+		opts detect.RunOpts
+	}{
+		{"plain", detect.RunOpts{}},
+		{"shards-2", detect.RunOpts{Shards: 2}},
+		{"overlap", detect.RunOpts{}.Overlapped()},
+		{"shards-2+overlap", detect.RunOpts{Shards: 2}.Overlapped()},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			var events int64
+			var rep *detect.Report
+			for i := 0; i < b.N; i++ {
+				rep = run(mode.opts)
+				events += rep.Events
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+			if harness.ReportFingerprint(rep) != want {
+				b.Fatalf("%s report differs from the plain pipeline's", mode.name)
+			}
+		})
 	}
 }
 

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	racedetect -w <workload> [-tool lib|spin|nolib|drd|eraser] [-window 7] [-seed 1] [-seeds N] [-shards N] [-overlap] [-overlap-adaptive] [-v]
+//	racedetect -w <workload> [-tool lib|spin|nolib|drd|eraser] [-window 7] [-seed 1] [-seeds N] [-shards N] [-overlap] [-v]
 //	racedetect -w <workload> [-tool ...] [-seed 1] -record out.trace
 //	racedetect -replay in.trace [-shards N] [-fingerprint]
 //
@@ -19,10 +19,11 @@
 //
 // With -shards N each detector run partitions its shadow state across N
 // shard workers (intra-run parallelism). With -overlap the vm emits the
-// event stream into double-buffered trace segments consumed by the
-// detector concurrently with execution; -overlap-adaptive sizes those
-// segments from observed pipeline stalls. Reports are byte-identical
-// under every combination of the knobs; only wall-clock time changes.
+// event stream into double-buffered trace segments of a fixed size,
+// consumed by the detector concurrently with execution. Both pay only on
+// long streams with a second core to run on (docs/ARCHITECTURE.md,
+// "Performance shape"). Reports are byte-identical under every
+// combination of the knobs; only wall-clock time changes.
 //
 // With -stats the run's pipeline counters are printed: events processed,
 // events/sec, shadow bytes, read-set promotions/demotions (how often the
@@ -75,7 +76,6 @@ func main() {
 	seeds := flag.Int("seeds", 0, "run seeds 1..N in parallel and report per-seed contexts")
 	shards := flag.Int("shards", 1, "detector shard workers per run (1 = single-threaded)")
 	overlap := flag.Bool("overlap", false, "overlap vm execution with detection (segmented pipeline)")
-	adaptive := flag.Bool("overlap-adaptive", false, "size overlap segments adaptively from pipeline stalls (implies -overlap)")
 	gcShadow := flag.Bool("gc-shadow", false, "retire quiescent shadow state during the run (bounded memory, identical warnings)")
 	gcEvents := flag.Int64("gc-events", 0, "shadow-GC cycle period in events (0 = default; needs -gc-shadow)")
 	stats := flag.Bool("stats", false, "print pipeline stats: events, events/sec, shadow bytes, read-set promotions")
@@ -119,12 +119,8 @@ func main() {
 	}
 
 	opts := detect.RunOpts{Shards: *shards, GCShadow: *gcShadow, GCEvents: *gcEvents}
-	if *adaptive {
-		*overlap = true // adaptive sizing is a property of the overlap pipeline
-	}
 	if *overlap {
 		opts = opts.Overlapped()
-		opts.AdaptiveSegments = *adaptive
 	}
 
 	// -trace wants spans; -stats alone wants only counters/histograms.
@@ -152,7 +148,7 @@ func main() {
 
 	opts.Obs = rec.Pipeline(fmt.Sprintf("%s %s seed=%d", *workload, cfg.Name, *seed))
 	start := time.Now()
-	rep, res, err := detect.RunOpt(build(), cfg, *seed, opts)
+	rep, res, err := detect.Prepare(build()).Run(cfg, *seed, opts)
 	elapsed := time.Since(start)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "racedetect: %v\n", err)
@@ -168,10 +164,6 @@ func main() {
 	}
 	if *stats {
 		printStats([]*detect.Report{rep}, elapsed)
-		if *overlap {
-			fmt.Printf("stats: segment sizing: %d stalls, %d grows, %d shrinks, final size %d\n",
-				res.SegmentStalls, res.SegmentGrows, res.SegmentShrinks, res.SegmentSize)
-		}
 		fmt.Print(rec.Summary())
 	}
 	writeTrace(rec, *trace)

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	tables [-t all|1|2|3|4|5|6|perf|synth] [-workers N] [-seq] [-shards N]
-//	       [-overlap] [-overlap-adaptive] [-stats] [-synth-n 100]
+//	       [-overlap] [-stats] [-synth-n 100]
 //
 //	1     data-race-test accuracy, four tools (slide 24)
 //	2     spin-window sweep spin(3)/spin(6)/spin(7)/spin(8) (slide 25)
@@ -22,10 +22,10 @@
 // strictly sequential escape hatch; -shards N additionally partitions
 // each detector run's shadow state across N shard workers (intra-run
 // parallelism, for big single runs); -overlap runs each vm and its
-// detector concurrently through double-buffered trace segments, and
-// -overlap-adaptive additionally sizes those segments from observed
-// pipeline stalls. Output is byte-identical under every combination of
-// the five knobs.
+// detector concurrently through double-buffered trace segments. The
+// tables' runs are short, so the engine's workers are the knob that pays
+// here; -shards and -overlap pay only on long streams. Output is
+// byte-identical under every combination of the four knobs.
 //
 // -stats appends a footer with the detector pipeline counters aggregated
 // over every run: events processed, events/sec, shadow bytes, read-set
@@ -71,7 +71,6 @@ func main() {
 	seq := flag.Bool("seq", false, "run every detector job sequentially, in order")
 	shards := flag.Int("shards", 1, "detector shard workers per run (1 = single-threaded)")
 	overlap := flag.Bool("overlap", false, "overlap vm execution with detection (segmented pipeline)")
-	adaptive := flag.Bool("overlap-adaptive", false, "size overlap segments adaptively from pipeline stalls (implies -overlap)")
 	gcShadow := flag.Bool("gc-shadow", false, "retire quiescent shadow state during every run (bounded memory, identical tables)")
 	stats := flag.Bool("stats", false, "print aggregated pipeline stats after the tables")
 	trace := flag.String("trace", "", "write Chrome trace-event JSON of every job's pipeline spans to this file")
@@ -95,7 +94,7 @@ func main() {
 	}
 
 	runner := harness.NewRunner(sched.Options{Workers: *workers, Sequential: *seq}).
-		WithShards(*shards).WithOverlap(*overlap).WithAdaptiveOverlap(*adaptive).WithGC(*gcShadow)
+		WithShards(*shards).WithOverlap(*overlap).WithGC(*gcShadow)
 	var runStats *harness.RunStats
 	if *stats {
 		runStats = &harness.RunStats{}

@@ -61,6 +61,7 @@ func buildSlide15() *ir.Program {
 
 func main() {
 	prog := buildSlide15()
+	prep := detect.Prepare(prog)
 
 	// What the instrumentation phase finds.
 	ins := spin.Analyze(prog, spin.DefaultWindow)
@@ -74,7 +75,7 @@ func main() {
 		detect.HelgrindPlusLibSpin(7),   // the paper's contribution
 		detect.HelgrindPlusNolibSpin(7), // the universal detector
 	} {
-		rep, _, err := detect.Run(prog, cfg, 1)
+		rep, _, err := prep.Run(cfg, 1, detect.RunOpts{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -51,7 +51,7 @@ func main() {
 	}
 
 	// Run it under the paper's best configuration.
-	rep, res, err := detect.Run(prog, detect.HelgrindPlusLibSpin(7), 1)
+	rep, res, err := detect.Prepare(prog).Run(detect.HelgrindPlusLibSpin(7), 1, detect.RunOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -99,7 +99,7 @@ func main() {
 		{"condvar queue (well-structured)", buildCVQueue},
 		{"ring queue (obscure claim loop)", buildRingQueue},
 	} {
-		rep, _, err := detect.Run(build.f(), cfg, 1)
+		rep, _, err := detect.Prepare(build.f()).Run(cfg, 1, detect.RunOpts{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -50,13 +50,13 @@ func build() *ir.Program {
 }
 
 func main() {
-	prog := build()
+	prep := detect.Prepare(build())
 	for _, cfg := range []detect.Config{
 		detect.HelgrindPlusLib(),        // knows pthread+GLIB; OpenMP is alien
 		detect.HelgrindPlusLibSpin(7),   // spin detection sees through it
 		detect.HelgrindPlusNolibSpin(7), // no library knowledge at all
 	} {
-		rep, res, err := detect.Run(prog, cfg, 1)
+		rep, res, err := prep.Run(cfg, 1, detect.RunOpts{})
 		if err != nil {
 			log.Fatal(err)
 		}

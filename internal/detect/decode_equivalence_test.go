@@ -35,13 +35,13 @@ func decodeSweepOpts() []detect.RunOpts {
 // reports.
 func checkDecodeEquivalence(t *testing.T, build func() *ir.Program, name string, cfg detect.Config, seed int64, opts detect.RunOpts) {
 	t.Helper()
-	dec, _, err := detect.RunOpt(build(), cfg, seed, opts)
+	dec, _, err := detect.Prepare(build()).Run(cfg, seed, opts)
 	if err != nil {
 		t.Fatalf("%s under %s seed %d (decoded): %v", name, cfg.Name, seed, err)
 	}
 	refOpts := opts
 	refOpts.Reference = true
-	ref, _, err := detect.RunOpt(build(), cfg, seed, refOpts)
+	ref, _, err := detect.Prepare(build()).Run(cfg, seed, refOpts)
 	if err != nil {
 		t.Fatalf("%s under %s seed %d (reference): %v", name, cfg.Name, seed, err)
 	}

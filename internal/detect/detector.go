@@ -257,7 +257,7 @@ func New(cfg Config, ins *spin.Instrumentation, prog *ir.Program) *Detector {
 // the given number of shard workers (values below 2 mean single-threaded,
 // no workers). Reports are identical for every shard count. Callers of
 // NewSharded own the worker lifecycle: Close must be called when the
-// detector is done (Run and RunSharded do this for you).
+// detector is done (Prepared.Run and ReplayTrace do this for you).
 func NewSharded(cfg Config, ins *spin.Instrumentation, prog *ir.Program, shards int) *Detector {
 	if shards < 1 {
 		shards = 1
@@ -503,8 +503,8 @@ func (d *Detector) Flush() {
 }
 
 // Close flushes and stops the shard workers. Required after NewSharded
-// with more than one shard (Run/RunSharded close for you); idempotent and
-// a no-op for single-threaded detectors. The detector must not Handle
+// with more than one shard (Prepared.Run and ReplayTrace close for you);
+// idempotent and a no-op for single-threaded detectors. The detector must not Handle
 // further events after Close, but Report remains valid.
 func (d *Detector) Close() {
 	if d.demux != nil && !d.closed {

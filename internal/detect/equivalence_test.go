@@ -25,11 +25,11 @@ func reportFingerprint(rep *detect.Report) string { return harness.ReportFingerp
 // representations and asserts byte-identical reports.
 func checkEquivalence(t *testing.T, build func() *ir.Program, name string, cfg detect.Config, seed int64) {
 	t.Helper()
-	epoch, _, err := detect.Run(build(), cfg, seed)
+	epoch, _, err := detect.Prepare(build()).Run(cfg, seed, detect.RunOpts{})
 	if err != nil {
 		t.Fatalf("%s under %s seed %d (epoch): %v", name, cfg.Name, seed, err)
 	}
-	ref, _, err := detect.Run(build(), detect.FullVCReads(cfg), seed)
+	ref, _, err := detect.Prepare(build()).Run(detect.FullVCReads(cfg), seed, detect.RunOpts{})
 	if err != nil {
 		t.Fatalf("%s under %s seed %d (full VC): %v", name, cfg.Name, seed, err)
 	}
@@ -89,11 +89,11 @@ func syncSweepOpts() []detect.RunOpts {
 // asserts byte-identical reports.
 func checkSyncEquivalence(t *testing.T, build func() *ir.Program, name string, cfg detect.Config, seed int64, opts detect.RunOpts) {
 	t.Helper()
-	store, _, err := detect.RunOpt(build(), cfg, seed, opts)
+	store, _, err := detect.Prepare(build()).Run(cfg, seed, opts)
 	if err != nil {
 		t.Fatalf("%s under %s seed %d (store): %v", name, cfg.Name, seed, err)
 	}
-	ref, _, err := detect.RunOpt(build(), detect.FullVCSync(cfg), seed, opts)
+	ref, _, err := detect.Prepare(build()).Run(detect.FullVCSync(cfg), seed, opts)
 	if err != nil {
 		t.Fatalf("%s under %s seed %d (full-VC sync): %v", name, cfg.Name, seed, err)
 	}

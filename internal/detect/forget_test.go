@@ -56,11 +56,11 @@ func buildChurnProgram(destroy bool) *ir.Program {
 // happens-before engine forgot the destroyed objects' clocks.
 func TestDestroyReleasesEngineState(t *testing.T) {
 	for _, cfg := range []Config{HelgrindPlusLib(), HelgrindPlusLibSpin(7)} {
-		kept, _, err := Run(buildChurnProgram(false), cfg, 1)
+		kept, _, err := Prepare(buildChurnProgram(false)).Run(cfg, 1, RunOpts{})
 		if err != nil {
 			t.Fatalf("%s without destroy: %v", cfg.Name, err)
 		}
-		freed, _, err := Run(buildChurnProgram(true), cfg, 1)
+		freed, _, err := Prepare(buildChurnProgram(true)).Run(cfg, 1, RunOpts{})
 		if err != nil {
 			t.Fatalf("%s with destroy: %v", cfg.Name, err)
 		}
@@ -108,7 +108,7 @@ func TestDestroyedObjectOrderingDropped(t *testing.T) {
 	}
 	cfg := HelgrindPlusLib()
 	for _, destroy := range []bool{false, true} {
-		rep, _, err := Run(build(destroy), cfg, 1)
+		rep, _, err := Prepare(build(destroy)).Run(cfg, 1, RunOpts{})
 		if err != nil {
 			t.Fatalf("destroy=%v: %v", destroy, err)
 		}

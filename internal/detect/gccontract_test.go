@@ -117,11 +117,11 @@ func TestShadowGCPrecisionContract(t *testing.T) {
 			{GCShadow: true, GCEvents: 1},
 			{GCShadow: true, GCEvents: 1, Shards: 2},
 		} {
-			gc, _, err := detect.RunOpt(buildPhasedRace(tc.phases), tc.cfg, 1, opts)
+			gc, _, err := detect.Prepare(buildPhasedRace(tc.phases)).Run(tc.cfg, 1, opts)
 			if err != nil {
 				t.Fatalf("%s (gc, shards=%d): %v", tc.name, opts.Shards, err)
 			}
-			ref, _, err := detect.Run(buildPhasedRace(tc.phases), tc.cfg, 1)
+			ref, _, err := detect.Prepare(buildPhasedRace(tc.phases)).Run(tc.cfg, 1, detect.RunOpts{})
 			if err != nil {
 				t.Fatalf("%s (unbounded): %v", tc.name, err)
 			}

@@ -39,11 +39,11 @@ func gcSweepOpts() []detect.RunOpts {
 // asserts byte-identical reports.
 func checkGCEquivalence(t *testing.T, build func() *ir.Program, name string, cfg detect.Config, seed int64, opts detect.RunOpts) {
 	t.Helper()
-	gc, _, err := detect.RunOpt(build(), cfg, seed, opts)
+	gc, _, err := detect.Prepare(build()).Run(cfg, seed, opts)
 	if err != nil {
 		t.Fatalf("%s under %s seed %d (gc): %v", name, cfg.Name, seed, err)
 	}
-	ref, _, err := detect.Run(build(), cfg, seed)
+	ref, _, err := detect.Prepare(build()).Run(cfg, seed, detect.RunOpts{})
 	if err != nil {
 		t.Fatalf("%s under %s seed %d (unbounded): %v", name, cfg.Name, seed, err)
 	}

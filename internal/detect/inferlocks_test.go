@@ -133,7 +133,7 @@ func TestLockInferencePreservesTable1(t *testing.T) {
 	}
 	fa, mr := 0, 0
 	for _, c := range dataracetest.Suite() {
-		rep, _, err := detect.Run(c.Build(), detect.HelgrindPlusNolibSpinLocks(7), 1)
+		rep, _, err := detect.Prepare(c.Build()).Run(detect.HelgrindPlusNolibSpinLocks(7), 1, detect.RunOpts{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}

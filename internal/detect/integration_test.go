@@ -129,7 +129,7 @@ func mutexProgram(t *testing.T) *ir.Program {
 
 func mustRun(t *testing.T, p *ir.Program, cfg Config, seed int64) *Report {
 	t.Helper()
-	rep, res, err := Run(p, cfg, seed)
+	rep, res, err := Prepare(p).Run(cfg, seed, RunOpts{})
 	if err != nil {
 		t.Fatalf("%s on %s (seed %d): %v", cfg.Name, p.Name, seed, err)
 	}
@@ -191,7 +191,7 @@ func TestMutexProgramCleanEverywhere(t *testing.T) {
 
 func TestMutexProgramResult(t *testing.T) {
 	p := mutexProgram(t)
-	_, res, err := Run(p, HelgrindPlusNolibSpin(7), 3)
+	_, res, err := Prepare(p).Run(HelgrindPlusNolibSpin(7), 3, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

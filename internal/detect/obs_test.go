@@ -27,14 +27,14 @@ func TestObsReportUnchanged(t *testing.T) {
 	cfg := detect.HelgrindPlusLibSpin(7)
 	opts := detect.RunOpts{Shards: 2, GCShadow: true, GCEvents: 4096}.Overlapped()
 
-	base, _, err := detect.RunOpt(m.Build(), cfg, 1, opts)
+	base, _, err := detect.Prepare(m.Build()).Run(cfg, 1, opts)
 	if err != nil {
 		t.Fatalf("bare run: %v", err)
 	}
 
 	rec := obs.NewTracing()
 	opts.Obs = rec.Pipeline("freqmine test")
-	traced, _, err := detect.RunOpt(m.Build(), cfg, 1, opts)
+	traced, _, err := detect.Prepare(m.Build()).Run(cfg, 1, opts)
 	if err != nil {
 		t.Fatalf("traced run: %v", err)
 	}
@@ -58,7 +58,7 @@ func TestObsTraceCoversPipeline(t *testing.T) {
 		Shards: 2, GCShadow: true, GCEvents: 4096,
 		Obs: rec.Pipeline("freqmine trace"),
 	}.Overlapped()
-	rep, res, err := detect.RunOpt(m.Build(), detect.HelgrindPlusLibSpin(7), 1, opts)
+	rep, res, err := detect.Prepare(m.Build()).Run(detect.HelgrindPlusLibSpin(7), 1, opts)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestObsCounterModeNoSpans(t *testing.T) {
 	}
 	rec := obs.New()
 	opts := detect.RunOpts{Shards: 2, Obs: rec.Pipeline("counter mode")}
-	if _, _, err := detect.RunOpt(m.Build(), detect.HelgrindPlusLibSpin(7), 1, opts); err != nil {
+	if _, _, err := detect.Prepare(m.Build()).Run(detect.HelgrindPlusLibSpin(7), 1, opts); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	var buf bytes.Buffer

@@ -21,7 +21,7 @@ func checkObserver(t *testing.T, build func() *ir.Program, name string, cfg dete
 	t.Helper()
 	var seen []detect.Warning
 	opts.OnWarning = func(w detect.Warning) { seen = append(seen, w) }
-	rep, _, err := detect.RunOpt(build(), cfg, 1, opts)
+	rep, _, err := detect.Prepare(build()).Run(cfg, 1, opts)
 	if err != nil {
 		t.Fatalf("%s under %s: %v", name, cfg.Name, err)
 	}

@@ -52,19 +52,8 @@ func ReplayTrace(tr *event.TraceReader, p *ir.Program, cfg Config, opts RunOpts)
 	if err := tr.CheckTable(p.Interning()); err != nil {
 		return nil, 0, err
 	}
-	ins := cfg.Instrument(p)
-	d := NewSharded(cfg, ins, p, opts.Shards)
+	d, sink := newRunDetector(cfg, cfg.Instrument(p), p, opts)
 	defer d.Close()
-	if opts.GCShadow {
-		d.EnableShadowGC(opts.GCEvents)
-	}
-	d.setObs(opts.Obs)
-	d.setFault(opts.Fault)
-	d.setWarningObserver(opts.OnWarning)
-	var sink event.Sink = d
-	if opts.Tap != nil {
-		sink = event.Multi(opts.Tap, d)
-	}
 	n, err := tr.Replay(sink)
 	if err != nil {
 		return nil, n, err

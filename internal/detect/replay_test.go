@@ -40,7 +40,7 @@ func TestTraceReplayReportRoundTrip(t *testing.T) {
 	for _, c := range dataracetest.Suite() {
 		for _, cfg := range cfgs {
 			p := c.Build()
-			live, _, err := detect.Run(p, cfg, 1)
+			live, _, err := detect.Prepare(p).Run(cfg, 1, detect.RunOpts{})
 			if err != nil {
 				t.Fatalf("live %s under %s: %v", c.Name, cfg.Name, err)
 			}

@@ -24,10 +24,6 @@ type RunOpts struct {
 	// double-buffered trace segments of this many events
 	// (vm.Options.SegmentEvents); negative uses event.DefaultSegmentEvents.
 	SegmentEvents int
-	// AdaptiveSegments grows/shrinks the overlap segment size from
-	// observed pipeline stalls (vm.Options.AdaptiveSegments); reports are
-	// byte-identical under every sizing policy.
-	AdaptiveSegments bool
 
 	// GCShadow enables the quiescence shadow-state GC (see gc.go): shadow
 	// words, read-sets, sync objects, and release histories dominated by
@@ -52,8 +48,9 @@ type RunOpts struct {
 	// the detector.
 	OnWarning func(Warning)
 	// Tap, when non-nil, observes the raw event stream ahead of the
-	// detector (live progress gauges; event.AtomicCounter is the intended
-	// implementation). Called once per event on the producing goroutine.
+	// detector: live progress gauges (event.AtomicCounter) or a run's
+	// event count (event.Counter). Called once per event on the goroutine
+	// that drives detection.
 	Tap event.Sink
 	// Interrupt, when non-nil, aborts the run once it reads true
 	// (vm.Options.Interrupt): vm.Run returns vm.ErrInterrupted and the
@@ -157,103 +154,45 @@ func (pr *Prepared) Decoded(cfg Config) *vm.Decoded {
 
 // Run executes the prepared workload under one tool configuration, seed,
 // and pipeline shape, feeding the event stream through a fresh detector.
+// It is the one way to drive a detector live; ReplayTrace drives one from
+// a recording. A one-shot run is Prepare(p).Run(cfg, seed, RunOpts{}); a
+// caller counting events sets opts.Tap to an event.Counter.
 func (pr *Prepared) Run(cfg Config, seed int64, opts RunOpts) (*Report, vm.Result, error) {
-	return runPrepared(pr.Prog, pr.Instrument(cfg), pr.Decoded(cfg), cfg, seed, opts, nil)
-}
-
-// RunWithCounter is Run with an event counter tapping the stream ahead of
-// the detector.
-func (pr *Prepared) RunWithCounter(cfg Config, seed int64, opts RunOpts) (*Report, *event.Counter, vm.Result, error) {
-	ctr := &event.Counter{}
-	rep, res, err := runPrepared(pr.Prog, pr.Instrument(cfg), pr.Decoded(cfg), cfg, seed, opts, ctr)
-	return rep, ctr, res, err
-}
-
-// Run executes a program under one tool configuration and seed: it runs the
-// instrumentation phase, executes the program on the VM with the
-// configuration's interception set, and feeds the event stream through a
-// fresh detector.
-func Run(p *ir.Program, cfg Config, seed int64) (*Report, vm.Result, error) {
-	return RunOpt(p, cfg, seed, RunOpts{})
-}
-
-// RunSharded is Run with the detector's shadow state partitioned across
-// the given number of shard workers (see NewSharded). The report is
-// byte-identical to shards == 1; only wall-clock time changes.
-func RunSharded(p *ir.Program, cfg Config, seed int64, shards int) (*Report, vm.Result, error) {
-	return RunOpt(p, cfg, seed, RunOpts{Shards: shards})
-}
-
-// RunOpt is Run with an explicit pipeline shape.
-func RunOpt(p *ir.Program, cfg Config, seed int64, opts RunOpts) (*Report, vm.Result, error) {
-	return runInstrumented(p, cfg.Instrument(p), cfg, seed, opts, nil)
-}
-
-// RunWithCounter is Run with an event counter attached (for the performance
-// figures measuring instrumentation load).
-func RunWithCounter(p *ir.Program, cfg Config, seed int64) (*Report, *event.Counter, vm.Result, error) {
-	return RunWithCounterOpt(p, cfg, seed, RunOpts{})
-}
-
-// RunWithCounterSharded is RunWithCounter with a sharded detector (see
-// NewSharded). The counter runs on the event-consuming goroutine either
-// way.
-func RunWithCounterSharded(p *ir.Program, cfg Config, seed int64, shards int) (*Report, *event.Counter, vm.Result, error) {
-	return RunWithCounterOpt(p, cfg, seed, RunOpts{Shards: shards})
-}
-
-// RunWithCounterOpt is RunWithCounter with an explicit pipeline shape.
-func RunWithCounterOpt(p *ir.Program, cfg Config, seed int64, opts RunOpts) (*Report, *event.Counter, vm.Result, error) {
-	ctr := &event.Counter{}
-	rep, res, err := runInstrumented(p, cfg.Instrument(p), cfg, seed, opts, ctr)
-	return rep, ctr, res, err
-}
-
-// runInstrumented is the shared run body: build the detector for the
-// requested pipeline shape, execute, report. ctr, when non-nil, taps the
-// stream ahead of the detector. The vm decodes the program itself; use
-// runPrepared to reuse a memoized decode across runs.
-func runInstrumented(p *ir.Program, ins *spin.Instrumentation, cfg Config, seed int64,
-	opts RunOpts, ctr *event.Counter) (*Report, vm.Result, error) {
-	return runPrepared(p, ins, nil, cfg, seed, opts, ctr)
-}
-
-// runPrepared is runInstrumented with an optional pre-decoded program
-// (nil means the vm decodes on construction).
-func runPrepared(p *ir.Program, ins *spin.Instrumentation, dec *vm.Decoded, cfg Config, seed int64,
-	opts RunOpts, ctr *event.Counter) (*Report, vm.Result, error) {
-	d := NewSharded(cfg, ins, p, opts.Shards)
+	ins := pr.Instrument(cfg)
+	d, sink := newRunDetector(cfg, ins, pr.Prog, opts)
 	defer d.Close()
+	res, err := vm.Run(pr.Prog, vm.Options{
+		Seed:          seed,
+		KnownLibs:     cfg.KnownLibs,
+		Instr:         ins,
+		Sink:          sink,
+		SegmentEvents: opts.SegmentEvents,
+		Interrupt:     opts.Interrupt,
+		Deadline:      opts.Deadline,
+		Obs:           opts.Obs,
+		Fault:         opts.Fault,
+		Decoded:       pr.Decoded(cfg),
+		Reference:     opts.Reference,
+	})
+	return d.Report(), res, err
+}
+
+// newRunDetector builds the detector for one run of the requested pipeline
+// shape — shards, shadow GC, observability, failpoints, warning observer —
+// and returns it with the sink the event stream feeds: the detector
+// itself, behind opts.Tap when one is set. The caller closes the detector.
+func newRunDetector(cfg Config, ins *spin.Instrumentation, p *ir.Program, opts RunOpts) (*Detector, event.Sink) {
+	d := NewSharded(cfg, ins, p, opts.Shards)
 	if opts.GCShadow {
 		d.EnableShadowGC(opts.GCEvents)
 	}
 	d.setObs(opts.Obs)
 	d.setFault(opts.Fault)
 	d.setWarningObserver(opts.OnWarning)
-	var sink event.Sink = d
-	switch {
-	case ctr != nil && opts.Tap != nil:
-		sink = event.Multi(ctr, opts.Tap, d)
-	case ctr != nil:
-		sink = event.Multi(ctr, d)
-	case opts.Tap != nil:
-		sink = event.Multi(opts.Tap, d)
+	if opts.Tap != nil {
+		return d, event.Multi(opts.Tap, d)
 	}
-	res, err := vm.Run(p, vm.Options{
-		Seed:             seed,
-		KnownLibs:        cfg.KnownLibs,
-		Instr:            ins,
-		Sink:             sink,
-		SegmentEvents:    opts.SegmentEvents,
-		AdaptiveSegments: opts.AdaptiveSegments,
-		Interrupt:        opts.Interrupt,
-		Deadline:         opts.Deadline,
-		Obs:              opts.Obs,
-		Fault:            opts.Fault,
-		Decoded:          dec,
-		Reference:        opts.Reference,
-	})
-	return d.Report(), res, err
+	return d, d
 }
 
 // Baseline executes the program with no detector attached, for runtime

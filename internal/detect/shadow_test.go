@@ -102,7 +102,7 @@ func crossPageRacyProgram() *ir.Program {
 // repeated runs are byte-identical.
 func TestPagedShadowCrossPageRaces(t *testing.T) {
 	run := func() *Report {
-		rep, _, err := Run(crossPageRacyProgram(), HelgrindPlusLib(), 1)
+		rep, _, err := Prepare(crossPageRacyProgram()).Run(HelgrindPlusLib(), 1, RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

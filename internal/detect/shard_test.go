@@ -53,9 +53,6 @@ func pipelineModes() []struct {
 	}{
 		{"overlap", detect.RunOpts{}.Overlapped()},
 		{"overlap-small", detect.RunOpts{SegmentEvents: 64}},
-		// Adaptive sizing starts tiny so real grow/shrink transitions
-		// happen inside the test streams; the report must not notice.
-		{"overlap-adaptive", detect.RunOpts{SegmentEvents: 16, AdaptiveSegments: true}},
 	}
 	for _, n := range shardCounts {
 		modes = append(modes,
@@ -77,13 +74,13 @@ func pipelineModes() []struct {
 // and asserts byte-identical reports.
 func checkShardDeterminism(t *testing.T, build func() *ir.Program, name string, cfg detect.Config, seed int64) {
 	t.Helper()
-	base, _, err := detect.RunSharded(build(), cfg, seed, 1)
+	base, _, err := detect.Prepare(build()).Run(cfg, seed, detect.RunOpts{})
 	if err != nil {
 		t.Fatalf("%s under %s seed %d (1 shard): %v", name, cfg.Name, seed, err)
 	}
 	want := fingerprint(base)
 	for _, mode := range pipelineModes() {
-		rep, _, err := detect.RunOpt(build(), cfg, seed, mode.opts)
+		rep, _, err := detect.Prepare(build()).Run(cfg, seed, mode.opts)
 		if err != nil {
 			t.Fatalf("%s under %s seed %d (%s): %v", name, cfg.Name, seed, mode.name, err)
 		}
@@ -138,7 +135,7 @@ func TestShardStress(t *testing.T) {
 				wg.Add(1)
 				go func(build func() *ir.Program, cfg detect.Config) {
 					defer wg.Done()
-					if _, _, err := detect.RunSharded(build(), cfg, 1, 8); err != nil {
+					if _, _, err := detect.Prepare(build()).Run(cfg, 1, detect.RunOpts{Shards: 8}); err != nil {
 						t.Errorf("sharded run failed: %v", err)
 					}
 				}(m.Build, cfg)

@@ -31,25 +31,6 @@ import (
 // kilobytes.
 const DefaultSegmentEvents = 2048
 
-// Adaptive sizing bounds and policy constants (NewSegmentedAdaptive). The
-// signal is producer stalls — rotations that found no free buffer because
-// the consumer was still behind. A stall means per-segment hand-off
-// overhead is not the bottleneck but consumer latency is, so segments grow
-// (fewer, longer uninterrupted batches for the consumer); a sustained
-// stall-free streak shrinks them back toward the minimum (lower hand-off
-// latency, smaller resident buffers). Segment boundaries carry no
-// semantics — the consumer replays segments in dispatch order either way —
-// so sizing policy is invisible in reports, which the pipeline determinism
-// tests assert byte for byte.
-const (
-	// MinSegmentEvents / MaxSegmentEvents bound the adaptive size.
-	MinSegmentEvents = 256
-	MaxSegmentEvents = 1 << 15
-	// calmRotations is the stall-free rotation streak that triggers a
-	// shrink.
-	calmRotations = 8
-)
-
 // Segmented is a Sink that decouples event production from consumption
 // through double-buffered segments. The producer side (Handle, Flush,
 // Close) must be a single goroutine, exactly like any other Sink. It
@@ -58,13 +39,6 @@ const (
 type Segmented struct {
 	down Sink
 	size int
-
-	// adaptive sizing state (zero when the size is fixed).
-	adaptive         bool
-	minSize, maxSize int
-	calm             int
-	stalls           int64
-	grows, shrinks   int64
 
 	// obs, when set, records per-segment sizes, consumer apply time, and
 	// producer stall time (the pipeline's backpressure signal). Nil keeps
@@ -112,26 +86,6 @@ func NewSegmented(down Sink, size int) *Segmented {
 	return s
 }
 
-// NewSegmentedAdaptive is NewSegmented with stall-driven segment sizing:
-// the size starts at initial (<= 0 means MinSegmentEvents) and moves
-// within [MinSegmentEvents, MaxSegmentEvents] as rotate observes producer
-// stalls. Reports downstream are byte-identical to any fixed size.
-func NewSegmentedAdaptive(down Sink, initial int) *Segmented {
-	if initial <= 0 {
-		initial = MinSegmentEvents
-	}
-	if initial > MaxSegmentEvents {
-		initial = MaxSegmentEvents
-	}
-	s := NewSegmented(down, initial)
-	s.adaptive = true
-	s.minSize, s.maxSize = MinSegmentEvents, MaxSegmentEvents
-	if s.minSize > initial {
-		s.minSize = initial
-	}
-	return s
-}
-
 // SetObs attaches an observability pipeline. Must be called before the
 // first Handle: the consumer goroutine reads it too, and the work-channel
 // hand-off of the first segment is what orders the write for it.
@@ -144,14 +98,6 @@ func (s *Segmented) SetObs(p *obs.Pipeline) { s.obs = p }
 // exactly what it exercises.
 func (s *Segmented) SetFault(r *fault.Registry) { s.fault = r }
 
-// SizingStats exposes the adaptive policy's counters — producer stalls
-// observed, grow/shrink transitions taken, and the current segment size.
-// The vm copies them into its Result (surfaced by `racedetect -stats`);
-// they are timing-dependent, so they never enter a detector Report.
-func (s *Segmented) SizingStats() (stalls, grows, shrinks int64, size int) {
-	return s.stalls, s.grows, s.shrinks, s.size
-}
-
 // Handle implements Sink: append to the current segment, rotating when
 // full. The hot path is one copy into a preallocated buffer.
 func (s *Segmented) Handle(ev *Event) {
@@ -162,9 +108,8 @@ func (s *Segmented) Handle(ev *Event) {
 }
 
 // rotate dispatches the current segment and takes a recycled buffer,
-// blocking until the consumer has one free. In adaptive mode the blocking
-// receive doubles as the sizing signal: having to wait for a buffer means
-// the consumer is behind.
+// blocking until the consumer has one free. An observed run times that
+// wait separately — the pipeline's backpressure signal.
 func (s *Segmented) rotate() {
 	s.check()
 	if err := s.fault.Fire(fault.SegmentRotate); err != nil {
@@ -174,28 +119,7 @@ func (s *Segmented) rotate() {
 	s.pending.Add(1)
 	s.work <- s.cur
 	var buf []Event
-	if s.adaptive {
-		select {
-		case buf = <-s.free:
-			s.noteRotation(false)
-		default:
-			s.noteRotation(true)
-			stall := s.obs.Start()
-			buf = <-s.free
-			s.obs.StageNamed(obs.TrackPipeline, "stall", obs.HistStallNs, stall, 0)
-		}
-		// Reallocate when the recycled buffer no longer fits the size — in
-		// either direction: too small after a grow, or far oversized after
-		// shrinks (keeping a 4× hysteresis so a single halving does not
-		// throw buffers away), which is what actually releases the resident
-		// memory a stall burst grew.
-		if cap(buf) < s.size || cap(buf) >= 4*s.size {
-			recycleSlab(buf)
-			buf = newSlab(s.size)
-		}
-	} else if s.obs != nil {
-		// Fixed-size sizing takes no policy decision, but an observed run
-		// still wants the stall split out from a free rotation.
+	if s.obs != nil {
 		select {
 		case buf = <-s.free:
 		default:
@@ -207,27 +131,6 @@ func (s *Segmented) rotate() {
 		buf = <-s.free
 	}
 	s.cur = buf[:0]
-}
-
-// noteRotation applies the sizing policy to one rotation's stall
-// observation: a stall doubles the segment size (up to the maximum), a
-// calmRotations-long stall-free streak halves it (down to the minimum).
-func (s *Segmented) noteRotation(stalled bool) {
-	if stalled {
-		s.stalls++
-		s.calm = 0
-		if s.size < s.maxSize {
-			s.size *= 2
-			s.grows++
-		}
-		return
-	}
-	s.calm++
-	if s.calm >= calmRotations && s.size > s.minSize {
-		s.size /= 2
-		s.shrinks++
-		s.calm = 0
-	}
 }
 
 // Flush implements Flusher: dispatch the partial segment, wait until the
@@ -283,8 +186,8 @@ func (s *Segmented) Close() {
 
 // slabPool recycles segment buffers across Segmented lifecycles. Slabs of
 // any capacity are pooled; newSlab accepts one only when it fits the
-// requested size (within the same 4× hysteresis rotate uses), so a
-// mismatched slab is simply dropped for the GC.
+// requested size (at least size, under 4× it), so a mismatched slab is
+// simply dropped for the GC.
 var slabPool sync.Pool
 
 // newSlab returns an empty segment buffer of at least size capacity,

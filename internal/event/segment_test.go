@@ -110,87 +110,3 @@ func TestSegmentedDownstreamPanic(t *testing.T) {
 	}
 	s.Flush()
 }
-
-// TestSegmentedSizingPolicy pins the grow/shrink transitions of the
-// adaptive policy deterministically, below the pipeline: a stall doubles
-// within bounds and resets the calm streak; a calmRotations streak halves
-// down to the minimum.
-func TestSegmentedSizingPolicy(t *testing.T) {
-	down := SinkFunc(func(ev *Event) {})
-	s := NewSegmentedAdaptive(down, 16)
-	defer s.Close()
-
-	s.noteRotation(true)
-	if _, grows, _, size := s.SizingStats(); grows != 1 || size != 32 {
-		t.Fatalf("one stall: grows=%d size=%d, want 1, 32", grows, size)
-	}
-	s.noteRotation(true)
-	if _, _, _, size := s.SizingStats(); size != 64 {
-		t.Fatalf("second stall: size=%d, want 64", size)
-	}
-	// A calm streak one short of the threshold changes nothing...
-	for i := 0; i < calmRotations-1; i++ {
-		s.noteRotation(false)
-	}
-	if _, _, shrinks, size := s.SizingStats(); shrinks != 0 || size != 64 {
-		t.Fatalf("sub-threshold calm: shrinks=%d size=%d, want 0, 64", shrinks, size)
-	}
-	// ...and the threshold rotation shrinks.
-	s.noteRotation(false)
-	if _, _, shrinks, size := s.SizingStats(); shrinks != 1 || size != 32 {
-		t.Fatalf("threshold calm: shrinks=%d size=%d, want 1, 32", shrinks, size)
-	}
-	// A stall resets the streak.
-	for i := 0; i < calmRotations-1; i++ {
-		s.noteRotation(false)
-	}
-	s.noteRotation(true)
-	for i := 0; i < calmRotations-1; i++ {
-		s.noteRotation(false)
-	}
-	if _, _, shrinks, _ := s.SizingStats(); shrinks != 1 {
-		t.Fatalf("a stall must reset the calm streak: shrinks=%d, want 1", shrinks)
-	}
-	// The floor holds: the initial size is the effective minimum.
-	for i := 0; i < 20*calmRotations; i++ {
-		s.noteRotation(false)
-	}
-	if _, _, _, size := s.SizingStats(); size != 16 {
-		t.Fatalf("size must bottom out at the initial 16, got %d", size)
-	}
-	// The ceiling holds.
-	for i := 0; i < 40; i++ {
-		s.noteRotation(true)
-	}
-	if _, _, _, size := s.SizingStats(); size != MaxSegmentEvents {
-		t.Fatalf("size must cap at MaxSegmentEvents, got %d", size)
-	}
-}
-
-// TestSegmentedAdaptivePreservesOrder streams through an adaptive pipeline
-// whose size starts tiny (so real resize transitions can occur under load)
-// and checks the downstream sink still observes the exact serial order —
-// the sizing policy must be invisible in the stream.
-func TestSegmentedAdaptivePreservesOrder(t *testing.T) {
-	const n = 5000
-	down := &orderSink{}
-	s := NewSegmentedAdaptive(down, 4)
-	for i := 0; i < n; i++ {
-		s.Handle(&Event{Kind: KindWrite, Addr: int64(i)})
-	}
-	s.Close()
-	if len(down.addrs) != n {
-		t.Fatalf("downstream saw %d events, want %d", len(down.addrs), n)
-	}
-	for i, a := range down.addrs {
-		if a != int64(i) {
-			t.Fatalf("event %d out of order: got addr %d", i, a)
-		}
-	}
-	stalls, grows, shrinks, size := s.SizingStats()
-	if size < 4 || size > MaxSegmentEvents {
-		t.Errorf("final size %d escaped its bounds", size)
-	}
-	t.Logf("adaptive run: stalls=%d grows=%d shrinks=%d final size=%d",
-		stalls, grows, shrinks, size)
-}

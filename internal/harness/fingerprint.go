@@ -15,7 +15,7 @@ import (
 // detection counters must match byte for byte. This is the equality bar
 // shared by the representation-equivalence tests (epoch reads and clock
 // store vs their full-VC references) and the server conformance suite
-// (reports streamed through raced vs direct detect.Run).
+// (reports streamed through raced vs direct Prepared.Run).
 func ReportFingerprint(rep *detect.Report) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "config=%s events=%d spinEdges=%d spinLoops=%d inferredLocks=%d\n",

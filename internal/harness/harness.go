@@ -44,12 +44,10 @@ type Runner struct {
 	// parallelizes across runs, shards parallelize within one.
 	shards int
 	// overlap runs every detector job with the vm→detector segment
-	// pipeline (detect.RunOpts.SegmentEvents), overlapping execution and
-	// detection within each run. Output is byte-identical either way.
+	// pipeline at the default segment size (detect.RunOpts.Overlapped),
+	// overlapping execution and detection within each run. Output is
+	// byte-identical either way.
 	overlap bool
-	// adaptive sizes the overlap segments from observed pipeline stalls
-	// (detect.RunOpts.AdaptiveSegments).
-	adaptive bool
 	// gc runs every detector with the quiescence shadow-state GC
 	// (detect.RunOpts.GCShadow); table output is byte-identical either way.
 	gc bool
@@ -78,17 +76,6 @@ func (r *Runner) WithShards(n int) *Runner {
 // every run; table output is byte-identical either way.
 func (r *Runner) WithOverlap(on bool) *Runner {
 	r.overlap = on
-	return r
-}
-
-// WithAdaptiveOverlap toggles stall-driven segment sizing, implying the
-// overlap pipeline itself; byte-identical output under every sizing
-// policy.
-func (r *Runner) WithAdaptiveOverlap(on bool) *Runner {
-	r.adaptive = on
-	if on {
-		r.overlap = true
-	}
 	return r
 }
 
@@ -125,7 +112,6 @@ func (r *Runner) runOpts() detect.RunOpts {
 	opts := detect.RunOpts{Shards: r.runShards(), GCShadow: r.gc, Obs: r.obs}
 	if r.overlap {
 		opts = opts.Overlapped()
-		opts.AdaptiveSegments = r.adaptive
 	}
 	return opts
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"adhocrace/internal/detect"
+	"adhocrace/internal/event"
 	"adhocrace/internal/sched"
 	"adhocrace/internal/workloads/parsec"
 )
@@ -151,7 +152,9 @@ func (r *Runner) overhead(m parsec.Model) (OverheadRow, error) {
 	prep := detect.PrepareBuild(m.Build)
 	opts := r.runOpts()
 
-	repLib, ctrLib, _, err := prep.RunWithCounter(detect.HelgrindPlusLib(), 1, opts)
+	ctrLib := &event.Counter{}
+	opts.Tap = ctrLib
+	repLib, _, err := prep.Run(detect.HelgrindPlusLib(), 1, opts)
 	if err != nil {
 		return row, fmt.Errorf("lib on %s: %w", m.Name, err)
 	}
@@ -159,7 +162,9 @@ func (r *Runner) overhead(m parsec.Model) (OverheadRow, error) {
 	row.EventsLib = ctrLib.Total
 	row.ShadowLib = repLib.ShadowBytes
 
-	repSpin, ctrSpin, _, err := prep.RunWithCounter(detect.HelgrindPlusLibSpin(7), 1, opts)
+	ctrSpin := &event.Counter{}
+	opts.Tap = ctrSpin
+	repSpin, _, err := prep.Run(detect.HelgrindPlusLibSpin(7), 1, opts)
 	if err != nil {
 		return row, fmt.Errorf("lib+spin on %s: %w", m.Name, err)
 	}

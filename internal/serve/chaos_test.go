@@ -36,17 +36,13 @@ func chaosCompare(t *testing.T, req serve.SessionRequest, out *client.Outcome) {
 		t.Errorf("unknown workload %q", req.Workload)
 		return
 	}
-	opts := detect.RunOpts{
-		Shards:           req.Shards,
-		SegmentEvents:    req.SegmentEvents,
-		AdaptiveSegments: req.AdaptiveSegments,
-	}
-	if opts.SegmentEvents == 0 && (req.Overlap || req.AdaptiveSegments) {
-		opts.SegmentEvents = -1
+	opts := detect.RunOpts{Shards: req.Shards, SegmentEvents: req.SegmentEvents}
+	if req.Overlap {
+		opts = opts.Overlapped()
 	}
 	for i := range out.Runs {
 		seed := req.Seed + int64(i)
-		direct, _, err := detect.RunOpt(build(), cfg, seed, opts)
+		direct, _, err := detect.Prepare(build()).Run(cfg, seed, opts)
 		if err != nil {
 			t.Errorf("%s seed %d direct: %v", req.Workload, seed, err)
 			return

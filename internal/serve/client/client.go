@@ -2,7 +2,7 @@
 // it opens one session per connection, iterates the server's frame stream,
 // and can reassemble each run's detect.Report from the streamed warnings —
 // the object the conformance suite compares byte-for-byte against a direct
-// detect.Run.
+// Prepared.Run.
 package client
 
 import (

@@ -1,5 +1,5 @@
 // Server conformance: every report streamed through raced must be
-// byte-identical to a direct detect.Run of the same (workload, tool,
+// byte-identical to a direct Prepared.Run of the same (workload, tool,
 // seed, pipeline shape). The suite replays the full 120-case accuracy
 // suite under the six tool presets and a synthesis corpus under the two
 // presets with the richest read-side semantics, sweeping the shards ×
@@ -63,7 +63,7 @@ func (j confJob) run(t *testing.T, c *client.Client) {
 		t.Errorf("unknown workload %q", j.workload)
 		return
 	}
-	direct, _, err := detect.RunOpt(build(), cfg, j.seed, j.shape.opts)
+	direct, _, err := detect.Prepare(build()).Run(cfg, j.seed, j.shape.opts)
 	if err != nil {
 		t.Errorf("%s/%s/%s seed %d direct: %v", j.workload, j.tool, j.shape.name, j.seed, err)
 		return

@@ -121,6 +121,7 @@ func TestGarbageFrameIsolation(t *testing.T) {
 
 	healthyConn := ln.dial(t)
 	healthy := openRaw(t, healthyConn, serve.SessionRequest{Workload: "synth:5", Tool: "spin", Seed: 1})
+	want := directFingerprint(t, "synth:5", detect.HelgrindPlusLibSpin(7), 1, detect.RunOpts{})
 
 	frame := func(typ byte, body []byte) []byte {
 		buf := make([]byte, 4+1+len(body))
@@ -128,6 +129,9 @@ func TestGarbageFrameIsolation(t *testing.T) {
 		buf[4] = typ
 		return append(buf[:5], body...)
 	}
+	// accepted marks a case that is no garbage at all: the server must
+	// admit it and run it to the end.
+	const accepted = "accepted"
 	cases := []struct {
 		name string
 		raw  []byte
@@ -144,6 +148,10 @@ func TestGarbageFrameIsolation(t *testing.T) {
 		{"response-typed frame", frame(byte(serve.FrameWarning), []byte(`{}`)), serve.CodeBadRequest},
 		{"non-JSON body", frame(byte(serve.FrameRequest), []byte("not json")), serve.CodeBadRequest},
 		{"truncated frame", []byte{0, 0, 1, 0, 'Q', '{'}, ""},
+		// An older client's request still carrying the retired
+		// adaptive-segments knob: the lenient decoder ignores the field.
+		{"retired adaptive_segments field", frame(byte(serve.FrameRequest),
+			[]byte(`{"workload":"synth:5","tool":"spin","overlap":true,"adaptive_segments":true}`)), accepted},
 	}
 	for _, tc := range cases {
 		conn := ln.dial(t)
@@ -156,6 +164,24 @@ func TestGarbageFrameIsolation(t *testing.T) {
 			close(wrote)
 		}()
 		s := &rawSession{conn: conn, br: bufio.NewReader(conn)}
+		if tc.wantCode == accepted {
+			if fr, err := s.nextErr(); err != nil || fr.Type != serve.FrameAccepted {
+				t.Fatalf("%s: want accepted frame, got %v (err %v)", tc.name, fr, err)
+			}
+			runs, err := rawOutcome(s)
+			if err != nil || len(runs) != 1 {
+				t.Fatalf("%s: runs=%d err=%v", tc.name, len(runs), err)
+			}
+			rep, err := runs[0].Report()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if harness.ReportFingerprint(rep) != want {
+				t.Errorf("%s: report differs from the direct run", tc.name)
+			}
+			conn.Close()
+			continue
+		}
 		if tc.wantCode == "" {
 			// The server cannot answer a stream that dies mid-frame; it just
 			// hangs up. Sever after the bytes are through and expect nothing.
@@ -186,7 +212,7 @@ func TestGarbageFrameIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := harness.ReportFingerprint(rep), directFingerprint(t, "synth:5", detect.HelgrindPlusLibSpin(7), 1, detect.RunOpts{}); got != want {
+	if harness.ReportFingerprint(rep) != want {
 		t.Errorf("healthy session differs from direct run amid garbage connections")
 	}
 	healthyConn.Close()

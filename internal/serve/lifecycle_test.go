@@ -1,15 +1,19 @@
 // Session lifecycle edge cases, driven deterministically over an
 // in-memory pipe listener: client disconnect mid-stream, slow-reader
 // backpressure, eviction at the session cap, write-stall detection, and
-// graceful drain — each with goroutine-leak accounting.
+// graceful drain — each with goroutine-leak accounting. One closed-loop
+// probe at the cap runs over TCP, since it is about real reconnect timing.
 package serve_test
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"adhocrace/internal/serve"
+	"adhocrace/internal/serve/client"
 )
 
 // nextErr reads one frame without failing the test — for readers that run
@@ -202,6 +206,59 @@ func TestEvictionAtCap(t *testing.T) {
 	}
 	connA.Close()
 	connB.Close()
+	srv.Drain()
+	checkLeaks()
+}
+
+// TestNoEvictionWhenClientsMatchCap is the closed-loop probe at the cap:
+// as many clients as session slots, each opening its next session the
+// moment it has read the last frame of the one before. A session hands its
+// slot back before its client can read that frame, so a newcomer never
+// finds the cap full of finished sessions and nothing is evicted.
+func TestNoEvictionWhenClientsMatchCap(t *testing.T) {
+	checkLeaks := leakCheck(t)
+	const clients = 2
+	srv := startServer(t, serve.Config{MaxSessions: clients})
+	addr := srv.Addr().String()
+	req := serve.SessionRequest{Workload: "synth:3", Tool: "spin", Repeat: 4}
+
+	deadline := time.Now().Add(time.Second)
+	var sessions atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := client.New("tcp", addr)
+			for time.Now().Before(deadline) {
+				if _, err := c.Run(req); err != nil {
+					errs <- err
+					return
+				}
+				sessions.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Errorf("client session failed: %v", err)
+	}
+
+	waitFor(t, "teardown", func() bool { return srv.ActiveSessions() == 0 })
+	snap := srv.Snapshot()
+	if snap.SessionsEvicted != 0 || snap.SessionsDisconnected != 0 {
+		t.Errorf("evicted=%d disconnected=%d over %d sessions, want 0/0",
+			snap.SessionsEvicted, snap.SessionsDisconnected, sessions.Load())
+	}
+	if snap.SessionsCompleted != sessions.Load() {
+		t.Errorf("server completed %d sessions, clients finished %d", snap.SessionsCompleted, sessions.Load())
+	}
+	if snap.SessionsPeak > clients {
+		t.Errorf("peak = %d concurrent sessions, cap is %d", snap.SessionsPeak, clients)
+	}
+	t.Logf("%d sessions at cap %d", sessions.Load(), clients)
 	srv.Drain()
 	checkLeaks()
 }

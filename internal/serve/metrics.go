@@ -62,9 +62,9 @@ func (m *Metrics) sessionStarted() {
 	}
 }
 
-// sessionEnded records a session's terminal outcome ("" = completed).
+// sessionEnded records a session's terminal outcome ("" = completed). The
+// active gauge already dropped when the session finished (session.finish).
 func (m *Metrics) sessionEnded(code string) {
-	m.sessionsActive.Add(-1)
 	switch code {
 	case "":
 		m.sessionsCompleted.Add(1)

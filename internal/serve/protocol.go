@@ -120,8 +120,6 @@ type SessionRequest struct {
 	// segment size; SegmentEvents picks an explicit size (implies overlap).
 	Overlap       bool `json:"overlap,omitempty"`
 	SegmentEvents int  `json:"segment_events,omitempty"`
-	// AdaptiveSegments sizes overlap segments from observed stalls.
-	AdaptiveSegments bool `json:"adaptive_segments,omitempty"`
 	// GCEvents overrides the quiescence shadow-GC cycle period in events
 	// (0 keeps detect.DefaultGCEvents). Only meaningful while the server
 	// runs with the GC enabled; reports are byte-identical at any period.
@@ -206,11 +204,6 @@ type RunResult struct {
 
 	Steps   int64 `json:"steps"`
 	Threads int   `json:"threads"`
-
-	SegmentStalls  int64 `json:"segment_stalls,omitempty"`
-	SegmentGrows   int64 `json:"segment_grows,omitempty"`
-	SegmentShrinks int64 `json:"segment_shrinks,omitempty"`
-	SegmentSize    int   `json:"segment_size,omitempty"`
 }
 
 // runResult renders one run for the stream.
@@ -232,16 +225,12 @@ func runResult(run int, seed int64, rep *detect.Report, res vm.Result, last bool
 		RacyContexts:      rep.RacyContexts(),
 		Steps:             res.Steps,
 		Threads:           res.Threads,
-		SegmentStalls:     res.SegmentStalls,
-		SegmentGrows:      res.SegmentGrows,
-		SegmentShrinks:    res.SegmentShrinks,
-		SegmentSize:       res.SegmentSize,
 	}
 }
 
 // Report reassembles the run's detect.Report from the result frame and the
 // run's streamed warnings — the object the conformance suite fingerprints
-// against a direct detect.Run.
+// against a direct Prepared.Run.
 func (r *RunResult) Report(warnings []WireWarning) (*detect.Report, error) {
 	if len(warnings) != r.Warnings {
 		return nil, fmt.Errorf("serve: run %d streamed %d warnings, result frame says %d",

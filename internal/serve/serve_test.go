@@ -147,7 +147,7 @@ func directFingerprint(t *testing.T, workload string, cfg detect.Config, seed in
 	if !ok {
 		t.Fatalf("unknown workload %q", workload)
 	}
-	rep, _, err := detect.RunOpt(build(), cfg, seed, opts)
+	rep, _, err := detect.Prepare(build()).Run(cfg, seed, opts)
 	if err != nil {
 		t.Fatalf("direct run %s: %v", workload, err)
 	}

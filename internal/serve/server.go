@@ -5,7 +5,7 @@
 // and streams race reports back incrementally as the detector produces
 // them. Sessions are scheduled onto a sched.Pool; a configurable cap
 // bounds concurrent sessions, with evict-oldest admission when full.
-// Detection inside a session is byte-identical to a direct detect.Run —
+// Detection inside a session is byte-identical to a direct Prepared.Run —
 // the conformance suite holds the server to exactly that bar.
 package serve
 
@@ -36,7 +36,8 @@ type Config struct {
 	MetricsAddr string
 
 	// MaxSessions caps concurrently running sessions (default 64). At the
-	// cap, a new session evicts the oldest running one.
+	// cap, a new session evicts the oldest running one. A session stops
+	// counting once it has queued its final result frame.
 	MaxSessions int
 	// Workers sizes the scheduling pool (default MaxSessions).
 	Workers int
@@ -381,7 +382,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			ss.run()
 		})
 		<-runDone
-		s.tokens <- struct{}{} // release
+		ss.finish()
 		s.metrics.sessionEnded(ss.cancelCode())
 	} else {
 		// Canceled while waiting for admission (client gone or shutdown).
@@ -391,11 +392,12 @@ func (s *Server) handleConn(conn net.Conn) {
 }
 
 // teardown unwinds a session: mark done (readWatch stops counting
-// disconnects), drop the session from the registry, join the writer,
-// close the conn (which unblocks the reader), join the reader. Runs
-// deferred, so it completes even when the handler panics — and the
-// teardown failpoint is contained right here for the same reason: an
-// injected teardown panic must not skip the joins below it.
+// disconnects; already so after finish), drop the session from the
+// registry, join the writer, close the conn (which unblocks the reader),
+// join the reader. Runs deferred, so it completes even when the handler
+// panics — and the teardown failpoint is contained right here for the
+// same reason: an injected teardown panic must not skip the joins below
+// it.
 func (s *Server) teardown(ss *session, conn net.Conn) {
 	func() {
 		defer func() {

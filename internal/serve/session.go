@@ -46,7 +46,7 @@ import (
 const (
 	statePending int32 = iota // registered, waiting for admission
 	stateRunning              // admitted, run in progress
-	stateDone                 // run finished; teardown in progress
+	stateDone                 // run over, admission token returned (finish)
 )
 
 // outFrame is one queued server-to-client frame.
@@ -209,6 +209,21 @@ func (ss *session) send(t FrameType, body any) bool {
 	}
 }
 
+// finish ends an admitted session's run: it marks the session done and
+// returns its admission token and active-session gauge. Idempotent. run
+// calls it just before queueing the final result frame, so by the time a
+// client can read that frame the session is done: the client closing its
+// end is no disconnect (readWatch), the session is no eviction victim
+// (evictOldest), and a client reconnecting at once finds its old slot
+// free. The conn handler calls it again after run returns, which covers
+// every other way out of run.
+func (ss *session) finish() {
+	if ss.state.Swap(stateDone) != stateDone {
+		ss.srv.metrics.sessionsActive.Add(-1)
+		ss.srv.tokens <- struct{}{}
+	}
+}
+
 // setFinal stages the terminal error frame (first one wins).
 func (ss *session) setFinal(code, msg string) {
 	select {
@@ -237,23 +252,22 @@ func (ss *session) run() {
 	ss.obs.Add(obs.CtrSessions, 1)
 	run := 0
 	opts := detect.RunOpts{
-		Shards:           ss.req.Shards,
-		SegmentEvents:    ss.req.SegmentEvents,
-		AdaptiveSegments: ss.req.AdaptiveSegments,
-		GCShadow:         !ss.srv.cfg.DisableShadowGC,
-		GCEvents:         ss.req.GCEvents,
-		Fault:            ss.srv.cfg.Fault,
-		Obs:              ss.obs,
-		Tap:              &ss.tap,
-		Interrupt:        &ss.stop,
+		Shards:        ss.req.Shards,
+		SegmentEvents: ss.req.SegmentEvents,
+		GCShadow:      !ss.srv.cfg.DisableShadowGC,
+		GCEvents:      ss.req.GCEvents,
+		Fault:         ss.srv.cfg.Fault,
+		Obs:           ss.obs,
+		Tap:           &ss.tap,
+		Interrupt:     &ss.stop,
 		OnWarning: func(w detect.Warning) {
 			ss.warnCount.Add(1)
 			ss.srv.metrics.warningsStreamed.Add(1)
 			ss.send(FrameWarning, wireWarning(run, w))
 		},
 	}
-	if opts.SegmentEvents == 0 && (ss.req.Overlap || ss.req.AdaptiveSegments) {
-		opts.SegmentEvents = -1
+	if ss.req.Overlap {
+		opts = opts.Overlapped()
 	}
 	for ; run < ss.req.Repeat; run++ {
 		if ss.canceled() {
@@ -284,7 +298,11 @@ func (ss *session) run() {
 		}
 		ss.srv.metrics.stats.Observe(rep)
 		ss.runsDone.Add(1)
-		if !ss.send(FrameResult, runResult(run, seed, rep, res, run == ss.req.Repeat-1)) {
+		last := run == ss.req.Repeat-1
+		if last {
+			ss.finish()
+		}
+		if !ss.send(FrameResult, runResult(run, seed, rep, res, last)) {
 			ss.setFinal(ss.cancelCode(), "session canceled")
 			return
 		}
@@ -349,8 +367,9 @@ func (ss *session) writeFrame(fr outFrame) error {
 // readWatch blocks on the connection until it yields anything — data after
 // the request is a protocol violation, EOF or an error means the client is
 // gone — and cancels the session. The handler closes the conn at teardown,
-// which unblocks this read; cancellation after stateDone is a no-op for
-// accounting (sessionEnded has the real outcome by then).
+// which unblocks this read. Once the session is done (finish) a closed
+// client has everything it asked for, so nothing is canceled: the writer
+// still reports a client that vanished before its last frame was written.
 func (ss *session) readWatch() {
 	defer close(ss.readerDone)
 	var buf [1]byte

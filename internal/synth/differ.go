@@ -164,7 +164,7 @@ func (d *Differ) runPreset(rebuild func() *Workload, preset string) ([]FragOutco
 	if d.Overlap {
 		opts = opts.Overlapped()
 	}
-	rep, _, err := detect.RunOpt(w.Prog, cfg, d.schedSeed(), opts)
+	rep, _, err := detect.Prepare(w.Prog).Run(cfg, d.schedSeed(), opts)
 	if err != nil {
 		return nil, fmt.Errorf("synth: %s on %s: %w", preset, w.Name, err)
 	}

@@ -143,13 +143,12 @@ func LongTrace(seed int64, o LongTraceOpts) (*detect.Report, error) {
 	}
 	for w := 0; w < o.Windows; w++ {
 		_, err := vm.Run(prog, vm.Options{
-			Seed:             seed + int64(w),
-			KnownLibs:        o.Cfg.KnownLibs,
-			Instr:            ins,
-			Sink:             d,
-			SegmentEvents:    o.Opts.SegmentEvents,
-			AdaptiveSegments: o.Opts.AdaptiveSegments,
-			MaxSteps:         o.MaxSteps,
+			Seed:          seed + int64(w),
+			KnownLibs:     o.Cfg.KnownLibs,
+			Instr:         ins,
+			Sink:          d,
+			SegmentEvents: o.Opts.SegmentEvents,
+			MaxSteps:      o.MaxSteps,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("longtrace window %d: %w", w, err)

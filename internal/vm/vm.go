@@ -48,11 +48,6 @@ type Options struct {
 	// the identical serial stream either way; reports are byte-identical.
 	// Negative values use event.DefaultSegmentEvents.
 	SegmentEvents int
-	// AdaptiveSegments sizes the overlap segments dynamically from
-	// observed producer/consumer stalls (event.NewSegmentedAdaptive),
-	// starting from SegmentEvents. Only meaningful with SegmentEvents != 0;
-	// reports stay byte-identical under every sizing policy.
-	AdaptiveSegments bool
 	// Interrupt, when non-nil, is polled at every scheduling point: once it
 	// reads true the run stops with ErrInterrupted. This is the server's
 	// session-cancellation hook (client disconnect, eviction, shutdown) —
@@ -119,15 +114,6 @@ type Result struct {
 	// Memory exposes final memory for workload self-checks: word values
 	// by address.
 	Memory func(addr int64) int64
-	// SegmentStalls/Grows/Shrinks and SegmentSize report the overlap
-	// pipeline's adaptive-sizing activity (event.Segmented.SizingStats;
-	// all zero without Options.SegmentEvents). Timing-dependent — they
-	// describe the pipeline's schedule, not the detection outcome — so
-	// they live here rather than in the byte-identical detector report.
-	SegmentStalls  int64
-	SegmentGrows   int64
-	SegmentShrinks int64
-	SegmentSize    int
 }
 
 type threadState uint8
@@ -257,11 +243,7 @@ func New(p *ir.Program, opts Options) *VM {
 		if size < 0 {
 			size = event.DefaultSegmentEvents
 		}
-		if opts.AdaptiveSegments {
-			v.seg = event.NewSegmentedAdaptive(opts.Sink, size)
-		} else {
-			v.seg = event.NewSegmented(opts.Sink, size)
-		}
+		v.seg = event.NewSegmented(opts.Sink, size)
 		v.seg.SetObs(opts.Obs)
 		v.seg.SetFault(opts.Fault)
 		v.sink = v.seg
@@ -290,7 +272,6 @@ func (v *VM) Run() (Result, error) {
 	res, err := v.run()
 	if v.seg != nil {
 		v.seg.Close() // drains, then flushes the downstream sink
-		res.SegmentStalls, res.SegmentGrows, res.SegmentShrinks, res.SegmentSize = v.seg.SizingStats()
 	}
 	if f, ok := v.sink.(event.Flusher); ok && v.seg == nil {
 		f.Flush()

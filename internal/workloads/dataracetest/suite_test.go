@@ -88,7 +88,7 @@ func TestGroundTruthAgainstBestTool(t *testing.T) {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
 			t.Parallel()
-			rep, _, err := detect.Run(c.Build(), cfg, 1)
+			rep, _, err := detect.Prepare(c.Build()).Run(cfg, 1, detect.RunOpts{})
 			if err != nil {
 				t.Fatalf("%v", err)
 			}

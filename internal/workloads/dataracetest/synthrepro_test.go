@@ -24,7 +24,7 @@ func TestSynthReproducer(t *testing.T) {
 	}
 
 	// The full-window spin preset resolves the hand-off (no warnings)...
-	rep, _, err := detect.Run(BuildSynthRepro2(), detect.HelgrindPlusLibSpin(7), 1)
+	rep, _, err := detect.Prepare(BuildSynthRepro2()).Run(detect.HelgrindPlusLibSpin(7), 1, detect.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestSynthReproducer(t *testing.T) {
 	}
 	// ...while the undersized window that racefuzz injected still
 	// false-positives, exactly the disagreement the shrinker preserved.
-	rep, _, err = detect.Run(BuildSynthRepro2(), detect.HelgrindPlusLibSpin(3), 1)
+	rep, _, err = detect.Prepare(BuildSynthRepro2()).Run(detect.HelgrindPlusLibSpin(3), 1, detect.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

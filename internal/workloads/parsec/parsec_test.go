@@ -77,7 +77,7 @@ func TestCleanProgramsCleanEverywhere(t *testing.T) {
 	for _, name := range []string{"blackscholes", "swaptions", "fluidanimate", "canneal"} {
 		m, _ := ByName(name)
 		for _, cfg := range detect.PaperTools(7) {
-			rep, _, err := detect.Run(m.Build(), cfg, 1)
+			rep, _, err := detect.Prepare(m.Build()).Run(cfg, 1, detect.RunOpts{})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, cfg.Name, err)
 			}
@@ -91,14 +91,14 @@ func TestCleanProgramsCleanEverywhere(t *testing.T) {
 // TestSpinFeatureEliminatesVips pins one full elimination case end to end.
 func TestSpinFeatureEliminatesVips(t *testing.T) {
 	m, _ := ByName("vips")
-	lib, _, err := detect.Run(m.Build(), detect.HelgrindPlusLib(), 1)
+	lib, _, err := detect.Prepare(m.Build()).Run(detect.HelgrindPlusLib(), 1, detect.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lib.RacyContexts() < 40 {
 		t.Errorf("vips under lib: %d contexts, expected ~51 false positives", lib.RacyContexts())
 	}
-	spinRep, _, err := detect.Run(m.Build(), detect.HelgrindPlusLibSpin(7), 1)
+	spinRep, _, err := detect.Prepare(m.Build()).Run(detect.HelgrindPlusLibSpin(7), 1, detect.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

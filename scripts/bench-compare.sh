@@ -14,7 +14,7 @@
 # Exit status: nonzero when any benchmark's allocs/op regressed by more
 # than ALLOC_GATE_PCT percent (default 10) — allocs/op is the
 # machine-independent signal in these records, so `make bench-compare`
-# can gate a PR even on noisy single-CPU runners. Set ALLOC_GATE_PCT=off
+# can gate a PR even on noisy shared runners. Set ALLOC_GATE_PCT=off
 # to report without gating.
 #
 # The replay benchmarks (BenchmarkReplayEventsPerSec/*) additionally gate
@@ -114,11 +114,11 @@ case "${awk_status:-0}" in
 esac
 
 cat <<'EOF'
-note: single-CPU runners (this repo's CI) time the sharded (-shards) and
-overlapped (-overlap) pipelines as pure coordination overhead — their ns/op
-here is the worst case. On a multicore runner the same knobs convert that
-overhead into parallel speedup; allocs/op is the machine-independent signal
-in these records.
+note: the sharded (-shards) and overlapped (-overlap) pipelines' ns/op
+depends on the cores a record was taken on. On one CPU they time as pure
+coordination overhead; on two they paid 1.3-1.5x on long streams
+(BenchmarkLongTracePipeline) and nothing on short runs. Compare records
+from the same core count; allocs/op is the machine-independent signal.
 EOF
 
 if [ "${gate_failed:-0}" = 1 ]; then
