@@ -295,12 +295,38 @@ func replayFixture(b *testing.B) ([]byte, *ir.Program, detect.Config) {
 	return replayFixtureBuf, replayFixtureProg, replayFixtureCfg
 }
 
+// BenchmarkTraceDecode is the trace-decode layer alone: the recorded
+// x264/spin(7) stream opened with NewTraceReader (header and interning
+// tables included) and decoded into a discarding sink, reported as
+// ns/event. The steady-state decode loop allocates nothing, so allocs/op
+// is the header's cost.
+func BenchmarkTraceDecode(b *testing.B) {
+	data, _, _ := replayFixture(b)
+	discard := event.SinkFunc(func(*event.Event) {})
+	b.ReportAllocs()
+	var events int64
+	for i := 0; i < b.N; i++ {
+		tr, err := event.NewTraceReader(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := tr.Replay(discard)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events += n
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+}
+
 // BenchmarkReplayEventsPerSec is the scaling harness's benchmark form:
 // the same recorded stream decoded and pushed through detectors at 1, 2,
 // 4, and 8 shard workers, with throughput reported as events/sec. No vm
-// runs inside the timed loop — this isolates trace decode + detection,
-// the replay hot path. scripts/bench-scaling.sh records these results as
-// a BENCH_*.json record; bench-compare.sh gates on their ns/op.
+// runs inside the timed loop, and the instrumentation is computed once,
+// memoized on the program, so an iteration times trace decode, the
+// header's interning check and detection — the replay hot path.
+// scripts/bench-scaling.sh records these results as a BENCH_*.json
+// record; bench-compare.sh gates on their ns/op.
 func BenchmarkReplayEventsPerSec(b *testing.B) {
 	data, prog, cfg := replayFixture(b)
 	for _, shards := range []int{1, 2, 4, 8} {

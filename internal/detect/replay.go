@@ -25,15 +25,17 @@ import (
 // interception with no detector attached, streaming every event into a
 // binary trace on w. meta is recorded verbatim in the header (callers
 // supply the registry workload name and short tool name so a replayer can
-// rebuild both sides). Returns the vm result and events recorded.
+// rebuild both sides). The instrumentation and decoded program are the
+// ones memoized on p (Prepared). Returns the vm result and events recorded.
 func RecordTrace(w io.Writer, p *ir.Program, cfg Config, seed int64, meta event.TraceMeta) (vm.Result, int64, error) {
-	ins := cfg.Instrument(p)
+	pr := Prepare(p)
 	tw := event.NewTraceWriter(w, meta, p.Interning())
 	res, err := vm.Run(p, vm.Options{
 		Seed:      seed,
 		KnownLibs: cfg.KnownLibs,
-		Instr:     ins,
+		Instr:     pr.Instrument(cfg),
 		Sink:      tw,
+		Decoded:   pr.Decoded(cfg),
 	})
 	if err != nil {
 		tw.Close()
@@ -47,12 +49,14 @@ func RecordTrace(w io.Writer, p *ir.Program, cfg Config, seed int64, meta event.
 // vm-side knobs — overlap, interrupt, deadline — have no vm to act on).
 // The program must be the same build that was recorded: its interning
 // table is checked against the trace header before any event is decoded.
-// Returns the report and the events replayed.
+// The instrumentation is the one memoized on p, so repeated replays
+// against one program pay only for decoding and detection. Returns the
+// report and the events replayed.
 func ReplayTrace(tr *event.TraceReader, p *ir.Program, cfg Config, opts RunOpts) (*Report, int64, error) {
 	if err := tr.CheckTable(p.Interning()); err != nil {
 		return nil, 0, err
 	}
-	d, sink := newRunDetector(cfg, cfg.Instrument(p), p, opts)
+	d, sink := newRunDetector(cfg, Prepare(p).Instrument(cfg), p, opts)
 	defer d.Close()
 	n, err := tr.Replay(sink)
 	if err != nil {

@@ -7,12 +7,14 @@ package detect_test
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"adhocrace/internal/detect"
 	"adhocrace/internal/event"
 	"adhocrace/internal/harness"
 	"adhocrace/internal/ir"
+	"adhocrace/internal/spin"
 	"adhocrace/internal/vm"
 	"adhocrace/internal/workloads/dataracetest"
 )
@@ -133,5 +135,96 @@ func TestTraceReplayWrongProgram(t *testing.T) {
 	other := suite[1].Build()
 	if _, _, err := detect.ReplayTrace(tr, other, cfg, detect.RunOpts{}); err == nil {
 		t.Fatal("replay against a different program must fail the interning check")
+	}
+}
+
+// TestReplayInstrumentationMemo pins that the instrumentation phase runs
+// once per program and spin window, whoever asks: RecordTrace stores it on
+// the recorded program, the first ReplayTrace against a fresh build stores
+// it there, and later replays and Prepared runs of that build share the
+// same pointer. Config.Instrument stays the uncached analysis.
+func TestReplayInstrumentationMemo(t *testing.T) {
+	cfg := detect.HelgrindPlusLibSpin(7)
+	c := dataracetest.Suite()[0]
+	recorded := c.Build()
+	data := recordCase(t, recorded, cfg, 1)
+	if detect.MemoizedInstrumentation(recorded, cfg.SpinWindow) == nil {
+		t.Fatal("RecordTrace did not memoize its instrumentation on the program")
+	}
+
+	p := c.Build()
+	var first *detect.Report
+	var shared *spin.Instrumentation
+	for i := 0; i < 2; i++ {
+		tr, err := event.NewTraceReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, _, err := detect.ReplayTrace(tr, p, cfg, detect.RunOpts{})
+		if err != nil {
+			t.Fatalf("replay %d: %v", i, err)
+		}
+		ins := detect.MemoizedInstrumentation(p, cfg.SpinWindow)
+		if ins == nil {
+			t.Fatalf("replay %d did not memoize its instrumentation on the program", i)
+		}
+		if i == 0 {
+			first, shared = rep, ins
+		} else if ins != shared {
+			t.Fatal("the second replay replaced the memoized instrumentation")
+		} else if harness.ReportFingerprint(rep) != harness.ReportFingerprint(first) {
+			t.Fatal("two replays of one trace disagree")
+		}
+	}
+	if got := detect.Prepare(p).Instrument(cfg); got != shared {
+		t.Fatal("Prepared.Instrument does not share the replays' instrumentation")
+	}
+	if fresh := cfg.Instrument(p); fresh == shared || fresh == nil {
+		t.Fatal("Config.Instrument must return a fresh analysis")
+	}
+}
+
+// TestPreparedMemoConcurrent races Instrument and Decoded across spin
+// windows on one program (run it under -race): every caller of a window
+// must get the same pointers, and distinct windows distinct ones.
+func TestPreparedMemoConcurrent(t *testing.T) {
+	p := dataracetest.Suite()[0].Build()
+	cfgs := []detect.Config{detect.HelgrindPlusLib(), detect.HelgrindPlusLibSpin(3), detect.HelgrindPlusLibSpin(7), detect.HelgrindPlusLibSpin(8)}
+	const callers = 8
+	type got struct {
+		ins *spin.Instrumentation
+		dec *vm.Decoded
+	}
+	results := make([][]got, callers)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[g] = make([]got, len(cfgs))
+			for k := range cfgs {
+				// Walk the windows in a different order per caller.
+				i := (k + g) % len(cfgs)
+				pr := detect.Prepare(p)
+				results[g][i] = got{pr.Instrument(cfgs[i]), pr.Decoded(cfgs[i])}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, cfg := range cfgs {
+		want := results[0][i]
+		if (want.ins == nil) != (cfg.SpinWindow <= 0) || want.dec == nil {
+			t.Fatalf("%s: instrumentation %p, decoded %p", cfg.Name, want.ins, want.dec)
+		}
+		for g := 1; g < callers; g++ {
+			if results[g][i] != want {
+				t.Fatalf("%s: caller %d got a different instrumentation or decoded form", cfg.Name, g)
+			}
+		}
+		for j := 0; j < i; j++ {
+			if results[0][j].dec == want.dec || (want.ins != nil && results[0][j].ins == want.ins) {
+				t.Fatalf("%s and %s share a memo entry", cfgs[j].Name, cfg.Name)
+			}
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -88,53 +87,46 @@ func (o RunOpts) Overlapped() RunOpts {
 	return o
 }
 
-// Prepared is a workload compiled once and shared by many detector runs:
-// the program plus its instrumentation memoized per spin window. Both are
-// immutable at run time — the vm keeps all execution state private and the
-// spin analysis is purely static — so concurrent runs (the experiment
-// engine's jobs, sharded workers) can share one Prepared. This removes the
-// per-job rebuild + re-instrument cost that used to dominate harness
-// allocations.
+// Prepared is a workload compiled once and shared by many detector runs.
+// Its derived artifacts — the instrumentation per spin window and the
+// vm's pre-decoded form — are memoized on the program itself
+// (ir.Program.Derived), so every Prepared of one program, RecordTrace and
+// ReplayTrace share a single analysis. Program and artifacts are immutable
+// at run time — the vm keeps all execution state private and the spin
+// analysis is purely static — so concurrent runs (the experiment engine's
+// jobs, sharded workers) can share one Prepared.
 type Prepared struct {
 	Prog *ir.Program
-
-	mu  sync.Mutex
-	ins map[int]*spin.Instrumentation
-	dec map[int]*vm.Decoded
 }
 
 // Prepare wraps an already-built program for shared runs.
-func Prepare(p *ir.Program) *Prepared {
-	return &Prepared{
-		Prog: p,
-		ins:  make(map[int]*spin.Instrumentation),
-		dec:  make(map[int]*vm.Decoded),
-	}
-}
+func Prepare(p *ir.Program) *Prepared { return &Prepared{Prog: p} }
 
 // PrepareBuild builds and wraps a workload.
 func PrepareBuild(build func() *ir.Program) *Prepared { return Prepare(build()) }
 
+// Memo keys of the artifacts derived from a program, per spin window.
+type (
+	instrumentKey int
+	decodedKey    int
+)
+
 // Instrument returns cfg's instrumentation phase over the program,
-// memoized per spin window (nil when the spin feature is off). Safe for
-// concurrent use.
+// memoized on the program per spin window (nil when the spin feature is
+// off). Safe for concurrent use. Config.Instrument is the uncached
+// analysis.
 func (pr *Prepared) Instrument(cfg Config) *spin.Instrumentation {
 	if cfg.SpinWindow <= 0 {
 		return nil
 	}
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	ins, ok := pr.ins[cfg.SpinWindow]
-	if !ok {
-		ins = cfg.Instrument(pr.Prog)
-		pr.ins[cfg.SpinWindow] = ins
-	}
-	return ins
+	return pr.Prog.Derived(instrumentKey(cfg.SpinWindow), func() any {
+		return cfg.Instrument(pr.Prog)
+	}).(*spin.Instrumentation)
 }
 
 // Decoded returns the program's pre-decoded executable form under cfg's
-// instrumentation (vm.Decode), memoized per spin window like Instrument.
-// Safe for concurrent use; the decoded form is immutable.
+// instrumentation (vm.Decode), memoized like Instrument. Safe for
+// concurrent use; the decoded form is immutable.
 func (pr *Prepared) Decoded(cfg Config) *vm.Decoded {
 	ins := pr.Instrument(cfg)
 	window := cfg.SpinWindow
@@ -142,14 +134,9 @@ func (pr *Prepared) Decoded(cfg Config) *vm.Decoded {
 		// Every spin-off configuration shares the uninstrumented decode.
 		window = 0
 	}
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	d, ok := pr.dec[window]
-	if !ok {
-		d = vm.Decode(pr.Prog, ins)
-		pr.dec[window] = d
-	}
-	return d
+	return pr.Prog.Derived(decodedKey(window), func() any {
+		return vm.Decode(pr.Prog, ins)
+	}).(*vm.Decoded)
 }
 
 // Run executes the prepared workload under one tool configuration, seed,

@@ -24,6 +24,7 @@ package event
 // or adversarial header cannot balloon memory (the fuzz target's bar).
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -47,6 +48,9 @@ const (
 	maxStringLen    = 1 << 16
 	// traceFlushBytes is the writer's internal buffer threshold.
 	traceFlushBytes = 32 << 10
+	// traceWindow is the reader's input window: it reads input in
+	// chunks of up to this many bytes and decodes from the slice.
+	traceWindow = 4 << 10
 	// maxTid bounds decoded thread ids; a real run's ids are dense and
 	// small, so anything near the cap is corruption, not scale.
 	maxTid = 1 << 30
@@ -198,44 +202,41 @@ func (t *TraceWriter) Close() error {
 	return t.err
 }
 
-// byteSource is what the decoder actually needs: varint-grained reads
-// plus bulk reads for header strings. bytes.Reader and bufio.Reader both
-// satisfy it directly.
-type byteSource interface {
-	io.Reader
-	io.ByteReader
-}
-
 // TraceReader decodes a binary trace: the header eagerly (bounded
 // allocation), then one event per Next call into a caller-owned Event
-// with no steady-state allocation.
+// with no steady-state allocation. Input is pulled through a fixed window
+// of traceWindow bytes and decoded from the slice, so a one-byte varint —
+// most tags, tids, syms and locs — costs a compare and an index.
 type TraceReader struct {
-	r     byteSource
+	r     io.Reader
+	rerr  error // first error r returned (io.EOF at the end of input)
+	pos   int   // win[pos:end] is read but not yet decoded
+	end   int
 	meta  TraceMeta
 	syms  []string
 	locs  []ir.Loc
 	count uint64
 	done  bool
+	win   [traceWindow]byte
 }
 
 // NewTraceReader parses the trace header and returns a reader positioned
 // at the first event. Returns ErrTraceMagic, ErrTraceVersion, or
-// ErrTraceCorrupt (all wrapped with detail) on a bad header.
+// ErrTraceCorrupt (all wrapped with detail) on a bad header. The reader
+// reads ahead of the event it decodes, so r must hold nothing after the
+// trace that its caller still needs.
 func NewTraceReader(r io.Reader) (*TraceReader, error) {
-	src, ok := r.(byteSource)
+	t := &TraceReader{r: r}
+	var m [len(traceMagic)]byte
+	magic, ok := t.appendN(m[:0], len(m))
 	if !ok {
-		src = newByteSourceReader(r)
+		return nil, fmt.Errorf("%w: input ends after %d bytes", ErrTraceMagic, len(magic))
 	}
-	t := &TraceReader{r: src}
-	var magic [4]byte
-	if _, err := io.ReadFull(src, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTraceMagic, err)
+	if string(magic) != traceMagic {
+		return nil, fmt.Errorf("%w: got %q", ErrTraceMagic, magic)
 	}
-	if string(magic[:]) != traceMagic {
-		return nil, fmt.Errorf("%w: got %q", ErrTraceMagic, magic[:])
-	}
-	version, err := binary.ReadUvarint(src)
-	if err != nil {
+	version, ok := t.uvarint()
+	if !ok {
 		return nil, t.corrupt("truncated version")
 	}
 	if version != TraceVersion {
@@ -247,68 +248,204 @@ func NewTraceReader(r io.Reader) (*TraceReader, error) {
 	return t, nil
 }
 
+// maxEmptyReads is how many consecutive empty reads fill tolerates before
+// giving up with io.ErrNoProgress (bufio's bound).
+const maxEmptyReads = 100
+
+// fill moves the undecoded bytes to the front of the window and reads
+// more input behind them, reporting whether any arrived.
+func (t *TraceReader) fill() bool {
+	if t.rerr != nil {
+		return false
+	}
+	t.end = copy(t.win[:], t.win[t.pos:t.end])
+	t.pos = 0
+	for range maxEmptyReads {
+		n, err := t.r.Read(t.win[t.end:])
+		t.end += n
+		if err != nil {
+			t.rerr = err
+		}
+		if n > 0 {
+			return true
+		}
+		if err != nil {
+			return false
+		}
+	}
+	t.rerr = io.ErrNoProgress
+	return false
+}
+
+// uvarint decodes an unsigned varint; false on truncation or overflow.
+// A one-byte varint is a compare and an index on the window; only longer
+// ones, or one the window ends inside, take the slow path.
+func (t *TraceReader) uvarint() (uint64, bool) {
+	if t.pos < t.end {
+		if b := t.win[t.pos]; b < 0x80 {
+			t.pos++
+			return uint64(b), true
+		}
+	}
+	return t.uvarintSlow()
+}
+
+// uvarintSlow decodes a multi-byte varint, refilling the window until the
+// varint is whole in it.
+func (t *TraceReader) uvarintSlow() (uint64, bool) {
+	for {
+		v, n := binary.Uvarint(t.win[t.pos:t.end])
+		if n > 0 {
+			t.pos += n
+			return v, true
+		}
+		if n < 0 || !t.fill() {
+			return 0, false
+		}
+	}
+}
+
+// varint decodes a zigzag-encoded signed varint (binary.AppendVarint).
+func (t *TraceReader) varint() (int64, bool) {
+	u, ok := t.uvarint()
+	x := int64(u >> 1)
+	if u&1 != 0 {
+		x = ^x
+	}
+	return x, ok
+}
+
+// readByte decodes one raw byte.
+func (t *TraceReader) readByte() (byte, bool) {
+	if t.pos == t.end && !t.fill() {
+		return 0, false
+	}
+	b := t.win[t.pos]
+	t.pos++
+	return b, true
+}
+
+// appendN appends the next n input bytes to dst; false when the input
+// ends first. dst grows only as bytes arrive, so a length word cannot
+// make it allocate more than the input holds.
+func (t *TraceReader) appendN(dst []byte, n int) ([]byte, bool) {
+	for n > 0 {
+		if t.pos == t.end && !t.fill() {
+			return dst, false
+		}
+		k := min(n, t.end-t.pos)
+		dst = append(dst, t.win[t.pos:t.pos+k]...)
+		t.pos += k
+		n -= k
+	}
+	return dst, true
+}
+
+// headerStrings gathers a header's strings into one arena, so that every
+// string the header holds is cut from a single allocation. A string equal
+// to the one before it — the usual case for the location table's file
+// names — is stored once and counted as a run.
+type headerStrings struct {
+	arena []byte
+	runs  []strRun
+}
+
+// strRun is one string, ending at arena offset end, repeated count times
+// in header order.
+type strRun struct{ end, count int }
+
+// read decodes one length-prefixed string, bounded by maxStringLen.
+func (h *headerStrings) read(t *TraceReader) bool {
+	n, ok := t.uvarint()
+	if !ok || n > maxStringLen {
+		return false
+	}
+	start := len(h.arena)
+	if h.arena, ok = t.appendN(h.arena, int(n)); !ok {
+		return false
+	}
+	if k := len(h.runs) - 1; k >= 0 {
+		prev := 0
+		if k > 0 {
+			prev = h.runs[k-1].end
+		}
+		if bytes.Equal(h.arena[prev:start], h.arena[start:]) {
+			h.arena = h.arena[:start]
+			h.runs[k].count++
+			return true
+		}
+	}
+	h.runs = append(h.runs, strRun{end: len(h.arena), count: 1})
+	return true
+}
+
+// cut converts the arena to one string and returns a function yielding
+// the header's strings in order, each a slice of that string.
+func (h *headerStrings) cut() func() string {
+	all := string(h.arena)
+	run, used, start := 0, 0, 0
+	return func() string {
+		r := h.runs[run]
+		s := all[start:r.end]
+		if used++; used == r.count {
+			run, used, start = run+1, 0, r.end
+		}
+		return s
+	}
+}
+
 // readHeader decodes meta and the interning tables.
 func (t *TraceReader) readHeader() error {
-	var err error
-	if t.meta.Workload, err = t.readStr(); err != nil {
+	var h headerStrings
+	if !h.read(t) {
 		return t.corrupt("workload name")
 	}
-	if t.meta.Tool, err = t.readStr(); err != nil {
+	if !h.read(t) {
 		return t.corrupt("tool name")
 	}
-	window, err := binary.ReadUvarint(t.r)
-	if err != nil || window > maxTableEntries {
+	window, ok := t.uvarint()
+	if !ok || window > maxTableEntries {
 		return t.corrupt("spin window")
 	}
 	t.meta.Window = int(window)
-	if t.meta.Seed, err = binary.ReadVarint(t.r); err != nil {
+	if t.meta.Seed, ok = t.varint(); !ok {
 		return t.corrupt("seed")
 	}
-	nsyms, err := binary.ReadUvarint(t.r)
-	if err != nil || nsyms > maxTableEntries {
+	nsyms, ok := t.uvarint()
+	if !ok || nsyms > maxTableEntries {
 		return t.corrupt("symbol table size")
 	}
 	t.syms = make([]string, nsyms)
-	for i := range t.syms {
-		if t.syms[i], err = t.readStr(); err != nil {
+	for range t.syms {
+		if !h.read(t) {
 			return t.corrupt("symbol table")
 		}
 	}
-	nlocs, err := binary.ReadUvarint(t.r)
-	if err != nil || nlocs > maxTableEntries {
+	nlocs, ok := t.uvarint()
+	if !ok || nlocs > maxTableEntries {
 		return t.corrupt("location table size")
 	}
 	t.locs = make([]ir.Loc, nlocs)
 	for i := range t.locs {
-		if t.locs[i].File, err = t.readStr(); err != nil {
+		if !h.read(t) {
 			return t.corrupt("location table")
 		}
-		line, err := binary.ReadUvarint(t.r)
-		if err != nil || line > maxTableEntries {
+		line, ok := t.uvarint()
+		if !ok || line > maxTableEntries {
 			return t.corrupt("location line")
 		}
 		t.locs[i].Line = int(line)
 	}
+	next := h.cut()
+	t.meta.Workload = next()
+	t.meta.Tool = next()
+	for i := range t.syms {
+		t.syms[i] = next()
+	}
+	for i := range t.locs {
+		t.locs[i].File = next()
+	}
 	return nil
-}
-
-// readStr decodes one length-prefixed string, bounded by maxStringLen.
-func (t *TraceReader) readStr() (string, error) {
-	n, err := binary.ReadUvarint(t.r)
-	if err != nil {
-		return "", err
-	}
-	if n > maxStringLen {
-		return "", fmt.Errorf("string of %d bytes exceeds limit", n)
-	}
-	if n == 0 {
-		return "", nil
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(t.r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
 }
 
 // corrupt wraps ErrTraceCorrupt with position detail.
@@ -361,13 +498,13 @@ func (t *TraceReader) Next(ev *Event) (bool, error) {
 	if t.done {
 		return false, nil
 	}
-	tag, err := binary.ReadUvarint(t.r)
-	if err != nil {
+	tag, ok := t.uvarint()
+	if !ok {
 		return false, t.corrupt("truncated event stream")
 	}
 	if tag == 0 {
-		n, err := binary.ReadUvarint(t.r)
-		if err != nil {
+		n, ok := t.uvarint()
+		if !ok {
 			return false, t.corrupt("truncated end marker")
 		}
 		if n != t.count {
@@ -381,8 +518,8 @@ func (t *TraceReader) Next(ev *Event) (bool, error) {
 		return false, t.corrupt(fmt.Sprintf("unknown event kind %d", tag-1))
 	}
 	*ev = Event{Kind: kind}
-	tid, err := binary.ReadUvarint(t.r)
-	if err != nil || tid > maxTid {
+	tid, ok := t.uvarint()
+	if !ok || tid > maxTid {
 		return false, t.corrupt("thread id")
 	}
 	ev.Tid = Tid(tid)
@@ -396,8 +533,8 @@ func (t *TraceReader) Next(ev *Event) (bool, error) {
 			return false, err
 		}
 	case kind == KindSpawn || kind == KindJoin:
-		child, err := binary.ReadUvarint(t.r)
-		if err != nil || child > maxTid {
+		child, ok := t.uvarint()
+		if !ok || child > maxTid {
 			return false, t.corrupt("child thread id")
 		}
 		ev.Child = Tid(child)
@@ -406,8 +543,8 @@ func (t *TraceReader) Next(ev *Event) (bool, error) {
 			return false, err
 		}
 	case kind == KindSpinExit:
-		loop, err := binary.ReadUvarint(t.r)
-		if err != nil || loop > maxTableEntries {
+		loop, ok := t.uvarint()
+		if !ok || loop > maxTableEntries {
 			return false, t.corrupt("spin loop id")
 		}
 		ev.SpinLoop = int32(loop)
@@ -418,26 +555,26 @@ func (t *TraceReader) Next(ev *Event) (bool, error) {
 
 // readAccess decodes the access-kind payload.
 func (t *TraceReader) readAccess(ev *Event) error {
-	var err error
-	if ev.Addr, err = binary.ReadVarint(t.r); err != nil {
+	var ok bool
+	if ev.Addr, ok = t.varint(); !ok {
 		return t.corrupt("access addr")
 	}
-	if ev.Value, err = binary.ReadVarint(t.r); err != nil {
+	if ev.Value, ok = t.varint(); !ok {
 		return t.corrupt("access value")
 	}
-	sym, err := binary.ReadUvarint(t.r)
-	if err != nil || sym >= uint64(len(t.syms)) {
+	sym, ok := t.uvarint()
+	if !ok || sym >= uint64(len(t.syms)) {
 		return t.corrupt("access sym id")
 	}
 	ev.Sym = ir.SymID(sym)
-	loc, err := binary.ReadUvarint(t.r)
-	if err != nil || loc >= uint64(len(t.locs)) {
+	loc, ok := t.uvarint()
+	if !ok || loc >= uint64(len(t.locs)) {
 		return t.corrupt("access loc id")
 	}
 	ev.Loc = ir.LocID(loc)
 	if ev.Kind == KindAtomicWrite {
-		rmw, err := t.r.ReadByte()
-		if err != nil || rmw > 1 {
+		rmw, ok := t.readByte()
+		if !ok || rmw > 1 {
 			return t.corrupt("rmw flag")
 		}
 		ev.RMW = rmw == 1
@@ -447,19 +584,19 @@ func (t *TraceReader) readAccess(ev *Event) error {
 
 // readSync decodes the sync pre/post payload.
 func (t *TraceReader) readSync(ev *Event) error {
-	sk, err := binary.ReadUvarint(t.r)
-	if err != nil || sk > 255 {
+	sk, ok := t.uvarint()
+	if !ok || sk > 255 {
 		return t.corrupt("sync kind")
 	}
 	ev.Sync = ir.SyncKind(sk)
-	if ev.Addr, err = binary.ReadVarint(t.r); err != nil {
+	if ev.Addr, ok = t.varint(); !ok {
 		return t.corrupt("sync addr")
 	}
-	if ev.Addr2, err = binary.ReadVarint(t.r); err != nil {
+	if ev.Addr2, ok = t.varint(); !ok {
 		return t.corrupt("sync addr2")
 	}
-	loc, err := binary.ReadUvarint(t.r)
-	if err != nil || loc >= uint64(len(t.locs)) {
+	loc, ok := t.uvarint()
+	if !ok || loc >= uint64(len(t.locs)) {
 		return t.corrupt("sync loc id")
 	}
 	ev.Loc = ir.LocID(loc)
@@ -468,19 +605,19 @@ func (t *TraceReader) readSync(ev *Event) error {
 
 // readSpinRead decodes the spin-read payload.
 func (t *TraceReader) readSpinRead(ev *Event) error {
-	loop, err := binary.ReadUvarint(t.r)
-	if err != nil || loop > maxTableEntries {
+	loop, ok := t.uvarint()
+	if !ok || loop > maxTableEntries {
 		return t.corrupt("spin loop id")
 	}
 	ev.SpinLoop = int32(loop)
-	if ev.Addr, err = binary.ReadVarint(t.r); err != nil {
+	if ev.Addr, ok = t.varint(); !ok {
 		return t.corrupt("spin addr")
 	}
-	if ev.Value, err = binary.ReadVarint(t.r); err != nil {
+	if ev.Value, ok = t.varint(); !ok {
 		return t.corrupt("spin value")
 	}
-	loc, err := binary.ReadUvarint(t.r)
-	if err != nil || loc >= uint64(len(t.locs)) {
+	loc, ok := t.uvarint()
+	if !ok || loc >= uint64(len(t.locs)) {
 		return t.corrupt("spin loc id")
 	}
 	ev.Loc = ir.LocID(loc)
@@ -508,23 +645,4 @@ func (t *TraceReader) Replay(s Sink) (int64, error) {
 		f.Flush()
 	}
 	return int64(t.count - start), nil
-}
-
-// byteSourceReader adapts a plain io.Reader to byteSource with a one-byte
-// scratch — traces normally arrive as bytes.Reader or bufio.Reader, which
-// already qualify; this keeps exotic readers working (if slowly).
-type byteSourceReader struct {
-	r io.Reader
-	b [1]byte
-}
-
-func newByteSourceReader(r io.Reader) *byteSourceReader { return &byteSourceReader{r: r} }
-
-func (b *byteSourceReader) Read(p []byte) (int, error) { return b.r.Read(p) }
-
-func (b *byteSourceReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(b.r, b.b[:]); err != nil {
-		return 0, err
-	}
-	return b.b[0], nil
 }

@@ -3,8 +3,11 @@ package event
 import (
 	"bytes"
 	"errors"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	"adhocrace/internal/ir"
 )
@@ -252,15 +255,153 @@ func TestTraceReaderZeroAlloc(t *testing.T) {
 	}
 }
 
+// decoded is everything a reader yields for one input: the header, the
+// events up to the first error, and that error (nil at a clean end).
+type decoded struct {
+	meta  TraceMeta
+	syms  []string
+	locs  []ir.Loc
+	evs   []Event
+	count int64
+	err   error
+}
+
+// decodeAll decodes a whole trace read through r.
+func decodeAll(r io.Reader) decoded {
+	tr, err := NewTraceReader(r)
+	if err != nil {
+		return decoded{err: err}
+	}
+	d := decoded{meta: tr.Meta(), syms: tr.Syms(), locs: tr.Locs()}
+	var ev Event
+	for {
+		ok, err := tr.Next(&ev)
+		if err != nil || !ok {
+			d.count, d.err = tr.Count(), err
+			return d
+		}
+		d.evs = append(d.evs, ev)
+	}
+}
+
+// errClass names the ErrTrace* class of a decode error ("" for nil).
+func errClass(err error) string {
+	for _, c := range []error{ErrTraceMagic, ErrTraceVersion, ErrTraceCorrupt} {
+		if errors.Is(err, c) {
+			return c.Error()
+		}
+	}
+	if err != nil {
+		return "unclassified: " + err.Error()
+	}
+	return ""
+}
+
+// sameDecode reports how two decodes of one input differ ("" when they
+// agree on the header, every event, the count and the error class).
+func sameDecode(a, b decoded) string {
+	switch {
+	case errClass(a.err) != errClass(b.err):
+		return "error " + errClass(a.err) + " vs " + errClass(b.err)
+	case a.meta != b.meta:
+		return "meta"
+	case !reflect.DeepEqual(a.syms, b.syms) || !reflect.DeepEqual(a.locs, b.locs):
+		return "interning tables"
+	case a.count != b.count || !reflect.DeepEqual(a.evs, b.evs):
+		return "events"
+	}
+	return ""
+}
+
+// readerShapes are the input shapes a trace reader must decode alike:
+// whole-buffer reads, one byte per Read, and half of every request.
+var readerShapes = []struct {
+	name string
+	wrap func([]byte) io.Reader
+}{
+	{"bytes", func(b []byte) io.Reader { return bytes.NewReader(b) }},
+	{"one-byte", func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) }},
+	{"half", func(b []byte) io.Reader { return iotest.HalfReader(bytes.NewReader(b)) }},
+}
+
+// longStringTable is testTable plus a symbol of symLen bytes and location
+// files longer than the read window, so header reads refill mid-string.
+func longStringTable(symLen int) *ir.Interning {
+	tab := testTable()
+	tab.InternSym(strings.Repeat("S", symLen))
+	tab.InternLoc(ir.Loc{File: strings.Repeat("f", traceWindow+17), Line: 3})
+	tab.InternLoc(ir.Loc{File: strings.Repeat("f", traceWindow+17), Line: 4})
+	tab.InternLoc(ir.Loc{File: "c.c", Line: 9})
+	return tab
+}
+
+// TestTraceDecodeReaderShapes decodes the same traces through every
+// reader shape and requires identical headers, events and counts — the
+// window's refills, at any boundary, must be invisible — and, at every
+// truncation cut, the same error class and the same events before it.
+func TestTraceDecodeReaderShapes(t *testing.T) {
+	meta := TraceMeta{Workload: "wl", Tool: "spin", Window: 7, Seed: -3}
+	traces := map[string]struct {
+		tab *ir.Interning
+		evs []Event
+	}{
+		"short":        {testTable(), testEvents(40)},
+		"multi-window": {testTable(), testEvents(5000)},
+		"long-strings": {longStringTable(maxStringLen), testEvents(900)},
+	}
+	for name, tc := range traces {
+		data := encodeTrace(t, meta, tc.tab, tc.evs)
+		want := decodeAll(readerShapes[0].wrap(data))
+		if want.err != nil || !reflect.DeepEqual(want.evs, tc.evs) || want.count != int64(len(tc.evs)) {
+			t.Fatalf("%s: round trip failed: err=%v, %d of %d events", name, want.err, len(want.evs), len(tc.evs))
+		}
+		for _, shape := range readerShapes[1:] {
+			if diff := sameDecode(want, decodeAll(shape.wrap(data))); diff != "" {
+				t.Fatalf("%s: %s reader differs from bytes.Reader: %s", name, shape.name, diff)
+			}
+		}
+	}
+
+	// Every cut of a trace whose header and events each span a window
+	// boundary.
+	data := encodeTrace(t, meta, longStringTable(100), testEvents(150))
+	if len(data) < traceWindow+150 {
+		t.Fatalf("truncation trace is %d bytes, want its events past the first window", len(data))
+	}
+	for cut := 0; cut < len(data); cut++ {
+		want := decodeAll(readerShapes[0].wrap(data[:cut]))
+		class := ErrTraceCorrupt
+		if cut < len(traceMagic) {
+			class = ErrTraceMagic
+		}
+		if !errors.Is(want.err, class) {
+			t.Fatalf("cut %d: got %v, want %v", cut, want.err, class)
+		}
+		for _, shape := range readerShapes[1:] {
+			// A one-byte decode costs a Read per byte; every seventh cut
+			// keeps the quadratic sweep quick under -race.
+			if shape.name == "one-byte" && cut%7 != 0 {
+				continue
+			}
+			if diff := sameDecode(want, decodeAll(shape.wrap(data[:cut]))); diff != "" {
+				t.Fatalf("cut %d: %s reader differs from bytes.Reader: %s", cut, shape.name, diff)
+			}
+		}
+	}
+}
+
 // FuzzTraceDecode drives the decoder with arbitrary bytes: it must reject
 // or cleanly decode every input — no panics, no unbounded allocation —
-// and on valid traces the decoded count must match the reader's tally.
+// on valid traces the decoded count must match the reader's tally, and
+// decoding one byte per Read must match decoding whole buffers exactly
+// (the window's refills are invisible). The larger seeds hold events and
+// header strings that straddle the read window.
 func FuzzTraceDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("ADRT"))
-	valid := func(n int) []byte {
+	valid := func(tab *ir.Interning, n int) []byte {
 		var buf bytes.Buffer
-		tw := NewTraceWriter(&buf, TraceMeta{Workload: "wl", Tool: "spin", Window: 7, Seed: 1}, testTable())
+		tw := NewTraceWriter(&buf, TraceMeta{Workload: "wl", Tool: "spin", Window: 7, Seed: 1}, tab)
 		evs := testEvents(n)
 		for i := range evs {
 			tw.Handle(&evs[i])
@@ -268,29 +409,22 @@ func FuzzTraceDecode(f *testing.F) {
 		tw.Close()
 		return buf.Bytes()
 	}
-	f.Add(valid(0))
-	f.Add(valid(13))
-	f.Add(valid(13)[:20])
-	f.Add(valid(13)[:40])
+	f.Add(valid(testTable(), 0))
+	f.Add(valid(testTable(), 13))
+	f.Add(valid(testTable(), 13)[:20])
+	f.Add(valid(testTable(), 13)[:40])
+	f.Add(valid(testTable(), 700))
+	straddle := testTable()
+	straddle.InternLoc(ir.Loc{File: strings.Repeat("f", traceWindow-40), Line: 1})
+	f.Add(valid(straddle, 200))
+	f.Add(valid(straddle, 200)[:traceWindow+3])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := NewTraceReader(bytes.NewReader(data))
-		if err != nil {
-			return
+		got := decodeAll(bytes.NewReader(data))
+		if got.err == nil && got.count != int64(len(got.evs)) {
+			t.Fatalf("decoded %d events, reader counted %d", len(got.evs), got.count)
 		}
-		var ev Event
-		n := int64(0)
-		for {
-			ok, err := tr.Next(&ev)
-			if err != nil {
-				return
-			}
-			if !ok {
-				break
-			}
-			n++
-		}
-		if n != tr.Count() {
-			t.Fatalf("decoded %d events, reader counted %d", n, tr.Count())
+		if diff := sameDecode(got, decodeAll(iotest.OneByteReader(bytes.NewReader(data)))); diff != "" {
+			t.Fatalf("one-byte reads differ from whole-buffer reads: %s", diff)
 		}
 	})
 }

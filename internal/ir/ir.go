@@ -367,6 +367,35 @@ type Program struct {
 	// concurrent runs that share a prepared program.
 	internOnce sync.Once
 	interned   *Interning
+
+	// derived holds the values memoized by Derived, each a *derivedEntry.
+	derived sync.Map
+}
+
+// derivedEntry is one memoized value; once makes its build run exactly
+// once however many goroutines ask for it together.
+type derivedEntry struct {
+	once sync.Once
+	v    any
+}
+
+// Derived returns the value memoized under key, calling build to compute it
+// on first use. It is for artifacts computed purely from the program (the
+// spin analysis per window, the vm's pre-decoded form): a program is
+// immutable once built, so every holder of it can share one copy, and a
+// program analyzed once is never analyzed again. Keys must be comparable;
+// a package keys its values with its own unexported types so keys of
+// different packages never collide. Safe for concurrent use: builds of
+// different keys run in parallel, concurrent asks for one key wait for its
+// single build, and build may itself call Derived for another key.
+func (p *Program) Derived(key any, build func() any) any {
+	e, ok := p.derived.Load(key)
+	if !ok {
+		e, _ = p.derived.LoadOrStore(key, new(derivedEntry))
+	}
+	de := e.(*derivedEntry)
+	de.once.Do(func() { de.v = build() })
+	return de.v
 }
 
 // FuncByName returns the function with the given name, or nil.
