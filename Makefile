@@ -131,10 +131,11 @@ trace-smoke:
 	GO=$(GO) sh scripts/trace-smoke.sh
 
 # Everything CI runs, in CI's order. (The workflow additionally runs the
-# shard determinism tests, the representation equivalence suite — the
-# epoch-read and clock-store references, under -race — and the server
-# conformance suite as named steps before the race suite, purely so those
-# breaks fail with their own labels; `race` covers them.)
+# shard determinism tests, the representation equivalence step — golden
+# report fingerprints, shadow-GC equivalence, and the differential tests
+# against the oracles in the detect/hb/vm tests, under -race — and the
+# server conformance suite as named steps before the race suite, purely so
+# those breaks fail with their own labels; `race` covers them.)
 ci: fmt-check vet doc-check static build perfbench-check conformance chaos-smoke race soak-smoke memory-smoke trace-smoke scaling-smoke bench fuzz-proto fuzz-smoke
 
 # Regenerate the paper's tables and figures.

@@ -92,18 +92,6 @@ type Config struct {
 	// acquires outside the loop also synchronize. Improves the accuracy
 	// of the universal detector on two-phase locks.
 	InferLocks bool
-
-	// fullVCReads switches the shard read representation from the adaptive
-	// FastTrack epochs back to the seed full-vector-clock implementation
-	// (refreads.go) — the reference the epoch-equivalence tests replay
-	// corpora against. Test-only, reachable through an export_test hook;
-	// never set by the presets.
-	fullVCReads bool
-	// fullVCSync switches the happens-before engine from the
-	// epoch-compressed clock store to the seed full-vector-clock reference
-	// (hb.NewReference) — the sync-side counterpart of fullVCReads, used
-	// by the TestSyncStoreEquivalence tests. Test-only.
-	fullVCSync bool
 }
 
 // drdHistoryWindow is the event-distance budget modeling DRD's segment

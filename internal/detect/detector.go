@@ -98,7 +98,7 @@ type Report struct {
 	// (same-owner re-releases, covered acquires); SyncRebases and
 	// SyncInflates count its fallbacks (hb.Stats). Like the read-set
 	// counters these are representation metrics: deterministic per
-	// (program, tool, seed), zero under the full-VC reference engine.
+	// (program, tool, seed), and excluded from the report fingerprint.
 	SyncEpochHits int64
 	SyncRebases   int64
 	SyncInflates  int64
@@ -263,9 +263,6 @@ func NewSharded(cfg Config, ins *spin.Instrumentation, prog *ir.Program, shards 
 		shards = 1
 	}
 	h := hb.New()
-	if cfg.fullVCSync {
-		h = hb.NewReference()
-	}
 	adhoc := core.New(h, ins, prog)
 	adhoc.InferLocks = cfg.InferLocks
 	d := &Detector{

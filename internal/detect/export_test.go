@@ -13,22 +13,6 @@ var (
 	RacyProgramForTest = racyProgram
 )
 
-// FullVCReads returns the configuration with the seed full-vector-clock
-// read representation enabled — the reference side of the epoch
-// equivalence tests.
-func FullVCReads(cfg Config) Config {
-	cfg.fullVCReads = true
-	return cfg
-}
-
-// FullVCSync returns the configuration with the seed full-vector-clock
-// happens-before engine enabled — the reference side of the clock-store
-// equivalence tests.
-func FullVCSync(cfg Config) Config {
-	cfg.fullVCSync = true
-	return cfg
-}
-
 // MemoizedInstrumentation returns the instrumentation memoized on p for
 // the spin window without computing one: nil when nothing has stored it,
 // in which case the nil is memoized — so ask only after the call under

@@ -123,11 +123,6 @@ func (d *Detector) collectGarbage() {
 // collect retires this shard's dominated shadow words. Runs on the shard's
 // worker at the mark's stream position (or inline, single-threaded).
 func (s *shardState) collect(wm vc.Frozen) {
-	if s.ref != nil {
-		// The full-VC read reference keeps the seed layout; equivalence
-		// runs against it compare values, not footprints.
-		return
-	}
 	eraser := s.cfg.Tool == EraserTool
 	for key, pg := range s.shadow.pages {
 		var rf *retiredFlags

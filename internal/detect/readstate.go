@@ -32,9 +32,14 @@ import (
 //     observe the retirement (Config.forgetfulReadsOK has the argument).
 //
 // The representation changes how read history is stored, not what the
-// detector reports; the TestEpochFullVCEquivalence tests replay the
-// accuracy suite and a synthesis corpus against the seed representation
-// (fullVCReads) to pin that down byte for byte.
+// detector reports. The seed full-vector-clock reads live on as a test
+// oracle (refreads_test.go): TestReadStateMatchesFullVCReads drives both
+// through random access streams and compares every conflict result, and
+// the golden report fingerprints (testdata/golden_fingerprints.txt, first
+// generated under the seed representation) pin the corpus byte for byte.
+// One known gap, recorded by that test: a plain read retired by demotion
+// is lost when two unordered atomic writes follow, because atomic-atomic
+// pairs skip the write-epoch check the demotion argument relies on.
 
 // readEntry is one recorded read in a promoted read-set.
 type readEntry struct {

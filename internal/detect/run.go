@@ -72,10 +72,6 @@ type RunOpts struct {
 	// Nil (the default) makes every probe a nil-check; reports are
 	// byte-identical either way.
 	Obs *obs.Pipeline
-	// Reference runs the vm's legacy switch interpreter instead of the
-	// pre-decoded dispatch (vm.Options.Reference) — the equivalence suite's
-	// oracle. Reports are byte-identical either way; only speed differs.
-	Reference bool
 }
 
 // Overlapped returns o with the segment overlap enabled at the default
@@ -159,7 +155,6 @@ func (pr *Prepared) Run(cfg Config, seed int64, opts RunOpts) (*Report, vm.Resul
 		Obs:           opts.Obs,
 		Fault:         opts.Fault,
 		Decoded:       pr.Decoded(cfg),
-		Reference:     opts.Reference,
 	})
 	return d.Report(), res, err
 }

@@ -110,11 +110,6 @@ type shardState struct {
 	// gc.go), summed into the Report.
 	gcWords, gcPages, gcSets int64
 
-	// ref, when non-nil, carries the seed full-vector-clock read-side
-	// state instead of the adaptive epochs — the reference mode of the
-	// epoch-equivalence tests (Config.fullVCReads). See refreads.go.
-	ref map[int64]*refWord
-
 	warnings []Warning
 	// onWarn streams warnings as they are appended — set only on a
 	// single-shard detector, where append order is report order (see
@@ -123,17 +118,13 @@ type shardState struct {
 }
 
 func newShardState(cfg *Config, adhoc *core.Engine, stride, shardIdx int64) *shardState {
-	s := &shardState{
+	return &shardState{
 		cfg:          cfg,
 		adhoc:        adhoc,
 		shadow:       newShadowMemStride(stride, shardIdx),
 		locks:        lockset.NewTracker(),
 		reportedSite: make(map[siteKey]bool),
 	}
-	if cfg.fullVCReads {
-		s.ref = make(map[int64]*refWord)
-	}
-	return s
 }
 
 // access runs the per-address half of the detector state machine for one
@@ -181,12 +172,6 @@ func (s *shardState) access(e *entry) {
 	if w.wSeen && w.wTid != e.tid && w.wTick > clock.Get(int(w.wTid)) &&
 		!(isAtomic && w.wAtomic) {
 		raceWith, raceEvent = w.wTid, w.wEvent
-	}
-
-	if s.ref != nil {
-		// Equivalence-test reference mode: seed full-VC read machinery.
-		s.accessRef(e, w, isWrite, isAtomic, raceWith, raceEvent)
-		return
 	}
 
 	// Read-write race: every prior read must happen-before a write. Atomic

@@ -5,19 +5,17 @@
 // Detectors feed it the intercepted sync events of the libraries they know;
 // package core feeds it the edges inferred from spinning read loops.
 //
-// Two implementations share the Engine interface. New returns the
-// production clock store: thread clocks are the only mutable clocks, every
-// published value is an immutable vc.Frozen handle (copy-on-write, O(1) to
-// hand out), and sync objects run an epoch-compressed fast path — an object
-// whose clock was last published by a single thread holds (owner, tick, a
-// frozen base) and only inflates to a full accumulator clock on a
-// cross-thread release, the object-side mirror of the detector's adaptive
-// read representation. NewReference returns the seed full-vector-clock
-// engine, kept as the reference side of the equivalence tests (the same
-// pattern as detect/refreads.go): both engines compute the identical
-// happens-before relation, so detector reports are byte-identical under
-// either, which TestSyncStoreEquivalence* in package detect pins corpus-
-// wide.
+// New returns the clock store: thread clocks are the only mutable clocks,
+// every published value is an immutable vc.Frozen handle (copy-on-write,
+// O(1) to hand out), and sync objects run an epoch-compressed fast path —
+// an object whose clock was last published by a single thread holds
+// (owner, tick, a frozen base) and only inflates to a full accumulator
+// clock on a cross-thread release, the object-side mirror of the
+// detector's adaptive read representation. The seed full-vector-clock
+// engine lives on in this package's tests (reference_test.go) as the
+// oracle the store must match: the edge-case tables and a random op-stream
+// matrix — including spawns, joins, exits, ForgetObject and GC cycles —
+// compare every ordering the two engines produce.
 package hb
 
 import (
@@ -87,8 +85,8 @@ type Engine interface {
 	// Objects counts live sync-object and barrier states — the soak tests'
 	// plateau gauge.
 	Objects() int64
-	// Stats returns the engine's representation counters (zero for the
-	// reference engine).
+	// Stats returns the engine's representation counters (zero for an
+	// engine without a compressed representation).
 	Stats() Stats
 	// Bytes approximates the engine's memory footprint for the memory
 	// figure.
@@ -164,8 +162,8 @@ type store struct {
 }
 
 // SetObs attaches an observability pipeline to the store. The detector
-// coordinator calls it (via an interface assertion, so the seed reference
-// engine needs no hook) before any events flow.
+// coordinator calls it (via an interface assertion, so engines without
+// probes need no hook) before any events flow.
 func (e *store) SetObs(p *obs.Pipeline) { e.obs = p }
 
 // ClockOf returns the clock of thread t, creating it on first use. A slot

@@ -16,7 +16,7 @@ func ordered(a, b vc.Frozen) bool { return a.LessOrEqual(b) }
 func engines() map[string]func() Engine {
 	return map[string]func() Engine{
 		"store":     New,
-		"reference": NewReference,
+		"reference": newReference,
 	}
 }
 
@@ -337,12 +337,20 @@ func TestEdgeCasesBothEngines(t *testing.T) {
 }
 
 // TestStoreMatchesReferenceOnRandomStreams drives both engines through
-// identical pseudo-random operation streams and asserts the complete
-// pairwise ordering matrix of all snapshots matches — a randomized
-// extension of the edge-case tables.
+// identical pseudo-random operation streams — the ops the detector issues:
+// release/acquire, barrier arrive/leave, ticks, spawns and joins
+// mid-stream, thread exits, ForgetObject, and GC cycles of
+// Quiesce(Watermark()) — and asserts the complete pairwise ordering matrix
+// of all snapshots and watermarks matches, along with every cycle's
+// retirement count and live-object gauge. A randomized extension of the
+// edge-case tables.
 func TestStoreMatchesReferenceOnRandomStreams(t *testing.T) {
-	const threads = 4
-	for seed := uint64(1); seed <= 50; seed++ {
+	const (
+		initial    = 4
+		maxThreads = 8
+	)
+	var quiesced, retired, joins, forgets int64
+	for seed := uint64(1); seed <= 200; seed++ {
 		rng := seed * 0x9e3779b97f4a7c15
 		next := func(n int) int {
 			rng ^= rng >> 12
@@ -350,34 +358,76 @@ func TestStoreMatchesReferenceOnRandomStreams(t *testing.T) {
 			rng ^= rng >> 27
 			return int((rng * 0x2545f4914f6cdd1d) % uint64(n))
 		}
-		st, ref := New(), NewReference()
-		for i := 1; i < threads; i++ {
-			st.Spawn(0, event.Tid(i))
-			ref.Spawn(0, event.Tid(i))
+		st, ref := New(), newReference()
+		both := func(op func(e Engine)) { op(st); op(ref) }
+		live := []event.Tid{0}
+		var exited []event.Tid // exited, not yet joined
+		nextTid := event.Tid(1)
+		spawn := func() {
+			parent, child := live[next(len(live))], nextTid
+			nextTid++
+			both(func(e Engine) { e.Spawn(parent, child) })
+			live = append(live, child)
+		}
+		for i := 1; i < initial; i++ {
+			spawn()
 		}
 		var stSnaps, refSnaps []vc.Frozen
-		for step := 0; step < 120; step++ {
-			tid := event.Tid(next(threads))
+		for step := 0; step < 200; step++ {
+			tid := live[next(len(live))]
 			obj := int64(100 + next(3))
-			switch next(6) {
+			switch next(11) {
 			case 0:
-				st.Release(tid, obj)
-				ref.Release(tid, obj)
+				both(func(e Engine) { e.Release(tid, obj) })
 			case 1:
-				st.Acquire(tid, obj)
-				ref.Acquire(tid, obj)
+				both(func(e Engine) { e.Acquire(tid, obj) })
 			case 2:
-				st.BarrierArrive(tid, obj)
-				ref.BarrierArrive(tid, obj)
+				both(func(e Engine) { e.BarrierArrive(tid, obj) })
 			case 3:
-				st.BarrierLeave(tid, obj)
-				ref.BarrierLeave(tid, obj)
+				both(func(e Engine) { e.BarrierLeave(tid, obj) })
 			case 4:
-				st.ClockOf(tid).Tick(int(tid))
-				ref.ClockOf(tid).Tick(int(tid))
+				both(func(e Engine) { e.ClockOf(tid).Tick(int(tid)) })
 			case 5:
 				stSnaps = append(stSnaps, st.Snapshot(tid))
 				refSnaps = append(refSnaps, ref.Snapshot(tid))
+			case 6:
+				if int(nextTid) < maxThreads {
+					spawn()
+				}
+			case 7:
+				// A non-main thread exits; its join comes later.
+				if tid != 0 {
+					both(func(e Engine) { e.ThreadExited(tid) })
+					for i, l := range live {
+						if l == tid {
+							live = append(live[:i], live[i+1:]...)
+							break
+						}
+					}
+					exited = append(exited, tid)
+				}
+			case 8:
+				if len(exited) > 0 {
+					i := next(len(exited))
+					child := exited[i]
+					exited = append(exited[:i], exited[i+1:]...)
+					both(func(e Engine) { e.Join(tid, child) })
+					joins++
+				}
+			case 9:
+				stWM, refWM := st.Watermark(), ref.Watermark()
+				stSnaps = append(stSnaps, stWM)
+				refSnaps = append(refSnaps, refWM)
+				stRet, refRet := st.Quiesce(stWM), ref.Quiesce(refWM)
+				if stRet != refRet || st.Objects() != ref.Objects() {
+					t.Fatalf("seed %d step %d: Quiesce retired %d (store) vs %d (reference), objects %d vs %d",
+						seed, step, stRet, refRet, st.Objects(), ref.Objects())
+				}
+				quiesced++
+				retired += stRet
+			case 10:
+				both(func(e Engine) { e.ForgetObject(obj) })
+				forgets++
 			}
 		}
 		for i := range stSnaps {
@@ -389,6 +439,11 @@ func TestStoreMatchesReferenceOnRandomStreams(t *testing.T) {
 			}
 		}
 	}
+	if quiesced == 0 || retired == 0 || joins == 0 || forgets == 0 {
+		t.Fatalf("streams must exercise GC cycles (%d) that retire state (%d), joins (%d) and ForgetObject (%d)",
+			quiesced, retired, joins, forgets)
+	}
+	t.Logf("%d GC cycles retired %d objects; %d joins, %d forgets", quiesced, retired, joins, forgets)
 }
 
 // TestForgetObjectReleasesState is the accounting test for sync-object

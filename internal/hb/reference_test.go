@@ -5,16 +5,15 @@ import (
 	"adhocrace/internal/vc"
 )
 
-// Reference engine: the seed full-vector-clock implementation, retained
-// verbatim so the clock-store equivalence tests (package detect's
-// TestSyncStoreEquivalence*, package hb's table-driven edge-case tests) can
-// replay whole corpora against it — the same pattern as the detector's
-// refreads.go. Every sync object holds a mutable full clock joined on each
-// release; snapshots are memoized per (thread, clock version) copies. Not
-// used in production runs.
+// Reference engine: the seed full-vector-clock implementation, kept
+// verbatim as the oracle the clock store is checked against — the
+// edge-case tables and the random op-stream matrix in hb_test.go compare
+// every ordering the two engines produce. Every sync object holds a
+// mutable full clock joined on each release; snapshots are memoized per
+// (thread, clock version) copies.
 
-// NewReference returns a seed-representation engine.
-func NewReference() Engine {
+// newReference returns a seed-representation engine.
+func newReference() Engine {
 	return &reference{
 		objs:     make(map[int64]*vc.Clock),
 		barriers: make(map[int64]*refBarrier),

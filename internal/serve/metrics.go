@@ -62,8 +62,9 @@ func (m *Metrics) sessionStarted() {
 	}
 }
 
-// sessionEnded records a session's terminal outcome ("" = completed). The
-// active gauge already dropped when the session finished (session.finish).
+// sessionEnded records a session's terminal outcome ("" = completed),
+// once per session (session.end). The active gauge already dropped when
+// the session finished (session.finish).
 func (m *Metrics) sessionEnded(code string) {
 	switch code {
 	case "":

@@ -383,7 +383,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		})
 		<-runDone
 		ss.finish()
-		s.metrics.sessionEnded(ss.cancelCode())
+		ss.end(ss.cancelCode())
 	} else {
 		// Canceled while waiting for admission (client gone or shutdown).
 		ss.setFinal(ss.cancelCode(), "session canceled before admission")

@@ -65,6 +65,8 @@ type session struct {
 
 	started time.Time
 	state   atomic.Int32
+	// ended guards the one terminal-outcome count (see end).
+	ended atomic.Bool
 
 	// outbox carries every frame to the writer; closed by the conn handler
 	// once the run goroutine has returned.
@@ -224,6 +226,19 @@ func (ss *session) finish() {
 	}
 }
 
+// end records the session's terminal outcome in the metrics, once ("" =
+// completed; later calls are no-ops). run counts a completion just before
+// queueing the final result frame, together with finish, so a client that
+// has read that frame finds the completion already counted; the conn
+// handler counts every other outcome after run returns. A session
+// canceled between the two (server shutdown, a stalled or failing writer)
+// still counts as completed: all its runs finished.
+func (ss *session) end(code string) {
+	if ss.ended.CompareAndSwap(false, true) {
+		ss.srv.metrics.sessionEnded(code)
+	}
+}
+
 // setFinal stages the terminal error frame (first one wins).
 func (ss *session) setFinal(code, msg string) {
 	select {
@@ -301,6 +316,7 @@ func (ss *session) run() {
 		last := run == ss.req.Repeat-1
 		if last {
 			ss.finish()
+			ss.end("")
 		}
 		if !ss.send(FrameResult, runResult(run, seed, rep, res, last)) {
 			ss.setFinal(ss.cancelCode(), "session canceled")

@@ -1,12 +1,11 @@
 package vm
 
-// Pre-decoded program form: the hot-path replacement for the reference
-// interpreter's per-step work.
+// Pre-decoded program form: the vm's only dispatch.
 //
-// The reference interpreter (vm.go step) re-does three kinds of work on
-// every executed instruction: it double-derefs Blocks[block].Instrs[ip] to
-// fetch the instruction, re-switches on the opcode, and — on every memory
-// access — re-resolves the spin instrumentation (two nested map lookups in
+// The legacy switch interpreter it replaced re-did three kinds of work on
+// every executed instruction: it double-dereffed Blocks[block].Instrs[ip] to
+// fetch the instruction, re-switched on the opcode, and — on every memory
+// access — re-resolved the spin instrumentation (two nested map lookups in
 // spin.Instrumentation.SpinReadLoop) and the interned symbol/location ids
 // (two map lookups in ir.Interning). Decode does all of that exactly once
 // per (program, instrumentation) pair: each function's blocks are
@@ -17,9 +16,12 @@ package vm
 // the instruction. The decoded step is then one slice index plus one
 // indirect call, with zero map traffic.
 //
-// Event-stream equivalence with the reference interpreter is the bar —
-// byte-identical reports under every tool and pipeline shape — and is
-// asserted by decode_test.go and the detect equivalence suite.
+// That interpreter lives on in this package's tests (reference_test.go),
+// driving the production scheduler through VM.run: decode_test.go asserts
+// the decoded dispatch emits its exact event stream and reaches its exact
+// result. Corpus-wide, the golden report fingerprints in package detect
+// (first generated under the legacy interpreter) hold every report byte
+// for byte.
 
 import (
 	"fmt"
@@ -69,8 +71,8 @@ type dinstr struct {
 	sym ir.SymID
 	loc ir.LocID
 	// spin is the instrumented spin-read loop id + 1 for condition-load
-	// sites (0 = not a condition load) — the per-load nested map lookup of
-	// the reference path, baked.
+	// sites (0 = not a condition load) — spin.Instrumentation's per-load
+	// nested map lookup, baked.
 	spin int32
 	// spinExit is the instrumented loop id + 1 when this Br is one of the
 	// loop's exit branches; exitT1/exitT2 say whether taking the then/else
@@ -202,10 +204,11 @@ var execTab = [...]func(*VM, *thread, *frame, *dinstr) (bool, error){
 	ir.OpJoin:         execJoin,
 }
 
-// runThreadDecoded is runThread's decoded-mode twin: fetch the frame's
-// current flat instruction and tail into its pre-bound exec function. The
-// frame is re-fetched per step because calls and returns change the stack.
-func (v *VM) runThreadDecoded(t *thread, quantum int) error {
+// runThread executes up to quantum instructions of t: fetch the frame's
+// current flat instruction and tail into its pre-bound exec function. It
+// returns early when the thread blocks, yields, or finishes. The frame is
+// re-fetched per step because calls and returns change the stack.
+func (v *VM) runThread(t *thread, quantum int) error {
 	for i := 0; i < quantum; i++ {
 		if t.state != stateRunnable {
 			return nil
@@ -367,8 +370,7 @@ func execLoad(v *VM, t *thread, f *frame, in *dinstr) (bool, error) {
 	}
 	f.regs[in.dst] = val
 	// The spin-read mark precedes the access event so detectors classify
-	// the address before race-checking the access (same order as the
-	// reference interpreter).
+	// the address before race-checking the access.
 	if in.spin != 0 {
 		v.emitSpin(t, event.KindSpinRead, in.spin-1, addr, val, in.loc)
 	}

@@ -74,12 +74,13 @@ func buildCASLock() *ir.Program {
 	return b.MustBuild()
 }
 
-// recordStream runs the program and returns every emitted event by value.
-func recordStream(t *testing.T, p *ir.Program, opts Options) []event.Event {
+// recordStream runs the program with run (Run or runReference) and returns
+// every emitted event by value.
+func recordStream(t *testing.T, p *ir.Program, opts Options, run func(*ir.Program, Options) (Result, error)) []event.Event {
 	t.Helper()
 	var out []event.Event
 	opts.Sink = event.SinkFunc(func(ev *event.Event) { out = append(out, *ev) })
-	if _, err := Run(p, opts); err != nil {
+	if _, err := run(p, opts); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	return out
@@ -87,12 +88,14 @@ func recordStream(t *testing.T, p *ir.Program, opts Options) []event.Event {
 
 // TestDecodedMatchesReferenceStream is the decoded interpreter's
 // equivalence bar at the finest grain: the exact event stream — every
-// field of every event, in order — must match the reference interpreter's,
-// across programs, seeds, and instrumentation on/off.
+// field of every event, in order — must match the reference interpreter's
+// (reference_test.go), across programs, seeds, instrumentation on/off, and
+// library interception on/off.
 func TestDecodedMatchesReferenceStream(t *testing.T) {
 	progs := map[string]*ir.Program{
 		"spinwait": buildSpinWait(),
 		"caslock":  buildCASLock(),
+		"libcalls": libSuppressionProgram(),
 	}
 	for name, p := range progs {
 		for _, withSpin := range []bool{false, true} {
@@ -101,11 +104,10 @@ func TestDecodedMatchesReferenceStream(t *testing.T) {
 				ins = spin.Analyze(p, 7)
 			}
 			for seed := int64(1); seed <= 20; seed++ {
-				opts := Options{Seed: seed, Instr: ins}
-				ref := opts
-				ref.Reference = true
-				got := recordStream(t, p, opts)
-				want := recordStream(t, p, ref)
+				libs := map[ir.LibTag]bool{ir.LibPthread: seed%2 == 0}
+				opts := Options{Seed: seed, Instr: ins, KnownLibs: libs}
+				got := recordStream(t, p, opts, Run)
+				want := recordStream(t, p, opts, runReference)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s seed %d spin=%v: decoded stream differs from reference (%d vs %d events)",
 						name, seed, withSpin, len(got), len(want))
@@ -124,7 +126,7 @@ func TestDecodedMatchesReferenceResult(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decoded run: %v", err)
 		}
-		ref, err := Run(p, Options{Seed: seed, Reference: true})
+		ref, err := runReference(p, Options{Seed: seed})
 		if err != nil {
 			t.Fatalf("reference run: %v", err)
 		}

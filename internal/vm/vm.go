@@ -75,11 +75,6 @@ type Options struct {
 	// from exactly this program and Instr; anything else is re-decoded.
 	// detect.Prepared memoizes one per spin window for shared runs.
 	Decoded *Decoded
-	// Reference forces the legacy switch interpreter instead of the
-	// pre-decoded dispatch. The two produce byte-identical event streams
-	// (asserted by decode_test.go and the detect equivalence suite);
-	// Reference exists as the test oracle and costs per-step re-decoding.
-	Reference bool
 }
 
 const (
@@ -127,12 +122,9 @@ const (
 type frame struct {
 	fn   *ir.Func
 	regs []int64
-	// dfn is the decoded form of fn (nil in reference mode); ip then
-	// indexes dfn.code flat instead of the current block's instruction
-	// list, and block is unused.
-	dfn   *dfunc
-	block int
-	ip    int
+	// dfn is the decoded form of fn; ip indexes its flat code.
+	dfn *dfunc
+	ip  int
 	// retDst is the register in the caller frame receiving the return
 	// value (NoReg to discard).
 	retDst int
@@ -163,11 +155,7 @@ type VM struct {
 	prog *ir.Program
 	opts Options
 	mem  []int64
-	// tab is the program's symbol/location interning table; the reference
-	// interpreter resolves each instruction's Sym/Loc through it per
-	// emission, the decoded form bakes the ids in at decode time.
-	tab *ir.Interning
-	// dec is the pre-decoded program (nil in reference mode).
+	// dec is the pre-decoded program.
 	dec *Decoded
 	// interceptedBits/interceptedFn cache, per function index, whether a
 	// call into the function is intercepted under this run's KnownLibs —
@@ -216,7 +204,6 @@ func New(p *ir.Program, opts Options) *VM {
 		prog: p,
 		opts: opts,
 		mem:  make([]int64, words),
-		tab:  p.Interning(),
 		rng:  seed,
 		sink: opts.Sink,
 	}
@@ -231,12 +218,10 @@ func New(p *ir.Program, opts Options) *VM {
 			v.interceptedBits |= 1 << uint(i)
 		}
 	}
-	if !opts.Reference {
-		if opts.Decoded.Matches(p, opts.Instr) {
-			v.dec = opts.Decoded
-		} else {
-			v.dec = Decode(p, opts.Instr)
-		}
+	if opts.Decoded.Matches(p, opts.Instr) {
+		v.dec = opts.Decoded
+	} else {
+		v.dec = Decode(p, opts.Instr)
 	}
 	if opts.SegmentEvents != 0 && opts.Sink != nil {
 		size := opts.SegmentEvents
@@ -269,7 +254,7 @@ func (v *VM) Run() (Result, error) {
 		// the final drain re-raises a downstream panic.
 		defer v.seg.Close()
 	}
-	res, err := v.run()
+	res, err := v.run(v.runThread)
 	if v.seg != nil {
 		v.seg.Close() // drains, then flushes the downstream sink
 	}
@@ -279,7 +264,11 @@ func (v *VM) Run() (Result, error) {
 	return res, err
 }
 
-func (v *VM) run() (Result, error) {
+// run drives the scheduler, handing each quantum to exec: the decoded
+// dispatch (runThread) in every production run. The parameter is the seam
+// that lets package tests drive this same scheduler with the legacy
+// switch interpreter they keep as an oracle.
+func (v *VM) run(exec func(t *thread, quantum int) error) (Result, error) {
 	main := v.prog.FuncByName("main")
 	if main == nil {
 		return Result{}, errors.New("vm: program has no main function")
@@ -313,7 +302,7 @@ func (v *VM) run() (Result, error) {
 		quantum := 1 + int(v.next()%uint64(v.opts.QuantumMax))
 		before := v.steps
 		span := v.opts.Obs.BeginSpan() // 0 (no clock read) unless tracing
-		err := v.runThread(v.threads[tid], quantum)
+		err := exec(v.threads[tid], quantum)
 		v.opts.Obs.EndSpan(obs.TrackVM, obs.HistQuantumNs, span, int64(tid))
 		v.opts.Obs.Add(obs.CtrVMQuanta, 1)
 		v.opts.Obs.Add(obs.CtrVMSteps, v.steps-before)
@@ -370,13 +359,10 @@ func (v *VM) spawnThread(fn *ir.Func, args []int64) event.Tid {
 
 // newFrame takes a frame off the free list (zeroing the recycled register
 // window — callees may read registers they never wrote) or allocates one.
-// In decoded mode the frame carries the callee's decoded code; pc 0 is the
-// entry block's first instruction in both representations.
+// The frame carries the callee's decoded code; pc 0 is the entry block's
+// first instruction.
 func (v *VM) newFrame(fn *ir.Func, retDst int) *frame {
-	var dfn *dfunc
-	if v.dec != nil {
-		dfn = v.dec.funcs[fn.Index]
-	}
+	dfn := v.dec.funcs[fn.Index]
 	n := len(v.frameFree)
 	if n == 0 {
 		return &frame{fn: fn, dfn: dfn, regs: make([]int64, fn.NRegs), retDst: retDst}
@@ -494,240 +480,6 @@ func (v *VM) growMem(w int64) {
 	v.mem = bigger
 }
 
-// runThread executes up to quantum instructions of t. It returns early when
-// the thread blocks, yields, or finishes.
-func (v *VM) runThread(t *thread, quantum int) error {
-	if v.dec != nil {
-		return v.runThreadDecoded(t, quantum)
-	}
-	for i := 0; i < quantum; i++ {
-		if t.state != stateRunnable {
-			return nil
-		}
-		v.steps++
-		if v.steps > v.opts.MaxSteps {
-			return ErrStepLimit
-		}
-		yielded, err := v.step(t)
-		if err != nil {
-			return err
-		}
-		if yielded {
-			return nil
-		}
-	}
-	return nil
-}
-
-// step executes one instruction of t. It reports whether the thread
-// voluntarily yielded the processor.
-func (v *VM) step(t *thread) (bool, error) {
-	f := t.frames[len(t.frames)-1]
-	blk := f.fn.Blocks[f.block]
-	in := blk.Instrs[f.ip]
-	advance := true
-
-	switch in.Op {
-	case ir.OpNop:
-	case ir.OpYield:
-		f.ip++
-		return true, nil
-	case ir.OpConst:
-		f.regs[in.Dst] = in.Imm
-	case ir.OpMov:
-		f.regs[in.Dst] = f.regs[in.A]
-	case ir.OpAdd:
-		f.regs[in.Dst] = f.regs[in.A] + f.regs[in.B]
-	case ir.OpSub:
-		f.regs[in.Dst] = f.regs[in.A] - f.regs[in.B]
-	case ir.OpMul:
-		f.regs[in.Dst] = f.regs[in.A] * f.regs[in.B]
-	case ir.OpDiv:
-		if f.regs[in.B] == 0 {
-			f.regs[in.Dst] = 0
-		} else {
-			f.regs[in.Dst] = f.regs[in.A] / f.regs[in.B]
-		}
-	case ir.OpMod:
-		if f.regs[in.B] == 0 {
-			f.regs[in.Dst] = 0
-		} else {
-			f.regs[in.Dst] = f.regs[in.A] % f.regs[in.B]
-		}
-	case ir.OpAnd:
-		f.regs[in.Dst] = f.regs[in.A] & f.regs[in.B]
-	case ir.OpOr:
-		f.regs[in.Dst] = f.regs[in.A] | f.regs[in.B]
-	case ir.OpXor:
-		f.regs[in.Dst] = f.regs[in.A] ^ f.regs[in.B]
-	case ir.OpShl:
-		f.regs[in.Dst] = f.regs[in.A] << (uint64(f.regs[in.B]) & 63)
-	case ir.OpShr:
-		f.regs[in.Dst] = int64(uint64(f.regs[in.A]) >> (uint64(f.regs[in.B]) & 63))
-	case ir.OpCmpEQ:
-		f.regs[in.Dst] = b2i(f.regs[in.A] == f.regs[in.B])
-	case ir.OpCmpNE:
-		f.regs[in.Dst] = b2i(f.regs[in.A] != f.regs[in.B])
-	case ir.OpCmpLT:
-		f.regs[in.Dst] = b2i(f.regs[in.A] < f.regs[in.B])
-	case ir.OpCmpLE:
-		f.regs[in.Dst] = b2i(f.regs[in.A] <= f.regs[in.B])
-	case ir.OpCmpGT:
-		f.regs[in.Dst] = b2i(f.regs[in.A] > f.regs[in.B])
-	case ir.OpCmpGE:
-		f.regs[in.Dst] = b2i(f.regs[in.A] >= f.regs[in.B])
-	case ir.OpNot:
-		f.regs[in.Dst] = b2i(f.regs[in.A] == 0)
-
-	case ir.OpLoad, ir.OpAtomicLoad:
-		addr := f.regs[in.A]
-		val, err := v.load(addr)
-		if err != nil {
-			return false, err
-		}
-		f.regs[in.Dst] = val
-		kind := event.KindRead
-		if in.Op == ir.OpAtomicLoad {
-			kind = event.KindAtomicRead
-		}
-		loc := v.tab.LocOf(in.Loc)
-		// The spin-read mark precedes the access event so detectors can
-		// classify the address as a synchronization variable before they
-		// race-check the access itself.
-		v.markSpinRead(t, f, addr, val, loc)
-		v.emitAccess(t, kind, addr, val, v.tab.SymOf(in.Sym), loc)
-
-	case ir.OpStore, ir.OpAtomicStore:
-		addr := f.regs[in.A]
-		val := f.regs[in.B]
-		if err := v.store(addr, val); err != nil {
-			return false, err
-		}
-		kind := event.KindWrite
-		if in.Op == ir.OpAtomicStore {
-			kind = event.KindAtomicWrite
-		}
-		v.emitAccess(t, kind, addr, val, v.tab.SymOf(in.Sym), v.tab.LocOf(in.Loc))
-
-	case ir.OpAtomicCAS:
-		addr := f.regs[in.A]
-		old, err := v.load(addr)
-		if err != nil {
-			return false, err
-		}
-		sym, loc := v.tab.SymOf(in.Sym), v.tab.LocOf(in.Loc)
-		v.markSpinRead(t, f, addr, old, loc)
-		v.emitAccess(t, event.KindAtomicRead, addr, old, sym, loc)
-		if old == f.regs[in.B] {
-			if err := v.store(addr, f.regs[in.C]); err != nil {
-				return false, err
-			}
-			v.emitRMWWrite(t, addr, f.regs[in.C], sym, loc)
-			f.regs[in.Dst] = 1
-		} else {
-			f.regs[in.Dst] = 0
-		}
-
-	case ir.OpAtomicAdd:
-		addr := f.regs[in.A]
-		old, err := v.load(addr)
-		if err != nil {
-			return false, err
-		}
-		sym, loc := v.tab.SymOf(in.Sym), v.tab.LocOf(in.Loc)
-		v.markSpinRead(t, f, addr, old, loc)
-		v.emitAccess(t, event.KindAtomicRead, addr, old, sym, loc)
-		if err := v.store(addr, old+f.regs[in.B]); err != nil {
-			return false, err
-		}
-		v.emitRMWWrite(t, addr, old+f.regs[in.B], sym, loc)
-		f.regs[in.Dst] = old
-
-	case ir.OpJmp:
-		f.block = int(in.Imm)
-		f.ip = 0
-		advance = false
-
-	case ir.OpBr:
-		taken := int(in.Imm)
-		if f.regs[in.A] == 0 {
-			taken = int(in.Imm2)
-		}
-		v.markSpinExit(t, f, taken)
-		f.block = taken
-		f.ip = 0
-		advance = false
-
-	case ir.OpRet:
-		var val int64
-		if in.A != ir.NoReg {
-			val = f.regs[in.A]
-		}
-		return v.returnFrom(t, val)
-
-	case ir.OpCall, ir.OpCallIndirect:
-		var callee *ir.Func
-		if in.Op == ir.OpCall {
-			callee = v.prog.Funcs[in.Imm]
-		} else {
-			fi := f.regs[in.A]
-			if fi < 0 || int(fi) >= len(v.prog.Funcs) {
-				return false, fmt.Errorf("vm: indirect call to invalid function %d", fi)
-			}
-			callee = v.prog.Funcs[fi]
-			if len(in.Args) != callee.NParams {
-				return false, fmt.Errorf("vm: indirect call to %q: want %d args, got %d",
-					callee.Name, callee.NParams, len(in.Args))
-			}
-		}
-		nf := v.newFrame(callee, in.Dst)
-		for i, r := range in.Args {
-			nf.regs[i] = f.regs[r]
-		}
-		f.ip++ // resume after the call upon return
-		advance = false
-		v.pushCall(t, nf, callee, v.tab.LocOf(in.Loc))
-
-	case ir.OpSpawn:
-		callee := v.prog.Funcs[in.Imm]
-		// argScratch: the values are copied into the child's frame registers
-		// inside spawnThread, so a reused scratch buffer carries them.
-		v.argScratch = v.argScratch[:0]
-		for _, r := range in.Args {
-			v.argScratch = append(v.argScratch, f.regs[r])
-		}
-		child := v.spawnThread(callee, v.argScratch)
-		if in.Dst != ir.NoReg {
-			f.regs[in.Dst] = int64(child)
-		}
-		v.emitThread(event.KindSpawn, t.id, child)
-		v.emitThread(event.KindThreadStart, child, 0)
-
-	case ir.OpJoin:
-		target := event.Tid(f.regs[in.A])
-		if target < 0 || int(target) >= len(v.threads) {
-			return false, fmt.Errorf("vm: join on invalid thread %d", target)
-		}
-		if v.threads[target].state != stateDone {
-			t.state = stateBlockedJoin
-			t.joinWait = target
-			v.removeRunnable(t.id)
-			// Do not advance: re-execute the join when woken so the
-			// event fires after the child is really done.
-			return true, nil
-		}
-		v.emitThread(event.KindJoin, t.id, target)
-
-	default:
-		return false, fmt.Errorf("vm: unknown opcode %v", in.Op)
-	}
-
-	if advance {
-		f.ip++
-	}
-	return false, nil
-}
-
 func b2i(b bool) int64 {
 	if b {
 		return 1
@@ -745,8 +497,7 @@ func (v *VM) intercepted(idx int) bool {
 }
 
 // pushCall enters a prepared callee frame, firing the interception
-// bookkeeping (sync Pre, library suppression) shared by the reference and
-// decoded call paths.
+// bookkeeping (sync Pre, library suppression) of a call.
 func (v *VM) pushCall(t *thread, nf *frame, callee *ir.Func, loc ir.LocID) {
 	if t.libDepth == 0 && v.intercepted(callee.Index) {
 		nf.intercepted = true
@@ -800,34 +551,6 @@ func (v *VM) wakeJoiners(done event.Tid) {
 			t.state = stateRunnable
 			v.runnable = append(v.runnable, t.id)
 		}
-	}
-}
-
-// markSpinRead fires the spin-read mark when the just-executed memory read
-// sits at an instrumented condition-load site.
-func (v *VM) markSpinRead(t *thread, f *frame, addr, val int64, loc ir.LocID) {
-	if v.opts.Instr == nil {
-		return
-	}
-	id := v.opts.Instr.SpinReadLoop(f.fn.Index, f.block, f.ip)
-	if id < 0 {
-		return
-	}
-	v.emitSpin(t, event.KindSpinRead, int32(id), addr, val, loc)
-}
-
-// markSpinExit fires the spin-exit mark when an instrumented exit branch
-// leaves its loop.
-func (v *VM) markSpinExit(t *thread, f *frame, taken int) {
-	if v.opts.Instr == nil {
-		return
-	}
-	id := v.opts.Instr.ExitBranchLoop(f.fn.Index, f.block)
-	if id < 0 {
-		return
-	}
-	if !v.opts.Instr.LoopContains(id, taken) {
-		v.emitSpin(t, event.KindSpinExit, int32(id), 0, 0, ir.NoLoc)
 	}
 }
 
