@@ -57,14 +57,17 @@ scaling-smoke:
 	GO=$(GO) sh scripts/scaling-smoke.sh
 
 # Differential fuzz smoke: a bounded, fixed-seed corpus (200 generated
-# programs, all tool presets, 2-shard detectors) scored against the
-# synthesis engine's ground-truth oracle; fails on any oracle-vs-spin
-# disagreement — plus 10s of coverage-guided fuzzing over the binary
-# trace decoder (no panics, bounded allocation on corrupt headers). See
-# cmd/racefuzz and docs/ARCHITECTURE.md.
+# programs, all tool presets, plain detectors run across the experiment
+# engine's workers) scored against the synthesis engine's ground-truth
+# oracle; fails on any oracle-vs-spin disagreement — plus 10s of
+# coverage-guided fuzzing over the binary trace decoder (no panics,
+# bounded allocation on corrupt headers). Sharded detection of synth
+# programs is gated by TestShardDeterminismSynth and the golden
+# fingerprints (internal/detect). See cmd/racefuzz and
+# docs/ARCHITECTURE.md.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTraceDecode -fuzztime 10s ./internal/event/
-	$(GO) run ./cmd/racefuzz -n 200 -shards 2 -strict
+	$(GO) run ./cmd/racefuzz -n 200 -strict
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

@@ -37,9 +37,13 @@ func once(b *testing.B, key, text string) {
 	}
 }
 
+// runner is the default experiment runner: GOMAXPROCS engine workers.
+func runner() *harness.Runner { return harness.NewRunner(sched.Options{}) }
+
 func BenchmarkTable1(b *testing.B) {
+	r := runner()
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.AccuracyTable(harness.Table1Configs(), 1)
+		rows, err := r.AccuracyTable(harness.Table1Configs(), 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,8 +52,9 @@ func BenchmarkTable1(b *testing.B) {
 }
 
 func BenchmarkTable2(b *testing.B) {
+	r := runner()
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.AccuracyTable(harness.Table2Configs(), 1)
+		rows, err := r.AccuracyTable(harness.Table2Configs(), 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,31 +79,31 @@ func benchParsecTable(b *testing.B, key, title string,
 }
 
 func BenchmarkTable4(b *testing.B) {
-	benchParsecTable(b, "t4", "Table 4 (slide 27)", harness.Table4, parsec.WithoutAdhoc())
+	benchParsecTable(b, "t4", "Table 4 (slide 27)", runner().Table4, parsec.WithoutAdhoc())
 }
 
 func BenchmarkTable5(b *testing.B) {
-	benchParsecTable(b, "t5", "Table 5 (slides 28/29)", harness.Table5, parsec.WithAdhoc())
+	benchParsecTable(b, "t5", "Table 5 (slides 28/29)", runner().Table5, parsec.WithAdhoc())
 }
 
-// BenchmarkTable5Sequential is Table 5 through the engine's sequential
-// escape hatch — compare against BenchmarkTable5 (parallel, GOMAXPROCS
-// workers) to read off the experiment engine's speedup on a multicore
-// runner.
+// BenchmarkTable5Sequential is Table 5 on one engine worker, every job
+// inline — compare against BenchmarkTable5 (GOMAXPROCS workers) to read
+// off the experiment engine's speedup on a multicore runner.
 func BenchmarkTable5Sequential(b *testing.B) {
-	r := harness.NewRunner(sched.Options{Sequential: true})
+	r := harness.NewRunner(sched.Options{Workers: 1})
 	benchParsecTable(b, "t5seq", "Table 5 (sequential engine)", r.Table5, parsec.WithAdhoc())
 }
 
 func BenchmarkTable6(b *testing.B) {
-	benchParsecTable(b, "t6", "Table 6 (slide 30)", harness.Table6, parsec.Models())
+	benchParsecTable(b, "t6", "Table 6 (slide 30)", runner().Table6, parsec.Models())
 }
 
 // BenchmarkFigureMemory regenerates the slide-31 memory figure: shadow
 // bytes with and without the spin feature.
 func BenchmarkFigureMemory(b *testing.B) {
+	r := runner()
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.OverheadAll()
+		rows, err := r.OverheadAll()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -365,12 +370,13 @@ func BenchmarkAblationSpinFeature(b *testing.B) {
 	for _, cfg := range variants {
 		cfg := cfg
 		b.Run(cfg.Name, func(b *testing.B) {
+			r := runner()
 			for i := 0; i < b.N; i++ {
-				row, err := harness.Accuracy(cfg, 1)
+				rows, err := r.AccuracyTable([]detect.Config{cfg}, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(float64(row.Failed), "failed-cases")
+				b.ReportMetric(float64(rows[0].Failed), "failed-cases")
 			}
 		})
 	}

@@ -9,13 +9,13 @@
 // Usage:
 //
 //	racefuzz [-n 100] [-start 1] [-sched-seed 1] [-window 7]
-//	         [-workers N] [-seq] [-shards N]
-//	         [-strict] [-no-oracle] [-shrink] [-emit file] [-sweep] [-v]
+//	         [-workers N] [-strict] [-no-oracle] [-shrink] [-emit file]
+//	         [-sweep] [-stats] [-v]
 //
 // Examples:
 //
 //	racefuzz -n 500                         # score a 500-seed corpus
-//	racefuzz -n 200 -shards 2 -strict       # the CI smoke configuration
+//	racefuzz -n 200 -strict                 # the CI smoke configuration
 //	racefuzz -n 40 -window 3 -shrink        # inject disagreements by
 //	                                        # undersizing the spin window,
 //	                                        # shrink the first one
@@ -24,8 +24,10 @@
 //
 // With -strict the exit status is 1 when any oracle-vs-spin disagreement
 // or oracle violation is found (proximity variance of other presets does
-// not fail the run). Output is byte-identical for every -workers/-seq/
-// -shards combination.
+// not fail the run). Every preset run is the plain detector; the only
+// parallelism is across runs, on -workers engine workers (-workers 1 runs
+// every job inline, in order), and output is byte-identical for every
+// worker count.
 //
 // With -stats a footer reports the pipeline counters aggregated over
 // every preset run of the corpus — the same harness.RunStats block
@@ -50,10 +52,7 @@ func main() {
 	start := flag.Int64("start", 1, "first generator seed")
 	schedSeed := flag.Int64("sched-seed", 1, "vm scheduler seed for every run")
 	window := flag.Int("window", 7, "spin preset's basic-block window (lower it to inject disagreements)")
-	workers := flag.Int("workers", 0, "experiment engine workers (0 = GOMAXPROCS)")
-	seq := flag.Bool("seq", false, "run every job sequentially, in order")
-	shards := flag.Int("shards", 1, "detector shard workers per run")
-	overlap := flag.Bool("overlap", false, "overlap vm execution with detection (segmented pipeline)")
+	workers := flag.Int("workers", 0, "experiment engine workers (0 = GOMAXPROCS, 1 = every job inline, in order)")
 	strict := flag.Bool("strict", false, "exit 1 on any oracle-vs-spin disagreement or oracle violation")
 	noOracle := flag.Bool("no-oracle", false, "skip the per-seed ground-truth oracle validation runs")
 	shrink := flag.Bool("shrink", false, "shrink the first oracle-vs-spin disagreement to a minimal reproducer")
@@ -64,9 +63,7 @@ func main() {
 	flag.Parse()
 
 	d := &synth.Differ{
-		Eng:         sched.New(sched.Options{Workers: *workers, Sequential: *seq}),
-		Shards:      *shards,
-		Overlap:     *overlap,
+		Eng:         sched.New(sched.Options{Workers: *workers}),
 		SchedSeed:   *schedSeed,
 		Window:      *window,
 		OracleCheck: !*noOracle,

@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	tables [-t all|1|2|3|4|5|6|perf|synth] [-workers N] [-seq] [-shards N]
-//	       [-overlap] [-stats] [-synth-n 100]
+//	tables [-t all|1|2|3|4|5|6|perf|synth] [-workers N] [-stats]
+//	       [-trace out.json] [-synth-n 100] [-replay trace]
 //
 //	1     data-race-test accuracy, four tools (slide 24)
 //	2     spin-window sweep spin(3)/spin(6)/spin(7)/spin(8) (slide 25)
@@ -17,15 +17,12 @@
 //	      scored against the synthesis engine's ground-truth oracle
 //	      (beyond the paper: see internal/synth and cmd/racefuzz)
 //
-// Experiments run through the parallel experiment engine (GOMAXPROCS
-// workers by default). -workers bounds the concurrency; -seq is the
-// strictly sequential escape hatch; -shards N additionally partitions
-// each detector run's shadow state across N shard workers (intra-run
-// parallelism, for big single runs); -overlap runs each vm and its
-// detector concurrently through double-buffered trace segments. The
-// tables' runs are short, so the engine's workers are the knob that pays
-// here; -shards and -overlap pay only on long streams. Output is
-// byte-identical under every combination of the four knobs.
+// Every table is a batch of short, independent detector runs, each on the
+// plain detector. The only parallelism is across runs, on the experiment
+// engine's workers: -workers bounds it (0 = GOMAXPROCS), and -workers 1
+// runs every job inline, in order. Output is byte-identical for every
+// worker count. Intra-run sharding, overlap and shadow GC pay only on
+// long streams, so they live on racedetect and raced, not here.
 //
 // -stats appends a footer with the detector pipeline counters aggregated
 // over every run: events processed, events/sec, shadow bytes, read-set
@@ -67,11 +64,7 @@ import (
 
 func main() {
 	which := flag.String("t", "all", "table to regenerate: all,1,2,3,4,5,6,perf,synth")
-	workers := flag.Int("workers", 0, "experiment engine workers (0 = GOMAXPROCS)")
-	seq := flag.Bool("seq", false, "run every detector job sequentially, in order")
-	shards := flag.Int("shards", 1, "detector shard workers per run (1 = single-threaded)")
-	overlap := flag.Bool("overlap", false, "overlap vm execution with detection (segmented pipeline)")
-	gcShadow := flag.Bool("gc-shadow", false, "retire quiescent shadow state during every run (bounded memory, identical tables)")
+	workers := flag.Int("workers", 0, "experiment engine workers (0 = GOMAXPROCS, 1 = every job inline, in order)")
 	stats := flag.Bool("stats", false, "print aggregated pipeline stats after the tables")
 	trace := flag.String("trace", "", "write Chrome trace-event JSON of every job's pipeline spans to this file")
 	synthN := flag.Int64("synth-n", 100, "generated programs for the synth corpus table")
@@ -93,8 +86,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	runner := harness.NewRunner(sched.Options{Workers: *workers, Sequential: *seq}).
-		WithShards(*shards).WithOverlap(*overlap).WithGC(*gcShadow)
+	runner := harness.NewRunner(sched.Options{Workers: *workers})
 	var runStats *harness.RunStats
 	if *stats {
 		runStats = &harness.RunStats{}

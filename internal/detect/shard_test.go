@@ -12,6 +12,7 @@ import (
 
 	"adhocrace/internal/detect"
 	"adhocrace/internal/ir"
+	"adhocrace/internal/synth"
 	"adhocrace/internal/workloads/dataracetest"
 	"adhocrace/internal/workloads/parsec"
 )
@@ -117,6 +118,24 @@ func TestShardDeterminismParsec(t *testing.T) {
 			for _, seed := range []int64{1, 3} {
 				checkShardDeterminism(t, m.Build, m.Name, cfg, seed)
 			}
+		}
+	}
+}
+
+// TestShardDeterminismSynth sweeps generated programs (seeds 1–25, fewer
+// under -short) under the differ's four presets: the batch tools run synth
+// programs on the plain detector, so this is where sharded and overlapped
+// detection of them is held to byte-identical reports.
+func TestShardDeterminismSynth(t *testing.T) {
+	seeds := int64(25)
+	if testing.Short() {
+		seeds = 8
+	}
+	cfgs := synth.PresetConfigs(7)
+	for seed := int64(1); seed <= seeds; seed++ {
+		build := func() *ir.Program { return synth.Generate(seed, synth.Options{}).Prog }
+		for _, preset := range synth.PresetNames {
+			checkShardDeterminism(t, build, fmt.Sprintf("synth_%d", seed), cfgs[preset], 1)
 		}
 	}
 }

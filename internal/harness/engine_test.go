@@ -14,8 +14,11 @@ import (
 // exercised (and raced against, under `go test -race`).
 func par() *Runner { return NewRunner(sched.Options{Workers: 8}) }
 
-// seq is the strictly-in-order escape hatch.
-func seq() *Runner { return NewRunner(sched.Options{Sequential: true}) }
+// seq is the one-worker escape hatch: every job inline, in order.
+func seq() *Runner { return NewRunner(sched.Options{Workers: 1}) }
+
+// newRunner is the default runner: GOMAXPROCS workers.
+func newRunner() *Runner { return NewRunner(sched.Options{}) }
 
 // TestParallelAccuracyTableMatchesSequential is the engine's determinism
 // contract on the accuracy tables: the parallel path must render

@@ -1,17 +1,21 @@
 // Package harness runs the paper's experiments: the data-race-test
 // accuracy tables (slides 24/25), the PARSEC racy-context tables (slides
-// 27-30), and the memory/runtime overhead figures (slides 31/32).
+// 27-30), the memory/runtime overhead figures (slides 31/32), and the
+// synth corpus rows.
 //
-// Every experiment decomposes into independent (tool × workload × seed)
-// detector runs. A Runner submits those runs as jobs to a sched.Engine and
-// assembles results in submission order, which makes parallel output
-// byte-identical to the sequential escape hatch
-// (sched.Options.Sequential). Jobs own all mutable state (vm, detector)
-// but share their workload's compiled inputs — one detect.Prepared per
-// program carries the ir.Program and the per-window instrumentation, both
-// immutable at run time — so a table run compiles each workload once
-// instead of once per (tool, seed) cell. The package-level functions use a
-// shared parallel runner with GOMAXPROCS workers.
+// Every experiment is a batch of short, independent (tool × workload ×
+// seed) detector runs, and a Runner is the one way to run one. Each job
+// runs the plain detector (detect.RunOpts carrying only the runner's
+// observability pipeline); the only parallelism is across jobs, on the
+// runner's sched.Engine workers. Intra-run sharding, overlap and shadow GC
+// belong to the single-run entry points (racedetect, raced,
+// synth.LongTrace, detect.ReplayTrace), where a run is long enough for
+// them to pay. Results are assembled in submission order, so output is
+// byte-identical for every worker count, Workers: 1 included. Jobs own all
+// mutable state (vm, detector) but share their workload's compiled inputs
+// — one detect.Prepared per program carries the ir.Program and the
+// per-window instrumentation, both immutable at run time — so a table run
+// compiles each workload once instead of once per (tool, seed) cell.
 package harness
 
 import (
@@ -38,19 +42,6 @@ var Seeds = []int64{1, 2, 3, 4, 5}
 // Runner executes the paper's experiments on a job engine.
 type Runner struct {
 	eng *sched.Engine
-	// shards partitions each detector run's shadow state across this many
-	// shard workers (see detect.NewSharded); 0 or 1 means single-threaded
-	// detectors. Orthogonal to the engine's workers: the engine
-	// parallelizes across runs, shards parallelize within one.
-	shards int
-	// overlap runs every detector job with the vm→detector segment
-	// pipeline at the default segment size (detect.RunOpts.Overlapped),
-	// overlapping execution and detection within each run. Output is
-	// byte-identical either way.
-	overlap bool
-	// gc runs every detector with the quiescence shadow-state GC
-	// (detect.RunOpts.GCShadow); table output is byte-identical either way.
-	gc bool
 	// stats, when set, accumulates detector counters across every run.
 	stats *RunStats
 	// obs, when set, is the observability pipeline every detector job
@@ -60,31 +51,9 @@ type Runner struct {
 }
 
 // NewRunner builds a runner with the given engine options; the zero
-// options mean parallel execution with GOMAXPROCS workers, and
-// Options.Sequential is the strictly-in-order escape hatch.
+// options mean GOMAXPROCS workers, and Workers: 1 runs every job inline,
+// in order.
 func NewRunner(opts sched.Options) *Runner { return &Runner{eng: sched.New(opts)} }
-
-// WithShards sets the per-run detector shard count and returns the
-// runner. Table output is byte-identical for every shard count; use
-// shards on few-core-count batches of big runs, workers on big batches.
-func (r *Runner) WithShards(n int) *Runner {
-	r.shards = n
-	return r
-}
-
-// WithOverlap toggles the overlapped vm→detector segment pipeline for
-// every run; table output is byte-identical either way.
-func (r *Runner) WithOverlap(on bool) *Runner {
-	r.overlap = on
-	return r
-}
-
-// WithGC toggles the quiescence shadow-state GC for every run; table
-// output is byte-identical either way, only the memory counters move.
-func (r *Runner) WithGC(on bool) *Runner {
-	r.gc = on
-	return r
-}
 
 // WithStats attaches a stats accumulator observing every run's report.
 func (r *Runner) WithStats(s *RunStats) *Runner {
@@ -99,28 +68,12 @@ func (r *Runner) WithObs(p *obs.Pipeline) *Runner {
 	return r
 }
 
-// runShards is the detector shard count jobs should use.
-func (r *Runner) runShards() int {
-	if r.shards < 1 {
-		return 1
-	}
-	return r.shards
-}
-
-// runOpts is the pipeline shape every detector job of this runner uses.
-func (r *Runner) runOpts() detect.RunOpts {
-	opts := detect.RunOpts{Shards: r.runShards(), GCShadow: r.gc, Obs: r.obs}
-	if r.overlap {
-		opts = opts.Overlapped()
-	}
-	return opts
-}
+// runOpts is the pipeline shape every detector job of this runner uses:
+// the plain detector, recording into the runner's pipeline.
+func (r *Runner) runOpts() detect.RunOpts { return detect.RunOpts{Obs: r.obs} }
 
 // observe folds a finished run's report into the attached stats, if any.
 func (r *Runner) observe(rep *detect.Report) { r.stats.Observe(rep) }
-
-// defaultRunner backs the package-level convenience functions.
-var defaultRunner = NewRunner(sched.Options{})
 
 // AccuracyRow is one tool's line in the test-suite accuracy table.
 type AccuracyRow struct {
@@ -203,16 +156,6 @@ func foldAccuracy(tool string, cases []dataracetest.Case, warned []bool) Accurac
 	return row
 }
 
-// Accuracy scores one tool configuration over the full data-race-test
-// suite with a fixed seed.
-func (r *Runner) Accuracy(cfg detect.Config, seed int64) (AccuracyRow, error) {
-	rows, err := r.AccuracyTable([]detect.Config{cfg}, seed)
-	if err != nil {
-		return AccuracyRow{Tool: cfg.Name}, err
-	}
-	return rows[0], nil
-}
-
 // AccuracyTable scores several configurations (Table 1 uses the four paper
 // tools; Table 2 the spin-window sweep). The full (tool × case) job list
 // is submitted as one batch so a many-core runner parallelizes across
@@ -236,16 +179,6 @@ func (r *Runner) AccuracyTable(cfgs []detect.Config, seed int64) ([]AccuracyRow,
 		rows = append(rows, foldAccuracy(cfg.Name, cases, warned[i*len(cases):(i+1)*len(cases)]))
 	}
 	return rows, nil
-}
-
-// Accuracy scores one tool on the shared parallel runner.
-func Accuracy(cfg detect.Config, seed int64) (AccuracyRow, error) {
-	return defaultRunner.Accuracy(cfg, seed)
-}
-
-// AccuracyTable scores several tools on the shared parallel runner.
-func AccuracyTable(cfgs []detect.Config, seed int64) ([]AccuracyRow, error) {
-	return defaultRunner.AccuracyTable(cfgs, seed)
 }
 
 // Table1Configs are the four tools of the slide-24 table.
@@ -322,11 +255,6 @@ func (r *Runner) RacyContexts(build func() *ir.Program, program string, cfg dete
 		return ContextResult{Program: program, Tool: cfg.Name}, err
 	}
 	return foldContexts(program, cfg.Name, perSeed), nil
-}
-
-// RacyContexts measures on the shared parallel runner.
-func RacyContexts(build func() *ir.Program, program string, cfg detect.Config) (ContextResult, error) {
-	return defaultRunner.RacyContexts(build, program, cfg)
 }
 
 // FormatContexts renders a racy-context table: one row per program, one

@@ -12,7 +12,7 @@ import (
 // from the paper's category descriptions and these cells fall out of the
 // detector mechanics.
 func TestTable1MatchesPaper(t *testing.T) {
-	rows, err := AccuracyTable(Table1Configs(), 1)
+	rows, err := newRunner().AccuracyTable(Table1Configs(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 
 // TestTable2MatchesPaper asserts the slide-25 spin-window sweep.
 func TestTable2MatchesPaper(t *testing.T) {
-	rows, err := AccuracyTable(Table2Configs(), 1)
+	rows, err := newRunner().AccuracyTable(Table2Configs(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,14 +58,11 @@ func TestTable2MatchesPaper(t *testing.T) {
 // feature also removes one false negative (8 -> 7 missed races), at every
 // window size.
 func TestTable1RemovedFalseNegative(t *testing.T) {
-	lib, err := Accuracy(detect.HelgrindPlusLib(), 1)
+	rows, err := newRunner().AccuracyTable([]detect.Config{detect.HelgrindPlusLib(), detect.HelgrindPlusLibSpin(3)}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spin3, err := Accuracy(detect.HelgrindPlusLibSpin(3), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lib, spin3 := rows[0], rows[1]
 	if lib.MissedRaces != spin3.MissedRaces+1 {
 		t.Errorf("missed races lib=%d vs spin(3)=%d, want exactly one recovered",
 			lib.MissedRaces, spin3.MissedRaces)
@@ -94,7 +91,7 @@ func TestAccuracyFailureCategories(t *testing.T) {
 			"racy-window": true, "racy-atomic": true,
 		},
 	}
-	rows, err := AccuracyTable(Table1Configs(), 1)
+	rows, err := newRunner().AccuracyTable(Table1Configs(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"adhocrace/internal/detect"
-	"adhocrace/internal/event"
 	"adhocrace/internal/sched"
 	"adhocrace/internal/workloads/parsec"
 )
@@ -74,20 +73,6 @@ func (r *Runner) Table6() (map[string]map[string]float64, []string, error) {
 	return r.ParsecTable(parsec.Models())
 }
 
-// ParsecTable runs on the shared parallel runner.
-func ParsecTable(models []parsec.Model) (map[string]map[string]float64, []string, error) {
-	return defaultRunner.ParsecTable(models)
-}
-
-// Table4 runs on the shared parallel runner.
-func Table4() (map[string]map[string]float64, []string, error) { return defaultRunner.Table4() }
-
-// Table5 runs on the shared parallel runner.
-func Table5() (map[string]map[string]float64, []string, error) { return defaultRunner.Table5() }
-
-// Table6 runs on the shared parallel runner.
-func Table6() (map[string]map[string]float64, []string, error) { return defaultRunner.Table6() }
-
 // FormatTable3 renders the slide-26 program inventory.
 func FormatTable3() string {
 	var b strings.Builder
@@ -140,36 +125,27 @@ func (r OverheadRow) EventRatio() float64 {
 	return float64(r.EventsSpin) / float64(r.EventsLib)
 }
 
-// Overhead measures the memory/runtime overhead figures for one model:
+// overhead measures the memory/runtime overhead figures for one model:
 // Helgrind+ lib vs Helgrind+ lib+spin(7) on the same program and seed.
-func Overhead(m parsec.Model) (OverheadRow, error) { return defaultRunner.overhead(m) }
-
-// overhead runs one model's lib/spin pair on the runner's pipeline shape;
-// the figures (events, shadow bytes, loops, edges) are independent of the
-// shard count and overlap knob, only wall-clock changes.
 func (r *Runner) overhead(m parsec.Model) (OverheadRow, error) {
 	row := OverheadRow{Program: m.Name}
 	prep := detect.PrepareBuild(m.Build)
 	opts := r.runOpts()
 
-	ctrLib := &event.Counter{}
-	opts.Tap = ctrLib
 	repLib, _, err := prep.Run(detect.HelgrindPlusLib(), 1, opts)
 	if err != nil {
 		return row, fmt.Errorf("lib on %s: %w", m.Name, err)
 	}
 	r.observe(repLib)
-	row.EventsLib = ctrLib.Total
+	row.EventsLib = repLib.Events
 	row.ShadowLib = repLib.ShadowBytes
 
-	ctrSpin := &event.Counter{}
-	opts.Tap = ctrSpin
 	repSpin, _, err := prep.Run(detect.HelgrindPlusLibSpin(7), 1, opts)
 	if err != nil {
 		return row, fmt.Errorf("lib+spin on %s: %w", m.Name, err)
 	}
 	r.observe(repSpin)
-	row.EventsSpin = ctrSpin.Total
+	row.EventsSpin = repSpin.Events
 	row.ShadowSpin = repSpin.ShadowBytes
 	row.Loops = repSpin.SpinLoops
 	row.Edges = repSpin.SpinEdges
@@ -182,9 +158,6 @@ func (r *Runner) OverheadAll() ([]OverheadRow, error) {
 		return r.overhead(m)
 	})
 }
-
-// OverheadAll measures every model on the shared parallel runner.
-func OverheadAll() ([]OverheadRow, error) { return defaultRunner.OverheadAll() }
 
 // FormatOverhead renders the memory (slide 31) and runtime (slide 32)
 // figures as a table.

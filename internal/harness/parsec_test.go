@@ -18,7 +18,7 @@ const (
 // clean, where the spin feature eliminates false positives completely,
 // which residues remain, and where DRD saturates.
 func TestTable6Shapes(t *testing.T) {
-	cells, _, err := Table6()
+	cells, _, err := newRunner().Table6()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestTable6Shapes(t *testing.T) {
 // TestOverheadFiguresMinor asserts the slide-31/32 claim: the spin feature
 // adds only minor memory and runtime overhead.
 func TestOverheadFiguresMinor(t *testing.T) {
-	rows, err := OverheadAll()
+	rows, err := newRunner().OverheadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +162,11 @@ func TestRacyContextsDeterministicPerSeed(t *testing.T) {
 	if !ok {
 		t.Fatal("no ferret model")
 	}
-	a, err := RacyContexts(m.Build, m.Name, Table1Configs()[1])
+	a, err := newRunner().RacyContexts(m.Build, m.Name, Table1Configs()[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RacyContexts(m.Build, m.Name, Table1Configs()[1])
+	b, err := newRunner().RacyContexts(m.Build, m.Name, Table1Configs()[1])
 	if err != nil {
 		t.Fatal(err)
 	}

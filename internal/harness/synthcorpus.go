@@ -28,14 +28,14 @@ type SynthRow struct {
 }
 
 // SynthCorpus scores every tool preset over a generated corpus of n seeded
-// programs on the runner's engine (and per-run shard count), returning one
-// row per preset in PresetNames order. Row contents are byte-identical for
-// every worker and shard count.
+// programs on the runner's engine, returning one row per preset in
+// PresetNames order. Its jobs record into the runner's stats and
+// observability pipeline like every other table's. Row contents are
+// byte-identical for every worker count.
 func (r *Runner) SynthCorpus(n int64, schedSeed int64) ([]SynthRow, *synth.CorpusReport, error) {
 	d := &synth.Differ{
 		Eng:       r.eng,
-		Shards:    r.runShards(),
-		Overlap:   r.overlap,
+		Obs:       r.obs,
 		SchedSeed: schedSeed,
 	}
 	if r.stats != nil {
@@ -66,11 +66,6 @@ func (r *Runner) SynthCorpus(n int64, schedSeed int64) ([]SynthRow, *synth.Corpu
 		rows = append(rows, row)
 	}
 	return rows, rep, nil
-}
-
-// SynthCorpus scores the corpus on the shared parallel runner.
-func SynthCorpus(n int64, schedSeed int64) ([]SynthRow, *synth.CorpusReport, error) {
-	return defaultRunner.SynthCorpus(n, schedSeed)
 }
 
 // FormatSynth renders the corpus rows in the accuracy tables' layout, with

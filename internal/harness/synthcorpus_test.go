@@ -1,41 +1,60 @@
 package harness
 
 import (
+	"bytes"
 	"testing"
 
+	"adhocrace/internal/obs"
 	"adhocrace/internal/sched"
 )
 
-// TestSynthCorpusDeterminism: the corpus rows are byte-identical across
-// the sequential engine, a parallel engine, and sharded detectors —
-// the same guarantee the paper tables carry.
+// TestSynthCorpusDeterminism: the corpus rows are byte-identical on the
+// one-worker engine and a parallel engine — the same guarantee the paper
+// tables carry. Sharded and overlapped detection of synth programs is
+// covered where those knobs live (TestShardDeterminismSynth in
+// internal/detect).
 func TestSynthCorpusDeterminism(t *testing.T) {
 	const n = 20
-	baseRows, _, err := NewRunner(sched.Options{Sequential: true}).SynthCorpus(n, 1)
+	baseRows, _, err := seq().SynthCorpus(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	variants := []*Runner{
-		NewRunner(sched.Options{Workers: 4}),
-		NewRunner(sched.Options{Workers: 4}).WithShards(2),
+	rows, _, err := NewRunner(sched.Options{Workers: 4}).SynthCorpus(n, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, r := range variants {
-		rows, _, err := r.SynthCorpus(n, 1)
-		if err != nil {
-			t.Fatal(err)
+	for j := range rows {
+		if rows[j] != baseRows[j] {
+			t.Errorf("row %q differs: %+v vs %+v", rows[j].Tool, rows[j], baseRows[j])
 		}
-		for j := range rows {
-			if rows[j] != baseRows[j] {
-				t.Errorf("variant %d row %q differs: %+v vs %+v", i, rows[j].Tool, rows[j], baseRows[j])
-			}
-		}
+	}
+}
+
+// TestSynthCorpusRecordsObs: the synth table's jobs record into the
+// runner's observability pipeline like every other table's, so
+// `tables -t synth -trace` writes vm spans, not an empty trace.
+func TestSynthCorpusRecordsObs(t *testing.T) {
+	rec := obs.NewTracing()
+	if _, _, err := newRunner().WithObs(rec.Pipeline("tables")).SynthCorpus(2, 1); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rec.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := obs.ValidateTrace(&buf)
+	if err != nil {
+		t.Fatalf("ValidateTrace: %v", err)
+	}
+	if sum.Events["vm"] == 0 {
+		t.Errorf("no events on the vm track: %v", sum.Events)
 	}
 }
 
 // TestSynthCorpusHealthy: on a healthy corpus the exact presets score no
 // hard misses, and the rows cover all four presets.
 func TestSynthCorpusHealthy(t *testing.T) {
-	rows, rep, err := SynthCorpus(40, 1)
+	rows, rep, err := newRunner().SynthCorpus(40, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

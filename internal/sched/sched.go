@@ -3,17 +3,18 @@
 // (Engine), plus a streaming pool with per-worker FIFO queues (Pool).
 //
 // The harness submits every (tool × workload × seed) detector run as one
-// Engine job. Jobs are independent — each builds its own ir.Program and
-// runs a fresh detect.Detector — so they can execute on any worker in any
-// order; determinism is recovered at assembly time by keying every job
-// with its index in the submission order. A run through the engine
-// therefore produces byte-identical tables to a strictly sequential run,
-// just faster.
+// Engine job. Jobs are independent — each runs its own vm and a fresh
+// detect.Detector over immutable compiled inputs — so they can execute on
+// any worker in any order; determinism is recovered at assembly time by
+// keying every job with its index in the submission order. A run through
+// the engine therefore produces byte-identical tables for every worker
+// count.
 //
-// The zero-configuration engine uses GOMAXPROCS workers. Sequential mode
-// (Options.Sequential) is the escape hatch that runs every job inline on
-// the submitting goroutine, for debugging and for the determinism tests
-// that compare the two modes.
+// The zero-configuration engine uses GOMAXPROCS workers; the worker count
+// is its only knob. Workers: 1 is the escape hatch: every job runs inline
+// on the submitting goroutine, in submission order, and the first error
+// stops the batch — for debugging and for the determinism tests that
+// compare it with a parallel engine.
 //
 // Pool is the second, finer-grained primitive: long-lived workers whose
 // individual queues preserve submission order. The sharded detector pins
@@ -29,18 +30,15 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// Workers bounds concurrency. Zero or negative means GOMAXPROCS.
+	// Workers bounds concurrency. Zero or negative means GOMAXPROCS; 1
+	// runs every job inline on the submitting goroutine, in submission
+	// order. Results are byte-identical for every worker count.
 	Workers int
-	// Sequential runs every job inline on the submitting goroutine, in
-	// submission order. The parallel path is byte-identical in its
-	// results; this is the debugging escape hatch.
-	Sequential bool
 }
 
 // Engine executes batches of independent jobs.
 type Engine struct {
-	workers    int
-	sequential bool
+	workers int
 }
 
 // New builds an engine from options.
@@ -49,35 +47,28 @@ func New(opts Options) *Engine {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	return &Engine{workers: w, sequential: opts.Sequential}
+	return &Engine{workers: w}
 }
 
 // Default is the standard parallel engine: GOMAXPROCS workers.
 func Default() *Engine { return New(Options{}) }
 
-// Sequential is the escape-hatch engine: every job inline, in order.
-func Sequential() *Engine { return New(Options{Sequential: true}) }
-
 // Workers returns the concurrency bound.
 func (e *Engine) Workers() int { return e.workers }
 
-// IsSequential reports whether the engine runs jobs inline.
-func (e *Engine) IsSequential() bool { return e.sequential }
-
 // ForEach runs fn(0), fn(1), ..., fn(n-1), each exactly once.
 //
-// In sequential mode jobs run inline and the first error stops the batch.
-// In parallel mode all jobs run to completion on at most Workers
+// With one worker (or one job) jobs run inline and the first error stops
+// the batch. Otherwise all jobs run to completion on at most Workers
 // goroutines and the outcome of the lowest failing index is surfaced —
 // an error is returned, a panic is re-raised on the submitting goroutine
-// with its original value. That is the same outcome a sequential run
-// would have produced, since sequential execution stops at exactly that
-// job.
+// with its original value. That is the same outcome an inline run would
+// have produced, since inline execution stops at exactly that job.
 func (e *Engine) ForEach(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	if e.sequential || e.workers == 1 || n == 1 {
+	if e.workers == 1 || n == 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
 				return err
@@ -112,8 +103,8 @@ func (e *Engine) ForEach(n int, fn func(i int) error) error {
 	wg.Wait()
 
 	// Surface the lowest failing index's outcome — panic or error,
-	// whichever that job had — since that is exactly where a sequential
-	// run would have stopped. A job has either a panic or an error,
+	// whichever that job had — since that is exactly where an inline
+	// (one-worker) run would have stopped. A job has either a panic or an error,
 	// never both (runJob's recover abandons fn's return value).
 	for i := 0; i < n; i++ {
 		if panics[i] != nil {

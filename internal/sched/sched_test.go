@@ -12,12 +12,6 @@ func TestDefaultsToGOMAXPROCS(t *testing.T) {
 	if w := Default().Workers(); w != runtime.GOMAXPROCS(0) {
 		t.Errorf("Workers() = %d, want GOMAXPROCS = %d", w, runtime.GOMAXPROCS(0))
 	}
-	if Default().IsSequential() {
-		t.Error("Default() must be parallel")
-	}
-	if !Sequential().IsSequential() {
-		t.Error("Sequential() must be sequential")
-	}
 	if w := New(Options{Workers: 3}).Workers(); w != 3 {
 		t.Errorf("Workers() = %d, want 3", w)
 	}
@@ -28,7 +22,7 @@ func TestMapPreservesOrder(t *testing.T) {
 	for i := range items {
 		items[i] = i
 	}
-	for _, e := range []*Engine{Sequential(), Default(), New(Options{Workers: 3})} {
+	for _, e := range []*Engine{New(Options{Workers: 1}), Default(), New(Options{Workers: 3})} {
 		out, err := Map(e, items, func(v int) (int, error) { return v * v, nil })
 		if err != nil {
 			t.Fatal(err)
@@ -83,23 +77,29 @@ func TestForEachBoundsConcurrency(t *testing.T) {
 }
 
 // TestErrorMatchesSequential pins the determinism contract for errors:
+// the one-worker engine runs jobs inline and stops at the first error, and
 // the parallel batch surfaces the error of the lowest failing index —
-// exactly the error a sequential run stops at.
+// exactly the error the one-worker run stops at.
 func TestErrorMatchesSequential(t *testing.T) {
 	fail := map[int]bool{7: true, 3: true, 42: true}
+	var ran atomic.Int32
 	job := func(i int) error {
+		ran.Add(1)
 		if fail[i] {
 			return fmt.Errorf("job %d failed", i)
 		}
 		return nil
 	}
-	seqErr := Sequential().ForEach(100, job)
+	seqErr := New(Options{Workers: 1}).ForEach(100, job)
+	if n := ran.Load(); n != 4 {
+		t.Errorf("one-worker batch ran %d jobs, want 4 (stop at the first error, job 3)", n)
+	}
 	parErr := New(Options{Workers: 8}).ForEach(100, job)
 	if seqErr == nil || parErr == nil {
 		t.Fatal("both modes must fail")
 	}
 	if seqErr.Error() != parErr.Error() {
-		t.Errorf("sequential error %q != parallel error %q", seqErr, parErr)
+		t.Errorf("one-worker error %q != parallel error %q", seqErr, parErr)
 	}
 	if want := "job 3 failed"; parErr.Error() != want {
 		t.Errorf("got %q, want %q (lowest failing index)", parErr, want)

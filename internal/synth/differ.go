@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"adhocrace/internal/detect"
+	"adhocrace/internal/obs"
 	"adhocrace/internal/sched"
 )
 
@@ -26,13 +27,12 @@ func PresetConfigs(window int) map[string]detect.Config {
 // experiment engine and scores each preset against the oracle.
 type Differ struct {
 	// Eng is the experiment engine (nil means a private parallel engine).
+	// Its workers are the differ's only parallelism: every preset run is
+	// the plain detector.
 	Eng *sched.Engine
-	// Shards is the per-run detector shard count (0/1 = single-threaded).
-	Shards int
-	// Overlap runs each vm and its detector concurrently through the
-	// segmented pipeline (detect.RunOpts.SegmentEvents). Scores are
-	// byte-identical either way.
-	Overlap bool
+	// Obs, when set, is the observability pipeline every preset run
+	// records into (detect.RunOpts.Obs); concurrent jobs share it.
+	Obs *obs.Pipeline
 	// SchedSeed drives the vm scheduler (default 1).
 	SchedSeed int64
 	// Window is the spin preset's basic-block window (default 7).
@@ -67,13 +67,6 @@ func (d *Differ) schedSeed() int64 {
 		return 1
 	}
 	return d.SchedSeed
-}
-
-func (d *Differ) shards() int {
-	if d.Shards < 1 {
-		return 1
-	}
-	return d.Shards
 }
 
 // FragOutcome is one (fragment, preset) cell of a differential run.
@@ -160,11 +153,7 @@ func fragIndexOf(s string) (int, bool) {
 func (d *Differ) runPreset(rebuild func() *Workload, preset string) ([]FragOutcome, error) {
 	w := rebuild()
 	cfg := PresetConfigs(d.window())[preset]
-	opts := detect.RunOpts{Shards: d.shards()}
-	if d.Overlap {
-		opts = opts.Overlapped()
-	}
-	rep, _, err := detect.Prepare(w.Prog).Run(cfg, d.schedSeed(), opts)
+	rep, _, err := detect.Prepare(w.Prog).Run(cfg, d.schedSeed(), detect.RunOpts{Obs: d.Obs})
 	if err != nil {
 		return nil, fmt.Errorf("synth: %s on %s: %w", preset, w.Name, err)
 	}
@@ -201,7 +190,6 @@ type CorpusReport struct {
 	Start, N  int64
 	SchedSeed int64
 	Window    int
-	Shards    int
 	Programs  int
 	Fragments int
 	// Cat maps preset -> category -> tally.
@@ -243,8 +231,7 @@ type corpusOut struct {
 // RunCorpus scores seeds start..start+n-1: every preset on every seed, in
 // one flat job batch on the experiment engine, so a many-core runner
 // parallelizes across seeds and presets at once. Results fold in
-// submission order — the report is byte-identical for every worker and
-// shard count.
+// submission order — the report is byte-identical for every worker count.
 func (d *Differ) RunCorpus(start, n int64) (*CorpusReport, error) {
 	var jobs []corpusJob
 	for s := start; s < start+n; s++ {
@@ -268,7 +255,7 @@ func (d *Differ) RunCorpus(start, n int64) (*CorpusReport, error) {
 	}
 
 	r := &CorpusReport{
-		Start: start, N: n, SchedSeed: d.schedSeed(), Window: d.window(), Shards: d.shards(),
+		Start: start, N: n, SchedSeed: d.schedSeed(), Window: d.window(),
 		Cat: make(map[string]map[string]*Tally),
 	}
 	for _, p := range PresetNames {
@@ -311,8 +298,8 @@ func (d *Differ) RunCorpus(start, n int64) (*CorpusReport, error) {
 // preset, categories sorted, then disagreements and oracle violations.
 func (r *CorpusReport) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "synth corpus seeds %d..%d (sched seed %d, window %d, shards %d): %d programs, %d fragments\n",
-		r.Start, r.Start+r.N-1, r.SchedSeed, r.Window, r.Shards, r.Programs, r.Fragments)
+	fmt.Fprintf(&b, "synth corpus seeds %d..%d (sched seed %d, window %d): %d programs, %d fragments\n",
+		r.Start, r.Start+r.N-1, r.SchedSeed, r.Window, r.Programs, r.Fragments)
 	for _, p := range PresetNames {
 		fmt.Fprintf(&b, "%-8s %-20s %8s %10s %10s\n", p, "category", "match", "mismatch", "proximity")
 		cats := make([]string, 0, len(r.Cat[p]))

@@ -29,9 +29,6 @@ type Options struct {
 	// MaxSteps aborts runaway executions (livelock/deadlock guard).
 	// 0 means the default of 4M steps.
 	MaxSteps int64
-	// QuantumMax bounds the number of instructions a thread runs between
-	// scheduling points. 0 means the default of 12.
-	QuantumMax int
 	// KnownLibs is the set of library tags the detector intercepts.
 	// Calls into functions tagged with a known library emit sync events
 	// and hide their internal memory traffic.
@@ -78,9 +75,11 @@ type Options struct {
 }
 
 const (
-	defaultMaxSteps   = 4 << 20
-	defaultQuantumMax = 12
-	maxMemoryWords    = 1 << 22
+	defaultMaxSteps = 4 << 20
+	// maxQuantum bounds the number of instructions a thread runs between
+	// scheduling points; each quantum is drawn from 1..maxQuantum.
+	maxQuantum     = 12
+	maxMemoryWords = 1 << 22
 	// deadlinePollQuanta spaces Options.Deadline clock reads: one
 	// time.Now() per this many scheduler quanta (a few thousand
 	// instructions), so the deadline costs nothing measurable between
@@ -192,9 +191,6 @@ func New(p *ir.Program, opts Options) *VM {
 	if opts.MaxSteps == 0 {
 		opts.MaxSteps = defaultMaxSteps
 	}
-	if opts.QuantumMax <= 0 {
-		opts.QuantumMax = defaultQuantumMax
-	}
 	seed := uint64(opts.Seed)
 	if seed == 0 {
 		seed = 0x9e3779b97f4a7c15
@@ -299,7 +295,7 @@ func (v *VM) run(exec func(t *thread, quantum int) error) (Result, error) {
 		}
 		ti := int(v.next() % uint64(len(v.runnable)))
 		tid := v.runnable[ti]
-		quantum := 1 + int(v.next()%uint64(v.opts.QuantumMax))
+		quantum := 1 + int(v.next()%maxQuantum)
 		before := v.steps
 		span := v.opts.Obs.BeginSpan() // 0 (no clock read) unless tracing
 		err := exec(v.threads[tid], quantum)
