@@ -51,6 +51,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"adhocrace/internal/detect"
@@ -79,9 +80,7 @@ func main() {
 		return
 	}
 
-	valid := map[string]bool{"all": true, "1": true, "2": true, "3": true,
-		"4": true, "5": true, "6": true, "perf": true, "synth": true}
-	if !valid[*which] {
+	if *which != "all" && !slices.Contains(harness.TableNames, *which) {
 		fmt.Fprintf(os.Stderr, "tables: unknown table %q (want all,1,2,3,4,5,6,perf,synth)\n", *which)
 		os.Exit(2)
 	}
@@ -106,61 +105,10 @@ func main() {
 	}
 	start := time.Now()
 
-	run := func(name string, f func() error) {
-		if *which != "all" && *which != name {
-			return
-		}
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "tables: %s: %v\n", name, err)
-			os.Exit(1)
-		}
+	if err := runner.WriteTables(os.Stdout, *which, *synthN); err != nil {
+		fmt.Fprintf(os.Stderr, "tables: %v\n", err)
+		os.Exit(1)
 	}
-
-	run("1", func() error {
-		rows, err := runner.AccuracyTable(harness.Table1Configs(), 1)
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.FormatAccuracy("Table 1 — data-race-test suite, 120 cases (slide 24)", rows))
-		return nil
-	})
-	run("2", func() error {
-		rows, err := runner.AccuracyTable(harness.Table2Configs(), 1)
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.FormatAccuracy("Table 2 — spin-window sensitivity (slide 25)", rows))
-		return nil
-	})
-	run("3", func() error {
-		fmt.Println(harness.FormatTable3())
-		return nil
-	})
-	run("4", func() error {
-		return printParsec("Table 4 — programs without ad-hoc synchronizations (slide 27)", runner.Table4)
-	})
-	run("5", func() error {
-		return printParsec("Table 5 — programs with ad-hoc synchronizations (slides 28/29)", runner.Table5)
-	})
-	run("6", func() error { return printParsec("Table 6 — universal race detector (slide 30)", runner.Table6) })
-	run("perf", func() error {
-		rows, err := runner.OverheadAll()
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.FormatOverhead(rows))
-		return nil
-	})
-	run("synth", func() error {
-		rows, rep, err := runner.SynthCorpus(*synthN, 1)
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.FormatSynth(
-			fmt.Sprintf("Synth corpus — %d generated programs vs the ground-truth oracle", *synthN),
-			rows, rep))
-		return nil
-	})
 
 	if runStats != nil {
 		fmt.Print(runStats.Footer(time.Since(start)))
@@ -230,27 +178,5 @@ func replayScaling(path string) error {
 			baseElapsed.Seconds()/elapsed.Seconds())
 	}
 	fmt.Println("reports byte-identical across all shard counts")
-	return nil
-}
-
-func printParsec(title string, table func() (map[string]map[string]float64, []string, error)) error {
-	cells, tools, err := table()
-	if err != nil {
-		return err
-	}
-	var programs []string
-	for prog := range cells {
-		programs = append(programs, prog)
-	}
-	// Preserve the paper's program order.
-	order := []string{"blackscholes", "swaptions", "fluidanimate", "canneal", "freqmine",
-		"vips", "bodytrack", "facesim", "ferret", "x264", "dedup", "streamcluster", "raytrace"}
-	ordered := programs[:0]
-	for _, p := range order {
-		if _, ok := cells[p]; ok {
-			ordered = append(ordered, p)
-		}
-	}
-	fmt.Println(harness.FormatContexts(title, ordered, tools, cells))
 	return nil
 }

@@ -3,11 +3,13 @@
 // (workload, preset) of the equivalence grid — the 120-case accuracy suite
 // under the four paper tools plus the lock-inference variant, and synthesis
 // seeds 1–500 under the spin-featured Helgrind+ and DRD, all at scheduler
-// seed 1 — with the event count, the warning count, and a sha256 prefix of
-// harness.ReportFingerprint. TestGoldenFingerprints replays every entry
-// once, rotating the pipeline shapes, and compares with the file.
+// seed 1, then the 13 PARSEC models under the four paper tools at
+// scheduler seeds 1 and 3 — with the event count, the warning count, and a
+// sha256 prefix of harness.ReportFingerprint. TestGoldenFingerprints
+// replays every entry once, rotating the pipeline shapes, and compares
+// with the file.
 //
-// The file was first generated with all three seed oracles at once (the
+// The suite and synthesis entries were first generated with all three seed oracles at once (the
 // vm's switch interpreter, the full-vector-clock read side and the
 // full-vector-clock happens-before engine), which matched the production
 // path on every entry; those oracles now live in their own packages'
@@ -34,6 +36,7 @@ import (
 	"adhocrace/internal/ir"
 	"adhocrace/internal/synth"
 	"adhocrace/internal/workloads/dataracetest"
+	"adhocrace/internal/workloads/parsec"
 )
 
 var update = flag.Bool("update", false, "regenerate testdata/golden_fingerprints.txt from the current detector")
@@ -42,20 +45,27 @@ const (
 	goldenPath = "testdata/golden_fingerprints.txt"
 	// goldenSynthSeeds is the synthesis corpus size of the grid.
 	goldenSynthSeeds = 500
-	// goldenRunSeed is the scheduler seed of every entry.
+	// goldenRunSeed is the scheduler seed of every suite and synthesis
+	// entry.
 	goldenRunSeed = 1
 )
+
+// goldenParsecSeeds are the scheduler seeds of the PARSEC entries: two of
+// the five the racy-context tables average over.
+var goldenParsecSeeds = []int64{1, 3}
 
 // reportFingerprint is the shared byte-identical equality bar
 // (harness.ReportFingerprint): everything a Report exposes except the
 // representation-dependent shadow accounting and counters.
 func reportFingerprint(rep *detect.Report) string { return harness.ReportFingerprint(rep) }
 
-// goldenCase is one (workload, preset) entry of the grid.
+// goldenCase is one (workload, preset) entry of the grid, run at the
+// given scheduler seed.
 type goldenCase struct {
 	workload string
 	build    func() *ir.Program
 	cfg      detect.Config
+	seed     int64
 }
 
 // key identifies the entry in the golden file.
@@ -63,7 +73,8 @@ func (c goldenCase) key() string { return c.workload + "\t" + c.cfg.Name }
 
 // goldenGrid lists the grid in file order.
 func goldenGrid() []goldenCase {
-	return append(goldenSuite(), goldenSynth(goldenSynthSeeds)...)
+	grid := append(goldenSuite(), goldenSynth(goldenSynthSeeds)...)
+	return append(grid, goldenParsec()...)
 }
 
 // goldenSuite is the suite part of the grid: every accuracy-suite case
@@ -73,7 +84,7 @@ func goldenSuite() []goldenCase {
 	cfgs := append(detect.PaperTools(7), detect.HelgrindPlusNolibSpinLocks(7))
 	for _, c := range dataracetest.Suite() {
 		for _, cfg := range cfgs {
-			grid = append(grid, goldenCase{c.Name, c.Build, cfg})
+			grid = append(grid, goldenCase{c.Name, c.Build, cfg, goldenRunSeed})
 		}
 	}
 	return grid
@@ -88,7 +99,23 @@ func goldenSynth(seeds int64) []goldenCase {
 	for seed := int64(1); seed <= seeds; seed++ {
 		w := synth.Generate(seed, synth.Options{})
 		for _, cfg := range cfgs {
-			grid = append(grid, goldenCase{w.Name, func() *ir.Program { return w.Prog }, cfg})
+			grid = append(grid, goldenCase{w.Name, func() *ir.Program { return w.Prog }, cfg, goldenRunSeed})
+		}
+	}
+	return grid
+}
+
+// goldenParsec is the PARSEC part of the grid: every model under the four
+// paper tools at each of goldenParsecSeeds. The seed is part of the
+// workload name ("x264@seed3"), since one (model, tool) pair has an entry
+// per seed.
+func goldenParsec() []goldenCase {
+	var grid []goldenCase
+	for _, m := range parsec.Models() {
+		for _, cfg := range detect.PaperTools(7) {
+			for _, seed := range goldenParsecSeeds {
+				grid = append(grid, goldenCase{fmt.Sprintf("%s@seed%d", m.Name, seed), m.Build, cfg, seed})
+			}
 		}
 	}
 	return grid
@@ -116,7 +143,8 @@ func goldenLine(c goldenCase, rep *detect.Report, text string) string {
 
 const goldenHeader = `# Golden report fingerprints: workload, preset, events, warnings, and the
 # first 8 bytes of sha256(harness.ReportFingerprint) in hex, at scheduler
-# seed 1. Regenerate only deliberately, and record why in CHANGES.md:
+# seed 1 (a PARSEC entry's workload names its seed, as in x264@seed3).
+# Regenerate only deliberately, and record why in CHANGES.md:
 #   go test ./internal/detect -run TestGoldenFingerprints -update
 `
 
@@ -171,7 +199,7 @@ func replayGolden(t *testing.T, cases []goldenCase, shape func(i int) detect.Run
 	lines = make([]string, len(cases))
 	texts = make([]string, len(cases))
 	for i, c := range cases {
-		rep, _, err := detect.Prepare(c.build()).Run(c.cfg, goldenRunSeed, shape(i))
+		rep, _, err := detect.Prepare(c.build()).Run(c.cfg, c.seed, shape(i))
 		if err != nil {
 			t.Fatalf("%s under %s: %v", c.workload, c.cfg.Name, err)
 		}
