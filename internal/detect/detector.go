@@ -207,8 +207,12 @@ type Detector struct {
 
 	shards []*shardState
 	// demux routes access entries to shard workers; nil with one shard.
-	demux  *event.Demux[entry]
-	closed bool
+	demux *event.Demux[entry]
+	// closed is set by Close. released is set once Close has returned
+	// the shadow pages to the pool, after recording their footprint in
+	// releasedShadowBytes for Report.
+	closed, released    bool
+	releasedShadowBytes int64
 
 	events int64
 	ins    *spin.Instrumentation
@@ -256,7 +260,7 @@ func New(cfg Config, ins *spin.Instrumentation, prog *ir.Program) *Detector {
 // NewSharded builds a detector whose shadow state is partitioned across
 // the given number of shard workers (values below 2 mean single-threaded,
 // no workers). Reports are identical for every shard count. Callers of
-// NewSharded own the worker lifecycle: Close must be called when the
+// NewSharded own the detector's lifecycle: Close must be called when the
 // detector is done (Prepared.Run and ReplayTrace do this for you).
 func NewSharded(cfg Config, ins *spin.Instrumentation, prog *ir.Program, shards int) *Detector {
 	if shards < 1 {
@@ -499,15 +503,28 @@ func (d *Detector) Flush() {
 	}
 }
 
-// Close flushes and stops the shard workers. Required after NewSharded
-// with more than one shard (Prepared.Run and ReplayTrace close for you);
-// idempotent and a no-op for single-threaded detectors. The detector must not Handle
-// further events after Close, but Report remains valid.
+// Close flushes and stops the shard workers, then returns the shadow
+// pages to the pool shared by all detectors. Every detector should be
+// closed when done (Prepared.Run and ReplayTrace close for you): one with
+// shard workers must be, to stop them, and any detector left unclosed
+// keeps its pages for the garbage collector instead of recycling them.
+// Idempotent. The detector must not Handle further events after Close,
+// but Report remains valid and reports the footprint at Close.
 func (d *Detector) Close() {
-	if d.demux != nil && !d.closed {
-		d.closed = true
+	if d.closed {
+		return
+	}
+	d.closed = true
+	if d.demux != nil {
+		// Re-raises a worker panic after the workers are down; the pages
+		// then stay with this detector.
 		d.demux.Close()
 	}
+	d.releasedShadowBytes = d.shadowBytes()
+	for _, s := range d.shards {
+		s.shadow.release()
+	}
+	d.released = true
 }
 
 // Report finalizes and returns the run's report.
@@ -526,7 +543,10 @@ func (d *Detector) Report() *Report {
 		SpinEdges:         d.adhoc.Edges,
 		SpinLoops:         d.numLoops(),
 		InferredLockWords: d.adhoc.InferredLockWords(),
-		ShadowBytes:       d.shadowBytes(),
+		ShadowBytes:       d.releasedShadowBytes,
+	}
+	if !d.released {
+		rep.ShadowBytes = d.shadowBytes()
 	}
 	for _, s := range d.shards {
 		rep.ReadSetPromotions += s.promotions

@@ -161,10 +161,13 @@ func (s *shardState) collect(wm vc.Frozen) {
 			s.gcWords++
 		}
 		if pg.live == 0 {
+			// Every word was retired, so zeroed: the page goes back to
+			// the pool as it is.
 			delete(s.shadow.pages, key)
 			if s.shadow.lastPage == pg {
 				s.shadow.lastPage = nil
 			}
+			putPage(pg)
 			s.gcPages++
 		}
 	}

@@ -1,5 +1,7 @@
 package detect
 
+import "sync"
+
 // Shadow-memory layout: a two-level page table instead of one flat
 // map[addr]*shadowWord. The IR allocates globals densely in 8-byte cells
 // (ir.Builder.GlobalArray strides by 8 and IndexAddr scales indices by
@@ -8,15 +10,22 @@ package detect
 // lookup per page transition (usually zero: the last page is cached)
 // plus an array index, and shadow words are stored by value in the page
 // array — no per-address allocation, no pointer chasing.
+//
+// Pages outlive their detector: Detector.Close hands every page back to
+// pagePool, clearing only the words the run touched, and the next
+// detector's first touch takes a page from there. A batch of short runs —
+// a paper table is 480 of them, each touching a handful of words — then
+// recycles a few pages instead of allocating and zeroing one per run.
 const (
 	// addrWordShift converts a byte address into a word index: shadow
 	// granularity is the IR's 8-byte memory cell.
 	addrWordShift = 3
-	// pageWordShift sizes a page at 512 words (4 KiB of address space) —
+	// pageWordShift sizes a page at 512 words (4 KiB of address space),
 	// big enough that the one-entry page cache absorbs nearly every
-	// lookup, small enough that a page (~50 KiB of shadow words) is cheap
-	// to zero-allocate per detector, which matters when a sharded run
-	// builds one shadow table per shard.
+	// lookup. A detector (or shard) that touches any memory holds at
+	// least one page, but pages come from pagePool and go back with only
+	// their touched range cleared, so a short run pays for the words it
+	// uses, not for 44 KiB.
 	pageWordShift = 9
 	pageWords     = 1 << pageWordShift
 	pageWordMask  = pageWords - 1
@@ -28,6 +37,34 @@ type shadowPage struct {
 	// live counts the words in use, for ShadowBytes accounting (a page
 	// is allocated whole, but only touched words carry detector state).
 	live int
+	// lo and hi bound the words touched since the page left pagePool
+	// (lo <= i < hi; hi == 0 when none): every word outside the range is
+	// still zero, so releasing the page clears only the range.
+	lo, hi int32
+}
+
+// pagePool recycles shadow pages across detectors. Every page in it is
+// all-zero, with live, lo and hi zero too: a page taken from it is a fresh
+// page. Concurrent detectors (the experiment engine's jobs) share it.
+var pagePool = sync.Pool{New: func() any { return new(shadowPage) }}
+
+// putPage returns a page whose words are all zero to pagePool.
+func putPage(pg *shadowPage) {
+	pg.lo, pg.hi = 0, 0
+	pagePool.Put(pg)
+}
+
+// release clears the touched range of every page of the table and returns
+// the pages to pagePool, leaving the table empty. The owning detector must
+// be done with them: nothing may touch the table's pages afterwards.
+func (s *shadowMem) release() {
+	for _, pg := range s.pages {
+		clear(pg.words[pg.lo:pg.hi])
+		pg.live = 0
+		putPage(pg)
+	}
+	clear(s.pages)
+	s.lastPage = nil
 }
 
 // shadowMem is the two-level paged shadow memory of one detector run (or,
@@ -103,7 +140,7 @@ func (s *shadowMem) word(addr int64) *shadowWord {
 	if pg == nil || key != s.lastKey {
 		pg = s.pages[key]
 		if pg == nil {
-			pg = &shadowPage{}
+			pg = pagePool.Get().(*shadowPage)
 			s.pages[key] = pg
 		}
 		s.lastKey, s.lastPage = key, pg
@@ -113,6 +150,13 @@ func (s *shadowMem) word(addr int64) *shadowWord {
 	if !w.live {
 		w.live = true
 		pg.live++
+		if i32 := int32(i); pg.hi == 0 {
+			pg.lo, pg.hi = i32, i32+1
+		} else if i32 < pg.lo {
+			pg.lo = i32
+		} else if i32 >= pg.hi {
+			pg.hi = i32 + 1
+		}
 		if s.retired != nil {
 			// A retired word coming back into use recovers its sticky
 			// suppression flags, so retirement stays output-invisible.
