@@ -52,6 +52,7 @@ import (
 	"os"
 	"runtime"
 	"slices"
+	"strings"
 	"time"
 
 	"adhocrace/internal/detect"
@@ -81,7 +82,7 @@ func main() {
 	}
 
 	if *which != "all" && !slices.Contains(harness.TableNames, *which) {
-		fmt.Fprintf(os.Stderr, "tables: unknown table %q (want all,1,2,3,4,5,6,perf,synth)\n", *which)
+		fmt.Fprintf(os.Stderr, "tables: unknown table %q (want all,%s)\n", *which, strings.Join(harness.TableNames, ","))
 		os.Exit(2)
 	}
 

@@ -151,10 +151,10 @@ func runDirty(t *testing.T, m parsec.Model, cfg Config, stats *dirtyStats) {
 	for _, pg := range held {
 		checkZeroPage(t, "closed", pg)
 	}
-	if after := fmt.Sprintf("%+v", *d.Report()); after != before {
+	rep := d.Report()
+	if after := fmt.Sprintf("%+v", *rep); after != before {
 		t.Errorf("%s under %s: Report after Close differs\n  before %s\n  after  %s", m.Name, cfg.Name, before, after)
 	}
-	rep := d.Report()
 	stats.promotions += rep.ReadSetPromotions
 	stats.retired += rep.GCWordsRetired
 	stats.pagesFreed += rep.GCPagesFreed
