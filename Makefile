@@ -9,7 +9,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build perfbench-check test race bench bench-compare bench-scaling scaling-smoke fuzz-smoke fuzz-proto fmt-check vet doc-check static soak-smoke memory-smoke conformance chaos-smoke trace-smoke ci tables
+.PHONY: all build perfbench-check test race bench bench-compare replay-smoke fuzz-smoke fuzz-proto fmt-check vet doc-check static soak-smoke memory-smoke conformance chaos-smoke trace-smoke ci tables
 
 all: build
 
@@ -32,7 +32,7 @@ race:
 	$(GO) test -race ./...
 
 # Bench smoke: the slide-24 accuracy table plus the replay events/sec
-# scaling benchmark (shards 1/2/4/8 over one recorded stream), in one
+# benchmark (one recorded stream, decode and detection, no vm), in one
 # `go test` run recorded as BENCH_<date>.json (a `go test -json` stream;
 # benchstat-recoverable, see scripts/bench-save.sh) so the perf
 # trajectory is tracked commit over commit. Run
@@ -45,24 +45,19 @@ bench:
 bench-compare:
 	sh scripts/bench-compare.sh $(OLD) $(NEW)
 
-# Events/sec scaling harness: record a trace, replay it at shards 1/2/4/8
-# (byte-identical reports asserted), and save the replay benchmark as a
-# BENCH record. See scripts/bench-scaling.sh.
-bench-scaling:
-	GO=$(GO) sh scripts/bench-scaling.sh
-
-# Record/replay determinism gate: a tiny trace replayed at shards 1 and 2
-# must produce byte-identical reports (fingerprint equality).
-scaling-smoke:
-	GO=$(GO) sh scripts/scaling-smoke.sh
+# Record/replay determinism gate: a recorded trace replayed through
+# racedetect must print the live run's fingerprint, plain and with the
+# shadow GC. See scripts/replay-smoke.sh.
+replay-smoke:
+	GO=$(GO) sh scripts/replay-smoke.sh
 
 # Differential fuzz smoke: a bounded, fixed-seed corpus (200 generated
 # programs, all tool presets, plain detectors run across the experiment
 # engine's workers) scored against the synthesis engine's ground-truth
 # oracle; fails on any oracle-vs-spin disagreement — plus 10s of
 # coverage-guided fuzzing over the binary trace decoder (no panics,
-# bounded allocation on corrupt headers). Sharded detection of synth
-# programs is gated by TestShardDeterminismSynth and the golden
+# bounded allocation on corrupt headers). Overlapped detection of synth
+# programs is gated by TestPipelineDeterminismSynth and the golden
 # fingerprints (internal/detect). See cmd/racefuzz and
 # docs/ARCHITECTURE.md.
 fuzz-smoke:
@@ -107,7 +102,7 @@ memory-smoke:
 	$(GO) test -count=1 -run 'TestServerSoakMemoryBaseline' ./internal/serve/
 
 # Server conformance: byte-identical streamed reports vs direct Prepared.Run
-# over the accuracy suite + synthesis corpus, swept over shards × overlap.
+# over the accuracy suite + synthesis corpus, swept over the overlap shapes.
 # (`make test`/`make race` include it; this target is the labeled CI step.)
 conformance:
 	$(GO) test -count=1 -run 'TestServerConformance' ./internal/serve/
@@ -129,17 +124,17 @@ fuzz-proto:
 
 # Observability smoke: run a suite workload with -trace and validate the
 # emitted Chrome trace-event JSON carries one span per pipeline stage
-# (vm, segment pipeline, demux, shards, merge, GC). See scripts/trace-smoke.sh.
+# (vm, segment pipeline, merge, GC). See scripts/trace-smoke.sh.
 trace-smoke:
 	GO=$(GO) sh scripts/trace-smoke.sh
 
 # Everything CI runs, in CI's order. (The workflow additionally runs the
-# shard determinism tests, the representation equivalence step — golden
+# pipeline determinism tests, the representation equivalence step — golden
 # report fingerprints, shadow-GC equivalence, and the differential tests
 # against the oracles in the detect/hb/vm tests, under -race — and the
 # server conformance suite as named steps before the race suite, purely so
 # those breaks fail with their own labels; `race` covers them.)
-ci: fmt-check vet doc-check static build perfbench-check conformance chaos-smoke race soak-smoke memory-smoke trace-smoke scaling-smoke bench fuzz-proto fuzz-smoke
+ci: fmt-check vet doc-check static build perfbench-check conformance chaos-smoke race soak-smoke memory-smoke trace-smoke replay-smoke bench fuzz-proto fuzz-smoke
 
 # Regenerate the paper's tables and figures.
 tables:

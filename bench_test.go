@@ -8,8 +8,8 @@
 //	BenchmarkTable4/5/6      — slides 27-30, PARSEC racy contexts
 //	BenchmarkFigureMemory    — slide 31, shadow-memory overhead
 //	BenchmarkFigureRuntime   — slide 32, runtime overhead (wall clock)
-//	BenchmarkDetector*       — per-tool event-processing throughput
-//	BenchmarkLongTracePipeline — the pipeline knobs on the long stream
+//	BenchmarkDetectorThroughput — per-tool event-processing throughput
+//	BenchmarkLongTracePipeline — plain vs overlap on the long stream
 package main
 
 import (
@@ -24,7 +24,6 @@ import (
 	"adhocrace/internal/ir"
 	"adhocrace/internal/sched"
 	"adhocrace/internal/synth"
-	"adhocrace/internal/vm"
 	"adhocrace/internal/workloads/parsec"
 )
 
@@ -164,69 +163,13 @@ func BenchmarkDetectorThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectorSharded measures intra-run detector sharding: the same
-// recorded event stream replayed through detectors with 1, 2, 4, and 8
-// shard workers. Recording once and replaying isolates detection
-// throughput from the (serial) vm that produces the stream; compare
-// ns/op of shards-N against shards-1 of the same model/tool pair to read
-// off the sharding speedup. Every variant's report is asserted identical
-// to the single-threaded one before timing starts.
-func BenchmarkDetectorSharded(b *testing.B) {
-	cases := []struct {
-		model string
-		tool  string
-		cfg   detect.Config
-	}{
-		{"x264", "lib", detect.HelgrindPlusLib()},
-		{"x264", "spin", detect.HelgrindPlusLibSpin(7)},
-		{"freqmine", "lib", detect.HelgrindPlusLib()},
-		{"dedup", "lib", detect.HelgrindPlusLib()},
-	}
-	for _, tc := range cases {
-		m, ok := parsec.ByName(tc.model)
-		if !ok {
-			b.Fatalf("no model %q", tc.model)
-		}
-		prog := m.Build()
-		ins := tc.cfg.Instrument(prog)
-		trace := &event.Trace{}
-		if _, err := vm.Run(prog, vm.Options{
-			Seed: 1, KnownLibs: tc.cfg.KnownLibs, Instr: ins, Sink: trace,
-		}); err != nil {
-			b.Fatal(err)
-		}
-		replay := func(shards int) *detect.Report {
-			d := detect.NewSharded(tc.cfg, ins, prog, shards)
-			defer d.Close()
-			trace.Replay(d)
-			return d.Report()
-		}
-		base := replay(1)
-		for _, shards := range []int{1, 2, 4, 8} {
-			shards := shards
-			b.Run(fmt.Sprintf("%s/%s/shards-%d", tc.model, tc.tool, shards), func(b *testing.B) {
-				if got := replay(shards); got.RacyContexts() != base.RacyContexts() ||
-					len(got.Warnings) != len(base.Warnings) || got.ShadowBytes != base.ShadowBytes {
-					b.Fatalf("%d-shard report differs from single-threaded", shards)
-				}
-				b.ReportMetric(float64(len(trace.Events)), "events/run")
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					replay(shards)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkLongTracePipeline is the measurement behind the pipeline knobs
-// that stay: one GC'd Helgrind+ lib detector over synth.LongTrace's
-// lock-churn stream (20 windows, about half a million events) under the
-// plain synchronous pipeline, two shards, fixed-size overlap, and both.
-// Each mode reports events/s and must reproduce plain's report
-// fingerprint. A knob pays when its events/s beats plain's over repeated
-// samples (-count) at GOMAXPROCS >= 2; on one CPU every mode only adds
-// hand-off cost.
+// BenchmarkLongTracePipeline is the measurement behind the overlap knob:
+// one GC'd Helgrind+ lib detector over synth.LongTrace's lock-churn
+// stream (20 windows, about half a million events) under the plain
+// synchronous pipeline and fixed-size overlap. Each mode reports events/s
+// and must reproduce plain's report fingerprint. Overlap pays when its
+// events/s beats plain's over repeated samples (-count) at GOMAXPROCS >=
+// 2; on one CPU it only adds hand-off cost.
 func BenchmarkLongTracePipeline(b *testing.B) {
 	run := func(opts detect.RunOpts) *detect.Report {
 		opts.GCShadow = true
@@ -244,9 +187,7 @@ func BenchmarkLongTracePipeline(b *testing.B) {
 		opts detect.RunOpts
 	}{
 		{"plain", detect.RunOpts{}},
-		{"shards-2", detect.RunOpts{Shards: 2}},
 		{"overlap", detect.RunOpts{}.Overlapped()},
-		{"shards-2+overlap", detect.RunOpts{Shards: 2}.Overlapped()},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			var events int64
@@ -324,35 +265,29 @@ func BenchmarkTraceDecode(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
 
-// BenchmarkReplayEventsPerSec is the scaling harness's benchmark form:
-// the same recorded stream decoded and pushed through detectors at 1, 2,
-// 4, and 8 shard workers, with throughput reported as events/sec. No vm
-// runs inside the timed loop, and the instrumentation is computed once,
-// memoized on the program, so an iteration times trace decode, the
-// header's interning check and detection — the replay hot path.
-// scripts/bench-scaling.sh records these results as a BENCH_*.json
-// record; bench-compare.sh gates on their ns/op.
+// BenchmarkReplayEventsPerSec pushes the recorded x264/spin(7) stream
+// through a fresh detector per iteration, with throughput reported as
+// events/sec. No vm runs inside the timed loop, and the instrumentation is
+// computed once, memoized on the program, so an iteration times trace
+// decode, the header's interning check and detection — the replay hot
+// path. scripts/bench-save.sh records its events/sec as the BENCH
+// record's EventsPerSec; bench-compare.sh gates on its ns/op.
 func BenchmarkReplayEventsPerSec(b *testing.B) {
 	data, prog, cfg := replayFixture(b)
-	for _, shards := range []int{1, 2, 4, 8} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			var events int64
-			for i := 0; i < b.N; i++ {
-				tr, err := event.NewTraceReader(bytes.NewReader(data))
-				if err != nil {
-					b.Fatal(err)
-				}
-				_, n, err := detect.ReplayTrace(tr, prog, cfg, detect.RunOpts{Shards: shards})
-				if err != nil {
-					b.Fatal(err)
-				}
-				events = n
-			}
-			b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-		})
+	b.ReportAllocs()
+	var events int64
+	for i := 0; i < b.N; i++ {
+		tr, err := event.NewTraceReader(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, n, err := detect.ReplayTrace(tr, prog, cfg, detect.RunOpts{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		events = n
 	}
+	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
 // BenchmarkAblationSpinFeature quantifies the design choices DESIGN.md

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	tables [-t all|1|2|3|4|5|6|perf|synth] [-workers N] [-stats]
-//	       [-trace out.json] [-synth-n 100] [-replay trace]
+//	       [-trace out.json] [-synth-n 100]
 //
 //	1     data-race-test accuracy, four tools (slide 24)
 //	2     spin-window sweep spin(3)/spin(6)/spin(7)/spin(8) (slide 25)
@@ -21,8 +21,8 @@
 // plain detector. The only parallelism is across runs, on the experiment
 // engine's workers: -workers bounds it (0 = GOMAXPROCS), and -workers 1
 // runs every job inline, in order. Output is byte-identical for every
-// worker count. Intra-run sharding, overlap and shadow GC pay only on
-// long streams, so they live on racedetect and raced, not here.
+// worker count. Overlap and shadow GC pay only on long streams, so they
+// live on racedetect and raced, not here.
 //
 // -stats appends a footer with the detector pipeline counters aggregated
 // over every run: events processed, events/sec, shadow bytes, read-set
@@ -36,32 +36,19 @@
 // concurrently on the experiment engine, so the trace shows all jobs'
 // pipelines interleaved — one process group per job; for a single clean
 // timeline use racedetect -trace.
-//
-// -replay <trace> switches tables into the events/sec scaling harness:
-// a binary trace recorded by `racedetect -record` is replayed through
-// detectors at shards 1, 2, 4, and 8 — the identical event stream each
-// time, no vm in the loop — and the per-shard wall clock and events/sec
-// are printed as a scaling curve. Every replay's report is asserted
-// byte-identical to the shards-1 report before its row prints.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"slices"
 	"strings"
 	"time"
 
-	"adhocrace/internal/detect"
-	"adhocrace/internal/event"
 	"adhocrace/internal/harness"
 	"adhocrace/internal/obs"
 	"adhocrace/internal/sched"
-	"adhocrace/internal/serve"
-	"adhocrace/internal/workloads"
 )
 
 func main() {
@@ -70,16 +57,7 @@ func main() {
 	stats := flag.Bool("stats", false, "print aggregated pipeline stats after the tables")
 	trace := flag.String("trace", "", "write Chrome trace-event JSON of every job's pipeline spans to this file")
 	synthN := flag.Int64("synth-n", 100, "generated programs for the synth corpus table")
-	replayPath := flag.String("replay", "", "replay a recorded binary trace at shards 1/2/4/8 and print the scaling curve")
 	flag.Parse()
-
-	if *replayPath != "" {
-		if err := replayScaling(*replayPath); err != nil {
-			fmt.Fprintf(os.Stderr, "tables: replay: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *which != "all" && !slices.Contains(harness.TableNames, *which) {
 		fmt.Fprintf(os.Stderr, "tables: unknown table %q (want all,%s)\n", *which, strings.Join(harness.TableNames, ","))
@@ -128,56 +106,4 @@ func main() {
 		}
 		fmt.Printf("trace written to %s (load in chrome://tracing or Perfetto)\n", *trace)
 	}
-}
-
-// replayScaling is the events/sec scaling harness: one recorded stream,
-// four shard counts, byte-identical reports asserted, wall clock and
-// throughput per row.
-func replayScaling(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	head, err := event.NewTraceReader(bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	meta := head.Meta()
-	build, ok := workloads.Find(meta.Workload)
-	if !ok {
-		return fmt.Errorf("trace workload %q not in the registry", meta.Workload)
-	}
-	cfg, err := serve.ToolConfig(meta.Tool, meta.Window)
-	if err != nil {
-		return fmt.Errorf("trace tool: %w", err)
-	}
-	prog := build()
-	fmt.Printf("Replay scaling — %s under %s (recorded seed %d), GOMAXPROCS=%d\n",
-		meta.Workload, cfg.Name, meta.Seed, runtime.GOMAXPROCS(0))
-	fmt.Printf("%-10s %14s %14s %14s %10s\n", "shards", "events", "elapsed", "events/sec", "speedup")
-	var baseFP string
-	var baseElapsed time.Duration
-	for _, shards := range []int{1, 2, 4, 8} {
-		tr, err := event.NewTraceReader(bytes.NewReader(data))
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		rep, n, err := detect.ReplayTrace(tr, prog, cfg, detect.RunOpts{Shards: shards})
-		elapsed := time.Since(start)
-		if err != nil {
-			return fmt.Errorf("shards=%d: %w", shards, err)
-		}
-		fp := harness.ReportFingerprint(rep)
-		if shards == 1 {
-			baseFP, baseElapsed = fp, elapsed
-		} else if fp != baseFP {
-			return fmt.Errorf("shards=%d report differs from shards-1 (byte-identity violated)", shards)
-		}
-		fmt.Printf("%-10d %14d %14s %14.0f %9.2fx\n",
-			shards, n, elapsed.Round(time.Microsecond), float64(n)/elapsed.Seconds(),
-			baseElapsed.Seconds()/elapsed.Seconds())
-	}
-	fmt.Println("reports byte-identical across all shard counts")
-	return nil
 }

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	tracecheck [-require vm,pipeline,demux,"shard 0",merge,gc] trace.json
+//	tracecheck [-require vm,pipeline,merge,gc] trace.json
 //
 // -require names the tracks that must each carry at least one event,
 // comma-separated. Without it the file only has to parse and be

@@ -25,8 +25,6 @@
 package core
 
 import (
-	"sync"
-
 	"adhocrace/internal/event"
 	"adhocrace/internal/hb"
 	"adhocrace/internal/ir"
@@ -66,10 +64,8 @@ func (r *releaseState) bytes() int64 {
 
 // Engine is the runtime ad-hoc synchronization detector for one execution.
 //
-// All mutating entry points (OnWrite, OnSpinRead, OnSpinExit) must be
-// called from the event coordinator, in stream order. IsSyncVar is the one
-// method shard workers call concurrently; mu covers exactly that reader
-// against OnSpinRead's classification updates.
+// Every entry point runs on the goroutine that drives detection; the
+// mutating ones (OnWrite, OnSpinRead, OnSpinExit) in stream order.
 type Engine struct {
 	hb  hb.Engine
 	ins *spin.Instrumentation
@@ -77,11 +73,6 @@ type Engine struct {
 	// symbols (strings, from the static phase) are translated through it
 	// once at construction so the per-event checks are integer map hits.
 	tab *ir.Interning
-
-	// mu guards syncAddrs and lockWords between IsSyncVar (read from
-	// shard workers) and OnSpinRead (written by the coordinator). The
-	// coordinator's own reads need no lock: it is the only writer.
-	mu sync.RWMutex
 
 	// InferLocks enables the paper's future-work extension: condition
 	// words of read-modify-write spin loops (CAS-acquire loops) are
@@ -192,28 +183,19 @@ func (e *Engine) Enabled() bool { return e.ins != nil && e.ins.NumLoops() >= 0 &
 
 // IsSyncVar reports whether an access to addr (with interned static symbol
 // sym, if any) belongs to a spin-loop condition — a synchronization variable
-// whose races are synchronization races, not data races. Safe to call from
-// shard workers concurrently with the coordinator.
+// whose races are synchronization races, not data races.
 func (e *Engine) IsSyncVar(addr int64, sym ir.SymID) bool {
 	if !e.Enabled() {
 		return false
 	}
-	e.mu.RLock()
-	hit := e.syncAddrs[addr]
-	e.mu.RUnlock()
-	if hit {
-		return true
-	}
-	return sym != ir.NoSym && e.condSyms[sym]
+	return e.syncAddrs[addr] || (sym != ir.NoSym && e.condSyms[sym])
 }
 
-// WriteActs reports whether OnWrite would mutate engine or clock state for
-// this write. This is the sharding coordinator's barrier predicate: writes
-// for which it is false are pure shadow-memory traffic and can be demuxed
-// to shard workers; writes for which it is true tick the writer's clock
-// and extend release histories, so they must run on the coordinator, after
-// dependent queued accesses have drained. Coordinator-only.
-func (e *Engine) WriteActs(ev *event.Event) bool {
+// writeActs reports whether OnWrite would mutate engine or clock state for
+// this write: writes for which it is false are pure shadow-memory traffic;
+// writes for which it is true tick the writer's clock and extend release
+// histories.
+func (e *Engine) writeActs(ev *event.Event) bool {
 	if !e.Enabled() {
 		return false
 	}
@@ -229,7 +211,7 @@ func (e *Engine) WriteActs(ev *event.Event) bool {
 // precede the first spin read of a fast-path waiter. Must be called for
 // every write event, in stream order.
 func (e *Engine) OnWrite(ev *event.Event) {
-	if !e.WriteActs(ev) {
+	if !e.writeActs(ev) {
 		return
 	}
 	cur := e.release[ev.Addr]
@@ -271,12 +253,10 @@ func (e *Engine) OnSpinRead(ev *event.Event) {
 		return
 	}
 	e.SpinReads++
-	e.mu.Lock()
 	e.syncAddrs[ev.Addr] = true
 	if ev.SpinLoop >= 0 && int(ev.SpinLoop) < len(e.ins.Loops) && e.ins.Loops[ev.SpinLoop].HasRMW {
 		e.lockWords[ev.Addr] = true
 	}
-	e.mu.Unlock()
 	m := e.lastRead[ev.Tid]
 	if m == nil {
 		m = make(map[int]int64)
@@ -312,8 +292,8 @@ func (e *Engine) OnSpinExit(ev *event.Event) {
 // deleting it would change the reported edge counts, while joining an
 // emptied history into a live thread's clock is a no-op exactly like
 // joining the dominated history it replaced). Returns the number of
-// histories emptied. Coordinator-only, like every other mutating entry
-// point.
+// histories emptied. Called in stream order, like every other mutating
+// entry point.
 func (e *Engine) Quiesce(wm vc.Frozen) int64 {
 	var dropped int64
 	for _, r := range e.release {

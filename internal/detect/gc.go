@@ -26,8 +26,8 @@ package detect
 // epoch against one component of the accessor's clock — exactly the
 // per-component test wm bounds), and its demotion predicate
 // (readState.orderedBefore) is vacuously unchanged by clearing. Retiring
-// the word — zeroing it and recycling its read-sets through the shard
-// pool — is output-invisible, with one carve-out: the sticky flags
+// the word — zeroing it and recycling its read-sets through the
+// detector's pool — is output-invisible, with one carve-out: the sticky flags
 // (atomicEver, suspected, reported) gate *suppression*, not ordering, and
 // forgetting them could resurrect a deduplicated warning or rewind the
 // long-run state machine. They are preserved in a per-page bitmap side
@@ -36,26 +36,20 @@ package detect
 // TestShadowGCEquivalence* holds corpus-wide and
 // TestShadowGCPrecisionContract pins on the adversarial cases.
 //
-// # Why the GC cannot flush-order-race with shard ownership
+// # Stream position
 //
-// Shards own disjoint address partitions and process their entries in
-// stream FIFO order (shard.go's determinism argument). The GC does not
-// flush: the coordinator computes wm at one stream position and demuxes a
-// gcEntryKind mark into every shard's queue through the same
-// event.Demux slot path accesses take. Each shard therefore collects at a
-// deterministic point of its own stream — after exactly the accesses the
-// coordinator had routed before the mark, before all later ones. Any
-// access entry queued behind the mark carries a frozen clock stamped at or
-// after wm's computation, so it observes retired words exactly as the
-// unbounded detector would have observed their dominated contents: no
-// conflict either way, identical demotion decisions, identical recording.
-// Coordinator-owned state (hb sync objects, core release histories,
-// exited thread clocks) quiesces inline at the same stream position.
+// A cycle runs inline in Handle, between two events: the watermark, the
+// shadow sweep and the engine-side quiescence (hb sync objects, core
+// release histories, exited thread clocks) all see the same stream
+// position, and every later access reads a clock at or above wm, so it
+// observes retired words exactly as the unbounded detector would have
+// observed their dominated contents: no conflict either way, identical
+// demotion decisions, identical recording.
 //
 // # Precision contract
 //
-// Byte-identical warnings, in all configurations, at every shard count
-// and overlap mode — dominated history can satisfy no predicate, sticky
+// Byte-identical warnings, in all configurations and pipeline modes —
+// dominated history can satisfy no predicate, sticky
 // flags survive retirement, and Eraser's lockset variables (whose state
 // *is* the report) are exempted from per-variable forgetting. What does
 // change: ShadowBytes (the point of the exercise) and the representation
@@ -63,15 +57,10 @@ package detect
 // removes or re-runs), none of which the report fingerprint includes.
 
 import (
-	"adhocrace/internal/event"
 	"adhocrace/internal/fault"
 	"adhocrace/internal/obs"
 	"adhocrace/internal/vc"
 )
-
-// gcEntryKind is the demuxed GC mark: a reserved event kind the vm never
-// emits, carrying the watermark in the entry's clock field.
-const gcEntryKind event.Kind = 0xff
 
 // DefaultGCEvents is the default GC cycle period, in events.
 const DefaultGCEvents = 1 << 16
@@ -103,28 +92,17 @@ func (d *Detector) collectGarbage() {
 		panic(err)
 	}
 	start := d.obs.Start()
-	if d.demux != nil {
-		for i := range d.shards {
-			e := d.demux.Slot(i)
-			*e = entry{kind: gcEntryKind, clock: wm}
-		}
-	} else {
-		d.shards[0].collect(wm)
-	}
+	d.collect(wm.Thaw())
 	retired := d.hb.Quiesce(wm)
 	d.gcSyncObjs += retired
 	d.gcHists += d.adhoc.Quiesce(wm)
-	// The timed slice is the coordinator's share of the cycle: the sharded
-	// collect marks run later on the workers (inside their shard-apply
-	// spans), so this span measures coordinator occupancy, not total sweep.
 	d.obs.Stage(obs.TrackGC, obs.HistGCNs, start, retired)
 }
 
-// collect retires this shard's dominated shadow words. Runs on the shard's
-// worker at the mark's stream position (or inline, single-threaded).
-func (s *shardState) collect(wm vc.Frozen) {
-	eraser := s.cfg.Tool == EraserTool
-	for key, pg := range s.shadow.pages {
+// collect retires the shadow words dominated by the watermark wm.
+func (d *Detector) collect(wm *vc.Clock) {
+	eraser := d.cfg.Tool == EraserTool
+	for key, pg := range d.shadow.pages {
 		var rf *retiredFlags
 		for i := range pg.words {
 			w := &pg.words[i]
@@ -139,36 +117,36 @@ func (s *shardState) collect(wm vc.Frozen) {
 			}
 			if w.atomicEver || w.suspected || w.reported {
 				if rf == nil {
-					rf = s.shadow.retiredOf(key)
+					rf = d.shadow.retiredOf(key)
 				}
 				rf.set(i, w.atomicEver, w.suspected, w.reported)
 			}
 			if w.reads.set != nil {
-				s.putReadSet(w.reads.set)
-				s.gcSets++
+				d.putReadSet(w.reads.set)
+				d.gcSets++
 			}
 			if w.readsAtomic.set != nil {
-				s.putReadSet(w.readsAtomic.set)
-				s.gcSets++
+				d.putReadSet(w.readsAtomic.set)
+				d.gcSets++
 			}
 			if !eraser {
-				// The hybrid tools discard AccessWith's verdict, so the
+				// The hybrid tools discard Access's verdict, so the
 				// variable's lockset state machine may restart from Virgin.
-				s.locks.ForgetVar(s.shadow.addrOf(key, i))
+				d.locks.ForgetVar(addrOf(key, i))
 			}
 			*w = shadowWord{}
 			pg.live--
-			s.gcWords++
+			d.gcWords++
 		}
 		if pg.live == 0 {
 			// Every word was retired, so zeroed: the page goes back to
 			// the pool as it is.
-			delete(s.shadow.pages, key)
-			if s.shadow.lastPage == pg {
-				s.shadow.lastPage = nil
+			delete(d.shadow.pages, key)
+			if d.shadow.lastPage == pg {
+				d.shadow.lastPage = nil
 			}
 			putPage(pg)
-			s.gcPages++
+			d.gcPages++
 		}
 	}
 }

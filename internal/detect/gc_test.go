@@ -3,9 +3,7 @@ package detect
 import (
 	"testing"
 
-	"adhocrace/internal/core"
 	"adhocrace/internal/event"
-	"adhocrace/internal/hb"
 	"adhocrace/internal/vc"
 )
 
@@ -15,33 +13,25 @@ import (
 // retirement. The program-level proofs (byte-identical warnings) live in
 // the external gcequivalence_test.go / gccontract_test.go.
 
-func gcFrozen(pairs map[int]uint64) vc.Frozen {
+func gcClock(pairs map[int]uint64) *vc.Clock {
 	c := vc.New()
 	for i, v := range pairs {
 		c.Set(i, v)
 	}
-	return c.Freeze()
-}
-
-func gcShard(cfg Config) *shardState {
-	c := cfg
-	return newShardState(&c, core.New(hb.New(), nil, nil), 1, 0)
+	return c
 }
 
 // feedOrdered drives one write and two ordered reads (the second reader
-// promotes the read representation) through the shard at the given base
-// stream position.
-func feedOrdered(s *shardState, base int64) {
-	s.access(&entry{kind: event.KindWrite, tid: 1, addr: 0x40, idx: base,
-		clock: gcFrozen(map[int]uint64{1: 5})})
-	s.access(&entry{kind: event.KindRead, tid: 2, addr: 0x40, idx: base + 1,
-		clock: gcFrozen(map[int]uint64{1: 5, 2: 3})})
-	s.access(&entry{kind: event.KindRead, tid: 3, addr: 0x40, idx: base + 2,
-		clock: gcFrozen(map[int]uint64{1: 5, 3: 4})})
+// promotes the read representation) through the detector at the given
+// base stream position.
+func feedOrdered(s *Detector, base int64) {
+	s.access(&event.Event{Kind: event.KindWrite, Tid: 1, Addr: 0x40}, base, gcClock(map[int]uint64{1: 5}))
+	s.access(&event.Event{Kind: event.KindRead, Tid: 2, Addr: 0x40}, base+1, gcClock(map[int]uint64{1: 5, 2: 3}))
+	s.access(&event.Event{Kind: event.KindRead, Tid: 3, Addr: 0x40}, base+2, gcClock(map[int]uint64{1: 5, 3: 4}))
 }
 
 func TestShadowBytesRetireRoundTrip(t *testing.T) {
-	s := gcShard(HelgrindPlusLib())
+	s := benchDetector(HelgrindPlusLib())
 	feedOrdered(s, 1)
 	before := s.shadow.bytes()
 	if before == 0 {
@@ -51,7 +41,7 @@ func TestShadowBytesRetireRoundTrip(t *testing.T) {
 		t.Fatalf("expected 1 read-set promotion, got %d", s.promotions)
 	}
 
-	s.collect(gcFrozen(map[int]uint64{0: 9, 1: 9, 2: 9, 3: 9}))
+	s.collect(gcClock(map[int]uint64{0: 9, 1: 9, 2: 9, 3: 9}))
 	if got := s.shadow.bytes(); got != 0 {
 		t.Errorf("retirement must zero the accounting: got %d bytes", got)
 	}
@@ -72,11 +62,11 @@ func TestShadowBytesRetireRoundTrip(t *testing.T) {
 }
 
 func TestGCKeepsUndominatedWords(t *testing.T) {
-	s := gcShard(HelgrindPlusLib())
+	s := benchDetector(HelgrindPlusLib())
 	feedOrdered(s, 1)
 	before := s.shadow.bytes()
 	// Thread 3's read (tick 4) is not covered by wm[3] = 0.
-	s.collect(gcFrozen(map[int]uint64{0: 9, 1: 9, 2: 9}))
+	s.collect(gcClock(map[int]uint64{0: 9, 1: 9, 2: 9}))
 	if s.gcWords != 0 {
 		t.Errorf("undominated word retired (%d)", s.gcWords)
 	}
@@ -86,9 +76,8 @@ func TestGCKeepsUndominatedWords(t *testing.T) {
 }
 
 func TestGCPreservesStickyFlags(t *testing.T) {
-	s := gcShard(HelgrindPlusLib())
-	s.access(&entry{kind: event.KindAtomicWrite, tid: 1, addr: 0x40, idx: 1,
-		clock: gcFrozen(map[int]uint64{1: 5})})
+	s := benchDetector(HelgrindPlusLib())
+	s.access(&event.Event{Kind: event.KindAtomicWrite, Tid: 1, Addr: 0x40}, 1, gcClock(map[int]uint64{1: 5}))
 	w := s.shadow.word(0x40)
 	if !w.atomicEver {
 		t.Fatalf("atomic access must set atomicEver")
@@ -96,7 +85,7 @@ func TestGCPreservesStickyFlags(t *testing.T) {
 	w.suspected = true
 	w.reported = true
 
-	s.collect(gcFrozen(map[int]uint64{0: 9, 1: 9}))
+	s.collect(gcClock(map[int]uint64{0: 9, 1: 9}))
 	if s.gcWords != 1 {
 		t.Fatalf("flagged dominated word not retired")
 	}
@@ -113,26 +102,24 @@ func TestGCPreservesStickyFlags(t *testing.T) {
 }
 
 func TestGCForgetsHybridLocksetVars(t *testing.T) {
-	s := gcShard(HelgrindPlusLib())
-	s.access(&entry{kind: event.KindWrite, tid: 1, addr: 0x40, idx: 1,
-		clock: gcFrozen(map[int]uint64{1: 5})})
+	s := benchDetector(HelgrindPlusLib())
+	s.access(&event.Event{Kind: event.KindWrite, Tid: 1, Addr: 0x40}, 1, gcClock(map[int]uint64{1: 5}))
 	if s.locks.VarState(0x40) == nil {
 		t.Fatalf("hybrid access must create lockset var state")
 	}
-	s.collect(gcFrozen(map[int]uint64{0: 9, 1: 9}))
+	s.collect(gcClock(map[int]uint64{0: 9, 1: 9}))
 	if s.locks.VarState(0x40) != nil {
 		t.Errorf("hybrid lockset var must be forgotten on retirement")
 	}
 }
 
 func TestGCSkipsEraserLocksetVars(t *testing.T) {
-	s := gcShard(Eraser())
-	s.access(&entry{kind: event.KindWrite, tid: 1, addr: 0x40, idx: 1,
-		clock: gcFrozen(map[int]uint64{1: 5})})
+	s := benchDetector(Eraser())
+	s.access(&event.Event{Kind: event.KindWrite, Tid: 1, Addr: 0x40}, 1, gcClock(map[int]uint64{1: 5}))
 	if s.locks.VarState(0x40) == nil {
 		t.Fatalf("Eraser access must create lockset var state")
 	}
-	s.collect(gcFrozen(map[int]uint64{0: 9, 1: 9}))
+	s.collect(gcClock(map[int]uint64{0: 9, 1: 9}))
 	if s.locks.VarState(0x40) == nil {
 		t.Errorf("Eraser lockset state is the report; the GC must not forget it")
 	}

@@ -115,11 +115,11 @@ func TestShadowGCPrecisionContract(t *testing.T) {
 	for _, tc := range cases {
 		for _, opts := range []detect.RunOpts{
 			{GCShadow: true, GCEvents: 1},
-			{GCShadow: true, GCEvents: 1, Shards: 2},
+			{GCShadow: true, GCEvents: 1, SegmentEvents: 64},
 		} {
 			gc, _, err := detect.Prepare(buildPhasedRace(tc.phases)).Run(tc.cfg, 1, opts)
 			if err != nil {
-				t.Fatalf("%s (gc, shards=%d): %v", tc.name, opts.Shards, err)
+				t.Fatalf("%s (gc, segment=%d): %v", tc.name, opts.SegmentEvents, err)
 			}
 			ref, _, err := detect.Prepare(buildPhasedRace(tc.phases)).Run(tc.cfg, 1, detect.RunOpts{})
 			if err != nil {
@@ -130,18 +130,18 @@ func TestShadowGCPrecisionContract(t *testing.T) {
 					tc.name, len(ref.Warnings), tc.want)
 			}
 			if len(gc.Warnings) != tc.want {
-				t.Errorf("%s (shards=%d): GC detector reported %d warnings, want %d",
-					tc.name, opts.Shards, len(gc.Warnings), tc.want)
+				t.Errorf("%s (segment=%d): GC detector reported %d warnings, want %d",
+					tc.name, opts.SegmentEvents, len(gc.Warnings), tc.want)
 			}
 			if got, want := reportFingerprint(gc), reportFingerprint(ref); got != want {
-				t.Errorf("%s (shards=%d): GC report differs from unbounded detector\n--- unbounded ---\n%s--- gc ---\n%s",
-					tc.name, opts.Shards, want, got)
+				t.Errorf("%s (segment=%d): GC report differs from unbounded detector\n--- unbounded ---\n%s--- gc ---\n%s",
+					tc.name, opts.SegmentEvents, want, got)
 			}
 			// The proof only binds if the word was actually retired
 			// between the phases.
 			if gc.GCCycles == 0 || gc.GCWordsRetired == 0 {
-				t.Errorf("%s (shards=%d): GC never retired anything (cycles=%d words=%d); the case proves nothing",
-					tc.name, opts.Shards, gc.GCCycles, gc.GCWordsRetired)
+				t.Errorf("%s (segment=%d): GC never retired anything (cycles=%d words=%d); the case proves nothing",
+					tc.name, opts.SegmentEvents, gc.GCCycles, gc.GCWordsRetired)
 			}
 		}
 	}

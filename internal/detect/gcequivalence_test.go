@@ -1,8 +1,7 @@
 // Shadow-GC equivalence: a detector running the quiescence GC (gc.go)
 // must report byte for byte what the unbounded detector reports, on every
 // workload we have — the 120-case accuracy suite and a 500-seed synthesis
-// corpus — and under every pipeline shape, because the GC marks travel
-// through the same demux the accesses do. The GC period is forced down to
+// corpus — and under every pipeline shape. The GC period is forced down to
 // a few dozen events so every run exercises many cycles.
 package detect_test
 
@@ -16,16 +15,14 @@ import (
 )
 
 // gcSweepOpts are the pipeline shapes the GC equivalence sweep rotates
-// through, each with the GC forced to a tiny cycle period: sequential,
-// sharded (GC marks demuxed as sentinel entries), overlapped (marks cross
-// the segment boundary), and both at once.
+// through, each with the GC forced to a tiny cycle period: sequential and
+// overlapped at two segment sizes (cycles land on both sides of segment
+// boundaries).
 func gcSweepOpts() []detect.RunOpts {
 	shapes := []detect.RunOpts{
 		{},
-		{Shards: 2},
-		{Shards: 4},
 		detect.RunOpts{}.Overlapped(),
-		{Shards: 2, SegmentEvents: 64},
+		{SegmentEvents: 64},
 	}
 	for i := range shapes {
 		shapes[i].GCShadow = true
@@ -49,14 +46,14 @@ func checkGCEquivalence(t *testing.T, build func() *ir.Program, name string, cfg
 	}
 	want, got := reportFingerprint(ref), reportFingerprint(gc)
 	if got != want {
-		t.Errorf("%s under %s seed %d (shards=%d overlap=%d): GC report differs from unbounded detector\n--- unbounded ---\n%s--- gc ---\n%s",
-			name, cfg.Name, seed, opts.Shards, opts.SegmentEvents, want, got)
+		t.Errorf("%s under %s seed %d (overlap=%d): GC report differs from unbounded detector\n--- unbounded ---\n%s--- gc ---\n%s",
+			name, cfg.Name, seed, opts.SegmentEvents, want, got)
 	}
 }
 
 // TestShadowGCEquivalenceSuite replays the full data-race-test suite under
 // the four paper tools plus the lock-inference variant with the shadow GC
-// cycling every 64 events, rotating through the shards × overlap sweep per
+// cycling every 64 events, rotating through the overlap sweep per
 // (case, tool) so the whole grid is covered across the suite.
 func TestShadowGCEquivalenceSuite(t *testing.T) {
 	cfgs := append(detect.PaperTools(7), detect.HelgrindPlusNolibSpinLocks(7))

@@ -127,10 +127,8 @@ func goldenParsec() []goldenCase {
 func goldenShapes() []detect.RunOpts {
 	return []detect.RunOpts{
 		{},
-		{Shards: 2},
-		{Shards: 4},
 		detect.RunOpts{}.Overlapped(),
-		{Shards: 2, SegmentEvents: 64},
+		{SegmentEvents: 64},
 		{GCShadow: true, GCEvents: 256},
 	}
 }
@@ -226,8 +224,8 @@ func checkGolden(t *testing.T, cases []goldenCase, shape func(i int) detect.RunO
 			t.Errorf("missing golden key %q (got %q)", key, lines[i])
 		case w != lines[i]:
 			o := shape(i)
-			t.Errorf("fingerprint changed (shards=%d segment=%d gc=%d)\n  want %s\n  got  %s\n--- current fingerprint ---\n%s",
-				o.Shards, o.SegmentEvents, o.GCEvents, w, lines[i], texts[i])
+			t.Errorf("fingerprint changed (segment=%d gc=%d)\n  want %s\n  got  %s\n--- current fingerprint ---\n%s",
+				o.SegmentEvents, o.GCEvents, w, lines[i], texts[i])
 		}
 	}
 	return seen
@@ -244,7 +242,7 @@ func rotatePerSeed(shapes []detect.RunOpts) func(int) detect.RunOpts {
 	return func(i int) detect.RunOpts { return shapes[(i/2+1)%len(shapes)] }
 }
 
-// sequential runs every entry unsharded and without overlap.
+// sequential runs every entry on the plain pipeline.
 func sequential(int) detect.RunOpts { return detect.RunOpts{} }
 
 // shortSeeds is the synthesis corpus size a sweep replays: seeds, or short
@@ -284,14 +282,22 @@ func TestGoldenFingerprints(t *testing.T) {
 // output (see the file comment); the direct comparison with each oracle
 // lives in its own package's tests.
 
-// syncSweepShapes are the shapes the clock store is checked across:
-// sharding moves the frozen clock stamps across the flush boundary and
-// overlap moves them across goroutines.
-func syncSweepShapes() []detect.RunOpts { return goldenShapes()[:5] }
+// syncSweepShapes are the shapes the clock store is checked across: the
+// golden shapes without the shadow GC, which retires clock-store state
+// and so is checked on its own (TestShadowGCEquivalence*).
+func syncSweepShapes() []detect.RunOpts {
+	var out []detect.RunOpts
+	for _, o := range goldenShapes() {
+		if !o.GCShadow {
+			out = append(out, o)
+		}
+	}
+	return out
+}
 
 // TestDecodedEquivalenceSuite holds the pre-decoded vm dispatch to the
-// switch interpreter's reports on the suite, rotating the six pipeline
-// shapes per (case, tool). The interpreter itself is compared by
+// switch interpreter's reports on the suite, rotating the pipeline shapes
+// per (case, tool). The interpreter itself is compared by
 // TestDecodedMatchesReference{Stream,Result} in package vm.
 func TestDecodedEquivalenceSuite(t *testing.T) {
 	checkGolden(t, goldenSuite(), rotate(goldenShapes()))
@@ -299,7 +305,7 @@ func TestDecodedEquivalenceSuite(t *testing.T) {
 
 // TestDecodedEquivalenceSynth holds the decoded dispatch to the switch
 // interpreter's reports on 300 synthesis seeds (60 under -short), rotating
-// the six pipeline shapes per seed.
+// the pipeline shapes per seed.
 func TestDecodedEquivalenceSynth(t *testing.T) {
 	checkGolden(t, goldenSynth(shortSeeds(300, 60)), rotatePerSeed(goldenShapes()))
 }
@@ -321,7 +327,7 @@ func TestEpochFullVCEquivalenceSynth(t *testing.T) {
 
 // TestSyncStoreEquivalenceSuite holds the copy-on-write clock store to the
 // full-vector-clock happens-before engine's reports on the suite, rotating
-// the shards × overlap shapes per (case, tool). The engine-level
+// the overlap shapes per (case, tool). The engine-level
 // comparison is TestStoreMatchesReferenceOnRandomStreams in package hb.
 func TestSyncStoreEquivalenceSuite(t *testing.T) {
 	checkGolden(t, goldenSuite(), rotate(syncSweepShapes()))
@@ -329,7 +335,7 @@ func TestSyncStoreEquivalenceSuite(t *testing.T) {
 
 // TestSyncStoreEquivalenceSynth holds the clock store to the full-VC
 // engine's reports on 500 synthesis seeds (80 under -short), rotating the
-// shards × overlap shapes per seed.
+// overlap shapes per seed.
 func TestSyncStoreEquivalenceSynth(t *testing.T) {
 	checkGolden(t, goldenSynth(shortSeeds(goldenSynthSeeds, 80)), rotatePerSeed(syncSweepShapes()))
 }

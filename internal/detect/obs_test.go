@@ -1,5 +1,5 @@
 // Observability integration tests live in the external test package for
-// the same reason the shard determinism tests do: they drive the detector
+// the same reason the pipeline determinism tests do: they drive the detector
 // through its exported API and pull in workload packages.
 package detect_test
 
@@ -17,15 +17,14 @@ import (
 // TestObsReportUnchanged pins the observability layer's core contract:
 // attaching a recorder (even a tracing one) to a run must not change the
 // report in any observable way — same warnings, same counters, same
-// shadow accounting — across the full pipeline (shards + overlap +
-// shadow GC).
+// shadow accounting — across the full pipeline (overlap + shadow GC).
 func TestObsReportUnchanged(t *testing.T) {
 	m, ok := parsec.ByName("freqmine")
 	if !ok {
 		t.Fatal("no freqmine model")
 	}
 	cfg := detect.HelgrindPlusLibSpin(7)
-	opts := detect.RunOpts{Shards: 2, GCShadow: true, GCEvents: 4096}.Overlapped()
+	opts := detect.RunOpts{GCShadow: true, GCEvents: 4096}.Overlapped()
 
 	base, _, err := detect.Prepare(m.Build()).Run(cfg, 1, opts)
 	if err != nil {
@@ -43,7 +42,7 @@ func TestObsReportUnchanged(t *testing.T) {
 	}
 }
 
-// TestObsTraceCoversPipeline runs one sharded+overlapped+GC workload with
+// TestObsTraceCoversPipeline runs one overlapped+GC workload with
 // a tracing recorder and asserts the emitted Chrome trace round-trips
 // through ValidateTrace with at least one event on every pipeline stage
 // track — the same bar `make trace-smoke` holds the CLI to, here without
@@ -55,7 +54,7 @@ func TestObsTraceCoversPipeline(t *testing.T) {
 	}
 	rec := obs.NewTracing()
 	opts := detect.RunOpts{
-		Shards: 2, GCShadow: true, GCEvents: 4096,
+		GCShadow: true, GCEvents: 4096,
 		Obs: rec.Pipeline("freqmine trace"),
 	}.Overlapped()
 	rep, res, err := detect.Prepare(m.Build()).Run(detect.HelgrindPlusLibSpin(7), 1, opts)
@@ -71,7 +70,7 @@ func TestObsTraceCoversPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ValidateTrace: %v", err)
 	}
-	for _, track := range []string{"vm", "pipeline", "demux", "shard 0", "shard 1", "merge", "gc"} {
+	for _, track := range []string{"vm", "pipeline", "merge", "gc"} {
 		if sum.Events[track] == 0 {
 			t.Errorf("trace has no events on track %q (got %v)", track, sum.Events)
 		}
@@ -105,7 +104,7 @@ func TestObsCounterModeNoSpans(t *testing.T) {
 		t.Fatal("no freqmine model")
 	}
 	rec := obs.New()
-	opts := detect.RunOpts{Shards: 2, Obs: rec.Pipeline("counter mode")}
+	opts := detect.RunOpts{Obs: rec.Pipeline("counter mode")}.Overlapped()
 	if _, _, err := detect.Prepare(m.Build()).Run(detect.HelgrindPlusLibSpin(7), 1, opts); err != nil {
 		t.Fatalf("run: %v", err)
 	}

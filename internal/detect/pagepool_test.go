@@ -66,7 +66,7 @@ type pageTracker struct {
 
 func (p *pageTracker) Handle(ev *event.Event) {
 	p.d.Handle(ev)
-	pages := p.d.shards[0].shadow.pages
+	pages := p.d.shadow.pages
 	for pg := range p.known {
 		if !pagePresent(pages, pg) {
 			p.freed++
@@ -109,19 +109,17 @@ type dirtyStats struct {
 }
 
 func (s *dirtyStats) observePages(d *Detector) {
-	for _, sh := range d.shards {
-		for _, pg := range sh.shadow.pages {
-			for i := range pg.words {
-				w := &pg.words[i]
-				if w.atomicEver {
-					s.atomicEver++
-				}
-				if w.suspected {
-					s.suspected++
-				}
-				if w.reported {
-					s.reported++
-				}
+	for _, pg := range d.shadow.pages {
+		for i := range pg.words {
+			w := &pg.words[i]
+			if w.atomicEver {
+				s.atomicEver++
+			}
+			if w.suspected {
+				s.suspected++
+			}
+			if w.reported {
+				s.reported++
 			}
 		}
 	}
@@ -144,7 +142,7 @@ func runDirty(t *testing.T, m parsec.Model, cfg Config, stats *dirtyStats) {
 	before := fmt.Sprintf("%+v", *d.Report())
 	stats.observePages(d)
 	var held []*shadowPage
-	for _, pg := range d.shards[0].shadow.pages {
+	for _, pg := range d.shadow.pages {
 		held = append(held, pg)
 	}
 	d.Close()

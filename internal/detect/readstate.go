@@ -24,8 +24,8 @@ import (
 //     compact set of (tid, tick, event) entries sorted by thread id — the
 //     sparse equivalent of the seed's read clock, with the event positions
 //     folded in (the seed's separate readEvents map is gone). Sets are
-//     recycled through a per-shard pool, so steady-state promotion traffic
-//     allocates nothing either.
+//     recycled through the detector's pool, so steady-state promotion
+//     traffic allocates nothing either.
 //   - demotion: a write ordered after every recorded read retires the whole
 //     read state (the set returns to the pool), restoring the epoch fast
 //     path — licensed only when the configuration's reporting cannot
@@ -79,7 +79,7 @@ type readState struct {
 // so the byte-identical equivalence bar rules it out. Promotion keeps
 // both; demotion (where the configuration licenses it) is what collapses
 // the set back to nothing on the next ordering write.
-func (rs *readState) record(s *shardState, tid event.Tid, c vc.Frozen, idx int64) {
+func (rs *readState) record(d *Detector, tid event.Tid, c *vc.Clock, idx int64) {
 	tick := c.Get(int(tid))
 	if rs.set != nil {
 		rs.set.update(tid, tick, idx)
@@ -87,12 +87,12 @@ func (rs *readState) record(s *shardState, tid event.Tid, c vc.Frozen, idx int64
 	}
 	if !rs.last.IsZero() && rs.last.Tid() != int(tid) {
 		// Second reader thread: promote, keeping both reads.
-		set := s.getReadSet()
+		set := d.getReadSet()
 		set.update(event.Tid(rs.last.Tid()), rs.last.Tick(), rs.lastEv)
 		set.update(tid, tick, idx)
 		rs.set = set
 		rs.last, rs.lastEv = 0, 0
-		s.promotions++
+		d.promotions++
 		return
 	}
 	// First read, or the recorded thread again: the epoch absorbs it.
@@ -103,7 +103,7 @@ func (rs *readState) record(s *shardState, tid event.Tid, c vc.Frozen, idx int64
 // conflict returns the first recorded read, in thread-id order, that is
 // unordered with an access by tid under clock c — mirroring the seed
 // implementation's ascending clock scan — or (-1, -1).
-func (rs *readState) conflict(tid event.Tid, c vc.Frozen) (event.Tid, int64) {
+func (rs *readState) conflict(tid event.Tid, c *vc.Clock) (event.Tid, int64) {
 	if rs.set != nil {
 		for i := range rs.set.e {
 			r := &rs.set.e[i]
@@ -124,7 +124,7 @@ func (rs *readState) conflict(tid event.Tid, c vc.Frozen) (event.Tid, int64) {
 // orderedBefore reports whether every recorded read happens-before an
 // access under clock c — the demotion predicate. A state with no reads is
 // trivially ordered.
-func (rs *readState) orderedBefore(c vc.Frozen) bool {
+func (rs *readState) orderedBefore(c *vc.Clock) bool {
 	if rs.set != nil {
 		for i := range rs.set.e {
 			r := &rs.set.e[i]
@@ -134,18 +134,18 @@ func (rs *readState) orderedBefore(c vc.Frozen) bool {
 		}
 		return true
 	}
-	return rs.last.IsZero() || rs.last.OrderedBeforeFrozen(c)
+	return rs.last.IsZero() || rs.last.OrderedBefore(c)
 }
 
 // empty reports whether any read is recorded at all.
 func (rs *readState) empty() bool { return rs.set == nil && rs.last.IsZero() }
 
-// demote retires the read state, returning a promoted set to the shard's
-// pool.
-func (rs *readState) demote(s *shardState) {
+// demote retires the read state, returning a promoted set to the
+// detector's pool.
+func (rs *readState) demote(d *Detector) {
 	if rs.set != nil {
-		s.putReadSet(rs.set)
-		s.demotions++
+		d.putReadSet(rs.set)
+		d.demotions++
 	}
 	*rs = readState{}
 }
@@ -211,19 +211,19 @@ func (r *readSet) update(tid event.Tid, tick uint64, ev int64) {
 	r.e[i] = readEntry{tid: tid, tick: tick, ev: ev}
 }
 
-// getReadSet takes a recycled read-set from the shard's pool (or allocates
-// the pool's first).
-func (s *shardState) getReadSet() *readSet {
-	if n := len(s.setPool); n > 0 {
-		set := s.setPool[n-1]
-		s.setPool = s.setPool[:n-1]
+// getReadSet takes a recycled read-set from the detector's pool (or
+// allocates the pool's first).
+func (d *Detector) getReadSet() *readSet {
+	if n := len(d.setPool); n > 0 {
+		set := d.setPool[n-1]
+		d.setPool = d.setPool[:n-1]
 		return set
 	}
 	return &readSet{}
 }
 
 // putReadSet returns a demoted set to the pool for reuse.
-func (s *shardState) putReadSet(set *readSet) {
+func (d *Detector) putReadSet(set *readSet) {
 	set.e = set.e[:0]
-	s.setPool = append(s.setPool, set)
+	d.setPool = append(d.setPool, set)
 }

@@ -32,7 +32,7 @@ type refWord struct {
 }
 
 // record notes a read by tid under clock at stream position idx.
-func (r *refReads) record(tid event.Tid, clock vc.Frozen, idx int64) {
+func (r *refReads) record(tid event.Tid, clock *vc.Clock, idx int64) {
 	if r.clock == nil {
 		r.clock = vc.New()
 		r.events = make(map[event.Tid]int64)
@@ -44,7 +44,7 @@ func (r *refReads) record(tid event.Tid, clock vc.Frozen, idx int64) {
 // conflict is the seed conflict scan: the first thread in ascending id
 // order whose recorded read is unordered with an access by tid under
 // clock, or (-1, -1).
-func (r *refReads) conflict(tid event.Tid, clock vc.Frozen) (event.Tid, int64) {
+func (r *refReads) conflict(tid event.Tid, clock *vc.Clock) (event.Tid, int64) {
 	if r.clock == nil {
 		return -1, -1
 	}
@@ -93,7 +93,7 @@ type race struct {
 // streams — 2–6 threads, plain and atomic flavors, clocks from an hb store
 // driven by random release/acquire traffic — and compares the conflict
 // result (thread, event index) of every write, with the write-epoch check
-// and the demotion policy of shardState.access.
+// and the demotion policy of Detector.access.
 //
 // Under DRD, which never demotes, the raw read scans of both flavors must
 // also match on every write. Under lib+spin, which licenses demotion
@@ -120,7 +120,7 @@ func TestReadStateMatchesFullVCReads(t *testing.T) {
 			for i := 1; i < threads; i++ {
 				h.Spawn(0, event.Tid(i))
 			}
-			s := benchShard(cfg)
+			s := benchDetector(cfg)
 			words := make([]diffWord, 3)
 			sets := make(map[*readSet]bool)
 			var idx int64
@@ -140,7 +140,7 @@ func TestReadStateMatchesFullVCReads(t *testing.T) {
 				idx++
 				w := &words[next(len(words))]
 				isWrite, isAtomic := next(3) == 0, next(3) == 0
-				clock := h.Snapshot(tid)
+				clock := h.ClockOf(tid)
 				unordered := w.wSeen && w.wTid != tid && w.wTick > clock.Get(int(w.wTid))
 				unchecked := isAtomic && w.wAtomic
 				got, want := race{-1, -1}, race{-1, -1}

@@ -2,16 +2,15 @@ package detect
 
 // Trace record/replay: run a workload once and capture its event stream
 // as a binary trace (event.TraceWriter), then drive detectors from the
-// recording with no vm in the loop. Replay is how the scaling harness
-// measures pure detection throughput — the same recorded stream pushed
-// through 1/2/4/8 shard workers — and how `racedetect -record/-replay`
-// turn a run into a portable artifact.
+// recording with no vm in the loop. Replay is how the benchmarks measure
+// pure detection throughput (decode and detection, no vm) and how
+// `racedetect -record/-replay` turn a run into a portable artifact.
 //
 // The byte-identity contract: a replayed report equals the live run's
 // report byte for byte (harness.ReportFingerprint), because the recorded
 // stream is exactly what the live detector consumed and interning ids are
 // deterministic for a given program build. The round-trip tests assert
-// this across the accuracy suite, presets, and shard counts.
+// this across the accuracy suite and presets.
 
 import (
 	"io"
@@ -45,13 +44,13 @@ func RecordTrace(w io.Writer, p *ir.Program, cfg Config, seed int64, meta event.
 }
 
 // ReplayTrace feeds a recorded trace through a fresh detector built for
-// cfg and the requested pipeline shape (shards and shadow-GC apply; the
-// vm-side knobs — overlap, interrupt, deadline — have no vm to act on).
-// The program must be the same build that was recorded: its interning
-// table is checked against the trace header before any event is decoded.
-// The instrumentation is the one memoized on p, so repeated replays
-// against one program pay only for decoding and detection. Returns the
-// report and the events replayed.
+// cfg and the requested pipeline shape (shadow GC, observer, obs and
+// failpoints apply; the vm-side knobs — overlap, interrupt, deadline —
+// have no vm to act on). The program must be the same build that was
+// recorded: its interning table is checked against the trace header
+// before any event is decoded. The instrumentation is the one memoized on
+// p, so repeated replays against one program pay only for decoding and
+// detection. Returns the report and the events replayed.
 func ReplayTrace(tr *event.TraceReader, p *ir.Program, cfg Config, opts RunOpts) (*Report, int64, error) {
 	if err := tr.CheckTable(p.Interning()); err != nil {
 		return nil, 0, err

@@ -1,7 +1,6 @@
 // Trace record/replay round-trip: a binary trace recorded from a live
 // run, replayed through a fresh detector, must reproduce the live report
-// byte for byte — across the accuracy suite, presets, and shard counts —
-// and the decoded stream itself must equal the recorded stream field for
+// byte for byte — across the accuracy suite and presets — and the decoded stream itself must equal the recorded stream field for
 // field.
 package detect_test
 
@@ -32,13 +31,10 @@ func recordCase(t *testing.T, p *ir.Program, cfg detect.Config, seed int64) []by
 }
 
 // TestTraceReplayReportRoundTrip sweeps the full accuracy suite under the
-// paper presets: every case is recorded once per tool and replayed at a
-// rotating shard count; the replayed report must equal the live run's
-// fingerprint byte for byte.
+// paper presets: every case is recorded once per tool and replayed; the
+// replayed report must equal the live run's fingerprint byte for byte.
 func TestTraceReplayReportRoundTrip(t *testing.T) {
 	cfgs := detect.PaperTools(7)
-	shardSweep := []int{1, 2, 4}
-	i := 0
 	for _, c := range dataracetest.Suite() {
 		for _, cfg := range cfgs {
 			p := c.Build()
@@ -51,19 +47,17 @@ func TestTraceReplayReportRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("open trace %s under %s: %v", c.Name, cfg.Name, err)
 			}
-			shards := shardSweep[i%len(shardSweep)]
-			i++
-			rep, n, err := detect.ReplayTrace(tr, p, cfg, detect.RunOpts{Shards: shards})
+			rep, n, err := detect.ReplayTrace(tr, p, cfg, detect.RunOpts{})
 			if err != nil {
-				t.Fatalf("replay %s under %s shards=%d: %v", c.Name, cfg.Name, shards, err)
+				t.Fatalf("replay %s under %s: %v", c.Name, cfg.Name, err)
 			}
 			if n != rep.Events {
 				t.Errorf("%s under %s: replayed %d events, report counts %d", c.Name, cfg.Name, n, rep.Events)
 			}
 			want, got := harness.ReportFingerprint(live), harness.ReportFingerprint(rep)
 			if got != want {
-				t.Errorf("%s under %s shards=%d: replayed report differs from live run\n--- live ---\n%s--- replay ---\n%s",
-					c.Name, cfg.Name, shards, want, got)
+				t.Errorf("%s under %s: replayed report differs from live run\n--- live ---\n%s--- replay ---\n%s",
+					c.Name, cfg.Name, want, got)
 			}
 		}
 	}

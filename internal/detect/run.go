@@ -13,12 +13,9 @@ import (
 )
 
 // RunOpts selects the pipeline shape of one detector run. The zero value
-// is the plain synchronous single-threaded pipeline. Every combination
-// produces byte-identical reports; the knobs trade wall-clock time only.
+// is the plain synchronous pipeline. Every combination produces
+// byte-identical reports; the knobs trade wall-clock time only.
 type RunOpts struct {
-	// Shards partitions the detector's shadow state across this many shard
-	// workers (see NewSharded); values below 2 mean single-threaded.
-	Shards int
 	// SegmentEvents > 0 overlaps vm execution with detection through
 	// double-buffered trace segments of this many events
 	// (vm.Options.SegmentEvents); negative uses event.DefaultSegmentEvents.
@@ -36,11 +33,9 @@ type RunOpts struct {
 	GCEvents int64
 
 	// OnWarning, when set, observes every warning of the run exactly once,
-	// in the final report's order — the server's incremental report stream.
-	// With a single shard the callback fires inline as warnings are
-	// appended (stream order); with more shards, warnings surface when the
-	// merged report is assembled, still in the same order. Either way the
-	// observed sequence equals Report.Warnings byte for byte. The callback
+	// inline as the detector appends it — the server's incremental report
+	// stream. The observed sequence equals Report.Warnings byte for byte.
+	// The callback
 	// runs on whichever goroutine drives detection (the vm's execution
 	// goroutine, or the overlap pipeline's consumer), so it may block —
 	// blocking is the server's backpressure — but must not call back into
@@ -61,14 +56,12 @@ type RunOpts struct {
 	// timeout (raced -run-timeout).
 	Deadline time.Time
 	// Fault, when non-nil, arms the pipeline's named failpoints (segment
-	// rotation, demux dispatch, shard apply, merge, GC cycle — see
-	// internal/fault). Nil (the default) keeps every site a nil-check;
+	// rotation, merge, GC cycle — see internal/fault). Nil (the default) keeps every site a nil-check;
 	// this is the chaos suite's injection handle, never set in production
 	// runs unless explicitly configured.
 	Fault *fault.Registry
 	// Obs, when non-nil, records per-stage observability for the run —
-	// vm quanta, segment pipeline stalls, demux batches, shard applies,
-	// GC cycles, merge time — into the pipeline's recorder (internal/obs).
+	// vm quanta, segment pipeline stalls, GC cycles, merge time — into the pipeline's recorder (internal/obs).
 	// Nil (the default) makes every probe a nil-check; reports are
 	// byte-identical either way.
 	Obs *obs.Pipeline
@@ -90,7 +83,7 @@ func (o RunOpts) Overlapped() RunOpts {
 // ReplayTrace share a single analysis. Program and artifacts are immutable
 // at run time — the vm keeps all execution state private and the spin
 // analysis is purely static — so concurrent runs (the experiment engine's
-// jobs, sharded workers) can share one Prepared.
+// jobs, the server's sessions) can share one Prepared.
 type Prepared struct {
 	Prog *ir.Program
 }
@@ -160,17 +153,17 @@ func (pr *Prepared) Run(cfg Config, seed int64, opts RunOpts) (*Report, vm.Resul
 }
 
 // newRunDetector builds the detector for one run of the requested pipeline
-// shape — shards, shadow GC, observability, failpoints, warning observer —
-// and returns it with the sink the event stream feeds: the detector
-// itself, behind opts.Tap when one is set. The caller closes the detector.
+// shape — shadow GC, observability, failpoints, warning observer — and
+// returns it with the sink the event stream feeds: the detector itself,
+// behind opts.Tap when one is set. The caller closes the detector.
 func newRunDetector(cfg Config, ins *spin.Instrumentation, p *ir.Program, opts RunOpts) (*Detector, event.Sink) {
-	d := NewSharded(cfg, ins, p, opts.Shards)
+	d := New(cfg, ins, p)
 	if opts.GCShadow {
 		d.EnableShadowGC(opts.GCEvents)
 	}
 	d.setObs(opts.Obs)
-	d.setFault(opts.Fault)
-	d.setWarningObserver(opts.OnWarning)
+	d.fault = opts.Fault
+	d.onWarning = opts.OnWarning
 	if opts.Tap != nil {
 		return d, event.Multi(opts.Tap, d)
 	}

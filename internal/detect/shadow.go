@@ -4,7 +4,7 @@ import "sync"
 
 // Shadow-memory layout: a two-level page table instead of one flat
 // map[addr]*shadowWord. The IR allocates globals densely in 8-byte cells
-// (ir.Builder.GlobalArray strides by 8 and IndexAddr scales indices by
+// (ir.Builder.GlobalArray steps by 8 and IndexAddr scales indices by
 // 8), so the detector tracks one shadow word per 8-byte cell and groups
 // 512 consecutive words into a page. The hot path then costs one map
 // lookup per page transition (usually zero: the last page is cached)
@@ -22,8 +22,7 @@ const (
 	addrWordShift = 3
 	// pageWordShift sizes a page at 512 words (4 KiB of address space),
 	// big enough that the one-entry page cache absorbs nearly every
-	// lookup. A detector (or shard) that touches any memory holds at
-	// least one page, but pages come from pagePool and go back with only
+	// lookup. A detector that touches any memory holds at least one page, but pages come from pagePool and go back with only
 	// their touched range cleared, so a short run pays for the words it
 	// uses, not for 44 KiB.
 	pageWordShift = 9
@@ -67,8 +66,7 @@ func (s *shadowMem) release() {
 	s.lastPage = nil
 }
 
-// shadowMem is the two-level paged shadow memory of one detector run (or,
-// under sharding, of one shard's slice of the run).
+// shadowMem is the two-level paged shadow memory of one detector run.
 type shadowMem struct {
 	pages map[int64]*shadowPage
 	// One-entry cache: experiment programs are small enough that nearly
@@ -76,31 +74,13 @@ type shadowMem struct {
 	// comparison plus an array index.
 	lastKey  int64
 	lastPage *shadowPage
-	// stride compacts a shard's address space: a shard owning every
-	// stride-th shadow line remaps line L to local line L/stride, so its
-	// owned words pack densely into pages instead of leaving each page
-	// (stride-1)/stride empty. 1 (the single-threaded detector) is the
-	// identity. The remap is injective per shard, which is all
-	// correctness needs; it exists so N shards allocate about as many
-	// pages together as one detector would alone.
-	stride int64
-	// shardIdx is this table's shard index under the stride remap; with
-	// stride it inverts the word remap (addrOf), which the GC needs to
-	// forget lockset variables keyed by original byte address.
-	shardIdx int64
 	// retired preserves the sticky suppression flags of GC-retired words,
 	// per page key; nil until the GC first retires a flagged word. See
 	// gc.go.
 	retired map[int64]*retiredFlags
 }
 
-func newShadowMem() *shadowMem { return newShadowMemStride(1, 0) }
-
-// newShadowMemStride builds the shadow table of the shard with the given
-// index among stride shards (it owns every stride-th shadow line).
-func newShadowMemStride(stride, shardIdx int64) *shadowMem {
-	return &shadowMem{pages: make(map[int64]*shadowPage), stride: stride, shardIdx: shardIdx}
-}
+func newShadowMem() *shadowMem { return &shadowMem{pages: make(map[int64]*shadowPage)} }
 
 // retiredOf returns (allocating on demand) the retired-flag bitmap of the
 // given page key.
@@ -116,25 +96,16 @@ func (s *shadowMem) retiredOf(key int64) *retiredFlags {
 	return rf
 }
 
-// addrOf inverts word: the original byte address of word i of the page
-// with the given key, undoing the stride remap.
-func (s *shadowMem) addrOf(key int64, i int) int64 {
-	wi := key<<pageWordShift | int64(i)
-	if s.stride > 1 {
-		line := wi >> shardLineShift
-		wi = (line*s.stride+s.shardIdx)<<shardLineShift | (wi & shardLineMask)
-	}
-	return wi << addrWordShift
+// addrOf inverts word: the byte address of word i of the page with the
+// given key.
+func addrOf(key int64, i int) int64 {
+	return (key<<pageWordShift | int64(i)) << addrWordShift
 }
 
 // word returns the shadow word for a byte address, allocating its page on
 // first touch.
 func (s *shadowMem) word(addr int64) *shadowWord {
 	wi := addr >> addrWordShift
-	if s.stride > 1 {
-		line := wi >> shardLineShift
-		wi = (line/s.stride)<<shardLineShift | (wi & shardLineMask)
-	}
 	key := wi >> pageWordShift
 	pg := s.lastPage
 	if pg == nil || key != s.lastKey {

@@ -3,43 +3,38 @@ package detect
 import (
 	"testing"
 
-	"adhocrace/internal/core"
 	"adhocrace/internal/event"
-	"adhocrace/internal/hb"
 	"adhocrace/internal/ir"
 	"adhocrace/internal/vc"
 )
 
-// benchShard builds a bare shard state the way a single-threaded detector
-// would, with the ad-hoc engine disabled — the microbenchmarks drive
-// access() directly, below the event plumbing.
-func benchShard(cfg Config) *shardState {
-	c := cfg
-	return newShardState(&c, core.New(hb.New(), nil, nil), 1, 0)
+// benchDetector builds a detector with the ad-hoc engine disabled — the
+// microbenchmarks drive access() directly, below the event plumbing, with
+// clocks of their own.
+func benchDetector(cfg Config) *Detector { return New(cfg, nil, nil) }
+
+func readEvent(tid event.Tid, addr int64) event.Event {
+	return event.Event{Kind: event.KindRead, Tid: tid, Addr: addr, Loc: ir.LocID(tid)}
 }
 
-func readEntryFor(tid event.Tid, addr int64, clock *vc.Clock, idx int64) entry {
-	return entry{kind: event.KindRead, tid: tid, addr: addr,
-		loc: ir.LocID(tid), idx: idx, clock: clock.Freeze()}
-}
-
-func writeEntryFor(tid event.Tid, addr int64, clock *vc.Clock, idx int64) entry {
-	e := readEntryFor(tid, addr, clock, idx)
-	e.kind = event.KindWrite
+func writeEvent(tid event.Tid, addr int64) event.Event {
+	e := readEvent(tid, addr)
+	e.Kind = event.KindWrite
 	return e
 }
 
 // TestShadowAccessSameEpochZeroAlloc pins the acceptance bar: the
 // same-epoch read path — one thread re-reading a word — must not allocate.
 func TestShadowAccessSameEpochZeroAlloc(t *testing.T) {
-	s := benchShard(HelgrindPlusLib())
+	s := benchDetector(HelgrindPlusLib())
 	clock := vc.New()
 	clock.Tick(1)
-	e := readEntryFor(1, 64, clock, 1)
-	s.access(&e) // warm up: page + lockset var materialize once
+	e := readEvent(1, 64)
+	idx := int64(1)
+	s.access(&e, idx, clock) // warm up: page + lockset var materialize once
 	allocs := testing.AllocsPerRun(200, func() {
-		e.idx++
-		s.access(&e)
+		idx++
+		s.access(&e, idx, clock)
 	})
 	if allocs != 0 {
 		t.Errorf("same-epoch access path allocates %.1f per op, want 0", allocs)
@@ -48,22 +43,21 @@ func TestShadowAccessSameEpochZeroAlloc(t *testing.T) {
 
 // TestReadStateAdaptive walks one word through the representation's
 // lifecycle: epoch → promoted read-set (second reader) → demoted back by
-// an ordering write, with the set recycled through the shard pool.
+// an ordering write, with the set recycled through the detector's pool.
 func TestReadStateAdaptive(t *testing.T) {
-	s := benchShard(HelgrindPlusLib())
+	s := benchDetector(HelgrindPlusLib())
 	c1, c2 := vc.New(), vc.New()
 	c1.Set(1, 5)
 	c2.Set(2, 9)
 
-	r1 := readEntryFor(1, 0, c1, 1)
-	s.access(&r1)
+	r1, r2 := readEvent(1, 0), readEvent(2, 0)
+	s.access(&r1, 1, c1)
 	w := s.shadow.word(0)
 	if w.reads.set != nil || w.reads.last.Tid() != 1 {
 		t.Fatalf("single reader must stay in epoch mode: %+v", w.reads)
 	}
 
-	r2 := readEntryFor(2, 0, c2, 2)
-	s.access(&r2)
+	s.access(&r2, 2, c2)
 	if w.reads.set == nil || len(w.reads.set.e) != 2 {
 		t.Fatalf("second reader must promote to a 2-entry set: %+v", w.reads)
 	}
@@ -80,8 +74,8 @@ func TestReadStateAdaptive(t *testing.T) {
 	cw.Set(1, 6)
 	cw.Set(2, 10)
 	cw.Set(3, 1)
-	wr := writeEntryFor(3, 0, cw, 3)
-	s.access(&wr)
+	wr := writeEvent(3, 0)
+	s.access(&wr, 3, cw)
 	if !w.reads.empty() {
 		t.Fatalf("ordering write must demote the read-set: %+v", w.reads)
 	}
@@ -94,10 +88,8 @@ func TestReadStateAdaptive(t *testing.T) {
 
 	// The next promotion must reuse the pooled set, not allocate a new one.
 	pooled := s.setPool[0]
-	r3 := readEntryFor(1, 0, c1, 4)
-	r4 := readEntryFor(2, 0, c2, 5)
-	s.access(&r3)
-	s.access(&r4)
+	s.access(&r1, 4, c1)
+	s.access(&r2, 5, c2)
 	if w.reads.set != pooled {
 		t.Error("promotion must reuse the pooled read-set")
 	}
@@ -106,21 +98,20 @@ func TestReadStateAdaptive(t *testing.T) {
 // TestDemotionGating: a configuration whose reporting can observe retired
 // reads (DRD: per-site dedup, bounded history) must never demote.
 func TestDemotionGating(t *testing.T) {
-	s := benchShard(DRD())
+	s := benchDetector(DRD())
 	c1, c2 := vc.New(), vc.New()
 	c1.Set(1, 5)
 	c2.Set(2, 9)
-	r1 := readEntryFor(1, 0, c1, 1)
-	r2 := readEntryFor(2, 0, c2, 2)
-	s.access(&r1)
-	s.access(&r2)
+	r1, r2 := readEvent(1, 0), readEvent(2, 0)
+	s.access(&r1, 1, c1)
+	s.access(&r2, 2, c2)
 
 	cw := vc.New()
 	cw.Set(1, 6)
 	cw.Set(2, 10)
 	cw.Set(3, 1)
-	wr := writeEntryFor(3, 0, cw, 3)
-	s.access(&wr)
+	wr := writeEvent(3, 0)
+	s.access(&wr, 3, cw)
 	w := s.shadow.word(0)
 	if w.reads.set == nil || len(w.reads.set.e) != 2 {
 		t.Fatalf("DRD must keep the read-set across ordering writes: %+v", w.reads)
@@ -133,44 +124,41 @@ func TestDemotionGating(t *testing.T) {
 // BenchmarkShadowAccess measures the per-access shadow path in its three
 // representation regimes. Run with -benchmem: same-epoch must be 0
 // allocs/op; promoted and demoted are 0 allocs/op at steady state because
-// read-sets recycle through the shard pool.
+// read-sets recycle through the detector's pool.
 func BenchmarkShadowAccess(b *testing.B) {
 	b.Run("same-epoch", func(b *testing.B) {
-		s := benchShard(HelgrindPlusLib())
+		s := benchDetector(HelgrindPlusLib())
 		clock := vc.New()
 		clock.Tick(1)
-		e := readEntryFor(1, 64, clock, 0)
+		e := readEvent(1, 64)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.idx = int64(i)
-			s.access(&e)
+			s.access(&e, int64(i), clock)
 		}
 	})
 	b.Run("promoted", func(b *testing.B) {
 		// Two reader threads alternating on one word: the set persists, so
 		// every access is a sorted in-set update.
-		s := benchShard(HelgrindPlusLib())
+		s := benchDetector(HelgrindPlusLib())
 		c1, c2 := vc.New(), vc.New()
 		c1.Set(1, 5)
 		c2.Set(2, 9)
-		e1 := readEntryFor(1, 64, c1, 0)
-		e2 := readEntryFor(2, 64, c2, 0)
+		e1, e2 := readEvent(1, 64), readEvent(2, 64)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e := &e1
 			if i&1 == 1 {
-				e = &e2
+				s.access(&e2, int64(i), c2)
+			} else {
+				s.access(&e1, int64(i), c1)
 			}
-			e.idx = int64(i)
-			s.access(e)
 		}
 	})
 	b.Run("demoted", func(b *testing.B) {
 		// Promote–demote cycle: two concurrent reads build a set, an
 		// ordering write retires it to the pool; the next cycle reuses it.
-		s := benchShard(HelgrindPlusLib())
+		s := benchDetector(HelgrindPlusLib())
 		c1, c2 := vc.New(), vc.New()
 		c1.Set(1, 5)
 		c2.Set(2, 9)
@@ -178,17 +166,14 @@ func BenchmarkShadowAccess(b *testing.B) {
 		cw.Set(1, 6)
 		cw.Set(2, 10)
 		cw.Set(3, 1)
-		r1 := readEntryFor(1, 64, c1, 0)
-		r2 := readEntryFor(2, 64, c2, 0)
-		wr := writeEntryFor(3, 64, cw, 0)
+		r1, r2, wr := readEvent(1, 64), readEvent(2, 64), writeEvent(3, 64)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			idx := int64(3 * i)
-			r1.idx, r2.idx, wr.idx = idx, idx+1, idx+2
-			s.access(&r1)
-			s.access(&r2)
-			s.access(&wr)
+			s.access(&r1, idx, c1)
+			s.access(&r2, idx+1, c2)
+			s.access(&wr, idx+2, cw)
 		}
 	})
 }

@@ -6,9 +6,8 @@ package event
 // event stream plus the interning tables that give its Sym/Loc ids
 // meaning — so replaying one through a fresh detector reproduces the
 // original report byte for byte without running the vm at all. That is
-// what the scaling harness measures (events/sec through 1/2/4/8 shard
-// workers on an identical stream) and what `racedetect -record/-replay`
-// expose on the command line.
+// what the replay benchmarks measure (decode and detection, no vm) and
+// what `racedetect -record/-replay` expose on the command line.
 //
 // Layout (all integers varint-encoded, signed fields zigzag):
 //

@@ -1,8 +1,7 @@
 // Package event defines the runtime event stream produced by the vm and
 // consumed by race detectors, and the stream plumbing built on it: sink
-// composition (Multi), recording and replay (Trace), and the batching
-// demultiplexer (Demux) that fans one serial stream out to per-shard
-// workers for the sharded detector.
+// composition (Multi), recording and replay (Trace, TraceWriter), and the
+// double-buffered segments (Segmented) that overlap the vm with detection.
 //
 // The stream is the moral equivalent of what Valgrind hands Helgrind+: a
 // totally ordered sequence of memory accesses, thread lifecycle operations,
@@ -88,8 +87,8 @@ func (k Kind) IsAtomic() bool { return k == KindAtomicRead || k == KindAtomicWri
 //
 // The struct is deliberately pointer-free: Sym and Loc are interned ids
 // resolved against the program's ir.Interning table (strings are
-// materialized only when a warning is formatted), so segment buffers and
-// shard queues are GC-scan-free slabs and an Event copy is a plain 56-byte
+// materialized only when a warning is formatted), so segment buffers are
+// GC-scan-free slabs and an Event copy is a plain 56-byte
 // move with no write barriers. Field order packs the struct; keep the
 // int64s first when adding fields.
 type Event struct {

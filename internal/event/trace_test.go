@@ -31,7 +31,7 @@ func TestTraceEmptyReplay(t *testing.T) {
 // TestTraceReplayAfterPartialRead: consuming a prefix of the recorded
 // stream by hand does not disturb Replay — a later Replay re-delivers the
 // full stream from the start, so one recording can feed any number of
-// detectors (the sharded-detector benchmarks rely on this).
+// detectors (the detector benchmarks rely on this).
 func TestTraceReplayAfterPartialRead(t *testing.T) {
 	tr := &Trace{}
 	for i := 0; i < 10; i++ {

@@ -34,11 +34,6 @@ const (
 	// SegmentRotate fires when the overlap pipeline hands a segment to the
 	// consumer (event.Segmented.rotate). Requires an overlapped run.
 	SegmentRotate = "segment.rotate"
-	// DemuxDispatch fires when the demux hands a batch to a shard worker
-	// (event.Demux.dispatch). Requires shards >= 2 and a batch-sized stream.
-	DemuxDispatch = "demux.dispatch"
-	// ShardApply fires at the start of each demuxed batch on a shard worker.
-	ShardApply = "shard.apply"
 	// DetectMerge fires when the run's report is assembled (Detector.Report).
 	DetectMerge = "detect.merge"
 	// GCCycle fires at the start of each quiescence GC cycle.
@@ -66,7 +61,7 @@ const (
 // the list the chaos conformance suite iterates to prove each one fires.
 func Names() []string {
 	return []string{
-		SegmentRotate, DemuxDispatch, ShardApply, DetectMerge, GCCycle,
+		SegmentRotate, DetectMerge, GCCycle,
 		CacheBuild, ServeAccept, ServeFrameRead, ServeFrameWrite,
 		ServeOutboxSend, ServeTeardown,
 	}

@@ -62,11 +62,11 @@ func TestFireModes(t *testing.T) {
 	}()
 
 	r = New()
-	r.Arm(ShardApply, ModeSleep, 0, 2)
-	if err := r.Fire(ShardApply); err != nil {
+	r.Arm(SegmentRotate, ModeSleep, 0, 2)
+	if err := r.Fire(SegmentRotate); err != nil {
 		t.Fatalf("sleep mode returned %v, want nil", err)
 	}
-	if r.FiredCount(ShardApply) != 1 {
+	if r.FiredCount(SegmentRotate) != 1 {
 		t.Fatalf("sleep fire not counted")
 	}
 }

@@ -10,9 +10,8 @@ import (
 
 // TestSynthCorpusDeterminism: the corpus rows are byte-identical on the
 // one-worker engine and a parallel engine — the same guarantee the paper
-// tables carry. Sharded and overlapped detection of synth programs is
-// covered where those knobs live (TestShardDeterminismSynth in
-// internal/detect).
+// tables carry. Overlapped detection of synth programs is covered where
+// that knob lives (TestPipelineDeterminismSynth in internal/detect).
 func TestSynthCorpusDeterminism(t *testing.T) {
 	const n = 20
 	baseRows, _, err := seq().SynthCorpus(n, 1)

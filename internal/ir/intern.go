@@ -4,7 +4,7 @@ package ir
 //
 // The event hot path used to carry a `Sym string` and a by-value Loc
 // (which holds a File string) on every runtime event, so every segment
-// buffer and shard queue was full of pointers the GC had to scan and the
+// buffer was full of pointers the GC had to scan and the
 // copies had to write-barrier. Interning replaces both with dense uint32
 // ids resolved once at compile/decode time; the strings are materialized
 // only at warning-formatting time (warnings are rare) and in the trace

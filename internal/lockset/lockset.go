@@ -125,9 +125,7 @@ type Var struct {
 }
 
 // heldState is one thread's held-lock bookkeeping: the live lock list and
-// its memoized immutable snapshot, invalidated by lock operations — the
-// same interning scheme as the clock layer (a mutable core whose frozen
-// view is rebuilt at most once per mutation, vc.Clock.Freeze).
+// its memoized Set, rebuilt at most once per lock operation.
 type heldState struct {
 	locks []int64
 	snap  Set
@@ -139,17 +137,10 @@ type heldState struct {
 }
 
 // Tracker maintains held locks per thread and Eraser state per variable.
-//
-// The two halves have different owners under detector sharding: held-lock
-// state changes only at lock operations and lives with the event
-// coordinator, while per-variable state is touched on every access and
-// lives with the shadow shard that owns the address (AccessWith carries
-// the held set across). A single-threaded detector uses one Tracker for
-// both, which is the degenerate case of the same split. Held state is a
-// dense slice indexed by thread id (thread ids are the vm's small dense
-// range), so the per-access HeldSnapshot is an index and a flag check —
-// no map traffic on the hot path. The vars map is allocated lazily: the
-// shard-side half of a DRD run never touches it.
+// Held state is a dense slice indexed by thread id (thread ids are the
+// vm's small dense range), so the per-access held-set lookup is an index
+// and a flag check — no map traffic on the hot path. The vars map is
+// allocated lazily: a DRD run never touches it.
 type Tracker struct {
 	held []heldState
 	vars map[int64]*Var
@@ -210,10 +201,9 @@ func (tr *Tracker) HeldCount(t event.Tid) int {
 	return len(tr.held[t].locks)
 }
 
-// HeldSnapshot returns Held(t) memoized until the next lock operation by
-// t. The returned Set is immutable, so it can be read by a shard worker
-// while the tracker keeps tracking other threads' lock operations.
-func (tr *Tracker) HeldSnapshot(t event.Tid) Set {
+// heldSet returns Held(t) memoized until the next lock operation by t, so
+// the per-access lookup allocates nothing between lock operations.
+func (tr *Tracker) heldSet(t event.Tid) Set {
 	hs := tr.heldOf(t)
 	if !hs.snapValid {
 		hs.snap = FromSlice(hs.locks)
@@ -222,19 +212,12 @@ func (tr *Tracker) HeldSnapshot(t event.Tid) Set {
 	return hs.snap
 }
 
-// Access runs the Eraser state machine for an access by t and reports
-// whether the variable has reached SharedModified with an empty candidate
-// set (a lockset warning). The candidate set after the access is also
-// returned for diagnostics.
+// Access runs the Eraser state machine for an access by t, against the
+// locks t holds now, and reports whether the variable has reached
+// SharedModified with an empty candidate set (a lockset warning). The
+// candidate set after the access is also returned for diagnostics.
 func (tr *Tracker) Access(t event.Tid, addr int64, isWrite bool) (warn bool, cands Set) {
-	return tr.AccessWith(t, addr, isWrite, tr.HeldSnapshot(t))
-}
-
-// AccessWith is Access with the accessing thread's held-lock set supplied
-// by the caller. The sharded detector's coordinator stamps each access
-// with HeldSnapshot of its thread; the shard owning the address then runs
-// the state machine without touching held-lock state at all.
-func (tr *Tracker) AccessWith(t event.Tid, addr int64, isWrite bool, held Set) (warn bool, cands Set) {
+	held := tr.heldSet(t)
 	v := tr.vars[addr]
 	if v == nil {
 		if tr.vars == nil {
@@ -271,35 +254,24 @@ func (tr *Tracker) AccessWith(t event.Tid, addr int64, isWrite bool, held Set) (
 func (tr *Tracker) VarState(addr int64) *Var { return tr.vars[addr] }
 
 // ForgetVar drops the per-variable state of addr, if any. The shadow-state
-// GC calls it for retired addresses of tools that discard AccessWith's
+// GC calls it for retired addresses of tools that discard Access's
 // verdict (the hybrid configurations track locksets for classification
 // only, so restarting a variable's state machine from Virgin is
 // unobservable); Eraser, whose variable state is the report, never forgets.
 func (tr *Tracker) ForgetVar(addr int64) { delete(tr.vars, addr) }
 
-// Bytes approximates the tracker's footprint for the memory figure.
-func (tr *Tracker) Bytes() int64 { return tr.HeldBytes() + tr.VarBytes() }
-
-// HeldBytes is the held-lock half of Bytes, charged under the seed model:
-// one 32-byte entry per thread that ever locked, plus its live lock list.
-// The memoized held sets are derived data and deliberately uncounted, so
-// the figure stays comparable with the unmemoized implementation.
-func (tr *Tracker) HeldBytes() int64 {
+// Bytes approximates the tracker's footprint for the memory figure, under
+// the seed model: one 32-byte entry per thread that ever locked, plus its
+// live lock list, and one 48-byte entry per variable plus its candidate
+// set. The memoized held sets are derived data and deliberately uncounted,
+// so the figure stays comparable with the unmemoized implementation.
+func (tr *Tracker) Bytes() int64 {
 	var n int64
 	for i := range tr.held {
 		if tr.held[i].ever {
 			n += int64(len(tr.held[i].locks))*8 + 32
 		}
 	}
-	return n
-}
-
-// VarBytes is the per-variable half of Bytes. Under sharding the variable
-// state is spread over per-shard trackers; summing their VarBytes with the
-// coordinator's HeldBytes reproduces the single-tracker figure exactly,
-// because every variable lives in exactly one shard.
-func (tr *Tracker) VarBytes() int64 {
-	var n int64
 	for _, v := range tr.vars {
 		n += int64(len(v.Candidates.locks))*8 + 48
 	}

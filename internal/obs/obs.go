@@ -1,8 +1,7 @@
 // Package obs is the pipeline observability layer: atomic counters,
 // log2-bucketed duration/value histograms, and span recording, threaded
 // through every stage of the detection pipeline (vm quantum execution,
-// segment rotation, demux fan-out, shard apply, merge, GC, clock-store
-// inflation, server sessions).
+// segment rotation, merge, GC, clock-store inflation, server sessions).
 //
 // The contract is that observation is provably free when disabled: every
 // hook is a method on a possibly-nil *Pipeline handle and compiles to a
@@ -16,7 +15,7 @@
 //
 //   - counters + histograms (New): lock-free atomic adds into fixed
 //     arrays, cheap enough for an always-on server. Timed stages cost two
-//     monotonic clock reads at stage granularity (a segment, a batch, a
+//     monotonic clock reads at stage granularity (a segment, a report, a
 //     GC cycle — never per event).
 //   - spans (NewTracing): additionally records one timed span per stage
 //     instance, including per-quantum vm spans, into a bounded in-memory
@@ -74,23 +73,15 @@ const (
 	// HistSegApplyNs times the consumer driving one segment through the
 	// detector.
 	HistSegApplyNs
-	// HistFlushWaitNs times coordinator waits for a shard's queued work
-	// (event.Demux.FlushShard on its slow path).
-	HistFlushWaitNs
-	// HistShardApplyNs times one demuxed batch through a shard worker.
-	HistShardApplyNs
-	// HistMergeNs times report assembly (warning merge + counter roll-up).
+	// HistMergeNs times report assembly (the counter roll-up).
 	HistMergeNs
-	// HistGCNs times one quiescence GC cycle's coordinator work.
+	// HistGCNs times one quiescence GC cycle.
 	HistGCNs
 	// HistOutboxStallNs times server session sends that blocked on a full
 	// outbox — the write-stall half of the server's backpressure chain.
 	HistOutboxStallNs
 	// HistSegEvents buckets events per dispatched segment.
 	HistSegEvents
-	// HistBatchEntries buckets entries per demuxed shard batch (the queue
-	// depth each dispatch observed).
-	HistBatchEntries
 	// HistOutboxDepth buckets outbox occupancy sampled at every session
 	// send.
 	HistOutboxDepth
@@ -99,9 +90,8 @@ const (
 )
 
 var histNames = [numHists]string{
-	"quantum_ns", "stall_ns", "seg_apply_ns", "flush_wait_ns",
-	"shard_apply_ns", "merge_ns", "gc_ns", "outbox_stall_ns",
-	"seg_events", "batch_entries", "outbox_depth",
+	"quantum_ns", "stall_ns", "seg_apply_ns", "merge_ns", "gc_ns",
+	"outbox_stall_ns", "seg_events", "outbox_depth",
 }
 
 // histBuckets is the bucket count: bucket i holds values v with
@@ -130,7 +120,7 @@ func (h *histogram) observe(v int64) {
 }
 
 // Track identifies a span's timeline row (Chrome trace "thread") within a
-// Pipeline's process group. Shard rows are open-ended: TrackShard(i).
+// Pipeline's process group.
 type Track int32
 
 // Tracks.
@@ -140,9 +130,6 @@ const (
 	// TrackPipeline is the segment pipeline row: producer stalls and the
 	// consumer's per-segment detector batches.
 	TrackPipeline
-	// TrackDemux is the coordinator's fan-out row: batch dispatch instants
-	// and flush waits.
-	TrackDemux
 	// TrackHB is the clock store's row (inflation instants).
 	TrackHB
 	// TrackMerge is report assembly.
@@ -151,33 +138,12 @@ const (
 	TrackGC
 	// TrackSession is the server session lifecycle row.
 	TrackSession
-	// trackShard0 starts the per-shard rows; must stay last.
-	trackShard0
+
+	numTracks
 )
 
-// TrackShard returns the span row of shard worker i.
-func TrackShard(i int) Track { return trackShard0 + Track(i) }
-
-// trackName names a track for trace export and validation.
-func trackName(tr Track) string {
-	switch tr {
-	case TrackVM:
-		return "vm"
-	case TrackPipeline:
-		return "pipeline"
-	case TrackDemux:
-		return "demux"
-	case TrackHB:
-		return "hb"
-	case TrackMerge:
-		return "merge"
-	case TrackGC:
-		return "gc"
-	case TrackSession:
-		return "session"
-	}
-	return fmt.Sprintf("shard %d", int(tr-trackShard0))
-}
+// trackNames name the tracks for trace export and validation.
+var trackNames = [numTracks]string{"vm", "pipeline", "hb", "merge", "gc", "session"}
 
 // Time is a monotonic timestamp in nanoseconds since the Recorder
 // started; the zero Time means "not recording" and is what every probe

@@ -47,12 +47,12 @@ func TestQuantileUpperBound(t *testing.T) {
 	r := New()
 	p := r.Pipeline("t")
 	for i := int64(1); i <= 100; i++ {
-		p.Observe(HistBatchEntries, i)
+		p.Observe(HistSegEvents, i)
 	}
 	snap := r.Snapshot()
 	var h HistSnap
 	for _, hs := range snap.Hists {
-		if hs.Name == "batch_entries" {
+		if hs.Name == "seg_events" {
 			h = hs
 		}
 	}
@@ -109,7 +109,7 @@ func TestCounterModeHooksDoNotAllocate(t *testing.T) {
 		start := p.Start()
 		p.Stage(TrackPipeline, HistSegApplyNs, start, 64)
 		p.Add(CtrVMSteps, 100)
-		p.Observe(HistBatchEntries, 32)
+		p.Observe(HistSegEvents, 32)
 		// Trace-only probes must stay free in counter mode.
 		s2 := p.BeginSpan()
 		p.EndSpan(TrackVM, HistQuantumNs, s2, 0)
@@ -177,9 +177,9 @@ func TestTraceRoundTrip(t *testing.T) {
 	p.EndSpan(TrackVM, HistQuantumNs, q, 0)
 	p.Instant(TrackHB, "inflate", 1)
 	p.SpanNamed(TrackSession, "run 0", start, 0)
-	sh := r.Pipeline("shards")
-	st := sh.Start()
-	sh.Stage(TrackShard(1), HistShardApplyNs, st, 8)
+	gc := r.Pipeline("gc")
+	st := gc.Start()
+	gc.Stage(TrackGC, HistGCNs, st, 8)
 
 	var buf bytes.Buffer
 	if err := r.WriteTrace(&buf); err != nil {
@@ -189,7 +189,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("trace did not validate: %v", err)
 	}
-	for _, track := range []string{"pipeline", "vm", "hb", "session", "shard 1"} {
+	for _, track := range []string{"pipeline", "vm", "hb", "session", "gc"} {
 		if sum.Events[track] == 0 {
 			t.Errorf("track %q has no events: %+v", track, sum.Events)
 		}
@@ -240,12 +240,9 @@ func TestSpanBufferCap(t *testing.T) {
 }
 
 func TestTrackNames(t *testing.T) {
-	if trackName(TrackShard(3)) != "shard 3" {
-		t.Fatalf("shard track name = %q", trackName(TrackShard(3)))
-	}
 	seen := map[string]bool{}
-	for tr := TrackVM; tr < trackShard0; tr++ {
-		n := trackName(tr)
+	for tr := TrackVM; tr < numTracks; tr++ {
+		n := trackNames[tr]
 		if n == "" || seen[n] {
 			t.Fatalf("track %d name %q empty or duplicate", tr, n)
 		}

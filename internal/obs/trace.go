@@ -73,13 +73,13 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 		for _, k := range keys {
 			events = append(events, traceEvent{
 				Name: "thread_name", Phase: "M", Pid: k.pid, Tid: int32(k.tr),
-				Args: map[string]any{"name": trackName(k.tr)},
+				Args: map[string]any{"name": trackNames[k.tr]},
 			})
 		}
 		for _, s := range spans {
 			name := s.name
 			if name == "" {
-				name = trackName(s.track)
+				name = trackNames[s.track]
 			}
 			ev := traceEvent{
 				Name: name, Pid: s.pid, Tid: int32(s.track),

@@ -10,9 +10,8 @@ import (
 // workers, each with its own FIFO job queue. Where ForEach runs a batch of
 // independent jobs on any free worker, Pool gives the caller *placement*:
 // jobs submitted to the same worker run serially, in submission order, while
-// different workers run concurrently. That per-worker FIFO guarantee is what
-// the sharded detector builds on — all events of one shadow shard go to one
-// worker, so per-address processing order equals stream order.
+// different workers run concurrently. The server places its independent
+// detection sessions with SubmitBalanced.
 type Pool struct {
 	queues []chan func()
 	wg     sync.WaitGroup
@@ -104,9 +103,8 @@ func (p *Pool) SubmitBalanced(job func()) int {
 	return best
 }
 
-// Check re-raises the first panic recovered from a job, if any. Callers
-// that wait for submitted work (the demux flush) call it so a crashing job
-// surfaces on the submitting goroutine instead of vanishing.
+// Check re-raises the first panic recovered from a job, if any, so a
+// crashing job surfaces on the submitting goroutine instead of vanishing.
 func (p *Pool) Check() {
 	p.mu.Lock()
 	r, ok := p.panicked, p.hasPanic

@@ -7,8 +7,7 @@ import (
 )
 
 // TestPoolPerWorkerFIFO submits interleaved jobs to several workers and
-// checks that each worker's jobs ran serially in submission order — the
-// guarantee detector sharding builds on.
+// checks that each worker's jobs ran serially in submission order.
 func TestPoolPerWorkerFIFO(t *testing.T) {
 	const workers, jobs = 4, 200
 	p := NewPool(workers)

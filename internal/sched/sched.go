@@ -17,9 +17,8 @@
 // compare it with a parallel engine.
 //
 // Pool is the second, finer-grained primitive: long-lived workers whose
-// individual queues preserve submission order. The sharded detector pins
-// each shadow shard to one Pool worker to keep per-address event
-// processing in stream order; see event.Demux and internal/detect.
+// individual queues preserve submission order. The server runs its
+// detection sessions on one.
 package sched
 
 import (

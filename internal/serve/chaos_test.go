@@ -36,7 +36,7 @@ func chaosCompare(t *testing.T, req serve.SessionRequest, out *client.Outcome) {
 		t.Errorf("unknown workload %q", req.Workload)
 		return
 	}
-	opts := detect.RunOpts{Shards: req.Shards, SegmentEvents: req.SegmentEvents}
+	opts := detect.RunOpts{SegmentEvents: req.SegmentEvents}
 	if req.Overlap {
 		opts = opts.Overlapped()
 	}
@@ -78,12 +78,9 @@ func TestChaosEachFailpoint(t *testing.T) {
 		// raced_session_failures.
 		wantPanicCounted bool
 	}
-	shards2 := func(r *serve.SessionRequest) { r.Shards = 2 }
 	trials := []trial{
 		{site: fault.SegmentRotate, mode: fault.ModeError, wantErr: true, wantCode: serve.CodeInternal, wantPanicCounted: true,
 			prep: func(r *serve.SessionRequest) { r.SegmentEvents = 64 }},
-		{site: fault.DemuxDispatch, mode: fault.ModeError, wantErr: true, wantCode: serve.CodeInternal, wantPanicCounted: true, prep: shards2},
-		{site: fault.ShardApply, mode: fault.ModeError, wantErr: true, wantCode: serve.CodeInternal, wantPanicCounted: true, prep: shards2},
 		{site: fault.DetectMerge, mode: fault.ModeError, wantErr: true, wantCode: serve.CodeInternal, wantPanicCounted: true},
 		{site: fault.DetectMerge, mode: fault.ModePanic, wantErr: true, wantCode: serve.CodeInternal, wantPanicCounted: true},
 		{site: fault.GCCycle, mode: fault.ModeError, wantErr: true, wantCode: serve.CodeInternal, wantPanicCounted: true,
@@ -188,8 +185,7 @@ func TestChaosConformanceSweep(t *testing.T) {
 	for _, name := range []string{fault.DetectMerge, fault.ServeAccept, fault.ServeFrameRead, fault.ServeTeardown} {
 		reg.ArmSeeded(name, fault.ModeError, 6, 42)
 	}
-	for _, name := range []string{fault.SegmentRotate, fault.DemuxDispatch, fault.ShardApply,
-		fault.ServeFrameWrite, fault.ServeOutboxSend} {
+	for _, name := range []string{fault.SegmentRotate, fault.ServeFrameWrite, fault.ServeOutboxSend} {
 		reg.ArmSeeded(name, fault.ModeError, streamRate, 42)
 	}
 	reg.ArmSeeded(fault.GCCycle, fault.ModeError, gcRate, 42)
@@ -212,12 +208,12 @@ func TestChaosConformanceSweep(t *testing.T) {
 		jobs = append(jobs, req)
 		i++
 	}
-	// Big streams with every pipeline feature on: segment rotation, batch
-	// dispatch, shard applies, and GC cycles all evaluate here.
+	// Big streams with every pipeline feature on: segment rotation and GC
+	// cycles both evaluate here.
 	for s := 1; s <= synths; s++ {
 		jobs = append(jobs, serve.SessionRequest{
 			Workload: fmt.Sprintf("synth:%d", s), Tool: "spin", Seed: 1, Repeat: 2,
-			Shards: 4, SegmentEvents: 64, GCEvents: 64,
+			SegmentEvents: 64, GCEvents: 64,
 		})
 	}
 

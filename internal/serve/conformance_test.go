@@ -2,8 +2,8 @@
 // byte-identical to a direct Prepared.Run of the same (workload, tool,
 // seed, pipeline shape). The suite replays the full 120-case accuracy
 // suite under the six tool presets and a synthesis corpus under the two
-// presets with the richest read-side semantics, sweeping the shards ×
-// overlap grid, all through one shared server — the cnosdb-style
+// presets with the richest read-side semantics, sweeping the overlap
+// shapes, all through one shared server — the cnosdb-style
 // work-claiming runner keeps a fleet of client goroutines saturated.
 package serve_test
 
@@ -32,11 +32,8 @@ type pipeShape struct {
 func pipeShapes() []pipeShape {
 	return []pipeShape{
 		{"plain", detect.RunOpts{}, func(r *serve.SessionRequest) {}},
-		{"shards2", detect.RunOpts{Shards: 2}, func(r *serve.SessionRequest) { r.Shards = 2 }},
-		{"shards4", detect.RunOpts{Shards: 4}, func(r *serve.SessionRequest) { r.Shards = 4 }},
 		{"overlap", detect.RunOpts{}.Overlapped(), func(r *serve.SessionRequest) { r.Overlap = true }},
-		{"shards2+seg64", detect.RunOpts{Shards: 2, SegmentEvents: 64},
-			func(r *serve.SessionRequest) { r.Shards = 2; r.SegmentEvents = 64 }},
+		{"seg64", detect.RunOpts{SegmentEvents: 64}, func(r *serve.SessionRequest) { r.SegmentEvents = 64 }},
 	}
 }
 
@@ -136,7 +133,7 @@ var confTools = []string{"lib", "spin", "nolib", "nolib+locks", "drd", "eraser"}
 
 // TestServerConformanceSuite replays the accuracy suite through the
 // server: every case under every preset (one rotating preset per case
-// under -short), rotating the shards × overlap sweep per (case, tool).
+// under -short), rotating the overlap sweep per (case, tool).
 func TestServerConformanceSuite(t *testing.T) {
 	shapes := pipeShapes()
 	var jobs []confJob

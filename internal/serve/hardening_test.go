@@ -152,6 +152,12 @@ func TestGarbageFrameIsolation(t *testing.T) {
 		// adaptive-segments knob: the lenient decoder ignores the field.
 		{"retired adaptive_segments field", frame(byte(serve.FrameRequest),
 			[]byte(`{"workload":"synth:5","tool":"spin","overlap":true,"adaptive_segments":true}`)), accepted},
+		// The retired shards knob, in and beyond its old 0..256 range: the
+		// lenient decoder ignores it like adaptive_segments.
+		{"retired shards field", frame(byte(serve.FrameRequest),
+			[]byte(`{"workload":"synth:5","tool":"spin","shards":2}`)), accepted},
+		{"retired shards field out of its old range", frame(byte(serve.FrameRequest),
+			[]byte(`{"workload":"synth:5","tool":"spin","shards":1000}`)), accepted},
 	}
 	for _, tc := range cases {
 		conn := ln.dial(t)

@@ -140,8 +140,8 @@ type Snapshot struct {
 	GoMaxProcs          int     `json:"gomaxprocs"`
 
 	// Pipeline is the observability layer's process-wide view: stage
-	// histograms (segment applies, producer stalls, shard batches, GC
-	// cycles, outbox stalls) and execution counters, aggregated over every
+	// histograms (segment applies, producer stalls, GC cycles, outbox
+	// stalls) and execution counters, aggregated over every
 	// session including traced ones.
 	Pipeline obs.Snapshot `json:"pipeline"`
 

@@ -114,8 +114,6 @@ type SessionRequest struct {
 	// Repeat runs seeds Seed..Seed+Repeat-1 in one session (default 1),
 	// sharing the compiled workload across runs.
 	Repeat int `json:"repeat,omitempty"`
-	// Shards partitions each run's detector shadow state (detect.RunOpts).
-	Shards int `json:"shards,omitempty"`
 	// Overlap enables the segmented vm→detector pipeline at the default
 	// segment size; SegmentEvents picks an explicit size (implies overlap).
 	Overlap       bool `json:"overlap,omitempty"`

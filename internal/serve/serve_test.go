@@ -220,7 +220,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		{Workload: "ww_two_threads", Tool: "no_such_tool"},
 		{Workload: ""},
 		{Workload: "ww_two_threads", Tool: "spin", Repeat: 2_000_000},
-		{Workload: "ww_two_threads", Tool: "spin", Shards: 1000},
+		{Workload: "ww_two_threads", Tool: "spin", SegmentEvents: 1 << 21},
 	} {
 		_, err := c.Run(req)
 		we, ok := err.(*serve.WireError)

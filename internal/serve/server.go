@@ -487,9 +487,6 @@ func normalize(req *SessionRequest) error {
 	if req.Repeat > 1_000_000 {
 		return fmt.Errorf("repeat %d out of range", req.Repeat)
 	}
-	if req.Shards < 0 || req.Shards > 256 {
-		return fmt.Errorf("shards %d out of range", req.Shards)
-	}
 	if req.SegmentEvents < -1 || req.SegmentEvents > 1<<20 {
 		return fmt.Errorf("segment size %d out of range", req.SegmentEvents)
 	}

@@ -267,7 +267,6 @@ func (ss *session) run() {
 	ss.obs.Add(obs.CtrSessions, 1)
 	run := 0
 	opts := detect.RunOpts{
-		Shards:        ss.req.Shards,
 		SegmentEvents: ss.req.SegmentEvents,
 		GCShadow:      !ss.srv.cfg.DisableShadowGC,
 		GCEvents:      ss.req.GCEvents,

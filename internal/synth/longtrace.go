@@ -136,7 +136,7 @@ func LongTrace(seed int64, o LongTraceOpts) (*detect.Report, error) {
 	o = o.withDefaults()
 	prog := buildLongTraceProgram(o)
 	ins := o.Cfg.Instrument(prog)
-	d := detect.NewSharded(o.Cfg, ins, prog, o.Opts.Shards)
+	d := detect.New(o.Cfg, ins, prog)
 	defer d.Close()
 	if o.Opts.GCShadow {
 		d.EnableShadowGC(o.Opts.GCEvents)

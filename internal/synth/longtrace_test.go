@@ -23,7 +23,7 @@ var longTraceEvents = flag.Int64("longtrace-events", 0,
 
 // TestLongTraceGCEquivalence replays the same windowed trace with the GC
 // off and with it cycling every 2048 events under the default and the
-// sharded+overlapped pipelines: one fingerprint, three detectors.
+// overlapped pipelines: one fingerprint, three detectors.
 func TestLongTraceGCEquivalence(t *testing.T) {
 	base := synth.LongTraceOpts{Windows: 2}
 	ref, err := synth.LongTrace(1, base)
@@ -33,20 +33,20 @@ func TestLongTraceGCEquivalence(t *testing.T) {
 	want := harness.ReportFingerprint(ref)
 	for _, opts := range []detect.RunOpts{
 		{GCShadow: true, GCEvents: 2048},
-		{GCShadow: true, GCEvents: 2048, Shards: 4, SegmentEvents: 256},
+		{GCShadow: true, GCEvents: 2048, SegmentEvents: 256},
 	} {
 		o := base
 		o.Opts = opts
 		rep, err := synth.LongTrace(1, o)
 		if err != nil {
-			t.Fatalf("gc (shards=%d): %v", opts.Shards, err)
+			t.Fatalf("gc (segment=%d): %v", opts.SegmentEvents, err)
 		}
 		if rep.GCCycles == 0 {
-			t.Fatalf("gc (shards=%d): no GC cycles ran; the comparison proves nothing", opts.Shards)
+			t.Fatalf("gc (segment=%d): no GC cycles ran; the comparison proves nothing", opts.SegmentEvents)
 		}
 		if got := harness.ReportFingerprint(rep); got != want {
-			t.Errorf("gc (shards=%d): report differs from unbounded detector\n--- unbounded ---\n%s--- gc ---\n%s",
-				opts.Shards, want, got)
+			t.Errorf("gc (segment=%d): report differs from unbounded detector\n--- unbounded ---\n%s--- gc ---\n%s",
+				opts.SegmentEvents, want, got)
 		}
 	}
 }

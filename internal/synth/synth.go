@@ -18,8 +18,8 @@
 // paste into internal/workloads/dataracetest.
 //
 // Determinism: the same seed produces a byte-identical program (asserted on
-// the disassembly), oracle, and differential report, under any worker or
-// shard count — generation draws from a private math/rand source and the
+// the disassembly), oracle, and differential report, under any worker
+// count — generation draws from a private math/rand source and the
 // differential runs go through the order-preserving experiment engine.
 package synth
 

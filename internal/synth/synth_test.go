@@ -113,9 +113,9 @@ func TestCorpusOracleAgreement(t *testing.T) {
 }
 
 // TestDifferDeterminism: the corpus report is byte-identical on the
-// one-worker engine and a parallel engine. Sharded and overlapped
-// detection of synth programs is covered where those knobs live
-// (TestShardDeterminismSynth in internal/detect).
+// one-worker engine and a parallel engine. Overlapped detection of synth
+// programs is covered where that knob lives (TestPipelineDeterminismSynth
+// in internal/detect).
 func TestDifferDeterminism(t *testing.T) {
 	variants := []*Differ{
 		{Eng: sched.New(sched.Options{Workers: 1})},

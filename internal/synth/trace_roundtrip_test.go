@@ -12,7 +12,7 @@ import (
 // TestTraceRoundTrip: recording a synth-generated program's event stream
 // and replaying it into a fresh detector reproduces the live run's report
 // exactly — warnings, counts, and shadow accounting. This is the
-// record/replay contract the sharded-detector benchmarks build on, checked
+// record/replay contract the replay benchmarks build on, checked
 // on generated programs rather than the fixed suite.
 func TestTraceRoundTrip(t *testing.T) {
 	for _, seed := range []int64{3, 11, 27} {

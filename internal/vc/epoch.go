@@ -50,9 +50,3 @@ func (e Epoch) Tick() uint64 { return uint64(e) & epochTickMask }
 func (e Epoch) OrderedBefore(c *Clock) bool {
 	return e.Tick() <= c.Get(e.Tid())
 }
-
-// OrderedBeforeFrozen is OrderedBefore against a frozen clock view — the
-// form the detector's shard entries carry.
-func (e Epoch) OrderedBeforeFrozen(f Frozen) bool {
-	return e.Tick() <= f.Get(e.Tid())
-}

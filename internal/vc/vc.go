@@ -8,13 +8,14 @@
 //
 // Clock is the one mutable representation, and exactly one layer mutates
 // any given Clock (the happens-before engine its thread or object belongs
-// to). Every other layer holds Frozen handles: Freeze is O(1) — it marks
-// the clock's backing array as shared and hands out a view of it — and the
-// next mutation of the clock copies the array first (copy-on-write), so a
-// frozen view is immutable forever without the handing-out layer ever
-// copying defensively. Repeated Freeze calls on an unchanged clock return
-// views of the same array, which is what makes a snapshot-per-event
-// protocol allocation-free between clock changes.
+// to). The detector reads a thread's live Clock in place, within one
+// access; anything that keeps a clock value past the next engine operation
+// holds a Frozen handle: Freeze is O(1) — it marks the clock's backing
+// array as shared and hands out a view of it — and the next mutation of
+// the clock copies the array first (copy-on-write), so a frozen view is
+// immutable forever without the handing-out layer ever copying
+// defensively. Repeated Freeze calls on an unchanged clock return views of
+// the same array, so re-publishing an unchanged clock allocates nothing.
 package vc
 
 import (
@@ -212,8 +213,8 @@ func (c *Clock) Copy() *Clock {
 // Freeze returns an immutable view of the clock's current value. O(1): the
 // view shares the backing array, and the clock's next mutation copies
 // first. Freezing an unchanged clock repeatedly returns views of the same
-// array — the interning that makes per-event snapshots free between clock
-// changes.
+// array — the interning that makes repeated publications of an unchanged
+// clock free.
 func (c *Clock) Freeze() Frozen {
 	c.shared = true
 	return Frozen{ticks: c.ticks}

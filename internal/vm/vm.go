@@ -234,8 +234,8 @@ func New(p *ir.Program, opts Options) *VM {
 }
 
 // Run executes the program's "main" function to completion of all threads.
-// If the sink buffers events (event.Flusher — the sharded detector does),
-// it is flushed before Run returns, so callers never observe a result with
+// If the sink buffers events (event.Flusher — a trace writer does), it is
+// flushed before Run returns, so callers never observe a result with
 // detection still in flight. When the run is overlapped
 // (Options.SegmentEvents), the segment pipeline is drained and shut down
 // here — including on error returns, so the detector always observes the

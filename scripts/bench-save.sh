@@ -12,9 +12,9 @@
 #     | sed 's/\\n/\n/g; s/\\t/\t/g' | grep -E '^(Benchmark|goos|goarch|pkg|cpu)'
 #
 # Usage: [GO=go1.x] bench-save.sh [bench-regexp]
-# Default records the accuracy-table smoke AND the replay scaling
-# benchmark in one `go test` run, so every BENCH record carries both the
-# table trajectory and the events/sec curve.
+# Default records the accuracy-table smoke AND the replay benchmark in one
+# `go test` run, so every BENCH record carries both the table trajectory
+# and the replay events/sec.
 set -eu
 bench="${1:-BenchmarkTable1\$|BenchmarkReplayEventsPerSec}"
 # One record per run: same-day reruns get a letter suffix instead of
@@ -37,13 +37,13 @@ done
 # so the trailer is invisible to them.
 sha="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 cpus="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)"
-# EventsPerSec: the shards-1 replay throughput when the record includes
-# the replay benchmark (0 otherwise) — the single-number perf headline a
-# record can be skimmed by.
+# EventsPerSec: the replay throughput when the record includes the replay
+# benchmark (0 otherwise) — the single-number perf headline a record can
+# be skimmed by. The name may carry a -GOMAXPROCS suffix.
 evsec="$(grep -o '"Output":"[^"]*"' "$out" \
 	| sed 's/^"Output":"//; s/"$//' | tr -d '\n' \
 	| sed 's/\\n/\n/g; s/\\t/\t/g' \
-	| awk '/^BenchmarkReplayEventsPerSec\/shards-1/ {
+	| awk '/^BenchmarkReplayEventsPerSec(-[0-9]+)?[ \t]/ {
 		for (i = 2; i <= NF; i++) if ($i == "events/sec") { print $(i-1); exit }
 	}')"
 printf '{"BenchMeta":{"Commit":"%s","GoMaxProcs":%s,"NumCPU":%s,"EventsPerSec":%s}}\n' \

@@ -1,12 +1,12 @@
 #!/bin/sh
 # trace-smoke.sh — the observability layer's end-to-end gate.
 #
-# Runs a suite workload through racedetect with -trace (sharded +
-# overlapped + shadow-GC with a short cycle period, so every pipeline
-# stage actually executes), then validates the emitted Chrome trace-event
-# JSON with cmd/tracecheck: the file must parse and carry at least one
-# event on every pipeline stage track — vm quanta, segment pipeline,
-# demux dispatches, both shard workers, report merge, and a GC cycle.
+# Runs a suite workload through racedetect with -trace (overlapped +
+# shadow-GC with a short cycle period, so every pipeline stage actually
+# executes), then validates the emitted Chrome trace-event JSON with
+# cmd/tracecheck: the file must parse and carry at least one event on
+# every pipeline stage track — vm quanta, segment pipeline, report merge,
+# and a GC cycle.
 #
 # Usage: [GO=go] trace-smoke.sh [workload]   (default freqmine)
 set -eu
@@ -16,10 +16,10 @@ trap 'rm -rf "$tmp"' EXIT
 trace="$tmp/trace.json"
 
 "${GO:-go}" run ./cmd/racedetect \
-	-w "$w" -shards 2 -overlap -gc-shadow -gc-events 4096 \
+	-w "$w" -overlap -gc-shadow -gc-events 4096 \
 	-trace "$trace"
 
 "${GO:-go}" run ./cmd/tracecheck \
-	-require 'vm,pipeline,demux,shard 0,shard 1,merge,gc' "$trace"
+	-require 'vm,pipeline,merge,gc' "$trace"
 
 echo "trace-smoke: ok ($w)"
