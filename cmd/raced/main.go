@@ -8,7 +8,7 @@
 // process exits (or is forced down after -drain-timeout).
 //
 //	raced [-network tcp|unix] [-addr 127.0.0.1:7334] [-metrics 127.0.0.1:7335]
-//	      [-max-sessions 64] [-workers N] [-drain-timeout 30s]
+//	      [-max-sessions 64] [-drain-timeout 30s]
 //	      [-run-timeout D] [-shed] [-memory-budget BYTES]
 //	      [-trace-dir DIR] [-block-profile-rate N] [-failpoints SPEC]
 //
@@ -60,7 +60,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7334", "protocol listener address (server mode)")
 	metrics := flag.String("metrics", "", "HTTP metrics address, e.g. 127.0.0.1:7335 (empty = off)")
 	maxSessions := flag.Int("max-sessions", 64, "concurrent session cap (oldest is evicted at the cap)")
-	workers := flag.Int("workers", 0, "scheduling pool size (0 = max-sessions)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on SIGTERM before hard close")
 	noGC := flag.Bool("no-gc-shadow", false, "disable the quiescence shadow-state GC sessions run with by default")
 	runTimeout := flag.Duration("run-timeout", 0, "per-run wall-clock budget; an over-budget run ends its session with a run-timeout error (0 = unbounded)")
@@ -113,8 +112,7 @@ func main() {
 	}
 	srv := serve.New(serve.Config{
 		Network: *network, Addr: *addr, MetricsAddr: *metrics,
-		MaxSessions: *maxSessions, Workers: *workers,
-		DisableShadowGC: *noGC, TraceDir: *traceDir,
+		MaxSessions: *maxSessions, DisableShadowGC: *noGC, TraceDir: *traceDir,
 		RunTimeout: *runTimeout, Shed: *shed, MemoryBudgetBytes: *memBudget,
 		Fault: faults,
 	})

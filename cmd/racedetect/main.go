@@ -6,7 +6,7 @@
 //
 //	racedetect -w <workload> [-tool lib|spin|nolib|drd|eraser] [-window 7] [-seed 1] [-seeds N] [-overlap] [-v]
 //	racedetect -w <workload> [-tool ...] [-seed 1] -record out.trace
-//	racedetect -replay in.trace [-gc-shadow] [-fingerprint]
+//	racedetect -replay in.trace [-gc-shadow] [-overlap] [-fingerprint]
 //
 // Workloads: any PARSEC model name (x264, dedup, ...), a data-race-test
 // case name (adhoc_spin11_b7_atomic_long, ww_two_threads, ...), or a
@@ -17,10 +17,11 @@
 // parallel experiment engine (one isolated program + detector per seed)
 // and the per-seed racy-context counts are reported in seed order.
 //
-// With -overlap the vm emits the event stream into double-buffered trace
-// segments of a fixed size, consumed by the detector concurrently with
-// execution. It pays only on long streams with a second core to run on
-// (docs/ARCHITECTURE.md, "Performance shape"). Reports are byte-identical
+// With -overlap the event stream — from the vm, or from the trace decoder
+// with -replay — goes into double-buffered segments of a fixed size,
+// consumed by the detector concurrently with production. It pays only on
+// long streams with a second core to run on (docs/ARCHITECTURE.md,
+// "Performance shape"). Reports are byte-identical
 // with the pipeline knobs on or off; only wall-clock time and memory
 // change.
 //
@@ -41,9 +42,9 @@
 // stream is written as a binary trace (internal/event's record/replay
 // format, with the workload/tool/seed provenance and interning tables in
 // the header). With -replay a recorded trace is fed straight into a
-// detector — no vm in the loop — honoring -gc-shadow; the workload and
-// tool come from the trace header, and the report is byte-identical to the
-// live run's. -fingerprint appends a fingerprint= line (a digest of the
+// detector — no vm in the loop — honoring -gc-shadow and -overlap; the
+// workload and tool come from the trace header, and the report is
+// byte-identical to the live run's. -fingerprint appends a fingerprint= line (a digest of the
 // full report) so scripts can compare runs cheaply — the replay smoke
 // asserts a replay matches the live run.
 package main
@@ -88,8 +89,12 @@ func main() {
 		fmt.Print(workloads.FormatList())
 		return
 	}
+	opts := detect.RunOpts{GCShadow: *gcShadow, GCEvents: *gcEvents}
+	if *overlap {
+		opts = opts.Overlapped()
+	}
 	if *replayPath != "" {
-		if err := runReplay(*replayPath, *gcShadow, *gcEvents, *fingerprint, *verbose); err != nil {
+		if err := runReplay(*replayPath, opts, *fingerprint, *verbose); err != nil {
 			fmt.Fprintf(os.Stderr, "racedetect: %v\n", err)
 			os.Exit(1)
 		}
@@ -113,11 +118,6 @@ func main() {
 			os.Exit(1)
 		}
 		return
-	}
-
-	opts := detect.RunOpts{GCShadow: *gcShadow, GCEvents: *gcEvents}
-	if *overlap {
-		opts = opts.Overlapped()
 	}
 
 	// -trace wants spans; -stats alone wants only counters/histograms.
@@ -207,8 +207,9 @@ func runRecord(path string, build func() *ir.Program, workload string,
 }
 
 // runReplay feeds a recorded trace into a fresh detector with no vm: the
-// workload and tool configuration are rebuilt from the trace header.
-func runReplay(path string, gcShadow bool, gcEvents int64, fingerprint, verbose bool) error {
+// workload and tool configuration are rebuilt from the trace header, the
+// pipeline shape comes from the command line as for a live run.
+func runReplay(path string, opts detect.RunOpts, fingerprint, verbose bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -227,7 +228,7 @@ func runReplay(path string, gcShadow bool, gcEvents int64, fingerprint, verbose 
 		return fmt.Errorf("trace tool: %w", err)
 	}
 	start := time.Now()
-	rep, n, err := detect.ReplayTrace(tr, build(), cfg, detect.RunOpts{GCShadow: gcShadow, GCEvents: gcEvents})
+	rep, n, err := detect.ReplayTrace(tr, build(), cfg, opts)
 	elapsed := time.Since(start)
 	if err != nil {
 		return err

@@ -171,10 +171,6 @@ func New(h hb.Engine, ins *spin.Instrumentation, prog *ir.Program) *Engine {
 // Warning formatting uses it to materialize symbol and location strings.
 func (e *Engine) Table() *ir.Interning { return e.tab }
 
-// IsLockWord reports whether the address has been classified as a lock
-// word (the condition of a CAS-acquire spin loop).
-func (e *Engine) IsLockWord(addr int64) bool { return e.lockWords[addr] }
-
 // InferredLockWords returns the number of classified lock words.
 func (e *Engine) InferredLockWords() int { return len(e.lockWords) }
 

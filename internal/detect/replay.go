@@ -44,8 +44,8 @@ func RecordTrace(w io.Writer, p *ir.Program, cfg Config, seed int64, meta event.
 }
 
 // ReplayTrace feeds a recorded trace through a fresh detector built for
-// cfg and the requested pipeline shape (shadow GC, observer, obs and
-// failpoints apply; the vm-side knobs — overlap, interrupt, deadline —
+// cfg and the requested pipeline shape (shadow GC, overlap, observer, obs
+// and failpoints apply, as live; the vm-side knobs — interrupt, deadline —
 // have no vm to act on). The program must be the same build that was
 // recorded: its interning table is checked against the trace header
 // before any event is decoded. The instrumentation is the one memoized on
@@ -55,8 +55,9 @@ func ReplayTrace(tr *event.TraceReader, p *ir.Program, cfg Config, opts RunOpts)
 	if err := tr.CheckTable(p.Interning()); err != nil {
 		return nil, 0, err
 	}
-	d, sink := newRunDetector(cfg, Prepare(p).Instrument(cfg), p, opts)
+	d, sink, stop := newRunDetector(cfg, Prepare(p).Instrument(cfg), p, opts)
 	defer d.Close()
+	defer stop()
 	n, err := tr.Replay(sink)
 	if err != nil {
 		return nil, n, err

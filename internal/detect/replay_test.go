@@ -1,7 +1,8 @@
 // Trace record/replay round-trip: a binary trace recorded from a live
 // run, replayed through a fresh detector, must reproduce the live report
-// byte for byte — across the accuracy suite and presets — and the decoded stream itself must equal the recorded stream field for
-// field.
+// byte for byte — across the accuracy suite, presets and pipeline shapes
+// — and the decoded stream itself must equal the recorded stream field
+// for field.
 package detect_test
 
 import (
@@ -31,10 +32,12 @@ func recordCase(t *testing.T, p *ir.Program, cfg detect.Config, seed int64) []by
 }
 
 // TestTraceReplayReportRoundTrip sweeps the full accuracy suite under the
-// paper presets: every case is recorded once per tool and replayed; the
+// paper presets: every case is recorded once per tool and replayed plain
+// and through the overlap pipeline (default and small segments); every
 // replayed report must equal the live run's fingerprint byte for byte.
 func TestTraceReplayReportRoundTrip(t *testing.T) {
 	cfgs := detect.PaperTools(7)
+	replays := []detect.RunOpts{{}, detect.RunOpts{}.Overlapped(), {SegmentEvents: 64}}
 	for _, c := range dataracetest.Suite() {
 		for _, cfg := range cfgs {
 			p := c.Build()
@@ -42,22 +45,25 @@ func TestTraceReplayReportRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("live %s under %s: %v", c.Name, cfg.Name, err)
 			}
+			want := harness.ReportFingerprint(live)
 			data := recordCase(t, p, cfg, 1)
-			tr, err := event.NewTraceReader(bytes.NewReader(data))
-			if err != nil {
-				t.Fatalf("open trace %s under %s: %v", c.Name, cfg.Name, err)
-			}
-			rep, n, err := detect.ReplayTrace(tr, p, cfg, detect.RunOpts{})
-			if err != nil {
-				t.Fatalf("replay %s under %s: %v", c.Name, cfg.Name, err)
-			}
-			if n != rep.Events {
-				t.Errorf("%s under %s: replayed %d events, report counts %d", c.Name, cfg.Name, n, rep.Events)
-			}
-			want, got := harness.ReportFingerprint(live), harness.ReportFingerprint(rep)
-			if got != want {
-				t.Errorf("%s under %s: replayed report differs from live run\n--- live ---\n%s--- replay ---\n%s",
-					c.Name, cfg.Name, want, got)
+			for _, opts := range replays {
+				tr, err := event.NewTraceReader(bytes.NewReader(data))
+				if err != nil {
+					t.Fatalf("open trace %s under %s: %v", c.Name, cfg.Name, err)
+				}
+				rep, n, err := detect.ReplayTrace(tr, p, cfg, opts)
+				if err != nil {
+					t.Fatalf("replay %s under %s (segment=%d): %v", c.Name, cfg.Name, opts.SegmentEvents, err)
+				}
+				if n != rep.Events {
+					t.Errorf("%s under %s (segment=%d): replayed %d events, report counts %d",
+						c.Name, cfg.Name, opts.SegmentEvents, n, rep.Events)
+				}
+				if got := harness.ReportFingerprint(rep); got != want {
+					t.Errorf("%s under %s (segment=%d): replayed report differs from live run\n--- live ---\n%s--- replay ---\n%s",
+						c.Name, cfg.Name, opts.SegmentEvents, want, got)
+				}
 			}
 		}
 	}

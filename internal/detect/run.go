@@ -16,9 +16,10 @@ import (
 // is the plain synchronous pipeline. Every combination produces
 // byte-identical reports; the knobs trade wall-clock time only.
 type RunOpts struct {
-	// SegmentEvents > 0 overlaps vm execution with detection through
-	// double-buffered trace segments of this many events
-	// (vm.Options.SegmentEvents); negative uses event.DefaultSegmentEvents.
+	// SegmentEvents > 0 overlaps event production (the vm, or a trace
+	// decoder in replay) with detection through double-buffered segments
+	// of this many events (event.Segmented); negative uses
+	// event.DefaultSegmentEvents.
 	SegmentEvents int
 
 	// GCShadow enables the quiescence shadow-state GC (see gc.go): shadow
@@ -135,19 +136,18 @@ func (pr *Prepared) Decoded(cfg Config) *vm.Decoded {
 // caller counting events sets opts.Tap to an event.Counter.
 func (pr *Prepared) Run(cfg Config, seed int64, opts RunOpts) (*Report, vm.Result, error) {
 	ins := pr.Instrument(cfg)
-	d, sink := newRunDetector(cfg, ins, pr.Prog, opts)
+	d, sink, stop := newRunDetector(cfg, ins, pr.Prog, opts)
 	defer d.Close()
+	defer stop()
 	res, err := vm.Run(pr.Prog, vm.Options{
-		Seed:          seed,
-		KnownLibs:     cfg.KnownLibs,
-		Instr:         ins,
-		Sink:          sink,
-		SegmentEvents: opts.SegmentEvents,
-		Interrupt:     opts.Interrupt,
-		Deadline:      opts.Deadline,
-		Obs:           opts.Obs,
-		Fault:         opts.Fault,
-		Decoded:       pr.Decoded(cfg),
+		Seed:      seed,
+		KnownLibs: cfg.KnownLibs,
+		Instr:     ins,
+		Sink:      sink,
+		Interrupt: opts.Interrupt,
+		Deadline:  opts.Deadline,
+		Obs:       opts.Obs,
+		Decoded:   pr.Decoded(cfg),
 	})
 	return d.Report(), res, err
 }
@@ -155,25 +155,29 @@ func (pr *Prepared) Run(cfg Config, seed int64, opts RunOpts) (*Report, vm.Resul
 // newRunDetector builds the detector for one run of the requested pipeline
 // shape — shadow GC, observability, failpoints, warning observer — and
 // returns it with the sink the event stream feeds: the detector itself,
-// behind opts.Tap when one is set. The caller closes the detector.
-func newRunDetector(cfg Config, ins *spin.Instrumentation, p *ir.Program, opts RunOpts) (*Detector, event.Sink) {
-	d := New(cfg, ins, p)
+// behind opts.Tap when one is set, behind the overlap pipeline
+// (event.Segmented) when opts.SegmentEvents asks for one. The producer
+// must flush the sink before reading the report (vm.Run and
+// TraceReader.Replay do). The caller defers stop after d.Close, so the
+// pipeline's consumer goroutine is gone — on every exit, a re-raised
+// detector panic included — before the detector is closed.
+func newRunDetector(cfg Config, ins *spin.Instrumentation, p *ir.Program, opts RunOpts) (d *Detector, sink event.Sink, stop func()) {
+	d = New(cfg, ins, p)
 	if opts.GCShadow {
 		d.EnableShadowGC(opts.GCEvents)
 	}
 	d.setObs(opts.Obs)
 	d.fault = opts.Fault
 	d.onWarning = opts.OnWarning
+	sink = d
 	if opts.Tap != nil {
-		return d, event.Multi(opts.Tap, d)
+		sink = event.Multi(opts.Tap, d)
 	}
-	return d, d
-}
-
-// Baseline executes the program with no detector attached, for runtime
-// overhead comparisons.
-func Baseline(p *ir.Program, seed int64) (vm.Result, error) {
-	return vm.Run(p, vm.Options{Seed: seed, KnownLibs: map[ir.LibTag]bool{
-		ir.LibPthread: true, ir.LibGlib: true, ir.LibOMP: true,
-	}})
+	if opts.SegmentEvents == 0 {
+		return d, sink, func() {}
+	}
+	seg := event.NewSegmented(sink, opts.SegmentEvents)
+	seg.SetObs(opts.Obs)
+	seg.SetFault(opts.Fault)
+	return d, seg, seg.Close
 }

@@ -1,7 +1,8 @@
 // Package event defines the runtime event stream produced by the vm and
 // consumed by race detectors, and the stream plumbing built on it: sink
 // composition (Multi), recording and replay (Trace, TraceWriter), and the
-// double-buffered segments (Segmented) that overlap the vm with detection.
+// double-buffered segments (Segmented) that overlap event production — the
+// vm, or a trace replay — with detection.
 //
 // The stream is the moral equivalent of what Valgrind hands Helgrind+: a
 // totally ordered sequence of memory accesses, thread lifecycle operations,

@@ -7,14 +7,14 @@ import (
 	"adhocrace/internal/obs"
 )
 
-// Trace-segmented overlap: the producer (the vm's execution loop) appends
-// events into the current segment buffer; a full segment is handed to a
-// consumer goroutine that drives the downstream sink (the detector
-// coordinator) while the producer fills the other buffer. Execution and
-// detection overlap within one run, yet the downstream sink still observes
-// the exact serial event order — every Handle call happens on the one
-// consumer goroutine, in stream order — so reports are byte-identical to
-// the unsegmented pipeline by construction.
+// Trace-segmented overlap: the producer (the vm's execution loop, or a
+// trace replay) appends events into the current segment buffer; a full
+// segment is handed to a consumer goroutine that drives the downstream
+// sink (the detector) while the producer fills the other buffer.
+// Production and detection overlap within one run, yet the downstream
+// sink still observes the exact serial event order — every Handle call
+// happens on the one consumer goroutine, in stream order — so reports are
+// byte-identical to the unsegmented pipeline by construction.
 //
 // Two buffers bound the pipeline: rotating blocks until the consumer has
 // finished a previous segment, which is back-pressure, not a correctness

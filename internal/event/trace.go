@@ -2,8 +2,9 @@ package event
 
 // Flusher is implemented by sinks that buffer events instead of fully
 // processing them inside Handle — the overlap pipeline's segments, a trace
-// writer's byte buffer. The vm flushes such sinks when a run completes, so
-// a Result and its Report are never read with work still in flight.
+// writer's byte buffer. The vm and the replayers flush such sinks when a
+// stream ends, so a Result and its Report are never read with work still
+// in flight.
 type Flusher interface {
 	Flush()
 }

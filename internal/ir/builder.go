@@ -144,9 +144,6 @@ func (f *FuncBuilder) NewBlock() int {
 // SetBlock makes the given block current for subsequent emissions.
 func (f *FuncBuilder) SetBlock(idx int) { f.cur = idx }
 
-// CurBlock returns the index of the current block.
-func (f *FuncBuilder) CurBlock() int { return f.cur }
-
 // SetLoc sets the synthetic source location for subsequent instructions.
 func (f *FuncBuilder) SetLoc(file string, line int) {
 	f.file, f.line, f.pin = file, line, false
@@ -233,21 +230,11 @@ func (f *FuncBuilder) CmpNE(a, b int) int { return f.Bin(OpCmpNE, a, b) }
 // CmpLT emits a<b.
 func (f *FuncBuilder) CmpLT(a, b int) int { return f.Bin(OpCmpLT, a, b) }
 
-// CmpLE emits a<=b.
-func (f *FuncBuilder) CmpLE(a, b int) int { return f.Bin(OpCmpLE, a, b) }
-
 // CmpGT emits a>b.
 func (f *FuncBuilder) CmpGT(a, b int) int { return f.Bin(OpCmpGT, a, b) }
 
 // CmpGE emits a>=b.
 func (f *FuncBuilder) CmpGE(a, b int) int { return f.Bin(OpCmpGE, a, b) }
-
-// Not emits !a.
-func (f *FuncBuilder) Not(a int) int {
-	r := f.NewReg()
-	f.emit(Instr{Op: OpNot, Dst: r, A: a, B: NoReg, C: NoReg})
-	return r
-}
 
 // Load emits Dst = mem[addrReg] with an optional static symbol.
 func (f *FuncBuilder) Load(addrReg int, sym string) int {

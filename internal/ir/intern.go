@@ -99,12 +99,6 @@ func (t *Interning) LocAt(id LocID) Loc {
 	return t.locs[id]
 }
 
-// NumSyms / NumLocs report the table sizes (including the null entries).
-func (t *Interning) NumSyms() int { return len(t.syms) }
-
-// NumLocs reports the number of interned locations.
-func (t *Interning) NumLocs() int { return len(t.locs) }
-
 // Syms returns the dense symbol slice (index == SymID). Callers must not
 // mutate it; the trace recorder serializes it into the stream header.
 func (t *Interning) Syms() []string { return t.syms }

@@ -1,6 +1,6 @@
 // Package sched is the experiment engine's job runner: a worker-pool
 // executor with bounded concurrency and deterministic result assembly
-// (Engine), plus a streaming pool with per-worker FIFO queues (Pool).
+// (Engine).
 //
 // The harness submits every (tool × workload × seed) detector run as one
 // Engine job. Jobs are independent — each runs its own vm and a fresh
@@ -15,10 +15,6 @@
 // on the submitting goroutine, in submission order, and the first error
 // stops the batch — for debugging and for the determinism tests that
 // compare it with a parallel engine.
-//
-// Pool is the second, finer-grained primitive: long-lived workers whose
-// individual queues preserve submission order. The server runs its
-// detection sessions on one.
 package sched
 
 import (

@@ -295,6 +295,18 @@ func TestDrainGraceful(t *testing.T) {
 
 	conn := ln.dial(t)
 	s := openRaw(t, conn, serve.SessionRequest{Workload: "ww_two_threads", Tool: "spin", Repeat: repeat})
+	// Nothing reads the stream until the drain has begun: the full
+	// 4-frame outbox holds the session mid-run, so Drain is certain to
+	// find it running rather than already finished.
+	waitFor(t, "session running", func() bool {
+		snap := srv.Snapshot()
+		return len(snap.Sessions) == 1 && snap.Sessions[0].RunsDone > 0
+	})
+
+	drained := make(chan struct{})
+	go func() { srv.Drain(); close(drained) }()
+	waitFor(t, "draining flag", func() bool { return srv.Snapshot().Draining })
+
 	results := 0
 	readerDone := make(chan error, 1)
 	go func() {
@@ -313,14 +325,6 @@ func TestDrainGraceful(t *testing.T) {
 			}
 		}
 	}()
-	waitFor(t, "session running", func() bool {
-		snap := srv.Snapshot()
-		return len(snap.Sessions) == 1 && snap.Sessions[0].RunsDone > 0
-	})
-
-	drained := make(chan struct{})
-	go func() { srv.Drain(); close(drained) }()
-	waitFor(t, "draining flag", func() bool { return srv.Snapshot().Draining })
 
 	// The late request must be refused, not queued.
 	if err := serve.WriteFrame(lateConn, serve.FrameRequest,

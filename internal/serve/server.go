@@ -3,8 +3,8 @@
 // length-prefixed wire protocol (see protocol.go), runs each session on
 // its own detector instance over a process-wide compiled-workload cache,
 // and streams race reports back incrementally as the detector produces
-// them. Sessions are scheduled onto a sched.Pool; a configurable cap
-// bounds concurrent sessions, with evict-oldest admission when full.
+// them. Each session runs on its connection's goroutine; a configurable
+// cap bounds concurrent sessions, with evict-oldest admission when full.
 // Detection inside a session is byte-identical to a direct Prepared.Run —
 // the conformance suite holds the server to exactly that bar.
 package serve
@@ -21,7 +21,6 @@ import (
 
 	"adhocrace/internal/fault"
 	"adhocrace/internal/obs"
-	"adhocrace/internal/sched"
 )
 
 // Config parameterizes a Server. The zero value serves on a default TCP
@@ -39,8 +38,6 @@ type Config struct {
 	// cap, a new session evicts the oldest running one. A session stops
 	// counting once it has queued its final result frame.
 	MaxSessions int
-	// Workers sizes the scheduling pool (default MaxSessions).
-	Workers int
 	// OutboxFrames bounds each session's outgoing frame queue (default
 	// 64); a full outbox is the backpressure that stalls the session's vm.
 	OutboxFrames int
@@ -103,9 +100,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 64
 	}
-	if c.Workers <= 0 {
-		c.Workers = c.MaxSessions
-	}
 	if c.OutboxFrames <= 0 {
 		c.OutboxFrames = 64
 	}
@@ -123,7 +117,6 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	cache   *preparedCache
-	pool    *sched.Pool
 	metrics *Metrics
 	// obs is the process-wide counters+histograms recorder every session
 	// records into (always on: the pipeline stall and outbox gauges are
@@ -155,14 +148,12 @@ type Server struct {
 	serveWG sync.WaitGroup
 }
 
-// New builds a server; it owns a scheduling pool from construction, so
-// callers must Drain or Close it even if they never serve.
+// New builds a server. It starts no goroutines until Start or Serve.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,
 		cache:    newPreparedCache(cfg.Fault),
-		pool:     sched.NewPool(cfg.Workers),
 		metrics:  newMetrics(),
 		obs:      obs.New(),
 		tokens:   make(chan struct{}, cfg.MaxSessions),
@@ -376,12 +367,7 @@ func (s *Server) handleConn(conn net.Conn) {
 
 	if preAdmitted || s.admit(ss) {
 		s.metrics.sessionStarted()
-		runDone := make(chan struct{})
-		s.pool.SubmitBalanced(func() {
-			defer close(runDone)
-			ss.run()
-		})
-		<-runDone
+		ss.run()
 		ss.finish()
 		ss.end(ss.cancelCode())
 	} else {
@@ -544,8 +530,8 @@ func (s *Server) evictOldest() {
 }
 
 // Drain stops the server gracefully: stop accepting, let every admitted
-// session run to completion, then tear down the pool and the metrics
-// endpoint. Safe to call more than once.
+// session run to completion, then tear down the metrics endpoint. Safe to
+// call more than once.
 func (s *Server) Drain() {
 	s.mu.Lock()
 	if s.draining {
@@ -562,7 +548,6 @@ func (s *Server) Drain() {
 		ln.Close()
 	}
 	s.connWG.Wait()
-	s.pool.Close()
 	if hsrv != nil {
 		hsrv.Close()
 	}

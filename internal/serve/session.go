@@ -22,14 +22,14 @@ import (
 // Each connection carries one session, served by three goroutines:
 //
 //   - the conn handler (Server.handleConn): reads the request, admits the
-//     session under the cap, hands the run to the worker pool, and joins
+//     session under the cap, executes the run itself, and joins
 //     everything on the way out;
 //   - the writer (writeLoop): the only goroutine that writes the conn. It
-//     drains the outbox channel; the run goroutine never touches the
+//     drains the outbox channel; the run never touches the
 //     socket, so a slow or dead client can only ever block the run at the
 //     outbox — which is exactly the backpressure chain we want: client
 //     stalls → writer blocks → outbox fills → the warning observer blocks
-//     → the vm's segmented pipeline stalls. No unbounded buffering
+//     → the run's segmented pipeline stalls. No unbounded buffering
 //     anywhere.
 //   - the reader watch (readWatch): clients send nothing after the
 //     request, so any read result — EOF, error, or a stray byte — means
@@ -38,7 +38,7 @@ import (
 //
 // Cancellation is one closed channel (cancel) plus one atomic flag (stop,
 // polled by the vm each scheduling quantum). After cancellation the writer
-// keeps draining the outbox — discarding frames — so the run goroutine can
+// keeps draining the outbox — discarding frames — so the run can
 // never deadlock against a dead connection, and the handler can always
 // join the writer by closing the outbox.
 
@@ -69,7 +69,7 @@ type session struct {
 	ended atomic.Bool
 
 	// outbox carries every frame to the writer; closed by the conn handler
-	// once the run goroutine has returned.
+	// once the run has returned.
 	outbox chan outFrame
 	// final holds the terminal error frame, if any. It is a dedicated
 	// one-slot channel rather than an outbox send because the terminal
@@ -247,15 +247,16 @@ func (ss *session) setFinal(code, msg string) {
 	}
 }
 
-// run executes the session's Repeat runs on a pool worker. Every run gets
-// a fresh detector over the shared Prepared; warnings stream through the
-// outbox as the detector produces them, then the run's result frame.
+// run executes the session's Repeat runs on the conn handler's goroutine.
+// Every run gets a fresh detector over the shared Prepared; warnings
+// stream through the outbox as the detector produces them, then the run's
+// result frame.
 func (ss *session) run() {
 	// Panic containment: a panic below — an injected pipeline fault, a
 	// workload bug, a detector bug — converts to a terminal internal-error
 	// frame on this session; the process and every other session survive.
-	// The recover must live here rather than rely on the pool: workers
-	// re-raise stored panics at pool.Close, which would crash Drain.
+	// Recovering here, not at the handler's boundary, keeps the session's
+	// own error frame and cancellation code.
 	defer func() {
 		if r := recover(); r != nil {
 			ss.srv.metrics.sessionFailures.Add(1)

@@ -163,23 +163,6 @@ func (d *Differ) runPreset(rebuild func() *Workload, preset string) ([]FragOutco
 	return scoreReport(w, preset, rep), nil
 }
 
-// RunProgram scores every preset on one workload. The rebuild function
-// must return a fresh, identical workload per call (use the Generate or
-// Assemble closure that produced it).
-func (d *Differ) RunProgram(rebuild func() *Workload) ([]FragOutcome, error) {
-	var all []FragOutcome
-	outs, err := sched.Map(d.engine(), PresetNames, func(p string) ([]FragOutcome, error) {
-		return d.runPreset(rebuild, p)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, o := range outs {
-		all = append(all, o...)
-	}
-	return all, nil
-}
-
 // Tally accumulates outcomes of one (preset, category) cell.
 type Tally struct {
 	Match, Mismatch, ProximityMiss int

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"adhocrace/internal/detect"
+	"adhocrace/internal/event"
 	"adhocrace/internal/ir"
 	"adhocrace/internal/synclib"
 	"adhocrace/internal/vm"
@@ -141,14 +142,21 @@ func LongTrace(seed int64, o LongTraceOpts) (*detect.Report, error) {
 	if o.Opts.GCShadow {
 		d.EnableShadowGC(o.Opts.GCEvents)
 	}
+	var sink event.Sink = d
+	if o.Opts.SegmentEvents != 0 {
+		// One overlap pipeline for every window; each vm.Run flushes it,
+		// so the per-window report is complete.
+		seg := event.NewSegmented(d, o.Opts.SegmentEvents)
+		defer seg.Close()
+		sink = seg
+	}
 	for w := 0; w < o.Windows; w++ {
 		_, err := vm.Run(prog, vm.Options{
-			Seed:          seed + int64(w),
-			KnownLibs:     o.Cfg.KnownLibs,
-			Instr:         ins,
-			Sink:          d,
-			SegmentEvents: o.Opts.SegmentEvents,
-			MaxSteps:      o.MaxSteps,
+			Seed:      seed + int64(w),
+			KnownLibs: o.Cfg.KnownLibs,
+			Instr:     ins,
+			Sink:      sink,
+			MaxSteps:  o.MaxSteps,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("longtrace window %d: %w", w, err)

@@ -260,16 +260,6 @@ type Workload struct {
 	Vars  []Var
 }
 
-// FragByIndex returns the fragment with the given namespace index, or nil.
-func (w *Workload) FragByIndex(idx int) *Fragment {
-	for i := range w.Frags {
-		if w.Frags[i].Index == idx {
-			return &w.Frags[i]
-		}
-	}
-	return nil
-}
-
 // Racy reports the program-level ground truth: true when any fragment
 // plants a genuine race.
 func (w *Workload) Racy() bool {

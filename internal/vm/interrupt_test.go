@@ -68,19 +68,20 @@ func TestInterruptMidRun(t *testing.T) {
 }
 
 // TestInterruptOverlapped: with the segmented pipeline the flag flips on
-// the consumer goroutine; the producer must still notice, stop, and join
-// the pipeline cleanly (vm.Run drains and closes the segments on the
-// error path).
+// the consumer goroutine; the producer must still notice, stop, and leave
+// the pipeline drained (vm.Run flushes the segments on the error path;
+// the caller closes them).
 func TestInterruptOverlapped(t *testing.T) {
 	var stop atomic.Bool
 	events := 0
-	sink := event.SinkFunc(func(ev *event.Event) {
+	seg := event.NewSegmented(event.SinkFunc(func(ev *event.Event) {
 		events++
 		if events == 100 {
 			stop.Store(true)
 		}
-	})
-	_, err := Run(countLoop(10_000), Options{Seed: 1, Sink: sink, Interrupt: &stop, SegmentEvents: 64})
+	}), 64)
+	defer seg.Close()
+	_, err := Run(countLoop(10_000), Options{Seed: 1, Sink: seg, Interrupt: &stop})
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}

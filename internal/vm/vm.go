@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"adhocrace/internal/event"
-	"adhocrace/internal/fault"
 	"adhocrace/internal/ir"
 	"adhocrace/internal/obs"
 	"adhocrace/internal/spin"
@@ -35,16 +34,10 @@ type Options struct {
 	KnownLibs map[ir.LibTag]bool
 	// Instr is the spin-loop instrumentation to honor; nil disables marks.
 	Instr *spin.Instrumentation
-	// Sink receives the event stream; nil discards it.
+	// Sink receives the event stream; nil discards it. A buffering sink
+	// (event.Flusher — the overlap pipeline's event.Segmented, a trace
+	// writer) is flushed whenever Run returns.
 	Sink event.Sink
-	// SegmentEvents > 0 overlaps execution and detection: instead of
-	// calling the sink synchronously per event, the vm emits into
-	// double-buffered segments of this many events handed to a consumer
-	// goroutine driving the sink (event.Segmented), so the vm executes the
-	// next segment while the previous one is detected. The sink observes
-	// the identical serial stream either way; reports are byte-identical.
-	// Negative values use event.DefaultSegmentEvents.
-	SegmentEvents int
 	// Interrupt, when non-nil, is polled at every scheduling point: once it
 	// reads true the run stops with ErrInterrupted. This is the server's
 	// session-cancellation hook (client disconnect, eviction, shutdown) —
@@ -58,15 +51,10 @@ type Options struct {
 	// any useful timeout. The server's per-run timeout hook.
 	Deadline time.Time
 	// Obs, when non-nil, records execution-side observability: step and
-	// quantum counters, per-quantum spans (trace mode only — the scheduler
-	// loop stays clock-free otherwise), and the overlap pipeline's segment
-	// sizes and stall times. Nil (the default) compiles every probe down
-	// to a nil-check.
+	// quantum counters and per-quantum spans (trace mode only — the
+	// scheduler loop stays clock-free otherwise). Nil (the default)
+	// compiles every probe down to a nil-check.
 	Obs *obs.Pipeline
-	// Fault, when non-nil, arms the overlap pipeline's segment-rotation
-	// failpoint (handed to event.Segmented; the vm itself carries no
-	// site). Nil keeps it a nil-check.
-	Fault *fault.Registry
 	// Decoded, when non-nil, supplies a pre-decoded form of the program
 	// (vm.Decode) so the run skips the decode pass. It must have been built
 	// from exactly this program and Instr; anything else is re-decoded.
@@ -176,10 +164,7 @@ type VM struct {
 	// per-spawn allocation.
 	argScratch []int64
 	sink       event.Sink
-	// seg is the overlap pipeline when Options.SegmentEvents enables it;
-	// sink then points at it and Run owns its shutdown.
-	seg *event.Segmented
-	ev  event.Event // scratch, reused across emissions
+	ev         event.Event // scratch, reused across emissions
 	// deadlineTick counts quanta until the next Options.Deadline poll;
 	// primed so the first quantum checks, making an already-expired
 	// deadline abort deterministically before any real work.
@@ -219,42 +204,18 @@ func New(p *ir.Program, opts Options) *VM {
 	} else {
 		v.dec = Decode(p, opts.Instr)
 	}
-	if opts.SegmentEvents != 0 && opts.Sink != nil {
-		size := opts.SegmentEvents
-		if size < 0 {
-			size = event.DefaultSegmentEvents
-		}
-		v.seg = event.NewSegmented(opts.Sink, size)
-		v.seg.SetObs(opts.Obs)
-		v.seg.SetFault(opts.Fault)
-		v.sink = v.seg
-	}
 	v.deadlineTick = deadlinePollQuanta - 1
 	return v
 }
 
 // Run executes the program's "main" function to completion of all threads.
-// If the sink buffers events (event.Flusher — a trace writer does), it is
-// flushed before Run returns, so callers never observe a result with
-// detection still in flight. When the run is overlapped
-// (Options.SegmentEvents), the segment pipeline is drained and shut down
-// here — including on error returns, so the detector always observes the
-// exact emitted prefix.
+// If the sink buffers events (event.Flusher), it is flushed before Run
+// returns — error returns included — so callers never observe a result
+// with detection still in flight, and the sink has seen exactly the
+// emitted prefix. Shutting a pipelined sink down is the caller's job.
 func (v *VM) Run() (Result, error) {
-	if v.seg != nil {
-		// Deferred so the consumer goroutine is torn down on every exit —
-		// including a detector panic re-raised out of the emit path —
-		// before the caller's own deferred detector Close runs. The
-		// explicit Close below handles the normal path (Close is
-		// idempotent); Segmented.Close completes its shutdown even when
-		// the final drain re-raises a downstream panic.
-		defer v.seg.Close()
-	}
 	res, err := v.run(v.runThread)
-	if v.seg != nil {
-		v.seg.Close() // drains, then flushes the downstream sink
-	}
-	if f, ok := v.sink.(event.Flusher); ok && v.seg == nil {
+	if f, ok := v.sink.(event.Flusher); ok {
 		f.Flush()
 	}
 	return res, err

@@ -457,9 +457,10 @@ func TestShiftMasking(t *testing.T) {
 }
 
 // TestSegmentedRunIdenticalStream runs the same program+seed with the
-// synchronous sink and with the overlapped segment pipeline (several
+// synchronous sink and behind the overlapped segment pipeline (several
 // segment sizes, including ones smaller than the stream and the default)
-// and asserts the sink observes the identical event sequence.
+// and asserts the sink observes the identical event sequence once vm.Run
+// has flushed the pipeline.
 func TestSegmentedRunIdenticalStream(t *testing.T) {
 	build := func() *ir.Program {
 		b := ir.NewBuilder("t")
@@ -484,8 +485,13 @@ func TestSegmentedRunIdenticalStream(t *testing.T) {
 	}
 	record := func(segment int) []event.Event {
 		var got []event.Event
-		sink := event.SinkFunc(func(ev *event.Event) { got = append(got, *ev) })
-		mustRun(t, build(), Options{Seed: 3, Sink: sink, SegmentEvents: segment})
+		var sink event.Sink = event.SinkFunc(func(ev *event.Event) { got = append(got, *ev) })
+		if segment != 0 {
+			seg := event.NewSegmented(sink, segment)
+			defer seg.Close()
+			sink = seg
+		}
+		mustRun(t, build(), Options{Seed: 3, Sink: sink})
 		return got
 	}
 	want := record(0) // synchronous

@@ -15,12 +15,3 @@ func Suite() []Case {
 	}
 	return cases
 }
-
-// ByCategory groups the suite by case category.
-func ByCategory() map[string][]Case {
-	out := make(map[string][]Case)
-	for _, c := range Suite() {
-		out[c.Category] = append(out[c.Category], c)
-	}
-	return out
-}

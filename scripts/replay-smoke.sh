@@ -3,8 +3,8 @@
 #
 # Records one workload's trace, replays it through racedetect, and asserts
 # the replayed report's fingerprint equals the live run's for the same
-# workload, tool and seed — once plain and once with the shadow GC. Cheap
-# enough for every CI run.
+# workload, tool and seed — once plain, once with the shadow GC and once
+# with the overlap pipeline (on both sides). Cheap enough for every CI run.
 #
 # Usage: [GO=go] [WORKLOAD=adhoc_spin11_b7_atomic_long] [TOOL=spin] replay-smoke.sh
 set -eu
@@ -22,10 +22,10 @@ fp() {
 }
 
 # The GC variant cycles every 64 events so even a short run retires state.
-for gc in "" "-gc-shadow -gc-events 64"; do
-	live="$(fp -w "$workload" -tool "$tool" -seed 1 $gc)"
-	replay="$(fp -replay "$tmp/t.trace" $gc)"
-	mode="${gc:-plain}"
+for knobs in "" "-gc-shadow -gc-events 64" "-overlap"; do
+	live="$(fp -w "$workload" -tool "$tool" -seed 1 $knobs)"
+	replay="$(fp -replay "$tmp/t.trace" $knobs)"
+	mode="${knobs:-plain}"
 	if [ -z "$live" ]; then
 		echo "replay-smoke: no fingerprint from the live $mode run" >&2
 		exit 1
