@@ -21,9 +21,8 @@
 // with -replay — goes into double-buffered segments of a fixed size,
 // consumed by the detector concurrently with production. It pays only on
 // long streams with a second core to run on (docs/ARCHITECTURE.md,
-// "Performance shape"). Reports are byte-identical
-// with the pipeline knobs on or off; only wall-clock time and memory
-// change.
+// "Performance shape"). Reports are byte-identical with the pipeline
+// knobs on or off; only wall-clock time and memory change.
 //
 // With -stats the run's pipeline counters are printed: events processed,
 // events/sec, shadow bytes, read-set promotions/demotions (how often the
@@ -44,9 +43,9 @@
 // the header). With -replay a recorded trace is fed straight into a
 // detector — no vm in the loop — honoring -gc-shadow and -overlap; the
 // workload and tool come from the trace header, and the report is
-// byte-identical to the live run's. -fingerprint appends a fingerprint= line (a digest of the
-// full report) so scripts can compare runs cheaply — the replay smoke
-// asserts a replay matches the live run.
+// byte-identical to the live run's. -fingerprint appends a fingerprint=
+// line (a digest of the full report) so scripts can compare runs cheaply
+// — the replay smoke asserts a replay matches the live run.
 package main
 
 import (
