@@ -62,6 +62,12 @@ func (r *releaseState) bytes() int64 {
 	return r.frozen.Bytes()
 }
 
+// lastCond is the last condition address a thread read in one loop.
+type lastCond struct {
+	addr int64
+	seen bool
+}
+
 // Engine is the runtime ad-hoc synchronization detector for one execution.
 //
 // Every entry point runs on the goroutine that drives detection; the
@@ -95,7 +101,9 @@ type Engine struct {
 	release map[int64]*releaseState
 	// lastRead tracks, per thread and loop, the last condition address the
 	// thread observed, so the exit edge knows its counterpart location.
-	lastRead map[event.Tid]map[int]int64
+	// Dense by thread id, each thread's table dense by loop id (nil until
+	// the thread's first spin read).
+	lastRead [][]lastCond
 
 	// Edges counts injected happens-before edges (diagnostics/figures).
 	Edges int64
@@ -123,13 +131,12 @@ func New(h hb.Engine, ins *spin.Instrumentation, prog *ir.Program) *Engine {
 	if ins != nil {
 		// The classification and history maps exist only when the spin
 		// feature can populate them; the lib/DRD configurations (ins == nil)
-		// never touch them, so they skip the six map allocations per run.
+		// never touch them, so they skip the five map allocations per run.
 		e.condSyms = make(map[ir.SymID]bool)
 		e.syncAddrs = make(map[int64]bool)
 		e.lockWords = make(map[int64]bool)
 		e.lockSyms = make(map[ir.SymID]bool)
 		e.release = make(map[int64]*releaseState)
-		e.lastRead = make(map[event.Tid]map[int]int64)
 		// The static phase works in strings; translate through the program's
 		// interning table. A condition symbol never loaded by an instruction
 		// resolves to NoSym, which is fine: an event can only ever carry a
@@ -249,16 +256,27 @@ func (e *Engine) OnSpinRead(ev *event.Event) {
 		return
 	}
 	e.SpinReads++
-	e.syncAddrs[ev.Addr] = true
-	if ev.SpinLoop >= 0 && int(ev.SpinLoop) < len(e.ins.Loops) && e.ins.Loops[ev.SpinLoop].HasRMW {
+	// A spinning thread re-reads the same condition: insert only when
+	// absent, so the steady state is a map read, not a write.
+	if !e.syncAddrs[ev.Addr] {
+		e.syncAddrs[ev.Addr] = true
+	}
+	loop := int(ev.SpinLoop)
+	if loop < 0 || loop >= len(e.ins.Loops) {
+		// Not a loop this instrumentation classified (a trace recorded
+		// against other instrumentation): there is no exit to pair with.
+		return
+	}
+	if e.ins.Loops[loop].HasRMW && !e.lockWords[ev.Addr] {
 		e.lockWords[ev.Addr] = true
 	}
-	m := e.lastRead[ev.Tid]
-	if m == nil {
-		m = make(map[int]int64)
-		e.lastRead[ev.Tid] = m
+	for len(e.lastRead) <= int(ev.Tid) {
+		e.lastRead = append(e.lastRead, nil)
 	}
-	m[int(ev.SpinLoop)] = ev.Addr
+	if e.lastRead[ev.Tid] == nil {
+		e.lastRead[ev.Tid] = make([]lastCond, len(e.ins.Loops))
+	}
+	e.lastRead[ev.Tid][loop] = lastCond{addr: ev.Addr, seen: true}
 }
 
 // OnSpinExit injects the happens-before edge from the counterpart write to
@@ -268,15 +286,15 @@ func (e *Engine) OnSpinExit(ev *event.Event) {
 		return
 	}
 	e.SpinExits++
-	m := e.lastRead[ev.Tid]
-	if m == nil {
+	loop := int(ev.SpinLoop)
+	if int(ev.Tid) >= len(e.lastRead) || loop < 0 || loop >= len(e.lastRead[ev.Tid]) {
 		return
 	}
-	addr, ok := m[int(ev.SpinLoop)]
-	if !ok {
+	c := e.lastRead[ev.Tid][loop]
+	if !c.seen {
 		return
 	}
-	if rel := e.release[addr]; rel != nil {
+	if rel := e.release[c.addr]; rel != nil {
 		rel.joinInto(e.hb.ClockOf(ev.Tid))
 		e.Edges++
 	}
@@ -317,8 +335,16 @@ func (e *Engine) Bytes() int64 {
 	for _, r := range e.release {
 		n += r.bytes() + 16
 	}
-	for _, m := range e.lastRead {
-		n += int64(len(m))*24 + 16
+	for _, loops := range e.lastRead {
+		if loops == nil {
+			continue
+		}
+		n += 16
+		for _, c := range loops {
+			if c.seen {
+				n += 24
+			}
+		}
 	}
 	if e.ins != nil {
 		n += e.ins.MarkBytes()

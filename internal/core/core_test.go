@@ -186,3 +186,46 @@ func TestBytesAccounting(t *testing.T) {
 		t.Error("Bytes must grow with tracked state")
 	}
 }
+
+// TestSpinExitPairsPerThreadAndLoop: an exit pairs only with the exiting
+// thread's last read in the same loop, the memory figure charges one entry
+// per (thread, loop) with a read, and a loop id the instrumentation never
+// assigned pairs with nothing.
+func TestSpinExitPairsPerThreadAndLoop(t *testing.T) {
+	ins := &spin.Instrumentation{Window: 7, Loops: []*spin.Loop{{}, {}}}
+	h := hb.New()
+	e := New(h, ins, nil)
+	h.ClockOf(1).Tick(1)
+	e.OnWrite(&event.Event{Kind: event.KindAtomicWrite, Tid: 1, Addr: 64})
+
+	e.OnSpinRead(&event.Event{Kind: event.KindSpinRead, Tid: 2, Addr: 64, SpinLoop: 1})
+	base := e.Bytes()
+	e.OnSpinRead(&event.Event{Kind: event.KindSpinRead, Tid: 2, Addr: 64, SpinLoop: 1})
+	if got := e.Bytes(); got != base {
+		t.Errorf("re-reading in the same loop changed Bytes %d -> %d", base, got)
+	}
+	e.OnSpinExit(&event.Event{Kind: event.KindSpinExit, Tid: 2, SpinLoop: 0})
+	e.OnSpinExit(&event.Event{Kind: event.KindSpinExit, Tid: 3, SpinLoop: 1})
+	if e.Edges != 0 {
+		t.Fatalf("exit paired with another loop's or thread's read: %d edges", e.Edges)
+	}
+	e.OnSpinExit(&event.Event{Kind: event.KindSpinExit, Tid: 2, SpinLoop: 1})
+	if e.Edges != 1 {
+		t.Fatalf("exit after a read in its loop: %d edges, want 1", e.Edges)
+	}
+
+	e.OnSpinRead(&event.Event{Kind: event.KindSpinRead, Tid: 2, Addr: 64, SpinLoop: 0})
+	if got := e.Bytes(); got != base+24 {
+		t.Errorf("a read in a second loop: Bytes %d, want %d (one 24-byte entry)", got, base+24)
+	}
+	e.OnSpinRead(&event.Event{Kind: event.KindSpinRead, Tid: 4, Addr: 64, SpinLoop: 1})
+	if got := e.Bytes(); got != base+24+24+16 {
+		t.Errorf("a second reading thread: Bytes %d, want %d (entry plus thread header)", got, base+24+24+16)
+	}
+
+	e.OnSpinRead(&event.Event{Kind: event.KindSpinRead, Tid: 5, Addr: 64, SpinLoop: 2})
+	e.OnSpinExit(&event.Event{Kind: event.KindSpinExit, Tid: 5, SpinLoop: 2})
+	if e.Edges != 1 {
+		t.Errorf("unassigned loop id paired: %d edges, want 1", e.Edges)
+	}
+}

@@ -21,8 +21,7 @@ func (d *Detector) access(ev *event.Event, idx int64, clock *vc.Clock) {
 
 	// Eraser tool: lockset only.
 	if d.cfg.Tool == EraserTool {
-		warn, _ := d.locks.Access(ev.Tid, ev.Addr, isWrite)
-		if warn && !w.reported {
+		if d.locks.AccessVar(&w.ls, ev.Tid, isWrite) && !w.reported {
 			w.reported = true
 			tab := d.adhoc.Table()
 			d.warn(Warning{Kind: WarnLockset, Loc: tab.LocAt(ev.Loc), Addr: ev.Addr,
@@ -31,9 +30,11 @@ func (d *Detector) access(ev *event.Event, idx int64, clock *vc.Clock) {
 		return
 	}
 
-	// Hybrid bookkeeping (classification only; reporting is HB-driven).
+	// Hybrid bookkeeping: Helgrind+ carries the lockset state next to the
+	// clocks, but reporting is HB-driven, so the verdict goes unused and
+	// the state shows only in the memory figure.
 	if d.cfg.Tool == HelgrindPlus {
-		d.locks.Access(ev.Tid, ev.Addr, isWrite)
+		d.locks.AccessVar(&w.ls, ev.Tid, isWrite)
 	}
 
 	var raceWith event.Tid = -1

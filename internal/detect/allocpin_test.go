@@ -7,8 +7,10 @@ import (
 	"adhocrace/internal/workloads/dataracetest"
 )
 
-// shadowPageBytes is the size of one shadow page: 512 words of 88 bytes
-// plus the page's bookkeeping.
+// shadowPageBytes is the allocation bar: the size of one shadow page when
+// words were 88 bytes (512 of them plus the page's bookkeeping). Words now
+// also carry their lockset state, making a page 53,264 B, but the bar stays
+// at the smaller figure.
 const shadowPageBytes = 45_064
 
 // TestSteadyStateRunAllocatesUnderOnePage pins the shadow-page pool: once

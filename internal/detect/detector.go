@@ -156,10 +156,11 @@ func (r *Report) HasWarnings() bool { return len(r.Warnings) > 0 }
 
 // shadowWord is the per-address detector state, stored by value in the
 // paged shadow memory (see shadow.go). The zero value is a fresh word; the
-// whole hot path is allocation-free — the write side is an epoch, and the
+// whole hot path is allocation-free — the write side is an epoch, the
 // read side is the adaptive FastTrack representation of readState, which
 // allocates only on promotion to a read-set (and then from the detector's
-// pool).
+// pool), and the lockset state allocates only when its candidate set
+// shrinks to a proper subset of the held set.
 type shadowWord struct {
 	// Last write epoch: thread, that thread's clock component, stream
 	// position, location, atomicity.
@@ -175,6 +176,10 @@ type shadowWord struct {
 	reads       readState
 	readsAtomic readState
 
+	// ls is the cell's Eraser lockset state (Eraser and the hybrid tools;
+	// it stays Virgin under DRD).
+	ls lockset.Var
+
 	// live marks words in use, for the page's ShadowBytes accounting.
 	live bool
 	// atomicEver marks addresses ever accessed atomically (the Helgrind+
@@ -187,8 +192,9 @@ type shadowWord struct {
 	reported bool
 }
 
-// Detector consumes one execution's event stream: one shadow table, one
-// lockset tracker, and the happens-before and ad-hoc engines, all driven
+// Detector consumes one execution's event stream: one shadow table (which
+// carries each cell's lockset state), one held-lock tracker, and the
+// happens-before and ad-hoc engines, all driven
 // by Handle on the goroutine that delivers events (the vm's execution
 // goroutine, or the overlap pipeline's consumer). Each access reads the
 // accessing thread's live clock and held-lock set in place.

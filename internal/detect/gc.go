@@ -27,14 +27,17 @@ package detect
 // per-component test wm bounds), and its demotion predicate
 // (readState.orderedBefore) is vacuously unchanged by clearing. Retiring
 // the word — zeroing it and recycling its read-sets through the
-// detector's pool — is output-invisible, with one carve-out: the sticky flags
-// (atomicEver, suspected, reported) gate *suppression*, not ordering, and
-// forgetting them could resurrect a deduplicated warning or rewind the
-// long-run state machine. They are preserved in a per-page bitmap side
-// table (retiredFlags) and restored when the word is next touched, so the
-// precision delta of the GC is exactly zero — which
-// TestShadowGCEquivalence* holds corpus-wide and
-// TestShadowGCPrecisionContract pins on the adversarial cases.
+// detector's pool — is output-invisible, with two carve-outs. The sticky
+// flags (atomicEver, suspected, reported) gate *suppression*, not
+// ordering, and forgetting them could resurrect a deduplicated warning or
+// rewind the long-run state machine. Under Eraser the word's lockset state
+// *is* the report, and the happens-before watermark says nothing about it.
+// Both are parked in a per-page side table (retiredFlags) and restored when
+// the word is next touched, so the precision delta of the GC is exactly
+// zero — which TestShadowGCEquivalence* holds corpus-wide and
+// TestShadowGCPrecisionContract pins on the adversarial cases. The hybrid
+// tools discard the lockset verdict, so their lockset state is wiped with
+// the word and its state machine restarts from Virgin.
 //
 // # Stream position
 //
@@ -50,14 +53,15 @@ package detect
 //
 // Byte-identical warnings, in all configurations and pipeline modes —
 // dominated history can satisfy no predicate, sticky
-// flags survive retirement, and Eraser's lockset variables (whose state
-// *is* the report) are exempted from per-variable forgetting. What does
+// flags survive retirement, and Eraser's lockset state (which *is* the
+// report) is parked and restored rather than forgotten. What does
 // change: ShadowBytes (the point of the exercise) and the representation
 // counters (promotions/demotions/epoch-hits count transitions the GC
 // removes or re-runs), none of which the report fingerprint includes.
 
 import (
 	"adhocrace/internal/fault"
+	"adhocrace/internal/lockset"
 	"adhocrace/internal/obs"
 	"adhocrace/internal/vc"
 )
@@ -121,6 +125,12 @@ func (d *Detector) collect(wm *vc.Clock) {
 				}
 				rf.set(i, w.atomicEver, w.suspected, w.reported)
 			}
+			if eraser && w.ls.State() != lockset.Virgin {
+				if rf == nil {
+					rf = d.shadow.retiredOf(key)
+				}
+				rf.park(i, w.ls)
+			}
 			if w.reads.set != nil {
 				d.putReadSet(w.reads.set)
 				d.gcSets++
@@ -128,11 +138,6 @@ func (d *Detector) collect(wm *vc.Clock) {
 			if w.readsAtomic.set != nil {
 				d.putReadSet(w.readsAtomic.set)
 				d.gcSets++
-			}
-			if !eraser {
-				// The hybrid tools discard Access's verdict, so the
-				// variable's lockset state machine may restart from Virgin.
-				d.locks.ForgetVar(addrOf(key, i))
 			}
 			*w = shadowWord{}
 			pg.live--
@@ -151,15 +156,23 @@ func (d *Detector) collect(wm *vc.Clock) {
 	}
 }
 
-// retiredFlags is the per-page bitmap side table preserving the sticky
-// suppression flags of retired words, restored on the word's next touch.
+// retiredFlags is the per-page side table preserving what retirement must
+// not forget — the sticky suppression flags, and under Eraser the lockset
+// state — restored on the word's next touch.
 type retiredFlags struct {
 	atomicEver [pageWords / 64]uint64
 	suspected  [pageWords / 64]uint64
 	reported   [pageWords / 64]uint64
+	// flagged marks a table whose bitmaps hold a flag; shadowMem.bytes
+	// charges the bitmaps only then.
+	flagged bool
+	// locks parks the lockset state of retired Eraser words; nil until
+	// the first one retires.
+	locks *[pageWords]lockset.Var
 }
 
 func (rf *retiredFlags) set(i int, atomicEver, suspected, reported bool) {
+	rf.flagged = true
 	bit := uint64(1) << (uint(i) & 63)
 	if atomicEver {
 		rf.atomicEver[i>>6] |= bit
@@ -172,10 +185,38 @@ func (rf *retiredFlags) set(i int, atomicEver, suspected, reported bool) {
 	}
 }
 
-// restore copies word i's preserved flags into w.
+// park keeps word i's lockset state until the word is next touched.
+func (rf *retiredFlags) park(i int, ls lockset.Var) {
+	if rf.locks == nil {
+		rf.locks = new([pageWords]lockset.Var)
+	}
+	rf.locks[i] = ls
+}
+
+// restore copies word i's preserved flags and parked lockset state into w;
+// the parked state moves, so it is charged once, as the word's.
 func (rf *retiredFlags) restore(i int, w *shadowWord) {
 	bit := uint64(1) << (uint(i) & 63)
 	w.atomicEver = rf.atomicEver[i>>6]&bit != 0
 	w.suspected = rf.suspected[i>>6]&bit != 0
 	w.reported = rf.reported[i>>6]&bit != 0
+	if rf.locks != nil {
+		w.ls = rf.locks[i]
+		rf.locks[i] = lockset.Var{}
+	}
+}
+
+// bytes is the table's charge in the memory figure: the three bitmaps and
+// their map entry once a flag is set, plus every parked lockset state.
+func (rf *retiredFlags) bytes() int64 {
+	var n int64
+	if rf.flagged {
+		n = 3*(pageWords/8) + 48
+	}
+	if rf.locks != nil {
+		for i := range rf.locks {
+			n += rf.locks[i].Bytes()
+		}
+	}
+	return n
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"adhocrace/internal/event"
+	"adhocrace/internal/lockset"
 	"adhocrace/internal/vc"
 )
 
@@ -104,11 +105,11 @@ func TestGCPreservesStickyFlags(t *testing.T) {
 func TestGCForgetsHybridLocksetVars(t *testing.T) {
 	s := benchDetector(HelgrindPlusLib())
 	s.access(&event.Event{Kind: event.KindWrite, Tid: 1, Addr: 0x40}, 1, gcClock(map[int]uint64{1: 5}))
-	if s.locks.VarState(0x40) == nil {
+	if s.shadow.word(0x40).ls.State() == lockset.Virgin {
 		t.Fatalf("hybrid access must create lockset var state")
 	}
 	s.collect(gcClock(map[int]uint64{0: 9, 1: 9}))
-	if s.locks.VarState(0x40) != nil {
+	if s.shadow.retired[0] != nil || s.shadow.word(0x40).ls.State() != lockset.Virgin {
 		t.Errorf("hybrid lockset var must be forgotten on retirement")
 	}
 }
@@ -116,11 +117,17 @@ func TestGCForgetsHybridLocksetVars(t *testing.T) {
 func TestGCSkipsEraserLocksetVars(t *testing.T) {
 	s := benchDetector(Eraser())
 	s.access(&event.Event{Kind: event.KindWrite, Tid: 1, Addr: 0x40}, 1, gcClock(map[int]uint64{1: 5}))
-	if s.locks.VarState(0x40) == nil {
+	if s.shadow.word(0x40).ls.State() == lockset.Virgin {
 		t.Fatalf("Eraser access must create lockset var state")
 	}
 	s.collect(gcClock(map[int]uint64{0: 9, 1: 9}))
-	if s.locks.VarState(0x40) == nil {
+	if s.gcWords != 1 {
+		t.Fatalf("Eraser word not retired (%d)", s.gcWords)
+	}
+	if rf := s.shadow.retired[0]; rf == nil || rf.locks == nil || rf.locks[0x40>>addrWordShift].State() == lockset.Virgin {
 		t.Errorf("Eraser lockset state is the report; the GC must not forget it")
+	}
+	if ls := s.shadow.word(0x40).ls; ls.State() != lockset.Exclusive || ls.Owner() != 1 {
+		t.Errorf("restored lockset state = %v owned by T%d, want exclusive owned by T1", ls.State(), ls.Owner())
 	}
 }

@@ -74,9 +74,9 @@ type shadowMem struct {
 	// comparison plus an array index.
 	lastKey  int64
 	lastPage *shadowPage
-	// retired preserves the sticky suppression flags of GC-retired words,
-	// per page key; nil until the GC first retires a flagged word. See
-	// gc.go.
+	// retired preserves the sticky suppression flags (and Eraser lockset
+	// state) of GC-retired words, per page key; nil until the GC first
+	// retires a word with either. See gc.go.
 	retired map[int64]*retiredFlags
 }
 
@@ -94,12 +94,6 @@ func (s *shadowMem) retiredOf(key int64) *retiredFlags {
 		s.retired[key] = rf
 	}
 	return rf
-}
-
-// addrOf inverts word: the byte address of word i of the page with the
-// given key.
-func addrOf(key int64, i int) int64 {
-	return (key<<pageWordShift | int64(i)) << addrWordShift
 }
 
 // word returns the shadow word for a byte address, allocating its page on
@@ -130,7 +124,8 @@ func (s *shadowMem) word(addr int64) *shadowWord {
 		}
 		if s.retired != nil {
 			// A retired word coming back into use recovers its sticky
-			// suppression flags, so retirement stays output-invisible.
+			// suppression flags (and, under Eraser, its lockset state), so
+			// retirement stays output-invisible.
 			if rf := s.retired[key]; rf != nil {
 				rf.restore(i, w)
 			}
@@ -151,12 +146,19 @@ func (s *shadowMem) word(addr int64) *shadowWord {
 // read both ways counts once). Read history the epoch layout has retired
 // (demoted read-sets) is no longer charged — that shrinkage is precisely
 // the layout's saving.
+//
+// Every lockset state past Virgin, live in its word or parked by the GC,
+// is charged the seed's per-variable cost (lockset.Var.Bytes), so the
+// figure matches the map-keyed tracker the state used to live in.
 func (s *shadowMem) bytes() int64 {
 	// Retired-flag bitmaps are real residency and are charged (3 bitmaps
 	// of pageWords bits plus the map entry), so retirement accounting
 	// round-trips honestly: allocate → retire → reallocate returns to the
 	// same figure.
-	n := int64(len(s.retired)) * (3*(pageWords/8) + 48)
+	var n int64
+	for _, rf := range s.retired {
+		n += rf.bytes()
+	}
 	for _, pg := range s.pages {
 		for i := range pg.words {
 			w := &pg.words[i]
@@ -166,7 +168,7 @@ func (s *shadowMem) bytes() int64 {
 			_, mp := w.reads.readers()
 			_, ma := w.readsAtomic.readers()
 			n += 96 + flavorClockBytes(mp) + flavorClockBytes(ma) +
-				int64(unionReaders(&w.reads, &w.readsAtomic))*24
+				int64(unionReaders(&w.reads, &w.readsAtomic))*24 + w.ls.Bytes()
 		}
 	}
 	return n

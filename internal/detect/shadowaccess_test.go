@@ -41,6 +41,48 @@ func TestShadowAccessSameEpochZeroAlloc(t *testing.T) {
 	}
 }
 
+// sharedLocked sets up the lock-protected shared-modified regime: threads
+// 1 and 2 both hold lock 0x100 and write word 64 in turn, each clock
+// covering the other's write (as a lock hand-off would order them), so the
+// word reaches SharedModified with candidate set {0x100} and no race. It
+// returns one alternating pair of accesses at stream position idx.
+func sharedLocked(s *Detector) func(idx int64) {
+	c1, c2 := vc.New(), vc.New()
+	c1.Set(1, 5)
+	c1.Set(2, 9)
+	c2.Set(1, 5)
+	c2.Set(2, 9)
+	s.locks.LockAcquired(1, 0x100)
+	s.locks.LockAcquired(2, 0x100)
+	e1, e2 := writeEvent(1, 64), writeEvent(2, 64)
+	return func(idx int64) {
+		s.access(&e1, idx, c1)
+		s.access(&e2, idx+1, c2)
+	}
+}
+
+// TestShadowAccessSharedModifiedZeroAlloc pins the lock-protected path:
+// two threads alternately writing one word under the same lock keep its
+// candidate set unchanged, and the access allocates nothing — neither the
+// lockset state (it lives in the word) nor the intersection (a candidate
+// set covered by the held set is kept as it is).
+func TestShadowAccessSharedModifiedZeroAlloc(t *testing.T) {
+	s := benchDetector(HelgrindPlusLib())
+	pair := sharedLocked(s)
+	idx := int64(1)
+	pair(idx) // warm up: page, Exclusive -> SharedModified, held views
+	allocs := testing.AllocsPerRun(200, func() {
+		idx += 2
+		pair(idx)
+	})
+	if allocs != 0 {
+		t.Errorf("lock-protected shared-modified access path allocates %.1f per pair, want 0", allocs)
+	}
+	if len(s.warnings) != 0 {
+		t.Errorf("ordered lock-protected writes warned: %v", s.warnings)
+	}
+}
+
 // TestReadStateAdaptive walks one word through the representation's
 // lifecycle: epoch → promoted read-set (second reader) → demoted back by
 // an ordering write, with the set recycled through the detector's pool.
@@ -122,9 +164,10 @@ func TestDemotionGating(t *testing.T) {
 }
 
 // BenchmarkShadowAccess measures the per-access shadow path in its three
-// representation regimes. Run with -benchmem: same-epoch must be 0
-// allocs/op; promoted and demoted are 0 allocs/op at steady state because
-// read-sets recycle through the detector's pool.
+// read-representation regimes and the lock-protected write regime. Run
+// with -benchmem: same-epoch and shared-locked must be 0 allocs/op;
+// promoted and demoted are 0 allocs/op at steady state because read-sets
+// recycle through the detector's pool.
 func BenchmarkShadowAccess(b *testing.B) {
 	b.Run("same-epoch", func(b *testing.B) {
 		s := benchDetector(HelgrindPlusLib())
@@ -174,6 +217,18 @@ func BenchmarkShadowAccess(b *testing.B) {
 			s.access(&r1, idx, c1)
 			s.access(&r2, idx+1, c2)
 			s.access(&wr, idx+2, cw)
+		}
+	})
+	b.Run("shared-locked", func(b *testing.B) {
+		// Two writer threads holding the same lock alternate on one word:
+		// every access intersects a candidate set the held set covers.
+		s := benchDetector(HelgrindPlusLib())
+		pair := sharedLocked(s)
+		pair(0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += 2 {
+			pair(int64(i + 2))
 		}
 	})
 }

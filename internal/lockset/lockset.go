@@ -5,19 +5,26 @@
 // interleaving.
 //
 // Helgrind+ is a hybrid detector: it carries lockset state next to the
-// happens-before clocks. In this reproduction the lockset classifies
-// warnings and powers the pure-Eraser reference detector used in tests; the
-// hybrid's reporting decisions live in package detect.
+// happens-before clocks. In this reproduction the lockset state machine
+// is the whole of the Eraser tool (detect.Eraser, which raced and the
+// synthesis differ expose as "eraser") and is carried by the hybrid
+// presets for the memory figure; the hybrid's reporting decisions live in
+// package detect.
+//
+// The Tracker owns the per-thread held locks; the per-variable state (Var)
+// is stored by the caller — package detect keeps it in the variable's
+// shadow word — and handed to AccessVar, so an access costs no lookup.
 package lockset
 
 import (
-	"sort"
+	"slices"
 
 	"adhocrace/internal/event"
 )
 
-// Set is an immutable set of lock addresses. The zero value is the
-// universal set ("all locks", the initial candidate set of every variable).
+// Set is an immutable set of lock addresses. Set{} is the empty set (Empty
+// returns it); Universal returns the set of all locks, the initial
+// candidate set of every variable.
 type Set struct {
 	universal bool
 	locks     []int64 // sorted
@@ -29,20 +36,18 @@ func Universal() Set { return Set{universal: true} }
 // Empty returns the empty set.
 func Empty() Set { return Set{} }
 
+// emptySet is the shared empty view: the held set of a thread holding no
+// lock, and the candidate set a disjoint intersection shrinks to.
+var emptySet = &Set{}
+
 // FromSlice builds a set from a slice of lock addresses.
 func FromSlice(locks []int64) Set {
 	if len(locks) == 0 {
 		return Set{}
 	}
-	s := append([]int64(nil), locks...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	out := s[:1]
-	for _, l := range s[1:] {
-		if l != out[len(out)-1] {
-			out = append(out, l)
-		}
-	}
-	return Set{locks: out}
+	s := slices.Clone(locks)
+	slices.Sort(s)
+	return Set{locks: slices.Compact(s)}
 }
 
 // IsUniversal reports whether the set is the universal set.
@@ -64,11 +69,13 @@ func (s Set) Contains(lock int64) bool {
 	if s.universal {
 		return true
 	}
-	i := sort.Search(len(s.locks), func(i int) bool { return s.locks[i] >= lock })
-	return i < len(s.locks) && s.locks[i] == lock
+	_, ok := slices.BinarySearch(s.locks, lock)
+	return ok
 }
 
-// Intersect returns s ∩ other.
+// Intersect returns s ∩ other. It allocates only when the result is a
+// proper subset of both operands: when s ⊆ other it returns s itself, and
+// when other ⊆ s it returns other.
 func (s Set) Intersect(other Set) Set {
 	if s.universal {
 		return other
@@ -76,21 +83,70 @@ func (s Set) Intersect(other Set) Set {
 	if other.universal {
 		return s
 	}
-	var out []int64
-	i, j := 0, 0
-	for i < len(s.locks) && j < len(other.locks) {
+	switch n := common(s.locks, other.locks); n {
+	case len(s.locks):
+		return s
+	case len(other.locks):
+		return other
+	default:
+		return Set{locks: merge(s.locks, other.locks, n)}
+	}
+}
+
+// common counts the members two sorted lock lists share.
+func common(a, b []int64) int {
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
 		switch {
-		case s.locks[i] == other.locks[j]:
-			out = append(out, s.locks[i])
+		case a[i] == b[j]:
+			n++
 			i++
 			j++
-		case s.locks[i] < other.locks[j]:
+		case a[i] < b[j]:
 			i++
 		default:
 			j++
 		}
 	}
-	return Set{locks: out}
+	return n
+}
+
+// merge returns the n members two sorted lock lists share.
+func merge(a, b []int64, n int) []int64 {
+	out := make([]int64, 0, n)
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] == b[j]:
+			out = append(out, a[i])
+			i++
+			j++
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return out
+}
+
+// intersect is Intersect on the shared views a Var holds: the result is
+// one of the operands whenever it equals one, so only a candidate set that
+// genuinely shrinks to a proper subset of both allocates.
+func intersect(c, held *Set) *Set {
+	if c == held {
+		return c
+	}
+	switch n := common(c.locks, held.locks); n {
+	case len(c.locks):
+		return c
+	case len(held.locks):
+		return held
+	case 0:
+		return emptySet
+	default:
+		return &Set{locks: merge(c.locks, held.locks, n)}
+	}
 }
 
 // Slice returns the members (nil for universal).
@@ -117,33 +173,79 @@ func (s State) String() string {
 	return "state(?)"
 }
 
-// Var is the lockset shadow of one variable.
+// Var is the lockset shadow of one variable, stored by the caller and
+// advanced by Tracker.AccessVar. The zero value is a Virgin variable.
+// While the state is below Shared the candidate set is universal and
+// cands is nil; from Shared on, cands is an immutable view shared with
+// held sets and other variables, never written through.
 type Var struct {
-	State      State
-	Owner      event.Tid
-	Candidates Set
+	cands *Set
+	owner int32 // thread ids are below 1<<30 (the trace format's bound)
+	state State
+}
+
+// State returns the variable's Eraser state.
+func (v *Var) State() State { return v.state }
+
+// Owner returns the thread of the variable's first access; meaningful
+// once the state is past Virgin.
+func (v *Var) Owner() event.Tid { return event.Tid(v.owner) }
+
+// Candidates returns the variable's candidate set: universal below Shared.
+func (v *Var) Candidates() Set {
+	if v.cands == nil {
+		return Universal()
+	}
+	return *v.cands
+}
+
+// Bytes is the variable's charge in the memory figure, under the seed
+// model: a 48-byte entry plus its candidate set, for every variable ever
+// accessed (nothing for a Virgin one).
+func (v *Var) Bytes() int64 {
+	if v.state == Virgin {
+		return 0
+	}
+	var n int64 = 48
+	if v.cands != nil {
+		n += int64(len(v.cands.locks)) * 8
+	}
+	return n
 }
 
 // heldState is one thread's held-lock bookkeeping: the live lock list and
-// its memoized Set, rebuilt at most once per lock operation.
+// its memoized immutable view, rebuilt at most once per lock operation.
 type heldState struct {
+	// locks is kept sorted, so the view is a plain copy.
 	locks []int64
-	snap  Set
-	// snapValid marks snap as current; cleared by lock operations.
-	snapValid bool
+	// snap is the current view; nil when a lock operation made it stale.
+	snap *Set
+	// last is the most recent non-empty view built. A lock/unlock cycle
+	// returns the list to the same locks, and the view is reused instead
+	// of rebuilt, so steady lock churn allocates nothing.
+	last *Set
 	// ever marks threads that ever acquired a lock, for the seed-model
-	// accounting (HeldBytes charged one entry per such thread).
+	// accounting (Bytes charges one entry per such thread).
 	ever bool
 }
 
-// Tracker maintains held locks per thread and Eraser state per variable.
-// Held state is a dense slice indexed by thread id (thread ids are the
-// vm's small dense range), so the per-access held-set lookup is an index
-// and a flag check — no map traffic on the hot path. The vars map is
-// allocated lazily: a DRD run never touches it.
+// view returns the immutable view of the held list.
+func (hs *heldState) view() *Set {
+	if len(hs.locks) == 0 {
+		return emptySet
+	}
+	if hs.last == nil || !slices.Equal(hs.last.locks, hs.locks) {
+		hs.last = &Set{locks: slices.Clone(hs.locks)}
+	}
+	return hs.last
+}
+
+// Tracker maintains the locks each thread holds and runs the Eraser state
+// machine on caller-held variables against them. Held state is a dense
+// slice indexed by thread id (thread ids are the vm's small dense range),
+// so the per-access held-set lookup is an index and a nil check.
 type Tracker struct {
 	held []heldState
-	vars map[int64]*Var
 }
 
 // NewTracker returns an empty tracker.
@@ -160,14 +262,13 @@ func (tr *Tracker) heldOf(t event.Tid) *heldState {
 // LockAcquired records that t now holds lock.
 func (tr *Tracker) LockAcquired(t event.Tid, lock int64) {
 	hs := tr.heldOf(t)
-	hs.snapValid = false
 	hs.ever = true
-	for _, l := range hs.locks {
-		if l == lock {
-			return
-		}
+	i, found := slices.BinarySearch(hs.locks, lock)
+	if found {
+		return
 	}
-	hs.locks = append(hs.locks, lock)
+	hs.locks = slices.Insert(hs.locks, i, lock)
+	hs.snap = nil
 }
 
 // LockReleased records that t no longer holds lock.
@@ -176,22 +277,14 @@ func (tr *Tracker) LockReleased(t event.Tid, lock int64) {
 		return
 	}
 	hs := &tr.held[t]
-	hs.snapValid = false
-	for i, l := range hs.locks {
-		if l == lock {
-			hs.locks = append(hs.locks[:i], hs.locks[i+1:]...)
-			return
-		}
+	if i, found := slices.BinarySearch(hs.locks, lock); found {
+		hs.locks = slices.Delete(hs.locks, i, i+1)
+		hs.snap = nil
 	}
 }
 
 // Held returns the set of locks t currently holds.
-func (tr *Tracker) Held(t event.Tid) Set {
-	if int(t) >= len(tr.held) {
-		return Set{}
-	}
-	return FromSlice(tr.held[t].locks)
-}
+func (tr *Tracker) Held(t event.Tid) Set { return *tr.heldSet(t) }
 
 // HeldCount returns how many locks t holds.
 func (tr *Tracker) HeldCount(t event.Tid) int {
@@ -201,79 +294,64 @@ func (tr *Tracker) HeldCount(t event.Tid) int {
 	return len(tr.held[t].locks)
 }
 
-// heldSet returns Held(t) memoized until the next lock operation by t, so
-// the per-access lookup allocates nothing between lock operations.
-func (tr *Tracker) heldSet(t event.Tid) Set {
-	hs := tr.heldOf(t)
-	if !hs.snapValid {
-		hs.snap = FromSlice(hs.locks)
-		hs.snapValid = true
+// heldSet returns the view of the locks t holds, memoized until the next
+// lock operation by t.
+func (tr *Tracker) heldSet(t event.Tid) *Set {
+	if int(t) >= len(tr.held) {
+		return emptySet
+	}
+	hs := &tr.held[t]
+	if hs.snap == nil {
+		hs.snap = hs.view()
 	}
 	return hs.snap
 }
 
-// Access runs the Eraser state machine for an access by t, against the
-// locks t holds now, and reports whether the variable has reached
-// SharedModified with an empty candidate set (a lockset warning). The
-// candidate set after the access is also returned for diagnostics.
-func (tr *Tracker) Access(t event.Tid, addr int64, isWrite bool) (warn bool, cands Set) {
-	held := tr.heldSet(t)
-	v := tr.vars[addr]
-	if v == nil {
-		if tr.vars == nil {
-			tr.vars = make(map[int64]*Var)
-		}
-		v = &Var{State: Virgin, Candidates: Universal()}
-		tr.vars[addr] = v
-	}
-	switch v.State {
+// AccessVar runs the Eraser state machine on v for an access by t, against
+// the locks t holds now, and reports whether v has reached SharedModified
+// with an empty candidate set (a lockset warning). A transition that does
+// not shrink the candidate set to a proper subset of both it and the held
+// set allocates nothing.
+func (tr *Tracker) AccessVar(v *Var, t event.Tid, isWrite bool) (warn bool) {
+	switch v.state {
 	case Virgin:
-		v.State = Exclusive
-		v.Owner = t
+		v.state = Exclusive
+		v.owner = int32(t)
+		return false
 	case Exclusive:
-		if t != v.Owner {
-			if isWrite {
-				v.State = SharedModified
-			} else {
-				v.State = Shared
-			}
-			v.Candidates = v.Candidates.Intersect(held)
+		if int32(t) == v.owner {
+			return false
 		}
+		if isWrite {
+			v.state = SharedModified
+		} else {
+			v.state = Shared
+		}
+		// The universal set intersected with the held set is the held set.
+		v.cands = tr.heldSet(t)
 	case Shared:
-		v.Candidates = v.Candidates.Intersect(held)
-		if isWrite && t != v.Owner {
-			v.State = SharedModified
+		v.cands = intersect(v.cands, tr.heldSet(t))
+		if isWrite && int32(t) != v.owner {
+			v.state = SharedModified
 		}
 	case SharedModified:
-		v.Candidates = v.Candidates.Intersect(held)
+		v.cands = intersect(v.cands, tr.heldSet(t))
 	}
-	return v.State == SharedModified && v.Candidates.IsEmpty(), v.Candidates
+	return v.state == SharedModified && len(v.cands.locks) == 0
 }
 
-// VarState returns the Eraser shadow of addr, or nil if never accessed.
-func (tr *Tracker) VarState(addr int64) *Var { return tr.vars[addr] }
-
-// ForgetVar drops the per-variable state of addr, if any. The shadow-state
-// GC calls it for retired addresses of tools that discard Access's
-// verdict (the hybrid configurations track locksets for classification
-// only, so restarting a variable's state machine from Virgin is
-// unobservable); Eraser, whose variable state is the report, never forgets.
-func (tr *Tracker) ForgetVar(addr int64) { delete(tr.vars, addr) }
-
-// Bytes approximates the tracker's footprint for the memory figure, under
-// the seed model: one 32-byte entry per thread that ever locked, plus its
-// live lock list, and one 48-byte entry per variable plus its candidate
-// set. The memoized held sets are derived data and deliberately uncounted,
-// so the figure stays comparable with the unmemoized implementation.
+// Bytes approximates the held-lock bookkeeping's footprint for the memory
+// figure, under the seed model: one 32-byte entry per thread that ever
+// locked, plus its live lock list. The memoized views are derived data and
+// deliberately uncounted, so the figure stays comparable with the
+// unmemoized implementation. Variables are charged by their holder
+// (Var.Bytes).
 func (tr *Tracker) Bytes() int64 {
 	var n int64
 	for i := range tr.held {
 		if tr.held[i].ever {
 			n += int64(len(tr.held[i].locks))*8 + 32
 		}
-	}
-	for _, v := range tr.vars {
-		n += int64(len(v.Candidates.locks))*8 + 48
 	}
 	return n
 }

@@ -3,6 +3,8 @@ package lockset
 import (
 	"testing"
 	"testing/quick"
+
+	"adhocrace/internal/event"
 )
 
 func TestSetBasics(t *testing.T) {
@@ -85,65 +87,142 @@ func TestHeldTracking(t *testing.T) {
 	}
 }
 
+// vars is the map-keyed variable table the Tracker used to keep: the
+// tests drive AccessVar through it, one Var per address.
+type vars map[int64]*Var
+
+// access runs one access and returns the warning and the candidate set
+// after it.
+func (vs vars) access(tr *Tracker, t event.Tid, addr int64, isWrite bool) (bool, Set) {
+	v := vs[addr]
+	if v == nil {
+		v = &Var{}
+		vs[addr] = v
+	}
+	warn := tr.AccessVar(v, t, isWrite)
+	return warn, v.Candidates()
+}
+
 func TestEraserStateMachine(t *testing.T) {
-	tr := NewTracker()
+	tr, vs := NewTracker(), vars{}
 	const addr = int64(8)
 
 	// Virgin -> Exclusive on first access, no warning.
-	if warn, _ := tr.Access(1, addr, true); warn {
+	if warn, _ := vs.access(tr, 1, addr, true); warn {
 		t.Error("virgin access warned")
 	}
-	if tr.VarState(addr).State != Exclusive {
-		t.Errorf("state = %v, want exclusive", tr.VarState(addr).State)
+	if vs[addr].State() != Exclusive {
+		t.Errorf("state = %v, want exclusive", vs[addr].State())
 	}
 	// Same-thread accesses stay exclusive.
-	tr.Access(1, addr, true)
-	if tr.VarState(addr).State != Exclusive {
+	vs.access(tr, 1, addr, true)
+	if vs[addr].State() != Exclusive {
 		t.Error("same-thread access left exclusive")
 	}
 	// Second thread reading (lock-free) moves to Shared: candidates empty
 	// but reads alone never warn.
-	if warn, _ := tr.Access(2, addr, false); warn {
+	if warn, _ := vs.access(tr, 2, addr, false); warn {
 		t.Error("read by second thread warned")
 	}
-	if tr.VarState(addr).State != Shared {
-		t.Errorf("state = %v, want shared", tr.VarState(addr).State)
+	if vs[addr].State() != Shared {
+		t.Errorf("state = %v, want shared", vs[addr].State())
 	}
 	// Second thread writing lock-free: SharedModified with empty
 	// candidates -> warning.
-	if warn, cands := tr.Access(2, addr, true); !warn || !cands.IsEmpty() {
+	if warn, cands := vs.access(tr, 2, addr, true); !warn || !cands.IsEmpty() {
 		t.Errorf("expected warning with empty candidates, got warn=%v cands=%v", warn, cands.Slice())
 	}
 }
 
 func TestEraserConsistentLockNoWarning(t *testing.T) {
-	tr := NewTracker()
+	tr, vs := NewTracker(), vars{}
 	const addr = int64(8)
 	tr.LockAcquired(1, 100)
-	tr.Access(1, addr, true)
+	vs.access(tr, 1, addr, true)
 	tr.LockReleased(1, 100)
 	tr.LockAcquired(2, 100)
-	if warn, cands := tr.Access(2, addr, true); warn || !cands.Contains(100) {
+	if warn, cands := vs.access(tr, 2, addr, true); warn || !cands.Contains(100) {
 		t.Errorf("consistently locked variable warned: cands=%v", cands.Slice())
 	}
 }
 
 func TestEraserWarnsOnLostDiscipline(t *testing.T) {
-	tr := NewTracker()
+	tr, vs := NewTracker(), vars{}
 	const addr = int64(8)
 	tr.LockAcquired(1, 100)
-	tr.Access(1, addr, true)
+	vs.access(tr, 1, addr, true)
 	tr.LockReleased(1, 100)
 	tr.LockAcquired(2, 200) // different lock
 	// Exclusive -> SharedModified: candidates become {200}; Eraser defers
 	// the warning until the candidate set actually empties.
-	if warn, cands := tr.Access(2, addr, true); warn || cands.IsEmpty() {
+	if warn, cands := vs.access(tr, 2, addr, true); warn || cands.IsEmpty() {
 		t.Errorf("premature warning: cands=%v", cands.Slice())
 	}
 	tr.LockReleased(2, 200)
 	tr.LockAcquired(1, 100)
-	if warn, _ := tr.Access(1, addr, true); !warn {
+	if warn, _ := vs.access(tr, 1, addr, true); !warn {
 		t.Error("write with disjoint locksets must warn once candidates empty")
+	}
+}
+
+// TestIntersectReturnsSubsetOperand: an intersection equal to one operand
+// is that operand — same storage, no allocation.
+func TestIntersectReturnsSubsetOperand(t *testing.T) {
+	small := FromSlice([]int64{2})
+	big := FromSlice([]int64{1, 2, 3})
+	if got := small.Intersect(big); &got.Slice()[0] != &small.Slice()[0] {
+		t.Error("s ⊆ other must return s itself")
+	}
+	if got := big.Intersect(small); &got.Slice()[0] != &small.Slice()[0] {
+		t.Error("other ⊆ s must return other itself")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { small = small.Intersect(big) }); allocs != 0 {
+		t.Errorf("subset intersection allocates %.1f, want 0", allocs)
+	}
+	if got := FromSlice([]int64{1, 2}).Intersect(FromSlice([]int64{2, 3})); got.Len() != 1 || !got.Contains(2) {
+		t.Errorf("proper intersection = %v, want [2]", got.Slice())
+	}
+}
+
+// TestAccessVarSharedLockedZeroAlloc: two threads alternately writing a
+// variable under the same lock keep a non-shrinking candidate set, and
+// neither the accesses nor the lock churn between them allocate.
+func TestAccessVarSharedLockedZeroAlloc(t *testing.T) {
+	tr := NewTracker()
+	var v Var
+	step := func(tid event.Tid) {
+		tr.LockAcquired(tid, 100)
+		if tr.AccessVar(&v, tid, true) {
+			t.Fatal("lock-protected variable warned")
+		}
+		tr.LockReleased(tid, 100)
+	}
+	step(1)
+	step(2) // Exclusive -> SharedModified {100}; both threads built views
+	if allocs := testing.AllocsPerRun(100, func() { step(1); step(2) }); allocs != 0 {
+		t.Errorf("lock-protected shared-modified access allocates %.1f, want 0", allocs)
+	}
+	if v.State() != SharedModified || !v.Candidates().Contains(100) || v.Candidates().Len() != 1 {
+		t.Errorf("state %v cands %v, want shared-modified {100}", v.State(), v.Candidates().Slice())
+	}
+}
+
+// TestVarBytes pins the seed model's per-variable charge.
+func TestVarBytes(t *testing.T) {
+	tr := NewTracker()
+	var v Var
+	if v.Bytes() != 0 {
+		t.Errorf("virgin var charged %d bytes", v.Bytes())
+	}
+	tr.AccessVar(&v, 1, true)
+	if v.Bytes() != 48 {
+		t.Errorf("exclusive var = %d bytes, want 48 (universal candidates are free)", v.Bytes())
+	}
+	tr.LockAcquired(2, 100)
+	tr.LockAcquired(2, 200)
+	tr.AccessVar(&v, 2, false)
+	if v.Bytes() != 48+16 {
+		t.Errorf("shared var with two candidates = %d bytes, want 64", v.Bytes())
 	}
 }
 
@@ -161,8 +240,7 @@ func TestStateString(t *testing.T) {
 func TestTrackerBytes(t *testing.T) {
 	tr := NewTracker()
 	tr.LockAcquired(1, 100)
-	tr.Access(1, 8, true)
-	if tr.Bytes() <= 0 {
-		t.Error("Bytes must be positive after activity")
+	if got := tr.Bytes(); got != 32+8 {
+		t.Errorf("Bytes = %d, want 40: one locking thread holding one lock", got)
 	}
 }
