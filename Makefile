@@ -46,8 +46,9 @@ bench-compare:
 	sh scripts/bench-compare.sh $(OLD) $(NEW)
 
 # Record/replay determinism gate: a recorded trace replayed through
-# racedetect must print the live run's fingerprint, plain and with the
-# shadow GC. See scripts/replay-smoke.sh.
+# racedetect must print the live run's fingerprint, plain, with the
+# shadow GC, and on a stream long enough to start the overlap. See
+# scripts/replay-smoke.sh.
 replay-smoke:
 	GO=$(GO) sh scripts/replay-smoke.sh
 
@@ -56,9 +57,10 @@ replay-smoke:
 # engine's workers) scored against the synthesis engine's ground-truth
 # oracle; fails on any oracle-vs-spin disagreement — plus 10s of
 # coverage-guided fuzzing over the binary trace decoder (no panics,
-# bounded allocation on corrupt headers). Overlapped detection of synth
-# programs is gated by TestPipelineDeterminismSynth and the golden
-# fingerprints (internal/detect). See cmd/racefuzz and
+# bounded allocation on corrupt headers). Detection of synth programs
+# with overlap forced from the first event is gated by
+# TestPipelineDeterminismSynth and the golden fingerprints
+# (internal/detect). See cmd/racefuzz and
 # docs/ARCHITECTURE.md.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTraceDecode -fuzztime 10s ./internal/event/
@@ -102,7 +104,7 @@ memory-smoke:
 	$(GO) test -count=1 -run 'TestServerSoakMemoryBaseline' ./internal/serve/
 
 # Server conformance: byte-identical streamed reports vs direct Prepared.Run
-# over the accuracy suite + synthesis corpus, swept over the overlap shapes.
+# over the accuracy suite + synthesis corpus.
 # (`make test`/`make race` include it; this target is the labeled CI step.)
 conformance:
 	$(GO) test -count=1 -run 'TestServerConformance' ./internal/serve/
@@ -122,9 +124,10 @@ chaos-smoke:
 fuzz-proto:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 30s ./internal/serve/
 
-# Observability smoke: run a suite workload with -trace and validate the
-# emitted Chrome trace-event JSON carries one span per pipeline stage
-# (vm, segment pipeline, merge, GC). See scripts/trace-smoke.sh.
+# Observability smoke: run a workload long enough to start the overlap
+# with -trace and validate the emitted Chrome trace-event JSON carries one
+# span per pipeline stage (vm, segment pipeline, merge, GC). See
+# scripts/trace-smoke.sh.
 trace-smoke:
 	GO=$(GO) sh scripts/trace-smoke.sh
 

@@ -9,7 +9,7 @@
 //	BenchmarkFigureMemory    — slide 31, shadow-memory overhead
 //	BenchmarkFigureRuntime   — slide 32, runtime overhead (wall clock)
 //	BenchmarkDetectorThroughput — per-tool event-processing throughput
-//	BenchmarkLongTracePipeline — plain vs overlap on the long stream
+//	BenchmarkLongTracePipeline — events/s on the long lock-churn stream
 package main
 
 import (
@@ -163,46 +163,25 @@ func BenchmarkDetectorThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkLongTracePipeline is the measurement behind the overlap knob:
-// one GC'd Helgrind+ lib detector over synth.LongTrace's lock-churn
-// stream (20 windows, about half a million events) under the plain
-// synchronous pipeline and fixed-size overlap. Each mode reports events/s
-// and must reproduce plain's report fingerprint. Overlap pays when its
-// events/s beats plain's over repeated samples (-count) at GOMAXPROCS >=
-// 2; on one CPU it only adds hand-off cost.
+// BenchmarkLongTracePipeline is the long-stream throughput figure: one
+// GC'd Helgrind+ lib detector over synth.LongTrace's lock-churn stream (20
+// windows, about half a million events), reported in events/s. The run
+// takes the production pipeline, which overlaps detection with the vm once
+// the stream passes event.OverlapThreshold; the plain-vs-overlap
+// comparison behind that threshold is BenchmarkPipelineCrossover in
+// internal/detect.
 func BenchmarkLongTracePipeline(b *testing.B) {
-	run := func(opts detect.RunOpts) *detect.Report {
-		opts.GCShadow = true
+	var events int64
+	for i := 0; i < b.N; i++ {
 		rep, err := synth.LongTrace(1, synth.LongTraceOpts{
-			Cfg: detect.HelgrindPlusLib(), Opts: opts, Windows: 20,
+			Cfg: detect.HelgrindPlusLib(), Opts: detect.RunOpts{GCShadow: true}, Windows: 20,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		return rep
+		events += rep.Events
 	}
-	want := harness.ReportFingerprint(run(detect.RunOpts{}))
-	for _, mode := range []struct {
-		name string
-		opts detect.RunOpts
-	}{
-		{"plain", detect.RunOpts{}},
-		{"overlap", detect.RunOpts{}.Overlapped()},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var events int64
-			var rep *detect.Report
-			for i := 0; i < b.N; i++ {
-				rep = run(mode.opts)
-				events += rep.Events
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-			if harness.ReportFingerprint(rep) != want {
-				b.Fatalf("%s report differs from the plain pipeline's", mode.name)
-			}
-		})
-	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
 
 // replayFixture records the x264/spin(7) event stream as an in-memory

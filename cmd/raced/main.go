@@ -34,7 +34,7 @@
 // prints the streamed report — racedetect's output vocabulary, remote:
 //
 //	raced -connect 127.0.0.1:7334 -w x264 [-network tcp] [-tool spin] [-window 7]
-//	      [-seed 1] [-repeat 1] [-overlap] [-retry N] [-v]
+//	      [-seed 1] [-repeat 1] [-retry N] [-v]
 //
 // -retry N retries shed (Busy) or evicted sessions up to N times with
 // capped exponential backoff, resuming at the first missing run; the
@@ -75,7 +75,6 @@ func main() {
 	window := flag.Int("window", 7, "client: spin-loop basic-block window")
 	seed := flag.Int64("seed", 1, "client: first scheduler seed")
 	repeat := flag.Int("repeat", 1, "client: runs per session (seeds seed..seed+repeat-1)")
-	overlap := flag.Bool("overlap", false, "client: overlap vm execution with detection")
 	retry := flag.Int("retry", 0, "client: retries for shed/evicted sessions (capped backoff, run-resume)")
 	verbose := flag.Bool("v", false, "client: print every warning as it streams")
 	flag.Parse()
@@ -83,7 +82,7 @@ func main() {
 	if *connect != "" {
 		runClient(*network, *connect, serve.SessionRequest{
 			Workload: *workload, Tool: *tool, Window: *window,
-			Seed: *seed, Repeat: *repeat, Overlap: *overlap,
+			Seed: *seed, Repeat: *repeat,
 		}, *verbose, *retry)
 		return
 	}

@@ -4,9 +4,9 @@
 //
 // Usage:
 //
-//	racedetect -w <workload> [-tool lib|spin|nolib|drd|eraser] [-window 7] [-seed 1] [-seeds N] [-overlap] [-v]
+//	racedetect -w <workload> [-tool lib|spin|nolib|drd|eraser] [-window 7] [-seed 1] [-seeds N] [-v]
 //	racedetect -w <workload> [-tool ...] [-seed 1] -record out.trace
-//	racedetect -replay in.trace [-gc-shadow] [-overlap] [-fingerprint]
+//	racedetect -replay in.trace [-gc-shadow] [-fingerprint]
 //
 // Workloads: any PARSEC model name (x264, dedup, ...), a data-race-test
 // case name (adhoc_spin11_b7_atomic_long, ww_two_threads, ...), or a
@@ -17,12 +17,13 @@
 // parallel experiment engine (one isolated program + detector per seed)
 // and the per-seed racy-context counts are reported in seed order.
 //
-// With -overlap the event stream — from the vm, or from the trace decoder
-// with -replay — goes into double-buffered segments of a fixed size,
-// consumed by the detector concurrently with production. It pays only on
-// long streams with a second core to run on (docs/ARCHITECTURE.md,
-// "Performance shape"). Reports are byte-identical with the pipeline
-// knobs on or off; only wall-clock time and memory change.
+// Overlap is not a flag: once a run's event stream — from the vm, or from
+// the trace decoder with -replay — passes event.OverlapThreshold events,
+// the rest goes into double-buffered segments consumed by the detector
+// concurrently with production, because it pays only on long streams
+// (docs/ARCHITECTURE.md, the vm→detector pipeline section). Reports are
+// byte-identical with the pipeline knobs on or off; only wall-clock time
+// and memory change.
 //
 // With -stats the run's pipeline counters are printed: events processed,
 // events/sec, shadow bytes, read-set promotions/demotions (how often the
@@ -41,7 +42,7 @@
 // stream is written as a binary trace (internal/event's record/replay
 // format, with the workload/tool/seed provenance and interning tables in
 // the header). With -replay a recorded trace is fed straight into a
-// detector — no vm in the loop — honoring -gc-shadow and -overlap; the
+// detector — no vm in the loop — honoring -gc-shadow; the
 // workload and tool come from the trace header, and the report is
 // byte-identical to the live run's. -fingerprint appends a fingerprint=
 // line (a digest of the full report) so scripts can compare runs cheaply
@@ -72,7 +73,6 @@ func main() {
 	window := flag.Int("window", 7, "spin-loop basic-block window")
 	seed := flag.Int64("seed", 1, "scheduler seed")
 	seeds := flag.Int("seeds", 0, "run seeds 1..N in parallel and report per-seed contexts")
-	overlap := flag.Bool("overlap", false, "overlap vm execution with detection (segmented pipeline)")
 	gcShadow := flag.Bool("gc-shadow", false, "retire quiescent shadow state during the run (bounded memory, identical warnings)")
 	gcEvents := flag.Int64("gc-events", 0, "shadow-GC cycle period in events (0 = default; needs -gc-shadow)")
 	stats := flag.Bool("stats", false, "print pipeline stats: events, events/sec, shadow bytes, read-set promotions")
@@ -89,9 +89,6 @@ func main() {
 		return
 	}
 	opts := detect.RunOpts{GCShadow: *gcShadow, GCEvents: *gcEvents}
-	if *overlap {
-		opts = opts.Overlapped()
-	}
 	if *replayPath != "" {
 		if err := runReplay(*replayPath, opts, *fingerprint, *verbose); err != nil {
 			fmt.Fprintf(os.Stderr, "racedetect: %v\n", err)

@@ -21,8 +21,11 @@
 // plain detector. The only parallelism is across runs, on the experiment
 // engine's workers: -workers bounds it (0 = GOMAXPROCS), and -workers 1
 // runs every job inline, in order. Output is byte-identical for every
-// worker count. Overlap and shadow GC pay only on long streams, so they
-// live on racedetect and raced, not here.
+// worker count. The shadow GC pays only on long streams, so it lives on
+// racedetect and raced, not here. Overlap is a flag nowhere: a run starts
+// it by itself once its stream passes event.OverlapThreshold events,
+// which among the tables' runs only freqmine under the spin presets
+// reaches.
 //
 // -stats appends a footer with the detector pipeline counters aggregated
 // over every run: events processed, events/sec, shadow bytes, read-set

@@ -194,9 +194,9 @@ type shadowWord struct {
 
 // Detector consumes one execution's event stream: one shadow table (which
 // carries each cell's lockset state), one held-lock tracker, and the
-// happens-before and ad-hoc engines, all driven
-// by Handle on the goroutine that delivers events (the vm's execution
-// goroutine, or the overlap pipeline's consumer). Each access reads the
+// happens-before and ad-hoc engines, all driven on one goroutine at a
+// time: the producer's (the vm's, or a trace decoder's), or, once a run's
+// stream is long, the overlap pipeline's consumer. Each access reads the
 // accessing thread's live clock and held-lock set in place.
 type Detector struct {
 	cfg Config
@@ -225,7 +225,12 @@ type Detector struct {
 	closedShadowBytes int64
 
 	events int64
-	ins    *spin.Instrumentation
+	// pipe, when set (Prepared.NewRun), is the run's overlap pipeline:
+	// Handle keeps applying events itself while pipe.Direct allows, then
+	// hands every further event to pipe, whose consumer applies them.
+	// Nil applies every event inline.
+	pipe *event.Segmented
+	ins  *spin.Instrumentation
 
 	// Quiescence GC schedule and counters (see gc.go); gcEvery == 0 means
 	// the GC is off.
@@ -288,8 +293,32 @@ func (d *Detector) setObs(p *obs.Pipeline) {
 	}
 }
 
-// Handle implements event.Sink.
+// Handle implements event.Sink. Below the overlap threshold it costs one
+// counter compare and a direct call in front of applying the event.
 func (d *Detector) Handle(ev *event.Event) {
+	if d.pipe != nil && !d.pipe.Direct() {
+		d.pipe.Handle(ev)
+		return
+	}
+	d.apply(ev)
+}
+
+// Flush implements event.Flusher: once the overlap pipeline has started,
+// it waits until the consumer has applied every event handed over.
+func (d *Detector) Flush() {
+	if d.pipe != nil {
+		d.pipe.Flush()
+	}
+}
+
+// applier is the detector as its pipeline's downstream sink: the consumer
+// applies events without asking the pipeline again.
+type applier Detector
+
+func (a *applier) Handle(ev *event.Event) { (*Detector)(a).apply(ev) }
+
+// apply runs one event through the detector.
+func (d *Detector) apply(ev *event.Event) {
 	d.events++
 	switch ev.Kind {
 	case event.KindRead, event.KindWrite, event.KindAtomicRead, event.KindAtomicWrite:
@@ -388,19 +417,26 @@ func (d *Detector) onSyncPost(ev *event.Event) {
 	}
 }
 
-// Close returns the shadow pages to the pool shared by all detectors.
-// Every detector should be closed when done (Prepared.Run and ReplayTrace
-// close for you); one left unclosed keeps its pages for the garbage
-// collector instead of recycling them. Idempotent. The detector must not
-// Handle further events after Close, but Report remains valid and reports
-// the footprint at Close.
+// Close stops the overlap pipeline's consumer, if one started, and
+// returns the shadow pages to the pool shared by all detectors. Every
+// detector should be closed when done (Prepared.Run and ReplayTrace close
+// for you); one left unclosed keeps its pages for the garbage collector
+// instead of recycling them. Idempotent. The detector must not Handle
+// further events after Close, but Report remains valid and reports the
+// footprint at Close. A consumer-side panic not yet re-raised surfaces
+// here, after the pages are released.
 func (d *Detector) Close() {
 	if d.closed {
 		return
 	}
 	d.closed = true
-	d.closedShadowBytes = d.shadowBytes()
-	d.shadow.release()
+	defer func() {
+		d.closedShadowBytes = d.shadowBytes()
+		d.shadow.release()
+	}()
+	if d.pipe != nil {
+		d.pipe.Close()
+	}
 }
 
 // Report finalizes and returns the run's report.

@@ -1,6 +1,10 @@
 package detect
 
 import (
+	"math"
+	_ "unsafe" // go:linkname, for the pipeline seam below
+
+	"adhocrace/internal/event"
 	"adhocrace/internal/ir"
 	"adhocrace/internal/spin"
 )
@@ -20,4 +24,26 @@ var (
 func MemoizedInstrumentation(p *ir.Program, window int) *spin.Instrumentation {
 	ins, _ := p.Derived(instrumentKey(window), func() any { return (*spin.Instrumentation)(nil) }).(*spin.Instrumentation)
 	return ins
+}
+
+// newSegmented is event's policy-free pipeline constructor. The linkname
+// reaches it from this test-only file, so forcing a pipeline shape stays
+// out of every exported API.
+//
+//go:linkname newSegmented adhocrace/internal/event.newSegmented
+func newSegmented(down event.Sink, threshold, size int) *event.Segmented
+
+// ForcePlain returns o with the plain pipeline forced: every event is
+// handled on the producer goroutine, however long the stream.
+func ForcePlain(o RunOpts) RunOpts { return forcePipeline(o, math.MaxInt, event.DefaultSegmentEvents) }
+
+// ForceOverlap returns o with overlap forced from the first event, in
+// segments of size events.
+func ForceOverlap(o RunOpts, size int) RunOpts { return forcePipeline(o, 0, size) }
+
+// forcePipeline makes NewRun build o's pipeline with the given policy in
+// place of event.NewSegmented's.
+func forcePipeline(o RunOpts, threshold, size int) RunOpts {
+	o.newPipeline = func(down event.Sink) *event.Segmented { return newSegmented(down, threshold, size) }
+	return o
 }

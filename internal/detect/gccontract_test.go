@@ -113,13 +113,13 @@ func TestShadowGCPrecisionContract(t *testing.T) {
 	}
 
 	for _, tc := range cases {
-		for _, opts := range []detect.RunOpts{
+		for shape, opts := range []detect.RunOpts{
 			{GCShadow: true, GCEvents: 1},
-			{GCShadow: true, GCEvents: 1, SegmentEvents: 64},
+			detect.ForceOverlap(detect.RunOpts{GCShadow: true, GCEvents: 1}, 64),
 		} {
 			gc, _, err := detect.Prepare(buildPhasedRace(tc.phases)).Run(tc.cfg, 1, opts)
 			if err != nil {
-				t.Fatalf("%s (gc, segment=%d): %v", tc.name, opts.SegmentEvents, err)
+				t.Fatalf("%s (gc, shape %d): %v", tc.name, shape, err)
 			}
 			ref, _, err := detect.Prepare(buildPhasedRace(tc.phases)).Run(tc.cfg, 1, detect.RunOpts{})
 			if err != nil {
@@ -130,18 +130,18 @@ func TestShadowGCPrecisionContract(t *testing.T) {
 					tc.name, len(ref.Warnings), tc.want)
 			}
 			if len(gc.Warnings) != tc.want {
-				t.Errorf("%s (segment=%d): GC detector reported %d warnings, want %d",
-					tc.name, opts.SegmentEvents, len(gc.Warnings), tc.want)
+				t.Errorf("%s (shape %d): GC detector reported %d warnings, want %d",
+					tc.name, shape, len(gc.Warnings), tc.want)
 			}
 			if got, want := reportFingerprint(gc), reportFingerprint(ref); got != want {
-				t.Errorf("%s (segment=%d): GC report differs from unbounded detector\n--- unbounded ---\n%s--- gc ---\n%s",
-					tc.name, opts.SegmentEvents, want, got)
+				t.Errorf("%s (shape %d): GC report differs from unbounded detector\n--- unbounded ---\n%s--- gc ---\n%s",
+					tc.name, shape, want, got)
 			}
 			// The proof only binds if the word was actually retired
 			// between the phases.
 			if gc.GCCycles == 0 || gc.GCWordsRetired == 0 {
-				t.Errorf("%s (segment=%d): GC never retired anything (cycles=%d words=%d); the case proves nothing",
-					tc.name, opts.SegmentEvents, gc.GCCycles, gc.GCWordsRetired)
+				t.Errorf("%s (shape %d): GC never retired anything (cycles=%d words=%d); the case proves nothing",
+					tc.name, shape, gc.GCCycles, gc.GCWordsRetired)
 			}
 		}
 	}

@@ -9,26 +9,23 @@ import (
 	"testing"
 
 	"adhocrace/internal/detect"
+	"adhocrace/internal/event"
 	"adhocrace/internal/ir"
 	"adhocrace/internal/synth"
 	"adhocrace/internal/workloads/dataracetest"
 )
 
 // gcSweepOpts are the pipeline shapes the GC equivalence sweep rotates
-// through, each with the GC forced to a tiny cycle period: sequential and
-// overlapped at two segment sizes (cycles land on both sides of segment
-// boundaries).
+// through, each with the GC forced to a tiny cycle period: the default
+// pipeline, and overlap forced from the first event at two segment sizes
+// (cycles land on both sides of segment boundaries).
 func gcSweepOpts() []detect.RunOpts {
-	shapes := []detect.RunOpts{
-		{},
-		detect.RunOpts{}.Overlapped(),
-		{SegmentEvents: 64},
+	gc := detect.RunOpts{GCShadow: true, GCEvents: 64}
+	return []detect.RunOpts{
+		gc,
+		detect.ForceOverlap(gc, event.DefaultSegmentEvents),
+		detect.ForceOverlap(gc, 64),
 	}
-	for i := range shapes {
-		shapes[i].GCShadow = true
-		shapes[i].GCEvents = 64
-	}
-	return shapes
 }
 
 // checkGCEquivalence runs one (program, config, seed) with the GC enabled
@@ -46,8 +43,8 @@ func checkGCEquivalence(t *testing.T, build func() *ir.Program, name string, cfg
 	}
 	want, got := reportFingerprint(ref), reportFingerprint(gc)
 	if got != want {
-		t.Errorf("%s under %s seed %d (overlap=%d): GC report differs from unbounded detector\n--- unbounded ---\n%s--- gc ---\n%s",
-			name, cfg.Name, seed, opts.SegmentEvents, want, got)
+		t.Errorf("%s under %s seed %d: GC report differs from unbounded detector\n--- unbounded ---\n%s--- gc ---\n%s",
+			name, cfg.Name, seed, want, got)
 	}
 }
 

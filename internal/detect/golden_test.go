@@ -32,6 +32,7 @@ import (
 	"testing"
 
 	"adhocrace/internal/detect"
+	"adhocrace/internal/event"
 	"adhocrace/internal/harness"
 	"adhocrace/internal/ir"
 	"adhocrace/internal/synth"
@@ -127,8 +128,8 @@ func goldenParsec() []goldenCase {
 func goldenShapes() []detect.RunOpts {
 	return []detect.RunOpts{
 		{},
-		detect.RunOpts{}.Overlapped(),
-		{SegmentEvents: 64},
+		detect.ForceOverlap(detect.RunOpts{}, event.DefaultSegmentEvents),
+		detect.ForceOverlap(detect.RunOpts{}, 64),
 		{GCShadow: true, GCEvents: 256},
 	}
 }
@@ -223,9 +224,8 @@ func checkGolden(t *testing.T, cases []goldenCase, shape func(i int) detect.RunO
 		case !ok:
 			t.Errorf("missing golden key %q (got %q)", key, lines[i])
 		case w != lines[i]:
-			o := shape(i)
-			t.Errorf("fingerprint changed (segment=%d gc=%d)\n  want %s\n  got  %s\n--- current fingerprint ---\n%s",
-				o.SegmentEvents, o.GCEvents, w, lines[i], texts[i])
+			t.Errorf("fingerprint changed (entry %d, gc=%d)\n  want %s\n  got  %s\n--- current fingerprint ---\n%s",
+				i, shape(i).GCEvents, w, lines[i], texts[i])
 		}
 	}
 	return seen

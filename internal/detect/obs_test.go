@@ -17,14 +17,15 @@ import (
 // TestObsReportUnchanged pins the observability layer's core contract:
 // attaching a recorder (even a tracing one) to a run must not change the
 // report in any observable way — same warnings, same counters, same
-// shadow accounting — across the full pipeline (overlap + shadow GC).
+// shadow accounting — across the full pipeline (shadow GC, and overlap
+// once freqmine's stream passes event.OverlapThreshold).
 func TestObsReportUnchanged(t *testing.T) {
 	m, ok := parsec.ByName("freqmine")
 	if !ok {
 		t.Fatal("no freqmine model")
 	}
 	cfg := detect.HelgrindPlusLibSpin(7)
-	opts := detect.RunOpts{GCShadow: true, GCEvents: 4096}.Overlapped()
+	opts := detect.RunOpts{GCShadow: true, GCEvents: 4096}
 
 	base, _, err := detect.Prepare(m.Build()).Run(cfg, 1, opts)
 	if err != nil {
@@ -42,8 +43,8 @@ func TestObsReportUnchanged(t *testing.T) {
 	}
 }
 
-// TestObsTraceCoversPipeline runs one overlapped+GC workload with
-// a tracing recorder and asserts the emitted Chrome trace round-trips
+// TestObsTraceCoversPipeline runs one GC'd workload long enough to start
+// the overlap with a tracing recorder and asserts the emitted Chrome trace round-trips
 // through ValidateTrace with at least one event on every pipeline stage
 // track — the same bar `make trace-smoke` holds the CLI to, here without
 // the process boundary.
@@ -56,7 +57,7 @@ func TestObsTraceCoversPipeline(t *testing.T) {
 	opts := detect.RunOpts{
 		GCShadow: true, GCEvents: 4096,
 		Obs: rec.Pipeline("freqmine trace"),
-	}.Overlapped()
+	}
 	rep, res, err := detect.Prepare(m.Build()).Run(detect.HelgrindPlusLibSpin(7), 1, opts)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -104,7 +105,7 @@ func TestObsCounterModeNoSpans(t *testing.T) {
 		t.Fatal("no freqmine model")
 	}
 	rec := obs.New()
-	opts := detect.RunOpts{Obs: rec.Pipeline("counter mode")}.Overlapped()
+	opts := detect.RunOpts{Obs: rec.Pipeline("counter mode")}
 	if _, _, err := detect.Prepare(m.Build()).Run(detect.HelgrindPlusLibSpin(7), 1, opts); err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"adhocrace/internal/detect"
+	"adhocrace/internal/event"
 	"adhocrace/internal/ir"
 	"adhocrace/internal/synth"
 	"adhocrace/internal/workloads/dataracetest"
@@ -26,8 +27,8 @@ func checkObserver(t *testing.T, build func() *ir.Program, name string, cfg dete
 		t.Fatalf("%s under %s: %v", name, cfg.Name, err)
 	}
 	if len(seen) != len(rep.Warnings) {
-		t.Fatalf("%s under %s (overlap=%d): observed %d warnings, report has %d",
-			name, cfg.Name, opts.SegmentEvents, len(seen), len(rep.Warnings))
+		t.Fatalf("%s under %s: observed %d warnings, report has %d",
+			name, cfg.Name, len(seen), len(rep.Warnings))
 	}
 	for i := range seen {
 		if !reflect.DeepEqual(seen[i], rep.Warnings[i]) {
@@ -42,7 +43,7 @@ func checkObserver(t *testing.T, build func() *ir.Program, name string, cfg dete
 // pipeline shapes under the spin-featured Helgrind+.
 func TestWarningObserverSuite(t *testing.T) {
 	cfg := detect.HelgrindPlusLibSpin(7)
-	sweep := []detect.RunOpts{{}, detect.RunOpts{}.Overlapped(), {SegmentEvents: 64}}
+	sweep := []detect.RunOpts{{}, detect.ForceOverlap(detect.RunOpts{}, event.DefaultSegmentEvents), detect.ForceOverlap(detect.RunOpts{}, 64)}
 	for _, c := range dataracetest.Suite() {
 		for _, opts := range sweep {
 			checkObserver(t, c.Build, c.Name, cfg, opts)
@@ -58,7 +59,7 @@ func TestWarningObserverSynth(t *testing.T) {
 		seeds = 15
 	}
 	cfgs := []detect.Config{detect.HelgrindPlusLibSpin(7), detect.DRD()}
-	sweep := []detect.RunOpts{{}, detect.RunOpts{}.Overlapped(), {SegmentEvents: 64}}
+	sweep := []detect.RunOpts{{}, detect.ForceOverlap(detect.RunOpts{}, event.DefaultSegmentEvents), detect.ForceOverlap(detect.RunOpts{}, 64)}
 	for seed := int64(1); seed <= seeds; seed++ {
 		w := synth.Generate(seed, synth.Options{})
 		opts := sweep[int(seed)%len(sweep)]

@@ -133,7 +133,7 @@ func runDirty(t *testing.T, m parsec.Model, cfg Config, stats *dirtyStats) {
 	t.Helper()
 	p := m.Build()
 	pr := Prepare(p)
-	d, _, _ := newRunDetector(cfg, pr.Instrument(cfg), p, RunOpts{GCShadow: true, GCEvents: dirtyGCEvents})
+	d, _ := pr.NewRun(cfg, RunOpts{GCShadow: true, GCEvents: dirtyGCEvents})
 	tr := &pageTracker{t: t, d: d, known: make(map[*shadowPage]bool)}
 	if _, err := vm.Run(p, vm.Options{Seed: 1, KnownLibs: cfg.KnownLibs, Instr: pr.Instrument(cfg),
 		Sink: tr, Decoded: pr.Decoded(cfg)}); err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"adhocrace/internal/detect"
+	"adhocrace/internal/event"
 	"adhocrace/internal/ir"
 	"adhocrace/internal/synth"
 	"adhocrace/internal/workloads/dataracetest"
@@ -36,8 +37,9 @@ func fingerprint(rep *detect.Report) string {
 }
 
 // pipelineModes are the pipeline shapes every determinism test compares
-// against the plain synchronous detector: overlap at the default segment
-// size and at one smaller than most streams.
+// against the plain synchronous detector: the default policy (plain, then
+// overlap once the stream is long), and overlap forced from the first
+// event at the default segment size and at one smaller than most streams.
 func pipelineModes() []struct {
 	name string
 	opts detect.RunOpts
@@ -46,8 +48,9 @@ func pipelineModes() []struct {
 		name string
 		opts detect.RunOpts
 	}{
-		{"overlap", detect.RunOpts{}.Overlapped()},
-		{"overlap-small", detect.RunOpts{SegmentEvents: 64}},
+		{"default", detect.RunOpts{}},
+		{"overlap", detect.ForceOverlap(detect.RunOpts{}, event.DefaultSegmentEvents)},
+		{"overlap-small", detect.ForceOverlap(detect.RunOpts{}, 64)},
 	}
 }
 
@@ -55,7 +58,7 @@ func pipelineModes() []struct {
 // pipeline mode and asserts byte-identical reports.
 func checkPipelineDeterminism(t *testing.T, build func() *ir.Program, name string, cfg detect.Config, seed int64) {
 	t.Helper()
-	base, _, err := detect.Prepare(build()).Run(cfg, seed, detect.RunOpts{})
+	base, _, err := detect.Prepare(build()).Run(cfg, seed, detect.ForcePlain(detect.RunOpts{}))
 	if err != nil {
 		t.Fatalf("%s under %s seed %d (plain): %v", name, cfg.Name, seed, err)
 	}

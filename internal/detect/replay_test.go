@@ -32,12 +32,13 @@ func recordCase(t *testing.T, p *ir.Program, cfg detect.Config, seed int64) []by
 }
 
 // TestTraceReplayReportRoundTrip sweeps the full accuracy suite under the
-// paper presets: every case is recorded once per tool and replayed plain
-// and through the overlap pipeline (default and small segments); every
+// paper presets: every case is recorded once per tool and replayed through
+// the default pipeline and with overlap forced from the first event
+// (default and small segments); every
 // replayed report must equal the live run's fingerprint byte for byte.
 func TestTraceReplayReportRoundTrip(t *testing.T) {
 	cfgs := detect.PaperTools(7)
-	replays := []detect.RunOpts{{}, detect.RunOpts{}.Overlapped(), {SegmentEvents: 64}}
+	replays := []detect.RunOpts{{}, detect.ForceOverlap(detect.RunOpts{}, event.DefaultSegmentEvents), detect.ForceOverlap(detect.RunOpts{}, 64)}
 	for _, c := range dataracetest.Suite() {
 		for _, cfg := range cfgs {
 			p := c.Build()
@@ -47,22 +48,22 @@ func TestTraceReplayReportRoundTrip(t *testing.T) {
 			}
 			want := harness.ReportFingerprint(live)
 			data := recordCase(t, p, cfg, 1)
-			for _, opts := range replays {
+			for shape, opts := range replays {
 				tr, err := event.NewTraceReader(bytes.NewReader(data))
 				if err != nil {
 					t.Fatalf("open trace %s under %s: %v", c.Name, cfg.Name, err)
 				}
 				rep, n, err := detect.ReplayTrace(tr, p, cfg, opts)
 				if err != nil {
-					t.Fatalf("replay %s under %s (segment=%d): %v", c.Name, cfg.Name, opts.SegmentEvents, err)
+					t.Fatalf("replay %s under %s (shape %d): %v", c.Name, cfg.Name, shape, err)
 				}
 				if n != rep.Events {
-					t.Errorf("%s under %s (segment=%d): replayed %d events, report counts %d",
-						c.Name, cfg.Name, opts.SegmentEvents, n, rep.Events)
+					t.Errorf("%s under %s (shape %d): replayed %d events, report counts %d",
+						c.Name, cfg.Name, shape, n, rep.Events)
 				}
 				if got := harness.ReportFingerprint(rep); got != want {
-					t.Errorf("%s under %s (segment=%d): replayed report differs from live run\n--- live ---\n%s--- replay ---\n%s",
-						c.Name, cfg.Name, opts.SegmentEvents, want, got)
+					t.Errorf("%s under %s (shape %d): replayed report differs from live run\n--- live ---\n%s--- replay ---\n%s",
+						c.Name, cfg.Name, shape, want, got)
 				}
 			}
 		}

@@ -12,16 +12,13 @@ import (
 	"adhocrace/internal/vm"
 )
 
-// RunOpts selects the pipeline shape of one detector run. The zero value
-// is the plain synchronous pipeline. Every combination produces
-// byte-identical reports; the knobs trade wall-clock time only.
+// RunOpts selects the pipeline shape of one detector run. Every
+// combination produces byte-identical reports; the knobs trade wall-clock
+// time and memory only. Whether event production (the vm, or a trace
+// decoder in replay) overlaps with detection is not a knob: the run's
+// event.Segmented starts overlapping once the stream passes
+// event.OverlapThreshold events.
 type RunOpts struct {
-	// SegmentEvents > 0 overlaps event production (the vm, or a trace
-	// decoder in replay) with detection through double-buffered segments
-	// of this many events (event.Segmented); negative uses
-	// event.DefaultSegmentEvents.
-	SegmentEvents int
-
 	// GCShadow enables the quiescence shadow-state GC (see gc.go): shadow
 	// words, read-sets, sync objects, and release histories dominated by
 	// every live thread's clock are retired during the run. Warnings stay
@@ -44,8 +41,8 @@ type RunOpts struct {
 	OnWarning func(Warning)
 	// Tap, when non-nil, observes the raw event stream ahead of the
 	// detector: live progress gauges (event.AtomicCounter) or a run's
-	// event count (event.Counter). Called once per event on the goroutine
-	// that drives detection.
+	// event count (event.Counter). Called once per event on the
+	// producer's goroutine (the vm's, or the trace decoder's).
 	Tap event.Sink
 	// Interrupt, when non-nil, aborts the run once it reads true
 	// (vm.Options.Interrupt): vm.Run returns vm.ErrInterrupted and the
@@ -66,15 +63,11 @@ type RunOpts struct {
 	// Nil (the default) makes every probe a nil-check; reports are
 	// byte-identical either way.
 	Obs *obs.Pipeline
-}
 
-// Overlapped returns o with the segment overlap enabled at the default
-// segment size (unless a size is already chosen).
-func (o RunOpts) Overlapped() RunOpts {
-	if o.SegmentEvents == 0 {
-		o.SegmentEvents = -1
-	}
-	return o
+	// newPipeline, when set, builds the run's overlap pipeline in place
+	// of event.NewSegmented: the seam through which this package's tests
+	// force a pipeline shape (export_test.go).
+	newPipeline func(event.Sink) *event.Segmented
 }
 
 // Prepared is a workload compiled once and shared by many detector runs.
@@ -135,14 +128,12 @@ func (pr *Prepared) Decoded(cfg Config) *vm.Decoded {
 // a recording. A one-shot run is Prepare(p).Run(cfg, seed, RunOpts{}); a
 // caller counting events sets opts.Tap to an event.Counter.
 func (pr *Prepared) Run(cfg Config, seed int64, opts RunOpts) (*Report, vm.Result, error) {
-	ins := pr.Instrument(cfg)
-	d, sink, stop := newRunDetector(cfg, ins, pr.Prog, opts)
+	d, sink := pr.NewRun(cfg, opts)
 	defer d.Close()
-	defer stop()
 	res, err := vm.Run(pr.Prog, vm.Options{
 		Seed:      seed,
 		KnownLibs: cfg.KnownLibs,
-		Instr:     ins,
+		Instr:     pr.Instrument(cfg),
 		Sink:      sink,
 		Interrupt: opts.Interrupt,
 		Deadline:  opts.Deadline,
@@ -152,32 +143,34 @@ func (pr *Prepared) Run(cfg Config, seed int64, opts RunOpts) (*Report, vm.Resul
 	return d.Report(), res, err
 }
 
-// newRunDetector builds the detector for one run of the requested pipeline
-// shape — shadow GC, observability, failpoints, warning observer — and
-// returns it with the sink the event stream feeds: the detector itself,
-// behind opts.Tap when one is set, behind the overlap pipeline
-// (event.Segmented) when opts.SegmentEvents asks for one. The producer
-// must flush the sink before reading the report (vm.Run and
-// TraceReader.Replay do). The caller defers stop after d.Close, so the
-// pipeline's consumer goroutine is gone — on every exit, a re-raised
-// detector panic included — before the detector is closed.
-func newRunDetector(cfg Config, ins *spin.Instrumentation, p *ir.Program, opts RunOpts) (d *Detector, sink event.Sink, stop func()) {
-	d = New(cfg, ins, p)
+// NewRun builds the detector for a run of the prepared workload under cfg
+// and the requested pipeline shape — shadow GC, observability,
+// failpoints, warning observer — and returns it with the sink the event
+// stream feeds: the detector itself, behind opts.Tap when one is set.
+// The detector owns the run's overlap pipeline (event.NewSegmented): it
+// applies events on the producer's goroutine until the stream passes
+// event.OverlapThreshold, then hands them to the pipeline's consumer.
+// Prepared.Run and ReplayTrace feed it one stream; synth.LongTrace feeds
+// it many vm runs in turn. The producer must flush the sink before
+// reading the report (vm.Run and TraceReader.Replay do), and the caller
+// closes the detector, which stops the consumer if one started.
+func (pr *Prepared) NewRun(cfg Config, opts RunOpts) (d *Detector, sink event.Sink) {
+	d = New(cfg, pr.Instrument(cfg), pr.Prog)
 	if opts.GCShadow {
 		d.EnableShadowGC(opts.GCEvents)
 	}
 	d.setObs(opts.Obs)
 	d.fault = opts.Fault
 	d.onWarning = opts.OnWarning
-	sink = d
+	newPipeline := event.NewSegmented
+	if opts.newPipeline != nil {
+		newPipeline = opts.newPipeline
+	}
+	d.pipe = newPipeline((*applier)(d))
+	d.pipe.SetObs(opts.Obs)
+	d.pipe.SetFault(opts.Fault)
 	if opts.Tap != nil {
-		sink = event.Multi(opts.Tap, d)
+		return d, event.Multi(opts.Tap, d)
 	}
-	if opts.SegmentEvents == 0 {
-		return d, sink, func() {}
-	}
-	seg := event.NewSegmented(sink, opts.SegmentEvents)
-	seg.SetObs(opts.Obs)
-	seg.SetFault(opts.Fault)
-	return d, seg, seg.Close
+	return d, d
 }

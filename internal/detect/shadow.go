@@ -160,8 +160,11 @@ func (s *shadowMem) bytes() int64 {
 		n += rf.bytes()
 	}
 	for _, pg := range s.pages {
-		for i := range pg.words {
-			w := &pg.words[i]
+		// Every live word lies in the touched range: word() widens it
+		// whenever a word comes alive.
+		words := pg.words[pg.lo:pg.hi]
+		for i := range words {
+			w := &words[i]
 			if !w.live {
 				continue
 			}

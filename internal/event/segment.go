@@ -13,31 +13,53 @@ import (
 // sink (the detector) while the producer fills the other buffer.
 // Production and detection overlap within one run, yet the downstream
 // sink still observes the exact serial event order — every Handle call
-// happens on the one consumer goroutine, in stream order — so reports are
+// happens on one goroutine at a time, in stream order — so reports are
 // byte-identical to the unsegmented pipeline by construction.
+//
+// Overlap pays only on long streams: on 2 vCPUs it wins from about 93k
+// events up and loses on a 9k-event replay, where the copy and hand-off
+// cost more than they hide. So a Segmented starts plain: each event goes
+// straight to the downstream sink, on the producer goroutine, until the
+// stream has passed OverlapThreshold events. Only then, at that event
+// boundary and still on the producer goroutine, does it start the
+// consumer and the double buffer. Every event before the switch has been
+// fully handled when the first segment is dispatched, so stream order
+// holds across the switch. A producer that owns the downstream (the
+// detector) asks Direct per event and applies the plain events itself,
+// so the plain path costs one counter compare and no interface call.
 //
 // Two buffers bound the pipeline: rotating blocks until the consumer has
 // finished a previous segment, which is back-pressure, not a correctness
 // condition. Buffers are recycled through the free channel during a run,
 // and across runs through a process-wide slab pool (slabPool), so a
-// steady stream of runs — a table regeneration, the server's sessions —
-// reuses the same two slabs instead of allocating fresh ones per run.
-// Events are pointer-free, so a pooled slab holds nothing alive for the
-// GC and stale contents are simply overwritten by append.
+// steady stream of long runs reuses the same two slabs instead of
+// allocating fresh ones per run. Events are pointer-free, so a pooled
+// slab holds nothing alive for the GC and stale contents are simply
+// overwritten by append.
 
-// DefaultSegmentEvents is the segment size used when a caller enables
-// overlap without choosing one: big enough to amortize the per-segment
-// hand-off, small enough that two in-flight segments stay a few hundred
-// kilobytes.
+// OverlapThreshold is the number of events a Segmented hands straight to
+// the downstream sink before it starts overlapping. The crossover sweep
+// (internal/detect BenchmarkPipelineCrossover) puts it between a
+// 26k-event stream, where the two paths tie, and a 93k-event one, where
+// overlap wins.
+const OverlapThreshold = 1 << 16
+
+// DefaultSegmentEvents is the segment size once overlap has started: big
+// enough to amortize the per-segment hand-off, small enough that two
+// in-flight segments stay a few hundred kilobytes.
 const DefaultSegmentEvents = 2048
 
 // Segmented is a Sink that decouples event production from consumption
-// through double-buffered segments. The producer side (Handle, Flush,
-// Close) must be a single goroutine, exactly like any other Sink. It
-// implements Flusher: Flush dispatches the partial segment, waits for the
-// consumer to drain everything, and then flushes the downstream sink.
+// through double-buffered segments once the stream is long (see
+// OverlapThreshold). The producer side (Handle, Flush, Close) must be a
+// single goroutine, exactly like any other Sink. It implements Flusher:
+// Flush dispatches the partial segment, waits for the consumer to drain
+// everything, and then flushes the downstream sink.
 type Segmented struct {
 	down Sink
+	// left counts the events still handed straight to down; once it is
+	// zero the next event starts the pipeline (work != nil from then on).
+	left int
 	size int
 
 	// obs, when set, records per-segment sizes, consumer apply time, and
@@ -66,28 +88,36 @@ type Segmented struct {
 	hasPanic bool
 }
 
-// NewSegmented starts the consumer goroutine driving down. size <= 0 means
-// DefaultSegmentEvents. The caller owns the lifecycle: Close when done
-// (Flush alone leaves the consumer running for more events).
-func NewSegmented(down Sink, size int) *Segmented {
-	if size <= 0 {
-		size = DefaultSegmentEvents
-	}
-	s := &Segmented{
-		down: down,
-		size: size,
-		cur:  newSlab(size),
-		work: make(chan []Event, 1),
-		free: make(chan []Event, 2),
-		done: make(chan struct{}),
-	}
-	s.free <- newSlab(size) // the second buffer of the double buffer
+// NewSegmented returns the pipeline feeding down: plain for the first
+// OverlapThreshold events, overlapped in DefaultSegmentEvents segments
+// after that. It starts no goroutine; the caller owns the lifecycle and
+// Closes it when done, which stops the consumer if one was started (Flush
+// alone leaves it running for more events).
+func NewSegmented(down Sink) *Segmented {
+	return newSegmented(down, OverlapThreshold, DefaultSegmentEvents)
+}
+
+// newSegmented is NewSegmented with the policy as parameters: threshold
+// events pass straight through, then segments of size events overlap.
+// Tests use it to overlap from the first event or in tiny segments.
+func newSegmented(down Sink, threshold, size int) *Segmented {
+	return &Segmented{down: down, left: threshold, size: size}
+}
+
+// start switches the stream to overlap: it takes the two buffers of the
+// double buffer and starts the consumer goroutine. It runs on the
+// producer goroutine between two events.
+func (s *Segmented) start() {
+	s.cur = newSlab(s.size)
+	s.work = make(chan []Event, 1)
+	s.free = make(chan []Event, 2)
+	s.done = make(chan struct{})
+	s.free <- newSlab(s.size) // the second buffer of the double buffer
 	go s.consume()
-	return s
 }
 
 // SetObs attaches an observability pipeline. Must be called before the
-// first Handle: the consumer goroutine reads it too, and the work-channel
+// first event: the consumer goroutine reads it too, and the work-channel
 // hand-off of the first segment is what orders the write for it.
 func (s *Segmented) SetObs(p *obs.Pipeline) { s.obs = p }
 
@@ -98,9 +128,31 @@ func (s *Segmented) SetObs(p *obs.Pipeline) { s.obs = p }
 // exactly what it exercises.
 func (s *Segmented) SetFault(r *fault.Registry) { s.fault = r }
 
-// Handle implements Sink: append to the current segment, rotating when
-// full. The hot path is one copy into a preallocated buffer.
+// Direct reports whether the producer is still below the threshold, and
+// counts the event it is about to hand over: while it reports true, the
+// producer may apply the event to the downstream itself, on its own
+// goroutine. Once it reports false it does so for good, and every further
+// event must go through Handle. The detector asks it per event, so its
+// plain path needs no second interface call.
+func (s *Segmented) Direct() bool {
+	if s.left > 0 {
+		s.left--
+		return true
+	}
+	return false
+}
+
+// Handle implements Sink: below the threshold it hands the event straight
+// to the downstream sink; once overlapping, it copies it into a
+// preallocated buffer, rotating when the segment is full.
 func (s *Segmented) Handle(ev *Event) {
+	if s.Direct() {
+		s.down.Handle(ev)
+		return
+	}
+	if s.work == nil {
+		s.start()
+	}
 	s.cur = append(s.cur, *ev)
 	if len(s.cur) >= s.size {
 		s.rotate()
@@ -138,21 +190,23 @@ func (s *Segmented) rotate() {
 // downstream sink. On return the downstream has observed the full stream
 // so far.
 func (s *Segmented) Flush() {
-	if len(s.cur) > 0 {
-		s.rotate()
+	if s.work != nil {
+		if len(s.cur) > 0 {
+			s.rotate()
+		}
+		s.pending.Wait()
+		s.check()
 	}
-	s.pending.Wait()
-	s.check()
 	if f, ok := s.down.(Flusher); ok {
 		f.Flush()
 	}
 }
 
-// Close flushes and stops the consumer goroutine. Idempotent; the
-// Segmented must not Handle further events after Close. The shutdown
-// completes even when the drain re-raises a downstream panic — the
-// consumer goroutine never outlives Close — and the panic then continues
-// unwinding.
+// Close flushes and stops the consumer goroutine if one was started.
+// Idempotent; the Segmented must not Handle further events after Close.
+// The shutdown completes even when the drain re-raises a downstream
+// panic — the consumer goroutine never outlives Close — and the panic
+// then continues unwinding.
 func (s *Segmented) Close() {
 	if s.closed {
 		return
@@ -163,6 +217,13 @@ func (s *Segmented) Close() {
 		defer func() { downPanic = recover() }()
 		s.Flush()
 	}()
+	if s.work == nil {
+		// Never started: no consumer to stop, no slab to return.
+		if downPanic != nil {
+			panic(downPanic)
+		}
+		return
+	}
 	close(s.work)
 	<-s.done
 	// The consumer is gone: both slabs are back under producer ownership

@@ -1,6 +1,7 @@
 package event
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 )
@@ -16,14 +17,14 @@ func (o *orderSink) Handle(ev *Event) { o.addrs = append(o.addrs, ev.Addr) }
 func (o *orderSink) Flush()           { o.flushes++ }
 
 // TestSegmentedPreservesOrder streams several segments' worth of events
-// (including a non-boundary tail) and checks the downstream sink sees the
-// exact serial order, across segment sizes that do and do not divide the
-// stream length.
+// (including a non-boundary tail) through a pipeline overlapping from the
+// first event and checks the downstream sink sees the exact serial order,
+// across segment sizes that do and do not divide the stream length.
 func TestSegmentedPreservesOrder(t *testing.T) {
 	const n = 1000
 	for _, size := range []int{1, 7, 64, n, n + 5} {
 		down := &orderSink{}
-		s := NewSegmented(down, size)
+		s := newSegmented(down, 0, size)
 		for i := 0; i < n; i++ {
 			s.Handle(&Event{Kind: KindWrite, Addr: int64(i)})
 		}
@@ -47,7 +48,7 @@ func TestSegmentedPreservesOrder(t *testing.T) {
 // far, and the pipeline must keep working for more events.
 func TestSegmentedFlushDrains(t *testing.T) {
 	down := &orderSink{}
-	s := NewSegmented(down, 8)
+	s := newSegmented(down, 0, 8)
 	for i := 0; i < 13; i++ {
 		s.Handle(&Event{Addr: int64(i)})
 	}
@@ -73,10 +74,14 @@ func TestSegmentedFlushDrains(t *testing.T) {
 func TestSegmentedRecyclesBuffers(t *testing.T) {
 	var handled atomic.Int64
 	down := SinkFunc(func(ev *Event) { handled.Add(1) })
-	s := NewSegmented(down, 16)
+	s := newSegmented(down, 0, 16)
+	// One reused event, as the vm and the trace reader hand theirs over:
+	// Handle forwards its argument, so a fresh one per call would escape.
+	var ev Event
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 64; i++ { // 4 segments per round
-			s.Handle(&Event{Addr: int64(i)})
+			ev.Addr = int64(i)
+			s.Handle(&ev)
 		}
 	})
 	s.Close()
@@ -97,7 +102,7 @@ func TestSegmentedDownstreamPanic(t *testing.T) {
 			panic("detector exploded")
 		}
 	})
-	s := NewSegmented(down, 2)
+	s := newSegmented(down, 0, 2)
 	defer func() {
 		if recover() == nil {
 			t.Error("downstream panic never reached the producer")
@@ -109,4 +114,109 @@ func TestSegmentedDownstreamPanic(t *testing.T) {
 		s.Handle(&Event{Addr: int64(i)})
 	}
 	s.Flush()
+}
+
+// TestSegmentedSwitch pins the plain-then-overlap policy: a stream that
+// stays within the threshold never starts the consumer goroutine, and one
+// that passes it reaches the downstream byte-identical and in order
+// across the switch — also when a Flush lands exactly on the threshold.
+func TestSegmentedSwitch(t *testing.T) {
+	const threshold, size = 100, 16
+	feed := func(s *Segmented, from, to int) {
+		for i := from; i < to; i++ {
+			s.Handle(&Event{Kind: KindWrite, Tid: Tid(i % 3), Addr: int64(i)})
+		}
+	}
+	check := func(name string, down *orderSink, n int) {
+		t.Helper()
+		if len(down.addrs) != n {
+			t.Fatalf("%s: downstream saw %d events, want %d", name, len(down.addrs), n)
+		}
+		for i, a := range down.addrs {
+			if a != int64(i) {
+				t.Fatalf("%s: event %d out of order: got addr %d", name, i, a)
+			}
+		}
+	}
+
+	// Within the threshold: every event is handled by the time Handle
+	// returns, and no goroutine or buffer is ever taken.
+	down := &orderSink{}
+	s := newSegmented(down, threshold, size)
+	feed(s, 0, threshold)
+	check("short", down, threshold)
+	s.Flush()
+	if s.work != nil || s.cur != nil {
+		t.Fatal("short: a stream within the threshold started the consumer")
+	}
+	s.Close()
+	if down.flushes != 2 {
+		t.Errorf("short: downstream flushes = %d, want 2 (Flush and Close)", down.flushes)
+	}
+
+	// Across the switch, with a Flush exactly at the threshold and a
+	// non-boundary tail.
+	for _, flushAt := range []int{-1, threshold} {
+		down := &orderSink{}
+		s := newSegmented(down, threshold, size)
+		if flushAt < 0 {
+			feed(s, 0, 1000)
+		} else {
+			feed(s, 0, flushAt)
+			s.Flush()
+			check("flush at threshold", down, flushAt)
+			if s.work != nil {
+				t.Fatal("Flush at the threshold started the consumer")
+			}
+			feed(s, flushAt, 1000)
+		}
+		if s.work == nil {
+			t.Fatal("a stream past the threshold never started the consumer")
+		}
+		s.Close()
+		check(fmt.Sprintf("flush at %d", flushAt), down, 1000)
+	}
+
+	// A downstream panic is re-raised on the producer before and after
+	// the switch, and the pipeline still shuts down.
+	for _, at := range []int64{threshold / 2, threshold + 3*size} {
+		down := SinkFunc(func(ev *Event) {
+			if ev.Addr == at {
+				panic("detector exploded")
+			}
+		})
+		s := newSegmented(down, threshold, size)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("panic at event %d never reached the producer", at)
+				}
+				s.Close()
+			}()
+			feed(s, 0, 1000)
+			s.Flush()
+		}()
+	}
+}
+
+// TestNewSegmentedPolicy pins the production constructor to the package
+// policy: plain for OverlapThreshold events, then DefaultSegmentEvents
+// segments.
+func TestNewSegmentedPolicy(t *testing.T) {
+	s := NewSegmented(SinkFunc(func(*Event) {}))
+	defer s.Close()
+	if s.left != OverlapThreshold || s.size != DefaultSegmentEvents {
+		t.Fatalf("NewSegmented: threshold %d, segment %d; want %d, %d",
+			s.left, s.size, OverlapThreshold, DefaultSegmentEvents)
+	}
+	for i := 0; i < OverlapThreshold; i++ {
+		s.Handle(&Event{})
+	}
+	if s.work != nil {
+		t.Fatal("NewSegmented started overlapping within the threshold")
+	}
+	s.Handle(&Event{})
+	if s.work == nil {
+		t.Fatal("NewSegmented did not overlap past the threshold")
+	}
 }

@@ -32,7 +32,8 @@ import (
 // Failpoint site names. Pipeline sites (through detect.RunOpts.Fault):
 const (
 	// SegmentRotate fires when the overlap pipeline hands a segment to the
-	// consumer (event.Segmented.rotate). Requires an overlapped run.
+	// consumer (event.Segmented.rotate). Reached only by a run whose
+	// stream passes event.OverlapThreshold events.
 	SegmentRotate = "segment.rotate"
 	// DetectMerge fires when the run's report is assembled (Detector.Report).
 	DetectMerge = "detect.merge"

@@ -22,6 +22,11 @@ import (
 	"adhocrace/internal/workloads/dataracetest"
 )
 
+// longStream is a workload whose run passes event.OverlapThreshold under
+// the spin preset (freqmine: about 93k events), so its sessions start the
+// segment pipeline and reach the segment-rotation failpoint.
+const longStream = "freqmine"
+
 // chaosCompare checks a fault-free session outcome byte-for-byte against
 // direct runs of the same request. Errors via t.Errorf only — it runs on
 // fleet goroutines.
@@ -36,13 +41,9 @@ func chaosCompare(t *testing.T, req serve.SessionRequest, out *client.Outcome) {
 		t.Errorf("unknown workload %q", req.Workload)
 		return
 	}
-	opts := detect.RunOpts{SegmentEvents: req.SegmentEvents}
-	if req.Overlap {
-		opts = opts.Overlapped()
-	}
 	for i := range out.Runs {
 		seed := req.Seed + int64(i)
-		direct, _, err := detect.Prepare(build()).Run(cfg, seed, opts)
+		direct, _, err := detect.Prepare(build()).Run(cfg, seed, detect.RunOpts{})
 		if err != nil {
 			t.Errorf("%s seed %d direct: %v", req.Workload, seed, err)
 			return
@@ -80,7 +81,7 @@ func TestChaosEachFailpoint(t *testing.T) {
 	}
 	trials := []trial{
 		{site: fault.SegmentRotate, mode: fault.ModeError, wantErr: true, wantCode: serve.CodeInternal, wantPanicCounted: true,
-			prep: func(r *serve.SessionRequest) { r.SegmentEvents = 64 }},
+			prep: func(r *serve.SessionRequest) { r.Workload = longStream }},
 		{site: fault.DetectMerge, mode: fault.ModeError, wantErr: true, wantCode: serve.CodeInternal, wantPanicCounted: true},
 		{site: fault.DetectMerge, mode: fault.ModePanic, wantErr: true, wantCode: serve.CodeInternal, wantPanicCounted: true},
 		{site: fault.GCCycle, mode: fault.ModeError, wantErr: true, wantCode: serve.CodeInternal, wantPanicCounted: true,
@@ -159,15 +160,14 @@ func TestChaosEachFailpoint(t *testing.T) {
 }
 
 // TestChaosConformanceSweep arms every failpoint with a seeded error rate
-// and replays the accuracy suite (plus big-stream synth jobs that reach
-// the batch and segment sites) through one server. Every site must fire
+// and replays the accuracy suite (plus big-stream jobs that reach the GC
+// and segment sites) through one server. Every site must fire
 // at least once across the sweep; every session the faults spared must
 // match its direct run byte for byte; the drain must leave zero
 // goroutines. Under -short the matrix shrinks to the chaos-smoke subset.
 func TestChaosConformanceSweep(t *testing.T) {
 	checkLeaks := leakCheck(t)
 
-	shapes := pipeShapes()
 	stride, synths, streamRate, gcRate := 1, 8, int64(101), int64(101)
 	if testing.Short() {
 		// The smoke matrix gives stream-side sites far fewer hits; scale
@@ -185,9 +185,12 @@ func TestChaosConformanceSweep(t *testing.T) {
 	for _, name := range []string{fault.DetectMerge, fault.ServeAccept, fault.ServeFrameRead, fault.ServeTeardown} {
 		reg.ArmSeeded(name, fault.ModeError, 6, 42)
 	}
-	for _, name := range []string{fault.SegmentRotate, fault.ServeFrameWrite, fault.ServeOutboxSend} {
+	for _, name := range []string{fault.ServeFrameWrite, fault.ServeOutboxSend} {
 		reg.ArmSeeded(name, fault.ModeError, streamRate, 42)
 	}
+	// Segment rotations happen only past the overlap threshold, a few
+	// dozen per long-stream session, so the site gets a tighter rate.
+	reg.ArmSeeded(fault.SegmentRotate, fault.ModeError, 11, 42)
 	reg.ArmSeeded(fault.GCCycle, fault.ModeError, gcRate, 42)
 	reg.ArmSeeded(fault.CacheBuild, fault.ModeError, 7, 42)
 
@@ -204,16 +207,19 @@ func TestChaosConformanceSweep(t *testing.T) {
 			Workload: c.Name, Tool: confTools[ci%len(confTools)], Window: 7,
 			Seed: int64(1 + i%3), Repeat: 1, GCEvents: 256,
 		}
-		shapes[i%len(shapes)].set(&req)
 		jobs = append(jobs, req)
 		i++
 	}
-	// Big streams with every pipeline feature on: segment rotation and GC
-	// cycles both evaluate here.
+	// Big streams: synth jobs with a tiny GC period evaluate GC cycles, and
+	// long-stream jobs at the default period reach segment rotations (a
+	// tiny period would fault them at a GC cycle long before their stream
+	// passes the overlap threshold).
 	for s := 1; s <= synths; s++ {
 		jobs = append(jobs, serve.SessionRequest{
 			Workload: fmt.Sprintf("synth:%d", s), Tool: "spin", Seed: 1, Repeat: 2,
-			SegmentEvents: 64, GCEvents: 64,
+			GCEvents: 64,
+		}, serve.SessionRequest{
+			Workload: longStream, Tool: "spin", Seed: int64(s), Repeat: 2,
 		})
 	}
 

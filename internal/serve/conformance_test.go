@@ -1,10 +1,10 @@
 // Server conformance: every report streamed through raced must be
 // byte-identical to a direct Prepared.Run of the same (workload, tool,
-// seed, pipeline shape). The suite replays the full 120-case accuracy
-// suite under the six tool presets and a synthesis corpus under the two
-// presets with the richest read-side semantics, sweeping the overlap
-// shapes, all through one shared server — the cnosdb-style
-// work-claiming runner keeps a fleet of client goroutines saturated.
+// seed). The suite replays the full 120-case accuracy suite under the six
+// tool presets and a synthesis corpus under the two presets with the
+// richest read-side semantics, all through one shared server — the
+// cnosdb-style work-claiming runner keeps a fleet of client goroutines
+// saturated.
 package serve_test
 
 import (
@@ -21,29 +21,12 @@ import (
 	"adhocrace/internal/workloads/dataracetest"
 )
 
-// pipeShape pairs a direct-run RunOpts with the session-request fields
-// that select the same pipeline on the server.
-type pipeShape struct {
-	name string
-	opts detect.RunOpts
-	set  func(*serve.SessionRequest)
-}
-
-func pipeShapes() []pipeShape {
-	return []pipeShape{
-		{"plain", detect.RunOpts{}, func(r *serve.SessionRequest) {}},
-		{"overlap", detect.RunOpts{}.Overlapped(), func(r *serve.SessionRequest) { r.Overlap = true }},
-		{"seg64", detect.RunOpts{SegmentEvents: 64}, func(r *serve.SessionRequest) { r.SegmentEvents = 64 }},
-	}
-}
-
-// confJob is one conformance unit: one workload under one tool and shape.
+// confJob is one conformance unit: one workload under one tool and seed.
 type confJob struct {
 	workload string
 	tool     string
 	window   int
 	seed     int64
-	shape    pipeShape
 }
 
 // run compares the server's streamed report against the direct run.
@@ -60,34 +43,33 @@ func (j confJob) run(t *testing.T, c *client.Client) {
 		t.Errorf("unknown workload %q", j.workload)
 		return
 	}
-	direct, _, err := detect.Prepare(build()).Run(cfg, j.seed, j.shape.opts)
+	direct, _, err := detect.Prepare(build()).Run(cfg, j.seed, detect.RunOpts{})
 	if err != nil {
-		t.Errorf("%s/%s/%s seed %d direct: %v", j.workload, j.tool, j.shape.name, j.seed, err)
+		t.Errorf("%s/%s seed %d direct: %v", j.workload, j.tool, j.seed, err)
 		return
 	}
 
 	req := serve.SessionRequest{Workload: j.workload, Tool: j.tool, Window: j.window, Seed: j.seed}
-	j.shape.set(&req)
 	out, err := c.Run(req)
 	if err != nil {
-		t.Errorf("%s/%s/%s seed %d server: %v", j.workload, j.tool, j.shape.name, j.seed, err)
+		t.Errorf("%s/%s seed %d server: %v", j.workload, j.tool, j.seed, err)
 		return
 	}
 	if len(out.Runs) != 1 {
-		t.Errorf("%s/%s/%s: got %d runs, want 1", j.workload, j.tool, j.shape.name, len(out.Runs))
+		t.Errorf("%s/%s: got %d runs, want 1", j.workload, j.tool, len(out.Runs))
 		return
 	}
 	// Report() cross-checks the streamed warning count against the result
 	// frame before reassembling.
 	served, err := out.Runs[0].Report()
 	if err != nil {
-		t.Errorf("%s/%s/%s seed %d: %v", j.workload, j.tool, j.shape.name, j.seed, err)
+		t.Errorf("%s/%s seed %d: %v", j.workload, j.tool, j.seed, err)
 		return
 	}
 	want, got := harness.ReportFingerprint(direct), harness.ReportFingerprint(served)
 	if got != want {
-		t.Errorf("%s under %s (%s, seed %d): server report differs from direct run\n--- direct ---\n%s--- server ---\n%s",
-			j.workload, j.tool, j.shape.name, j.seed, want, got)
+		t.Errorf("%s under %s (seed %d): server report differs from direct run\n--- direct ---\n%s--- server ---\n%s",
+			j.workload, j.tool, j.seed, want, got)
 	}
 }
 
@@ -133,9 +115,8 @@ var confTools = []string{"lib", "spin", "nolib", "nolib+locks", "drd", "eraser"}
 
 // TestServerConformanceSuite replays the accuracy suite through the
 // server: every case under every preset (one rotating preset per case
-// under -short), rotating the overlap sweep per (case, tool).
+// under -short).
 func TestServerConformanceSuite(t *testing.T) {
-	shapes := pipeShapes()
 	var jobs []confJob
 	i := 0
 	for ci, c := range dataracetest.Suite() {
@@ -145,8 +126,7 @@ func TestServerConformanceSuite(t *testing.T) {
 			}
 			jobs = append(jobs, confJob{
 				workload: c.Name, tool: tool, window: 7,
-				seed:  int64(1 + i%3),
-				shape: shapes[i%len(shapes)],
+				seed: int64(1 + i%3),
 			})
 			i++
 		}
@@ -156,21 +136,19 @@ func TestServerConformanceSuite(t *testing.T) {
 
 // TestServerConformanceSynth replays the synthesis corpus through the
 // server: 200 seeds (40 under -short) under the spin-featured Helgrind+
-// and DRD, rotating the pipeline sweep per seed.
+// and DRD.
 func TestServerConformanceSynth(t *testing.T) {
 	seeds := 200
 	if testing.Short() {
 		seeds = 40
 	}
-	shapes := pipeShapes()
 	var jobs []confJob
 	i := 0
 	for seed := 1; seed <= seeds; seed++ {
 		for _, tool := range []string{"spin", "drd"} {
 			jobs = append(jobs, confJob{
 				workload: fmt.Sprintf("synth:%d", seed), tool: tool, window: 7,
-				seed:  int64(1 + i%3),
-				shape: shapes[i%len(shapes)],
+				seed: int64(1 + i%3),
 			})
 			i++
 		}

@@ -57,8 +57,9 @@ func rawOutcome(s *rawSession) ([]client.RunOutcome, error) {
 func TestPanicIsolationConcurrentSessions(t *testing.T) {
 	checkLeaks := leakCheck(t)
 	reg := fault.New()
-	// The victim is the only session running the segment pipeline, so the
-	// one armed rotation fault cannot land on the healthy session.
+	// The victim is the only session whose stream is long enough to start
+	// the segment pipeline, so the one armed rotation fault cannot land on
+	// the healthy session.
 	if err := reg.Arm(fault.SegmentRotate, fault.ModePanic, 0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestPanicIsolationConcurrentSessions(t *testing.T) {
 	healthyConn := ln.dial(t)
 	healthy := openRaw(t, healthyConn, serve.SessionRequest{Workload: "synth:5", Tool: "spin", Seed: 1, Repeat: 2})
 	victimConn := ln.dial(t)
-	victim := openRaw(t, victimConn, serve.SessionRequest{Workload: "synth:1", Tool: "spin", Seed: 1, SegmentEvents: 64})
+	victim := openRaw(t, victimConn, serve.SessionRequest{Workload: longStream, Tool: "spin", Seed: 1})
 
 	type res struct {
 		runs []client.RunOutcome
@@ -158,6 +159,15 @@ func TestGarbageFrameIsolation(t *testing.T) {
 			[]byte(`{"workload":"synth:5","tool":"spin","shards":2}`)), accepted},
 		{"retired shards field out of its old range", frame(byte(serve.FrameRequest),
 			[]byte(`{"workload":"synth:5","tool":"spin","shards":1000}`)), accepted},
+		// The retired overlap knobs: stream length picks the pipeline now,
+		// so both fields are ignored, segment_events also beyond its old
+		// 1<<20 bound.
+		{"retired overlap field", frame(byte(serve.FrameRequest),
+			[]byte(`{"workload":"synth:5","tool":"spin","overlap":true}`)), accepted},
+		{"retired segment_events field", frame(byte(serve.FrameRequest),
+			[]byte(`{"workload":"synth:5","tool":"spin","segment_events":64}`)), accepted},
+		{"retired segment_events field out of its old range", frame(byte(serve.FrameRequest),
+			[]byte(`{"workload":"synth:5","tool":"spin","overlap":true,"segment_events":2097152}`)), accepted},
 	}
 	for _, tc := range cases {
 		conn := ln.dial(t)

@@ -220,7 +220,6 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		{Workload: "ww_two_threads", Tool: "no_such_tool"},
 		{Workload: ""},
 		{Workload: "ww_two_threads", Tool: "spin", Repeat: 2_000_000},
-		{Workload: "ww_two_threads", Tool: "spin", SegmentEvents: 1 << 21},
 	} {
 		_, err := c.Run(req)
 		we, ok := err.(*serve.WireError)
@@ -231,8 +230,8 @@ func TestServerRejectsBadRequests(t *testing.T) {
 			t.Errorf("request %+v: code = %s, want %s", req, we.Code, serve.CodeBadRequest)
 		}
 	}
-	if snap := srv.Snapshot(); snap.SessionsRejected != 5 || snap.SessionsTotal != 0 {
-		t.Errorf("snapshot: rejected=%d total=%d, want 5/0", snap.SessionsRejected, snap.SessionsTotal)
+	if snap := srv.Snapshot(); snap.SessionsRejected != 4 || snap.SessionsTotal != 0 {
+		t.Errorf("snapshot: rejected=%d total=%d, want 4/0", snap.SessionsRejected, snap.SessionsTotal)
 	}
 	srv.Drain()
 	checkLeaks()

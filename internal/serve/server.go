@@ -473,9 +473,6 @@ func normalize(req *SessionRequest) error {
 	if req.Repeat > 1_000_000 {
 		return fmt.Errorf("repeat %d out of range", req.Repeat)
 	}
-	if req.SegmentEvents < -1 || req.SegmentEvents > 1<<20 {
-		return fmt.Errorf("segment size %d out of range", req.SegmentEvents)
-	}
 	if req.GCEvents < 0 || req.GCEvents > 1<<20 {
 		return fmt.Errorf("gc period %d out of range", req.GCEvents)
 	}

@@ -268,21 +268,17 @@ func (ss *session) run() {
 	ss.obs.Add(obs.CtrSessions, 1)
 	run := 0
 	opts := detect.RunOpts{
-		SegmentEvents: ss.req.SegmentEvents,
-		GCShadow:      !ss.srv.cfg.DisableShadowGC,
-		GCEvents:      ss.req.GCEvents,
-		Fault:         ss.srv.cfg.Fault,
-		Obs:           ss.obs,
-		Tap:           &ss.tap,
-		Interrupt:     &ss.stop,
+		GCShadow:  !ss.srv.cfg.DisableShadowGC,
+		GCEvents:  ss.req.GCEvents,
+		Fault:     ss.srv.cfg.Fault,
+		Obs:       ss.obs,
+		Tap:       &ss.tap,
+		Interrupt: &ss.stop,
 		OnWarning: func(w detect.Warning) {
 			ss.warnCount.Add(1)
 			ss.srv.metrics.warningsStreamed.Add(1)
 			ss.send(FrameWarning, wireWarning(run, w))
 		},
-	}
-	if ss.req.Overlap {
-		opts = opts.Overlapped()
 	}
 	for ; run < ss.req.Repeat; run++ {
 		if ss.canceled() {

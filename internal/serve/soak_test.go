@@ -35,7 +35,6 @@ func TestServerSoak(t *testing.T) {
 	addr := srv.Addr().String()
 
 	tools := []string{"spin", "drd"}
-	shapes := pipeShapes()
 
 	const fleet = 16
 	var next, wantRuns atomic.Int64
@@ -56,7 +55,6 @@ func TestServerSoak(t *testing.T) {
 					Seed:     int64(1 + idx%5),
 					Repeat:   1 + idx%3,
 				}
-				shapes[idx%len(shapes)].set(&req)
 				out, err := c.Run(req)
 				if err != nil {
 					t.Errorf("session %d (%+v): %v", idx, req, err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"adhocrace/internal/detect"
-	"adhocrace/internal/event"
 	"adhocrace/internal/ir"
 	"adhocrace/internal/synclib"
 	"adhocrace/internal/vm"
@@ -24,7 +23,10 @@ import (
 // phase's private Span-word slice of DATA, plus one deliberately
 // unprotected store to RACY[p] each — so every window churns the whole
 // shadow table and the warning machinery, and every join renders the
-// round's state dominated, GC bait by construction.
+// round's state dominated, GC bait by construction. At the default shape
+// a window is about 26k events, so from the third window on the stream
+// has passed event.OverlapThreshold and overlaps with detection, as any
+// long run does.
 
 // LongTraceOpts shapes the windowed replay. The zero value of any field
 // picks the default noted on it.
@@ -47,8 +49,8 @@ type LongTraceOpts struct {
 	MaxSteps int64
 	// Cfg is the tool configuration (zero Name means HelgrindPlusLib).
 	Cfg detect.Config
-	// Opts is the pipeline shape, including the GC knobs. OnWarning, Tap,
-	// and Interrupt are ignored in long-trace mode.
+	// Opts is the pipeline shape of the one detector every window feeds,
+	// with the same meaning as in detect.Prepared.Run.
 	Opts detect.RunOpts
 	// OnWindow, when set, observes the cumulative report after each
 	// window — the soak tests' sampling hook.
@@ -133,30 +135,27 @@ func buildLongTraceProgram(o LongTraceOpts) *ir.Program {
 // one persistent detector and returns the cumulative report. The window
 // scheduling seeds derive from seed deterministically, so two LongTrace
 // calls differing only in GC knobs see byte-identical event streams.
+// The detector and its pipeline come from detect.Prepared.NewRun, as for
+// any other run, so the stream overlaps with detection once it is long.
 func LongTrace(seed int64, o LongTraceOpts) (*detect.Report, error) {
 	o = o.withDefaults()
-	prog := buildLongTraceProgram(o)
-	ins := o.Cfg.Instrument(prog)
-	d := detect.New(o.Cfg, ins, prog)
+	pr := detect.Prepare(buildLongTraceProgram(o))
+	ins, dec := pr.Instrument(o.Cfg), pr.Decoded(o.Cfg)
+	d, sink := pr.NewRun(o.Cfg, o.Opts)
 	defer d.Close()
-	if o.Opts.GCShadow {
-		d.EnableShadowGC(o.Opts.GCEvents)
-	}
-	var sink event.Sink = d
-	if o.Opts.SegmentEvents != 0 {
-		// One overlap pipeline for every window; each vm.Run flushes it,
-		// so the per-window report is complete.
-		seg := event.NewSegmented(d, o.Opts.SegmentEvents)
-		defer seg.Close()
-		sink = seg
-	}
 	for w := 0; w < o.Windows; w++ {
-		_, err := vm.Run(prog, vm.Options{
+		// Each vm.Run flushes the pipeline, so the per-window report is
+		// complete.
+		_, err := vm.Run(pr.Prog, vm.Options{
 			Seed:      seed + int64(w),
 			KnownLibs: o.Cfg.KnownLibs,
 			Instr:     ins,
+			Decoded:   dec,
 			Sink:      sink,
 			MaxSteps:  o.MaxSteps,
+			Interrupt: o.Opts.Interrupt,
+			Deadline:  o.Opts.Deadline,
+			Obs:       o.Opts.Obs,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("longtrace window %d: %w", w, err)

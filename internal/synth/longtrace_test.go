@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"adhocrace/internal/detect"
+	"adhocrace/internal/event"
 	"adhocrace/internal/harness"
 	"adhocrace/internal/synth"
 )
@@ -22,32 +23,30 @@ var longTraceEvents = flag.Int64("longtrace-events", 0,
 	"minimum event count for TestLongTraceBigRun (0 = skip)")
 
 // TestLongTraceGCEquivalence replays the same windowed trace with the GC
-// off and with it cycling every 2048 events under the default and the
-// overlapped pipelines: one fingerprint, three detectors.
+// off and with it cycling every 2048 events: one fingerprint, two
+// detectors. Four windows (about 104k events) pass event.OverlapThreshold,
+// so GC cycles run both before and after the pipeline starts overlapping.
 func TestLongTraceGCEquivalence(t *testing.T) {
-	base := synth.LongTraceOpts{Windows: 2}
+	base := synth.LongTraceOpts{Windows: 4}
 	ref, err := synth.LongTrace(1, base)
 	if err != nil {
 		t.Fatalf("unbounded: %v", err)
 	}
+	if ref.Events <= event.OverlapThreshold {
+		t.Fatalf("%d events never pass the overlap threshold %d", ref.Events, event.OverlapThreshold)
+	}
 	want := harness.ReportFingerprint(ref)
-	for _, opts := range []detect.RunOpts{
-		{GCShadow: true, GCEvents: 2048},
-		{GCShadow: true, GCEvents: 2048, SegmentEvents: 256},
-	} {
-		o := base
-		o.Opts = opts
-		rep, err := synth.LongTrace(1, o)
-		if err != nil {
-			t.Fatalf("gc (segment=%d): %v", opts.SegmentEvents, err)
-		}
-		if rep.GCCycles == 0 {
-			t.Fatalf("gc (segment=%d): no GC cycles ran; the comparison proves nothing", opts.SegmentEvents)
-		}
-		if got := harness.ReportFingerprint(rep); got != want {
-			t.Errorf("gc (segment=%d): report differs from unbounded detector\n--- unbounded ---\n%s--- gc ---\n%s",
-				opts.SegmentEvents, want, got)
-		}
+	o := base
+	o.Opts = detect.RunOpts{GCShadow: true, GCEvents: 2048}
+	rep, err := synth.LongTrace(1, o)
+	if err != nil {
+		t.Fatalf("gc: %v", err)
+	}
+	if rep.GCCycles == 0 {
+		t.Fatal("gc: no GC cycles ran; the comparison proves nothing")
+	}
+	if got := harness.ReportFingerprint(rep); got != want {
+		t.Errorf("gc: report differs from unbounded detector\n--- unbounded ---\n%s--- gc ---\n%s", want, got)
 	}
 }
 

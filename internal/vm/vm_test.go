@@ -457,22 +457,32 @@ func TestShiftMasking(t *testing.T) {
 }
 
 // TestSegmentedRunIdenticalStream runs the same program+seed with the
-// synchronous sink and behind the overlapped segment pipeline (several
-// segment sizes, including ones smaller than the stream and the default)
-// and asserts the sink observes the identical event sequence once vm.Run
-// has flushed the pipeline.
+// synchronous sink and behind the segment pipeline, on a stream long
+// enough to pass event.OverlapThreshold, and asserts the sink observes
+// the identical event sequence — across the switch to overlap — once
+// vm.Run has flushed the pipeline.
 func TestSegmentedRunIdenticalStream(t *testing.T) {
 	build := func() *ir.Program {
 		b := ir.NewBuilder("t")
 		cell := b.Global("CELL")
 		other := b.Global("OTHER")
+		// Two workers, three events per iteration each: about 1.5× the
+		// threshold in all.
 		w := b.Func("worker", 1)
-		for i := 0; i < 8; i++ {
-			v := w.Const(int64(i))
-			w.StoreAddr(cell, v)
-			w.StoreAddr(other, v)
-			w.LoadAddr(cell)
-		}
+		one := w.Const(1)
+		lim := w.Const(event.OverlapThreshold / 4)
+		i := w.Mov(w.Const(0))
+		head, body, done := w.NewBlock(), w.NewBlock(), w.NewBlock()
+		w.Jmp(head)
+		w.SetBlock(head)
+		w.Br(w.CmpLT(i, lim), body, done)
+		w.SetBlock(body)
+		w.StoreAddr(cell, i)
+		w.StoreAddr(other, i)
+		w.LoadAddr(cell)
+		w.BinTo(ir.OpAdd, i, i, one)
+		w.Jmp(head)
+		w.SetBlock(done)
 		w.Ret(ir.NoReg)
 		m := b.Func("main", 0)
 		arg := m.Const(0)
@@ -483,30 +493,28 @@ func TestSegmentedRunIdenticalStream(t *testing.T) {
 		m.Ret(ir.NoReg)
 		return b.MustBuild()
 	}
-	record := func(segment int) []event.Event {
+	record := func(segmented bool) []event.Event {
 		var got []event.Event
 		var sink event.Sink = event.SinkFunc(func(ev *event.Event) { got = append(got, *ev) })
-		if segment != 0 {
-			seg := event.NewSegmented(sink, segment)
+		if segmented {
+			seg := event.NewSegmented(sink)
 			defer seg.Close()
 			sink = seg
 		}
 		mustRun(t, build(), Options{Seed: 3, Sink: sink})
 		return got
 	}
-	want := record(0) // synchronous
-	if len(want) == 0 {
-		t.Fatal("program emitted no events")
+	want := record(false)
+	if len(want) <= event.OverlapThreshold {
+		t.Fatalf("program emitted %d events, want more than the overlap threshold %d", len(want), event.OverlapThreshold)
 	}
-	for _, segment := range []int{1, 5, 64, -1} {
-		got := record(segment)
-		if len(got) != len(want) {
-			t.Fatalf("segment %d: %d events, want %d", segment, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("segment %d: event %d differs: %+v vs %+v", segment, i, got[i], want[i])
-			}
+	got := record(true)
+	if len(got) != len(want) {
+		t.Fatalf("segmented: %d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("segmented: event %d differs: %+v vs %+v", i, got[i], want[i])
 		}
 	}
 }

@@ -114,8 +114,9 @@ case "${awk_status:-0}" in
 esac
 
 cat <<'EOF'
-note: the overlapped (-overlap) pipeline's ns/op depends on the cores a
-record was taken on: on one CPU it times as pure hand-off overhead.
+note: a run whose stream passes event.OverlapThreshold overlaps detection
+with the vm or the trace decoder, so its ns/op depends on the cores a
+record was taken on.
 Intra-run sharding was removed because on 2 vCPUs it beat neither overlap
 (long trace: 3.85M vs 3.79M events/s, inside overlap's IQR) nor the
 single-threaded replay (3.87M vs 4.92M events/s). Compare records from the

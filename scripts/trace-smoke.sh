@@ -1,14 +1,15 @@
 #!/bin/sh
 # trace-smoke.sh — the observability layer's end-to-end gate.
 #
-# Runs a suite workload through racedetect with -trace (overlapped +
-# shadow-GC with a short cycle period, so every pipeline stage actually
-# executes), then validates the emitted Chrome trace-event JSON with
-# cmd/tracecheck: the file must parse and carry at least one event on
-# every pipeline stage track — vm quanta, segment pipeline, report merge,
-# and a GC cycle.
+# Runs a workload whose stream passes the overlap threshold
+# (event.OverlapThreshold) through racedetect with -trace and the shadow
+# GC on a short cycle period, so every pipeline stage actually executes,
+# then validates the emitted Chrome trace-event JSON with cmd/tracecheck:
+# the file must parse and carry at least one event on every pipeline stage
+# track — vm quanta, segment pipeline, report merge, and a GC cycle.
 #
-# Usage: [GO=go] trace-smoke.sh [workload]   (default freqmine)
+# Usage: [GO=go] trace-smoke.sh [workload]   (default freqmine, about 93k
+# events under the default spin tool)
 set -eu
 w="${1:-freqmine}"
 tmp="$(mktemp -d)"
@@ -16,7 +17,7 @@ trap 'rm -rf "$tmp"' EXIT
 trace="$tmp/trace.json"
 
 "${GO:-go}" run ./cmd/racedetect \
-	-w "$w" -overlap -gc-shadow -gc-events 4096 \
+	-w "$w" -gc-shadow -gc-events 4096 \
 	-trace "$trace"
 
 "${GO:-go}" run ./cmd/tracecheck \
