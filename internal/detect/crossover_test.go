@@ -89,6 +89,51 @@ func TestOverlapOnlyOnLongStreams(t *testing.T) {
 	}
 }
 
+// TestLongTracePipelineEquivalence checks the pipeline across vm runs:
+// synth.LongTrace feeds one detector, and so one pipeline, from a vm run
+// per window, flushing it between windows. With the shadow GC cycling,
+// the default policy (plain through the first two windows, overlapped
+// from partway through the third) and overlap from the first event in
+// 256-event segments must both reproduce the forced-plain report.
+func TestLongTracePipelineEquivalence(t *testing.T) {
+	run := func(opts detect.RunOpts) (*detect.Report, int64) {
+		t.Helper()
+		rec := obs.New()
+		opts.GCShadow, opts.GCEvents, opts.Obs = true, 2048, rec.Pipeline("longtrace")
+		rep, err := synth.LongTrace(1, synth.LongTraceOpts{Windows: 4, Opts: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, segmentsDispatched(rec)
+	}
+	ref, segs := run(detect.ForcePlain(detect.RunOpts{}))
+	if segs != 0 {
+		t.Fatalf("forced plain dispatched %d segments", segs)
+	}
+	if ref.GCCycles == 0 {
+		t.Fatal("no GC cycles ran; the comparison proves nothing")
+	}
+	if ref.Events <= event.OverlapThreshold {
+		t.Fatalf("%d events never pass the overlap threshold %d", ref.Events, event.OverlapThreshold)
+	}
+	want := harness.ReportFingerprint(ref)
+	for _, mode := range []struct {
+		name string
+		opts detect.RunOpts
+	}{
+		{"default", detect.RunOpts{}},
+		{"overlap-256", detect.ForceOverlap(detect.RunOpts{}, 256)},
+	} {
+		rep, segs := run(mode.opts)
+		if segs == 0 {
+			t.Errorf("%s: no segment was dispatched; the run never overlapped", mode.name)
+		}
+		if got := harness.ReportFingerprint(rep); got != want {
+			t.Errorf("%s: report differs from the plain pipeline's\n--- plain ---\n%s--- %s ---\n%s", mode.name, want, mode.name, got)
+		}
+	}
+}
+
 // crossoverModes are the pipelines BenchmarkPipelineCrossover compares on
 // each stream: plain forced for the whole stream, overlap forced from the
 // first event, and the production policy (plain, then overlap past

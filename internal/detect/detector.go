@@ -2,6 +2,7 @@ package detect
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"adhocrace/internal/core"
@@ -225,12 +226,14 @@ type Detector struct {
 	closedShadowBytes int64
 
 	events int64
-	// pipe, when set (Prepared.NewRun), is the run's overlap pipeline:
-	// Handle keeps applying events itself while pipe.Direct allows, then
-	// hands every further event to pipe, whose consumer applies them.
-	// Nil applies every event inline.
-	pipe *event.Segmented
-	ins  *spin.Instrumentation
+	// plainLeft counts the events Handle still applies itself; at zero it
+	// hands every further event to pipe, the run's overlap pipeline
+	// (Prepared.NewRun sets both from pipe.Plain), whose consumer applies
+	// them. A detector built by New alone has no pipe and starts the count
+	// at math.MaxInt, which no stream reaches.
+	plainLeft int
+	pipe      *event.Segmented
+	ins       *spin.Instrumentation
 
 	// Quiescence GC schedule and counters (see gc.go); gcEvery == 0 means
 	// the GC is off.
@@ -272,6 +275,7 @@ func New(cfg Config, ins *spin.Instrumentation, prog *ir.Program) *Detector {
 		locks:        lockset.NewTracker(),
 		shadow:       newShadowMem(),
 		reportedSite: make(map[siteKey]bool),
+		plainLeft:    math.MaxInt,
 		ins:          ins,
 	}
 }
@@ -293,32 +297,17 @@ func (d *Detector) setObs(p *obs.Pipeline) {
 	}
 }
 
-// Handle implements event.Sink. Below the overlap threshold it costs one
-// counter compare and a direct call in front of applying the event.
+// Handle implements event.Sink. It applies the event on the caller's
+// goroutine until the run's overlap pipeline takes over (Prepared.NewRun),
+// then hands it to the pipeline, whose consumer applies it through
+// applier.Handle. The plain path costs one counter compare and decrement
+// in front of the dispatch.
 func (d *Detector) Handle(ev *event.Event) {
-	if d.pipe != nil && !d.pipe.Direct() {
+	if d.plainLeft == 0 {
 		d.pipe.Handle(ev)
 		return
 	}
-	d.apply(ev)
-}
-
-// Flush implements event.Flusher: once the overlap pipeline has started,
-// it waits until the consumer has applied every event handed over.
-func (d *Detector) Flush() {
-	if d.pipe != nil {
-		d.pipe.Flush()
-	}
-}
-
-// applier is the detector as its pipeline's downstream sink: the consumer
-// applies events without asking the pipeline again.
-type applier Detector
-
-func (a *applier) Handle(ev *event.Event) { (*Detector)(a).apply(ev) }
-
-// apply runs one event through the detector.
-func (d *Detector) apply(ev *event.Event) {
+	d.plainLeft--
 	d.events++
 	switch ev.Kind {
 	case event.KindRead, event.KindWrite, event.KindAtomicRead, event.KindAtomicWrite:
@@ -330,13 +319,9 @@ func (d *Detector) apply(ev *event.Event) {
 			d.hb.ForgetObject(ev.Addr)
 			return
 		}
-		if d.cfg.supportsSync(ev.Sync) {
-			d.onSyncPre(ev)
-		}
+		d.onSyncPre(ev)
 	case event.KindSyncPost:
-		if ev.Sync != ir.SyncDestroy && d.cfg.supportsSync(ev.Sync) {
-			d.onSyncPost(ev)
-		}
+		d.onSyncPost(ev)
 	case event.KindSpawn:
 		d.hb.Spawn(ev.Tid, ev.Child)
 	case event.KindJoin:
@@ -348,6 +333,50 @@ func (d *Detector) apply(ev *event.Event) {
 	case event.KindThreadStart:
 		// Lifecycle marks feed the quiescence watermark: started threads
 		// hold retirement back, exited ones stop doing so.
+		d.hb.ThreadStarted(ev.Tid)
+	case event.KindThreadExit:
+		d.hb.ThreadExited(ev.Tid)
+	}
+	if d.gcEvery > 0 && d.events >= d.nextGC {
+		d.collectGarbage()
+	}
+}
+
+// Flush implements event.Flusher: once the overlap pipeline has started,
+// it waits until the consumer has applied every event handed over.
+func (d *Detector) Flush() {
+	if d.pipe != nil {
+		d.pipe.Flush()
+	}
+}
+
+// applier is the detector as its pipeline's downstream sink, driven on
+// the consumer goroutine: Handle's dispatch without the hand-off check.
+type applier Detector
+
+func (a *applier) Handle(ev *event.Event) {
+	d := (*Detector)(a)
+	d.events++
+	switch ev.Kind {
+	case event.KindRead, event.KindWrite, event.KindAtomicRead, event.KindAtomicWrite:
+		d.onAccess(ev)
+	case event.KindSyncPre:
+		if ev.Sync == ir.SyncDestroy {
+			d.hb.ForgetObject(ev.Addr)
+			return
+		}
+		d.onSyncPre(ev)
+	case event.KindSyncPost:
+		d.onSyncPost(ev)
+	case event.KindSpawn:
+		d.hb.Spawn(ev.Tid, ev.Child)
+	case event.KindJoin:
+		d.hb.Join(ev.Tid, ev.Child)
+	case event.KindSpinRead:
+		d.adhoc.OnSpinRead(ev)
+	case event.KindSpinExit:
+		d.adhoc.OnSpinExit(ev)
+	case event.KindThreadStart:
 		d.hb.ThreadStarted(ev.Tid)
 	case event.KindThreadExit:
 		d.hb.ThreadExited(ev.Tid)
@@ -371,9 +400,12 @@ func (d *Detector) onAccess(ev *event.Event) {
 	}
 }
 
-// onSyncPre handles the Pre half of a supported sync event; Handle has
-// already filtered unsupported kinds.
+// onSyncPre handles the Pre half of a sync event other than destruction,
+// if the tool supports it.
 func (d *Detector) onSyncPre(ev *event.Event) {
+	if !d.cfg.supportsSync(ev.Sync) {
+		return
+	}
 	switch ev.Sync {
 	case ir.SyncMutexUnlock:
 		d.hb.Release(ev.Tid, ev.Addr)
@@ -394,9 +426,11 @@ func (d *Detector) onSyncPre(ev *event.Event) {
 	}
 }
 
-// onSyncPost handles the Post half of a supported sync event; Handle has
-// already filtered unsupported kinds.
+// onSyncPost handles the Post half of a sync event the tool supports.
 func (d *Detector) onSyncPost(ev *event.Event) {
+	if ev.Sync == ir.SyncDestroy || !d.cfg.supportsSync(ev.Sync) {
+		return
+	}
 	switch ev.Sync {
 	case ir.SyncMutexLock:
 		d.hb.Acquire(ev.Tid, ev.Addr)

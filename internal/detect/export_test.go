@@ -31,7 +31,7 @@ func MemoizedInstrumentation(p *ir.Program, window int) *spin.Instrumentation {
 // out of every exported API.
 //
 //go:linkname newSegmented adhocrace/internal/event.newSegmented
-func newSegmented(down event.Sink, threshold, size int) *event.Segmented
+func newSegmented(down event.Sink, plain, size int) *event.Segmented
 
 // ForcePlain returns o with the plain pipeline forced: every event is
 // handled on the producer goroutine, however long the stream.
@@ -43,7 +43,7 @@ func ForceOverlap(o RunOpts, size int) RunOpts { return forcePipeline(o, 0, size
 
 // forcePipeline makes NewRun build o's pipeline with the given policy in
 // place of event.NewSegmented's.
-func forcePipeline(o RunOpts, threshold, size int) RunOpts {
-	o.newPipeline = func(down event.Sink) *event.Segmented { return newSegmented(down, threshold, size) }
+func forcePipeline(o RunOpts, plain, size int) RunOpts {
+	o.newPipeline = func(down event.Sink) *event.Segmented { return newSegmented(down, plain, size) }
 	return o
 }

@@ -167,6 +167,7 @@ func (pr *Prepared) NewRun(cfg Config, opts RunOpts) (d *Detector, sink event.Si
 		newPipeline = opts.newPipeline
 	}
 	d.pipe = newPipeline((*applier)(d))
+	d.plainLeft = d.pipe.Plain()
 	d.pipe.SetObs(opts.Obs)
 	d.pipe.SetFault(opts.Fault)
 	if opts.Tap != nil {

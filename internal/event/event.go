@@ -1,10 +1,10 @@
 // Package event defines the runtime event stream produced by the vm and
 // consumed by race detectors, and the stream plumbing built on it: sink
 // composition (Multi), recording and replay (Trace, TraceWriter), and the
-// pipeline (Segmented) that hands events straight to the detector and,
-// once a stream passes OverlapThreshold events, overlaps event production
-// — the vm, or a trace replay — with detection through double-buffered
-// segments.
+// pipeline (Segmented) that, once a stream passes OverlapThreshold events,
+// overlaps event production — the vm, or a trace replay — with detection
+// through double-buffered segments; before that the detector applies each
+// event itself.
 //
 // The stream is the moral equivalent of what Valgrind hands Helgrind+: a
 // totally ordered sequence of memory accesses, thread lifecycle operations,

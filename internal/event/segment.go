@@ -18,15 +18,14 @@ import (
 //
 // Overlap pays only on long streams: on 2 vCPUs it wins from about 93k
 // events up and loses on a 9k-event replay, where the copy and hand-off
-// cost more than they hide. So a Segmented starts plain: each event goes
-// straight to the downstream sink, on the producer goroutine, until the
-// stream has passed OverlapThreshold events. Only then, at that event
-// boundary and still on the producer goroutine, does it start the
-// consumer and the double buffer. Every event before the switch has been
-// fully handled when the first segment is dispatched, so stream order
-// holds across the switch. A producer that owns the downstream (the
-// detector) asks Direct per event and applies the plain events itself,
-// so the plain path costs one counter compare and no interface call.
+// cost more than they hide. So a run starts plain: its owner (the
+// detector) applies the first Plain() events itself, on the producer
+// goroutine, and hands only the later ones to Handle. The first Handle
+// call, at that event boundary and still on the producer goroutine,
+// starts the consumer and the double buffer. Every event before the
+// switch has been fully handled when the first segment is dispatched, so
+// stream order holds across the switch, and the plain path costs the
+// owner one counter compare, with no call into the pipeline.
 //
 // Two buffers bound the pipeline: rotating blocks until the consumer has
 // finished a previous segment, which is back-pressure, not a correctness
@@ -37,8 +36,8 @@ import (
 // slab holds nothing alive for the GC and stale contents are simply
 // overwritten by append.
 
-// OverlapThreshold is the number of events a Segmented hands straight to
-// the downstream sink before it starts overlapping. The crossover sweep
+// OverlapThreshold is the number of events a run applies plain before it
+// starts overlapping (NewSegmented's Plain). The crossover sweep
 // (internal/detect BenchmarkPipelineCrossover) puts it between a
 // 26k-event stream, where the two paths tie, and a 93k-event one, where
 // overlap wins.
@@ -50,17 +49,19 @@ const OverlapThreshold = 1 << 16
 const DefaultSegmentEvents = 2048
 
 // Segmented is a Sink that decouples event production from consumption
-// through double-buffered segments once the stream is long (see
-// OverlapThreshold). The producer side (Handle, Flush, Close) must be a
+// through double-buffered segments: every event given to Handle is
+// applied on the consumer goroutine. It also carries the policy of when
+// to start (Plain). The producer side (Handle, Flush, Close) must be a
 // single goroutine, exactly like any other Sink. It implements Flusher:
 // Flush dispatches the partial segment, waits for the consumer to drain
 // everything, and then flushes the downstream sink.
 type Segmented struct {
 	down Sink
-	// left counts the events still handed straight to down; once it is
-	// zero the next event starts the pipeline (work != nil from then on).
-	left int
-	size int
+	// plain is the number of leading events the owner applies itself
+	// (Plain); the pipeline starts at the first Handle (work != nil from
+	// then on).
+	plain int
+	size  int
 
 	// obs, when set, records per-segment sizes, consumer apply time, and
 	// producer stall time (the pipeline's backpressure signal). Nil keeps
@@ -88,21 +89,27 @@ type Segmented struct {
 	hasPanic bool
 }
 
-// NewSegmented returns the pipeline feeding down: plain for the first
-// OverlapThreshold events, overlapped in DefaultSegmentEvents segments
-// after that. It starts no goroutine; the caller owns the lifecycle and
-// Closes it when done, which stops the consumer if one was started (Flush
-// alone leaves it running for more events).
+// NewSegmented returns the pipeline feeding down with the production
+// policy: plain for the first OverlapThreshold events, overlapped in
+// DefaultSegmentEvents segments after that. It starts no goroutine; the
+// caller owns the lifecycle and Closes it when done, which stops the
+// consumer if one was started (Flush alone leaves it running for more
+// events).
 func NewSegmented(down Sink) *Segmented {
 	return newSegmented(down, OverlapThreshold, DefaultSegmentEvents)
 }
 
-// newSegmented is NewSegmented with the policy as parameters: threshold
-// events pass straight through, then segments of size events overlap.
-// Tests use it to overlap from the first event or in tiny segments.
-func newSegmented(down Sink, threshold, size int) *Segmented {
-	return &Segmented{down: down, left: threshold, size: size}
+// newSegmented is NewSegmented with the policy as parameters: plain
+// leading events, then segments of size events. Tests use it to overlap
+// from the first event or in tiny segments.
+func newSegmented(down Sink, plain, size int) *Segmented {
+	return &Segmented{down: down, plain: plain, size: size}
 }
+
+// Plain is the pipeline's policy: how many leading events of the stream
+// the owner applies to the downstream sink itself, on the producer
+// goroutine, before it hands every further event to Handle.
+func (s *Segmented) Plain() int { return s.plain }
 
 // start switches the stream to overlap: it takes the two buffers of the
 // double buffer and starts the consumer goroutine. It runs on the
@@ -128,28 +135,10 @@ func (s *Segmented) SetObs(p *obs.Pipeline) { s.obs = p }
 // exactly what it exercises.
 func (s *Segmented) SetFault(r *fault.Registry) { s.fault = r }
 
-// Direct reports whether the producer is still below the threshold, and
-// counts the event it is about to hand over: while it reports true, the
-// producer may apply the event to the downstream itself, on its own
-// goroutine. Once it reports false it does so for good, and every further
-// event must go through Handle. The detector asks it per event, so its
-// plain path needs no second interface call.
-func (s *Segmented) Direct() bool {
-	if s.left > 0 {
-		s.left--
-		return true
-	}
-	return false
-}
-
-// Handle implements Sink: below the threshold it hands the event straight
-// to the downstream sink; once overlapping, it copies it into a
-// preallocated buffer, rotating when the segment is full.
+// Handle implements Sink: it copies the event into a preallocated
+// buffer, rotating when the segment is full. The first call starts the
+// consumer goroutine.
 func (s *Segmented) Handle(ev *Event) {
-	if s.Direct() {
-		s.down.Handle(ev)
-		return
-	}
 	if s.work == nil {
 		s.start()
 	}

@@ -116,15 +116,38 @@ func TestSegmentedDownstreamPanic(t *testing.T) {
 	s.Flush()
 }
 
+// owner drives a Segmented the way its production owner, the detector,
+// does: it applies the first Plain() events to the downstream sink itself
+// and hands every later one to Handle.
+type owner struct {
+	s    *Segmented
+	down Sink
+	left int
+}
+
+func newOwner(down Sink, plain, size int) *owner {
+	s := newSegmented(down, plain, size)
+	return &owner{s: s, down: down, left: s.Plain()}
+}
+
+func (o *owner) Handle(ev *Event) {
+	if o.left == 0 {
+		o.s.Handle(ev)
+		return
+	}
+	o.left--
+	o.down.Handle(ev)
+}
+
 // TestSegmentedSwitch pins the plain-then-overlap policy: a stream that
 // stays within the threshold never starts the consumer goroutine, and one
 // that passes it reaches the downstream byte-identical and in order
 // across the switch — also when a Flush lands exactly on the threshold.
 func TestSegmentedSwitch(t *testing.T) {
 	const threshold, size = 100, 16
-	feed := func(s *Segmented, from, to int) {
+	feed := func(o *owner, from, to int) {
 		for i := from; i < to; i++ {
-			s.Handle(&Event{Kind: KindWrite, Tid: Tid(i % 3), Addr: int64(i)})
+			o.Handle(&Event{Kind: KindWrite, Tid: Tid(i % 3), Addr: int64(i)})
 		}
 	}
 	check := func(name string, down *orderSink, n int) {
@@ -142,14 +165,14 @@ func TestSegmentedSwitch(t *testing.T) {
 	// Within the threshold: every event is handled by the time Handle
 	// returns, and no goroutine or buffer is ever taken.
 	down := &orderSink{}
-	s := newSegmented(down, threshold, size)
-	feed(s, 0, threshold)
+	o := newOwner(down, threshold, size)
+	feed(o, 0, threshold)
 	check("short", down, threshold)
-	s.Flush()
-	if s.work != nil || s.cur != nil {
+	o.s.Flush()
+	if o.s.work != nil || o.s.cur != nil {
 		t.Fatal("short: a stream within the threshold started the consumer")
 	}
-	s.Close()
+	o.s.Close()
 	if down.flushes != 2 {
 		t.Errorf("short: downstream flushes = %d, want 2 (Flush and Close)", down.flushes)
 	}
@@ -158,22 +181,22 @@ func TestSegmentedSwitch(t *testing.T) {
 	// non-boundary tail.
 	for _, flushAt := range []int{-1, threshold} {
 		down := &orderSink{}
-		s := newSegmented(down, threshold, size)
+		o := newOwner(down, threshold, size)
 		if flushAt < 0 {
-			feed(s, 0, 1000)
+			feed(o, 0, 1000)
 		} else {
-			feed(s, 0, flushAt)
-			s.Flush()
+			feed(o, 0, flushAt)
+			o.s.Flush()
 			check("flush at threshold", down, flushAt)
-			if s.work != nil {
+			if o.s.work != nil {
 				t.Fatal("Flush at the threshold started the consumer")
 			}
-			feed(s, flushAt, 1000)
+			feed(o, flushAt, 1000)
 		}
-		if s.work == nil {
+		if o.s.work == nil {
 			t.Fatal("a stream past the threshold never started the consumer")
 		}
-		s.Close()
+		o.s.Close()
 		check(fmt.Sprintf("flush at %d", flushAt), down, 1000)
 	}
 
@@ -185,38 +208,35 @@ func TestSegmentedSwitch(t *testing.T) {
 				panic("detector exploded")
 			}
 		})
-		s := newSegmented(down, threshold, size)
+		o := newOwner(down, threshold, size)
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("panic at event %d never reached the producer", at)
 				}
-				s.Close()
+				o.s.Close()
 			}()
-			feed(s, 0, 1000)
-			s.Flush()
+			feed(o, 0, 1000)
+			o.s.Flush()
 		}()
 	}
 }
 
 // TestNewSegmentedPolicy pins the production constructor to the package
-// policy: plain for OverlapThreshold events, then DefaultSegmentEvents
-// segments.
+// policy — plain for OverlapThreshold events, then DefaultSegmentEvents
+// segments — and checks it starts no consumer until the first Handle.
 func TestNewSegmentedPolicy(t *testing.T) {
 	s := NewSegmented(SinkFunc(func(*Event) {}))
 	defer s.Close()
-	if s.left != OverlapThreshold || s.size != DefaultSegmentEvents {
-		t.Fatalf("NewSegmented: threshold %d, segment %d; want %d, %d",
-			s.left, s.size, OverlapThreshold, DefaultSegmentEvents)
-	}
-	for i := 0; i < OverlapThreshold; i++ {
-		s.Handle(&Event{})
+	if s.Plain() != OverlapThreshold || s.size != DefaultSegmentEvents {
+		t.Fatalf("NewSegmented: plain %d, segment %d; want %d, %d",
+			s.Plain(), s.size, OverlapThreshold, DefaultSegmentEvents)
 	}
 	if s.work != nil {
-		t.Fatal("NewSegmented started overlapping within the threshold")
+		t.Fatal("NewSegmented started the consumer before any event")
 	}
 	s.Handle(&Event{})
 	if s.work == nil {
-		t.Fatal("NewSegmented did not overlap past the threshold")
+		t.Fatal("Handle did not start the consumer")
 	}
 }

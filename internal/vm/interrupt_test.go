@@ -67,23 +67,21 @@ func TestInterruptMidRun(t *testing.T) {
 	}
 }
 
-// TestInterruptOverlapped: once the segmented pipeline has started
-// overlapping, the flag flips on the consumer goroutine; the producer must
-// still notice, stop, and leave the pipeline drained (vm.Run flushes the
-// segments on the error path; the caller closes them). The loop emits two
-// events per iteration, so the stream passes event.OverlapThreshold well
-// before it ends.
+// TestInterruptOverlapped: with the segmented pipeline the flag flips on
+// the consumer goroutine; the producer must still notice, stop, and leave
+// the pipeline drained (vm.Run flushes the segments on the error path;
+// the caller closes them).
 func TestInterruptOverlapped(t *testing.T) {
 	var stop atomic.Bool
 	events := 0
 	seg := event.NewSegmented(event.SinkFunc(func(ev *event.Event) {
 		events++
-		if events == event.OverlapThreshold+100 {
+		if events == 100 {
 			stop.Store(true)
 		}
 	}))
 	defer seg.Close()
-	_, err := Run(countLoop(event.OverlapThreshold), Options{Seed: 1, Sink: seg, Interrupt: &stop})
+	_, err := Run(countLoop(10_000), Options{Seed: 1, Sink: seg, Interrupt: &stop})
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}

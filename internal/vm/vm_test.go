@@ -457,20 +457,20 @@ func TestShiftMasking(t *testing.T) {
 }
 
 // TestSegmentedRunIdenticalStream runs the same program+seed with the
-// synchronous sink and behind the segment pipeline, on a stream long
-// enough to pass event.OverlapThreshold, and asserts the sink observes
-// the identical event sequence — across the switch to overlap — once
-// vm.Run has flushed the pipeline.
+// synchronous sink and behind the segment pipeline, which overlaps every
+// event handed to it, on a stream of several segments, and asserts the
+// sink observes the identical event sequence once vm.Run has flushed the
+// pipeline.
 func TestSegmentedRunIdenticalStream(t *testing.T) {
 	build := func() *ir.Program {
 		b := ir.NewBuilder("t")
 		cell := b.Global("CELL")
 		other := b.Global("OTHER")
-		// Two workers, three events per iteration each: about 1.5× the
-		// threshold in all.
+		// Two workers, three events per iteration each: about six
+		// segments in all.
 		w := b.Func("worker", 1)
 		one := w.Const(1)
-		lim := w.Const(event.OverlapThreshold / 4)
+		lim := w.Const(event.DefaultSegmentEvents)
 		i := w.Mov(w.Const(0))
 		head, body, done := w.NewBlock(), w.NewBlock(), w.NewBlock()
 		w.Jmp(head)
@@ -505,8 +505,8 @@ func TestSegmentedRunIdenticalStream(t *testing.T) {
 		return got
 	}
 	want := record(false)
-	if len(want) <= event.OverlapThreshold {
-		t.Fatalf("program emitted %d events, want more than the overlap threshold %d", len(want), event.OverlapThreshold)
+	if len(want) <= 2*event.DefaultSegmentEvents {
+		t.Fatalf("program emitted %d events, want more than two segments of %d", len(want), event.DefaultSegmentEvents)
 	}
 	got := record(true)
 	if len(got) != len(want) {
