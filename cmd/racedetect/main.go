@@ -26,7 +26,7 @@
 // and memory change.
 //
 // With -stats the run's pipeline counters are printed: events processed,
-// events/sec, shadow bytes, read-set promotions/demotions (how often the
+// events/sec, shadow bytes, read-set promotions (how often the
 // FastTrack epoch fast path had to fall back to a read-set), and the
 // clock store's sync epoch hits / rebases / inflates (how often
 // release/acquire stayed on the O(1) object-epoch path), plus per-stage

@@ -63,22 +63,6 @@ func (d *Detector) access(ev *event.Event, idx int64, clock *vc.Clock) {
 
 	// Update shadow.
 	if isWrite {
-		// A write ordered after every recorded read of a flavor retires
-		// that flavor's read history: FastTrack's demotion, which is what
-		// keeps promoted read-sets rare and the pool hot. Only licensed
-		// when the configuration's reporting cannot observe the retirement
-		// (Config.forgetfulReadsOK explains the argument). Checked per
-		// flavor — the atomic flavor may demote even on an atomic write
-		// that skipped the conflict scan above, because the predicate is
-		// ordering, not racelessness.
-		if d.cfg.forgetfulReadsOK() {
-			if !w.reads.empty() && w.reads.orderedBefore(clock) {
-				w.reads.demote(d)
-			}
-			if !w.readsAtomic.empty() && w.readsAtomic.orderedBefore(clock) {
-				w.readsAtomic.demote(d)
-			}
-		}
 		w.wSeen = true
 		w.wTid = ev.Tid
 		w.wTick = clock.Get(int(ev.Tid))

@@ -18,7 +18,7 @@ const shadowPageBytes = 45_064
 // instead of allocating one, so the whole run — vm, detector, report —
 // allocates less than a single page would.
 func TestSteadyStateRunAllocatesUnderOnePage(t *testing.T) {
-	if raceEnabled {
+	if detect.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	c := dataracetest.Suite()[0]

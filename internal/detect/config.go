@@ -192,24 +192,6 @@ func sprintfCfg(format string, a ...any) string {
 	return fmt.Sprintf(format, a...)
 }
 
-// forgetfulReadsOK reports whether the configuration's reporting can never
-// observe retired read history, which is what licenses FastTrack demotion
-// (readstate.go): a write ordered after every recorded read retires them.
-// A race between a retired read r and a later access a implies every write
-// in the shadow write-epoch chain from the retiring write up to a either
-// races (w_i ⊀ w_i+1 — detected as a write-write race at w_i+1) or
-// transitively orders r before a (no race to lose). So the only way a
-// retired read changes output is through the report that the chain-break
-// race produces *instead* — and under per-address deduplication with
-// unlimited history and no long-run arming, that earlier report (or its
-// address-monotone suppression) silences the later one identically.
-// DRD-style per-site dedup or a bounded history window can tell the two
-// apart, so those configurations keep every read until a read-set's
-// natural end.
-func (c *Config) forgetfulReadsOK() bool {
-	return c.DedupPerAddr && !c.LongRunMSM && c.HistoryWindow == 0
-}
-
 // supportsSync reports whether the configuration turns the given sync kind
 // into happens-before edges.
 func (c *Config) supportsSync(k ir.SyncKind) bool {

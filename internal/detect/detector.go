@@ -91,9 +91,6 @@ type Report struct {
 	// often the FastTrack fast path does not suffice. Deterministic for a
 	// given (program, tool, seed) run, independent of the pipeline mode.
 	ReadSetPromotions int64
-	// ReadSetDemotions counts read-sets collapsed back to the epoch
-	// representation by a write ordered after every recorded read.
-	ReadSetDemotions int64
 	// SyncEpochHits counts O(1) sync-object fast paths of the clock store
 	// (same-owner re-releases, covered acquires); SyncRebases and
 	// SyncInflates count its fallbacks (hb.Stats). Like the read-set
@@ -209,11 +206,8 @@ type Detector struct {
 	shadow *shadowMem
 	// reportedSite supports per-(addr,loc) deduplication (DRD).
 	reportedSite map[siteKey]bool
-	// setPool recycles demoted read-sets (see readstate.go), so promotion
-	// traffic after warm-up allocates nothing.
-	setPool []*readSet
-	// promotions / demotions count read-representation transitions.
-	promotions, demotions int64
+	// promotions counts epoch → read-set transitions.
+	promotions int64
 
 	warnings []Warning
 	// onWarning is RunOpts.OnWarning, called as each warning is appended:
@@ -490,7 +484,6 @@ func (d *Detector) Report() *Report {
 		InferredLockWords:   d.adhoc.InferredLockWords(),
 		ShadowBytes:         d.closedShadowBytes,
 		ReadSetPromotions:   d.promotions,
-		ReadSetDemotions:    d.demotions,
 		GCCycles:            d.gcCycles,
 		GCWordsRetired:      d.gcWords,
 		GCPagesFreed:        d.gcPages,

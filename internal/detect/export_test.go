@@ -17,6 +17,9 @@ var (
 	RacyProgramForTest = racyProgram
 )
 
+// RaceEnabled reports whether the test binary runs under the race detector.
+const RaceEnabled = raceEnabled
+
 // MemoizedInstrumentation returns the instrumentation memoized on p for
 // the spin window without computing one: nil when nothing has stored it,
 // in which case the nil is memoized — so ask only after the call under

@@ -24,14 +24,13 @@ package detect
 // dominated this way can therefore never again trigger the write-write,
 // write-read, or read-write conflict predicates (each compares one stored
 // epoch against one component of the accessor's clock — exactly the
-// per-component test wm bounds), and its demotion predicate
-// (readState.orderedBefore) is vacuously unchanged by clearing. Retiring
-// the word — zeroing it and recycling its read-sets through the
-// detector's pool — is output-invisible, with two carve-outs. The sticky
-// flags (atomicEver, suspected, reported) gate *suppression*, not
-// ordering, and forgetting them could resurrect a deduplicated warning or
-// rewind the long-run state machine. Under Eraser the word's lockset state
-// *is* the report, and the happens-before watermark says nothing about it.
+// per-component test wm bounds). Retiring the word — zeroing it and
+// recycling its read-sets through readSetPool — is output-invisible, with
+// two carve-outs. The sticky flags (atomicEver, suspected, reported) gate
+// *suppression*, not ordering, and forgetting them could resurrect a
+// deduplicated warning or rewind the long-run state machine. Under Eraser
+// the word's lockset state *is* the report, and the happens-before
+// watermark says nothing about it.
 // Both are parked in a per-page side table (retiredFlags) and restored when
 // the word is next touched, so the precision delta of the GC is exactly
 // zero — which TestShadowGCEquivalence* holds corpus-wide and
@@ -47,7 +46,7 @@ package detect
 // position, and every later access reads a clock at or above wm, so it
 // observes retired words exactly as the unbounded detector would have
 // observed their dominated contents: no conflict either way, identical
-// demotion decisions, identical recording.
+// recording.
 //
 // # Precision contract
 //
@@ -56,8 +55,8 @@ package detect
 // flags survive retirement, and Eraser's lockset state (which *is* the
 // report) is parked and restored rather than forgotten. What does
 // change: ShadowBytes (the point of the exercise) and the representation
-// counters (promotions/demotions/epoch-hits count transitions the GC
-// removes or re-runs), none of which the report fingerprint includes.
+// counters (promotions/epoch-hits count transitions the GC removes or
+// re-runs), none of which the report fingerprint includes.
 
 import (
 	"adhocrace/internal/fault"
@@ -131,14 +130,7 @@ func (d *Detector) collect(wm *vc.Clock) {
 				}
 				rf.park(i, w.ls)
 			}
-			if w.reads.set != nil {
-				d.putReadSet(w.reads.set)
-				d.gcSets++
-			}
-			if w.readsAtomic.set != nil {
-				d.putReadSet(w.readsAtomic.set)
-				d.gcSets++
-			}
+			d.gcSets += w.putReadSets()
 			*w = shadowWord{}
 			pg.live--
 			d.gcWords++

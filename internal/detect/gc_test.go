@@ -42,6 +42,7 @@ func TestShadowBytesRetireRoundTrip(t *testing.T) {
 		t.Fatalf("expected 1 read-set promotion, got %d", s.promotions)
 	}
 
+	retired := s.shadow.word(0x40).reads.set
 	s.collect(gcClock(map[int]uint64{0: 9, 1: 9, 2: 9, 3: 9}))
 	if got := s.shadow.bytes(); got != 0 {
 		t.Errorf("retirement must zero the accounting: got %d bytes", got)
@@ -50,15 +51,16 @@ func TestShadowBytesRetireRoundTrip(t *testing.T) {
 		t.Errorf("gc counters = words %d pages %d sets %d, want 1 1 1",
 			s.gcWords, s.gcPages, s.gcSets)
 	}
-	if len(s.setPool) != 1 {
-		t.Errorf("retired read-set must return to the pool, pool len %d", len(s.setPool))
-	}
 
 	// Reallocate the identical state: the cost model must land exactly on
-	// the pre-retirement figure (no flags were set, so no bitmap charge).
+	// the pre-retirement figure (no flags were set, so no bitmap charge),
+	// and the promotion must take the retired set back from readSetPool.
 	feedOrdered(s, 10)
 	if got := s.shadow.bytes(); got != before {
 		t.Errorf("allocate→retire→reallocate: %d bytes, want %d", got, before)
+	}
+	if got := s.shadow.word(0x40).reads.set; !raceEnabled && got != retired {
+		t.Errorf("re-promotion must reuse the retired read-set from the shared pool")
 	}
 }
 

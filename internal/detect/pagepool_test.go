@@ -16,8 +16,9 @@ import (
 
 // Shadow pages outlive their detector (shadow.go's pagePool): Close clears
 // the touched range of every page and hands it back, and the shadow GC
-// hands back every page it frees whole. These tests hold the pool to the
-// one property that makes recycling invisible — a page taken from it is
+// hands back every page it frees whole. Promoted read-sets go the same way
+// through readSetPool. These tests hold the pools to the one property that
+// makes recycling invisible — a page or set taken from them is
 // indistinguishable from a fresh one — after runs that dirty every kind
 // of word state there is.
 
@@ -103,15 +104,24 @@ func checkZeroPage(t *testing.T, what string, pg *shadowPage) {
 }
 
 // dirtyStats counts what a dirtying run left in its pages before Close.
+// released holds every read-set a run's Close handed back; recycled counts
+// the sets a later run held that came from there.
 type dirtyStats struct {
 	promotions, retired, pagesFreed int64
 	atomicEver, suspected, reported int
+	released                        map[*readSet]bool
+	recycled                        int
 }
 
 func (s *dirtyStats) observePages(d *Detector) {
 	for _, pg := range d.shadow.pages {
 		for i := range pg.words {
 			w := &pg.words[i]
+			for _, set := range [2]*readSet{w.reads.set, w.readsAtomic.set} {
+				if s.released[set] {
+					s.recycled++
+				}
+			}
 			if w.atomicEver {
 				s.atomicEver++
 			}
@@ -142,12 +152,26 @@ func runDirty(t *testing.T, m parsec.Model, cfg Config, stats *dirtyStats) {
 	before := fmt.Sprintf("%+v", *d.Report())
 	stats.observePages(d)
 	var held []*shadowPage
+	var sets []*readSet
 	for _, pg := range d.shadow.pages {
 		held = append(held, pg)
+		for i := range pg.words {
+			for _, set := range [2]*readSet{pg.words[i].reads.set, pg.words[i].readsAtomic.set} {
+				if set != nil {
+					sets = append(sets, set)
+				}
+			}
+		}
 	}
 	d.Close()
 	for _, pg := range held {
 		checkZeroPage(t, "closed", pg)
+	}
+	for _, set := range sets {
+		if len(set.e) != 0 {
+			t.Errorf("%s under %s: read-set back in the pool with %d entries", m.Name, cfg.Name, len(set.e))
+		}
+		stats.released[set] = true
 	}
 	rep := d.Report()
 	if after := fmt.Sprintf("%+v", *rep); after != before {
@@ -193,18 +217,22 @@ func TestRecycledPagesMatchFreshProcess(t *testing.T) {
 		}
 		return
 	}
-	var stats dirtyStats
+	stats := dirtyStats{released: make(map[*readSet]bool)}
 	for _, name := range dirtyModels {
 		m := parsecModel(t, name)
 		for _, cfg := range dirtyConfigs() {
 			runDirty(t, m, cfg, &stats)
 		}
 	}
-	// The dirtying must have exercised every kind of word state.
+	// The dirtying must have exercised every kind of word state, and a
+	// later run must have promoted into a set an earlier one released.
 	if stats.promotions == 0 || stats.retired == 0 || stats.pagesFreed == 0 ||
-		stats.atomicEver == 0 || stats.suspected == 0 || stats.reported == 0 {
-		t.Fatalf("dirtying runs left too little state: %+v", stats)
+		stats.atomicEver == 0 || stats.suspected == 0 || stats.reported == 0 || stats.recycled == 0 {
+		t.Fatalf("dirtying runs left too little state: promotions %d, retired %d, pages freed %d, atomicEver %d, suspected %d, reported %d, recycled sets %d",
+			stats.promotions, stats.retired, stats.pagesFreed, stats.atomicEver, stats.suspected, stats.reported, stats.recycled)
 	}
+
+	t.Logf("dirtying: %d promotions, %d read-sets recycled from an earlier run", stats.promotions, stats.recycled)
 
 	got := followerReports(t)
 	cmd := exec.Command(os.Args[0], "-test.run=^TestRecycledPagesMatchFreshProcess$")

@@ -26,7 +26,7 @@ func fingerprint(rep *detect.Report) string {
 	fmt.Fprintf(&b, "config=%s events=%d spinEdges=%d spinLoops=%d inferredLocks=%d shadowBytes=%d\n",
 		rep.Config.Name, rep.Events, rep.SpinEdges, rep.SpinLoops,
 		rep.InferredLockWords, rep.ShadowBytes)
-	fmt.Fprintf(&b, "promotions=%d demotions=%d\n", rep.ReadSetPromotions, rep.ReadSetDemotions)
+	fmt.Fprintf(&b, "promotions=%d\n", rep.ReadSetPromotions)
 	fmt.Fprintf(&b, "syncEpochHits=%d syncRebases=%d syncInflates=%d\n",
 		rep.SyncEpochHits, rep.SyncRebases, rep.SyncInflates)
 	fmt.Fprintf(&b, "racyContexts=%d contexts=%v\n", rep.RacyContexts(), rep.ContextList())

@@ -1,6 +1,8 @@
 package detect
 
 import (
+	"sync"
+
 	"adhocrace/internal/event"
 	"adhocrace/internal/vc"
 )
@@ -23,23 +25,26 @@ import (
 //   - read-set mode (set != nil): a second reader thread promotes to a
 //     compact set of (tid, tick, event) entries sorted by thread id — the
 //     sparse equivalent of the seed's read clock, with the event positions
-//     folded in (the seed's separate readEvents map is gone). Sets are
-//     recycled through the detector's pool, so steady-state promotion
-//     traffic allocates nothing either.
-//   - demotion: a write ordered after every recorded read retires the whole
-//     read state (the set returns to the pool), restoring the epoch fast
-//     path — licensed only when the configuration's reporting cannot
-//     observe the retirement (Config.forgetfulReadsOK has the argument).
+//     folded in (the seed's separate readEvents map is gone).
+//
+// That is the whole lifecycle, under every configuration: a set lives
+// until the shadow GC retires its word (every recorded read dominated by
+// the quiescence watermark, see gc.go) or the run ends. No write retires
+// reads: a write ordered after every recorded read says nothing about the
+// next write, and when two unordered atomic writes follow — atomic pairs
+// skip the write-epoch check — only the recorded reads can still show a
+// race with the second (dataracetest.BuildAtomicChainBreak). Sets are
+// recycled through readSetPool, shared by every detector of the process
+// like the shadow pages, so steady-state promotion traffic allocates
+// nothing.
 //
 // The representation changes how read history is stored, not what the
 // detector reports. The seed full-vector-clock reads live on as a test
 // oracle (refreads_test.go): TestReadStateMatchesFullVCReads drives both
-// through random access streams and compares every conflict result, and
-// the golden report fingerprints (testdata/golden_fingerprints.txt, first
-// generated under the seed representation) pin the corpus byte for byte.
-// One known gap, recorded by that test: a plain read retired by demotion
-// is lost when two unordered atomic writes follow, because atomic-atomic
-// pairs skip the write-epoch check the demotion argument relies on.
+// through random access streams and holds the read scans of every write
+// equal under every preset, and the golden report fingerprints
+// (testdata/golden_fingerprints.txt, first generated under the seed
+// representation) pin the corpus byte for byte.
 
 // readEntry is one recorded read in a promoted read-set.
 type readEntry struct {
@@ -77,8 +82,7 @@ type readState struct {
 // a warning attributes — the seed's conflict scan reports the
 // lowest-numbered conflicting thread, and the replaced read may be it —
 // so the byte-identical equivalence bar rules it out. Promotion keeps
-// both; demotion (where the configuration licenses it) is what collapses
-// the set back to nothing on the next ordering write.
+// both.
 func (rs *readState) record(d *Detector, tid event.Tid, c *vc.Clock, idx int64) {
 	tick := c.Get(int(tid))
 	if rs.set != nil {
@@ -87,7 +91,7 @@ func (rs *readState) record(d *Detector, tid event.Tid, c *vc.Clock, idx int64) 
 	}
 	if !rs.last.IsZero() && rs.last.Tid() != int(tid) {
 		// Second reader thread: promote, keeping both reads.
-		set := d.getReadSet()
+		set := readSetPool.Get().(*readSet)
 		set.update(event.Tid(rs.last.Tid()), rs.last.Tick(), rs.lastEv)
 		set.update(tid, tick, idx)
 		rs.set = set
@@ -122,8 +126,8 @@ func (rs *readState) conflict(tid event.Tid, c *vc.Clock) (event.Tid, int64) {
 }
 
 // orderedBefore reports whether every recorded read happens-before an
-// access under clock c — the demotion predicate. A state with no reads is
-// trivially ordered.
+// access under clock c — the shadow GC's retirement predicate, with the
+// watermark as c. A state with no reads is trivially ordered.
 func (rs *readState) orderedBefore(c *vc.Clock) bool {
 	if rs.set != nil {
 		for i := range rs.set.e {
@@ -135,19 +139,6 @@ func (rs *readState) orderedBefore(c *vc.Clock) bool {
 		return true
 	}
 	return rs.last.IsZero() || rs.last.OrderedBefore(c)
-}
-
-// empty reports whether any read is recorded at all.
-func (rs *readState) empty() bool { return rs.set == nil && rs.last.IsZero() }
-
-// demote retires the read state, returning a promoted set to the
-// detector's pool.
-func (rs *readState) demote(d *Detector) {
-	if rs.set != nil {
-		d.putReadSet(rs.set)
-		d.demotions++
-	}
-	*rs = readState{}
 }
 
 // readers returns the number of distinct recorded reader threads, and
@@ -211,19 +202,22 @@ func (r *readSet) update(tid event.Tid, tick uint64, ev int64) {
 	r.e[i] = readEntry{tid: tid, tick: tick, ev: ev}
 }
 
-// getReadSet takes a recycled read-set from the detector's pool (or
-// allocates the pool's first).
-func (d *Detector) getReadSet() *readSet {
-	if n := len(d.setPool); n > 0 {
-		set := d.setPool[n-1]
-		d.setPool = d.setPool[:n-1]
-		return set
-	}
-	return &readSet{}
-}
+// readSetPool recycles read-sets across detectors, beside pagePool. Every
+// set in it is empty (its entry slice keeps its capacity): a set comes
+// back when the shadow GC retires its word or shadowMem.release hands its
+// page back. Concurrent detectors share it.
+var readSetPool = sync.Pool{New: func() any { return new(readSet) }}
 
-// putReadSet returns a demoted set to the pool for reuse.
-func (d *Detector) putReadSet(set *readSet) {
-	set.e = set.e[:0]
-	d.setPool = append(d.setPool, set)
+// putReadSets returns the word's promoted read-sets, emptied, to
+// readSetPool and counts them. The caller zeroes the word.
+func (w *shadowWord) putReadSets() int64 {
+	var n int64
+	for _, set := range [2]*readSet{w.reads.set, w.readsAtomic.set} {
+		if set != nil {
+			set.e = set.e[:0]
+			readSetPool.Put(set)
+			n++
+		}
+	}
+	return n
 }

@@ -60,53 +60,25 @@ func (r *refReads) conflict(tid event.Tid, clock *vc.Clock) (event.Tid, int64) {
 	return -1, -1
 }
 
-// diffWord is one address of the differential test: the write epoch both
-// representations share (it was an epoch in the seed too), the adaptive
-// read side, the seed read side, and what the comparison may forgive.
-type diffWord struct {
-	wSeen          bool
-	wTid           event.Tid
-	wTick          uint64
-	wEvent         int64
-	wAtomic        bool
-	reads, readsAt readState
-	ref            refWord
-	// conflicted is set by the word's first conflict: under per-address
-	// deduplication nothing after it is observable.
-	conflicted bool
-	// demoted is set once the adaptive side retired read history; gap once
-	// an atomic write then skipped the write-epoch check while unordered
-	// with the previous (atomic) write — the chain break the demotion
-	// argument does not cover (see the test comment).
-	demoted, gap bool
-}
-
-// race is a conflict result: the other thread and its event index, or
-// (-1, -1).
-type race struct {
-	tid event.Tid
-	ev  int64
-}
-
 // TestReadStateMatchesFullVCReads drives the adaptive read representation
 // and the seed full-vector-clock reads through identical random access
 // streams — 2–6 threads, plain and atomic flavors, clocks from an hb store
-// driven by random release/acquire traffic — and compares the conflict
-// result (thread, event index) of every write, with the write-epoch check
-// and the demotion policy of Detector.access.
+// driven by random release/acquire traffic — and on every write holds the
+// raw read scans of both flavors equal, under every preset. Nothing is
+// forgiven: the adaptive side keeps every read until the shadow GC retires
+// it.
 //
-// Under DRD, which never demotes, the raw read scans of both flavors must
-// also match on every write. Under lib+spin, which licenses demotion
-// (forgetfulReadsOK), results must match until the word's first conflict,
-// after which per-address deduplication makes them unobservable — with one
-// known exception the test counts instead of failing on: two unordered
-// atomic writes never race, so the second skips the write-epoch check, and
-// a plain read retired before that break is lost although the seed still
-// reports it (a read-vs-atomic-write race). Any other divergence fails.
+// The adaptive side lives in the detector's own shadow words, write epoch
+// included, so the detector's GC (collect, at the hb store's watermark)
+// retires them every gcSteps steps, and Close releases the rest at the end
+// of each stream. Retirement is invisible to the scans — a dominated read
+// is ordered before every later access — and the sets it returns to
+// readSetPool must come back in later promotions.
 func TestReadStateMatchesFullVCReads(t *testing.T) {
-	for _, cfg := range []Config{HelgrindPlusLibSpin(7), DRD()} {
-		licensed := cfg.forgetfulReadsOK()
-		var writes, compared, silenced, gapped, promotions, demotions, reused int64
+	const gcSteps = 25
+	sets := make(map[*readSet]bool)
+	for _, cfg := range append(PaperTools(7), HelgrindPlusNolibSpinLocks(7)) {
+		var writes, compared, promotions, gcSets, reused int64
 		for seed := uint64(1); seed <= 400; seed++ {
 			rng := seed * 0x9e3779b97f4a7c15
 			next := func(n int) int {
@@ -121,10 +93,14 @@ func TestReadStateMatchesFullVCReads(t *testing.T) {
 				h.Spawn(0, event.Tid(i))
 			}
 			s := benchDetector(cfg)
-			words := make([]diffWord, 3)
-			sets := make(map[*readSet]bool)
+			refs := make([]refWord, 3)
 			var idx int64
-			for step := 0; step < 300; step++ {
+			for step := 1; step <= 300; step++ {
+				if step%gcSteps == 0 {
+					if wm := h.Watermark(); wm.Len() > 0 {
+						s.collect(wm.Thaw())
+					}
+				}
 				tid := event.Tid(next(threads))
 				switch op := next(10); {
 				case op == 0:
@@ -138,23 +114,14 @@ func TestReadStateMatchesFullVCReads(t *testing.T) {
 					continue
 				}
 				idx++
-				w := &words[next(len(words))]
+				addr := next(len(refs))
+				w, ref := s.shadow.word(int64(addr)<<addrWordShift), &refs[addr]
 				isWrite, isAtomic := next(3) == 0, next(3) == 0
 				clock := h.ClockOf(tid)
-				unordered := w.wSeen && w.wTid != tid && w.wTick > clock.Get(int(w.wTid))
-				unchecked := isAtomic && w.wAtomic
-				got, want := race{-1, -1}, race{-1, -1}
-				if unordered && !unchecked {
-					got = race{w.wTid, w.wEvent}
-					want = got
-				}
 				if !isWrite {
-					if got.tid >= 0 {
-						w.conflicted = true
-					}
-					rs, ref := &w.reads, &w.ref.reads
+					rs, rr := &w.reads, &ref.reads
 					if isAtomic {
-						rs, ref = &w.readsAt, &w.ref.readsAtomic
+						rs, rr = &w.readsAtomic, &ref.readsAtomic
 					}
 					promoting := rs.set == nil
 					rs.record(s, tid, clock, idx)
@@ -164,76 +131,33 @@ func TestReadStateMatchesFullVCReads(t *testing.T) {
 						}
 						sets[rs.set] = true
 					}
-					ref.record(tid, clock, idx)
+					rr.record(tid, clock, idx)
 					continue
 				}
 				writes++
-				if unordered && unchecked && w.demoted {
-					w.gap = true
-				}
-				if !licensed {
-					// Nothing is ever retired: the raw scans must agree.
-					for _, fl := range []struct {
-						rs  *readState
-						ref *refReads
-					}{{&w.reads, &w.ref.reads}, {&w.readsAt, &w.ref.readsAtomic}} {
-						a, ae := fl.rs.conflict(tid, clock)
-						r, re := fl.ref.conflict(tid, clock)
-						if a != r || ae != re {
-							t.Fatalf("%s seed %d event %d: read scan (%d,%d), full VC (%d,%d)",
-								cfg.Name, seed, idx, a, ae, r, re)
-						}
-					}
-				}
-				if got.tid < 0 {
+				for _, fl := range []struct {
+					rs *readState
+					rr *refReads
+				}{{&w.reads, &ref.reads}, {&w.readsAtomic, &ref.readsAtomic}} {
 					compared++
-					got.tid, got.ev = w.reads.conflict(tid, clock)
-					want.tid, want.ev = w.ref.reads.conflict(tid, clock)
-					if got.tid < 0 && !isAtomic {
-						got.tid, got.ev = w.readsAt.conflict(tid, clock)
-					}
-					if want.tid < 0 && !isAtomic {
-						want.tid, want.ev = w.ref.readsAtomic.conflict(tid, clock)
-					}
-				}
-				switch {
-				case got == want:
-					if got.tid >= 0 {
-						w.conflicted = true
-					}
-				case w.conflicted:
-					silenced++
-				case w.gap:
-					gapped++
-				default:
-					t.Fatalf("%s seed %d event %d (T%d write atomic=%v): adaptive conflict %+v, full VC %+v",
-						cfg.Name, seed, idx, tid, isAtomic, got, want)
-				}
-				if licensed {
-					if !w.reads.empty() && w.reads.orderedBefore(clock) {
-						w.reads.demote(s)
-						w.demoted = true
-					}
-					if !w.readsAt.empty() && w.readsAt.orderedBefore(clock) {
-						w.readsAt.demote(s)
-						w.demoted = true
+					a, ae := fl.rs.conflict(tid, clock)
+					r, re := fl.rr.conflict(tid, clock)
+					if a != r || ae != re {
+						t.Fatalf("%s seed %d event %d (T%d write atomic=%v): read scan (%d,%d), full VC (%d,%d)",
+							cfg.Name, seed, idx, tid, isAtomic, a, ae, r, re)
 					}
 				}
 				w.wSeen, w.wTid, w.wTick, w.wEvent, w.wAtomic = true, tid, clock.Get(int(tid)), idx, isAtomic
 			}
 			promotions += s.promotions
-			demotions += s.demotions
+			gcSets += s.gcSets
+			s.Close()
 		}
-		t.Logf("%s: %d writes, %d read scans compared, %d divergences after a first conflict, %d in the atomic chain-break gap, %d promotions, %d demotions, %d pooled set reuses",
-			cfg.Name, writes, compared, silenced, gapped, promotions, demotions, reused)
-		if promotions == 0 || compared == 0 {
-			t.Errorf("%s: stream never promoted (%d) or never scanned reads (%d)", cfg.Name, promotions, compared)
-		}
-		if licensed && (demotions == 0 || reused == 0) {
-			t.Errorf("%s: licensed config must demote (%d) and reuse pooled sets (%d)", cfg.Name, demotions, reused)
-		}
-		if !licensed && (demotions != 0 || silenced+gapped != 0) {
-			t.Errorf("%s: unlicensed config demoted %d times and diverged %d times", cfg.Name, demotions, silenced+gapped)
+		t.Logf("%s: %d writes, %d read scans compared, %d promotions, %d sets retired by the GC, %d pooled set reuses",
+			cfg.Name, writes, compared, promotions, gcSets, reused)
+		if promotions == 0 || compared == 0 || gcSets == 0 || reused == 0 {
+			t.Errorf("%s: stream never promoted (%d), scanned reads (%d), retired sets (%d) or reused a pooled set (%d)",
+				cfg.Name, promotions, compared, gcSets, reused)
 		}
 	}
 }

@@ -54,11 +54,16 @@ func putPage(pg *shadowPage) {
 }
 
 // release clears the touched range of every page of the table and returns
-// the pages to pagePool, leaving the table empty. The owning detector must
-// be done with them: nothing may touch the table's pages afterwards.
+// the pages to pagePool and their words' read-sets to readSetPool, leaving
+// the table empty. The owning detector must be done with them: nothing may
+// touch the table's pages afterwards.
 func (s *shadowMem) release() {
 	for _, pg := range s.pages {
-		clear(pg.words[pg.lo:pg.hi])
+		words := pg.words[pg.lo:pg.hi]
+		for i := range words {
+			words[i].putReadSets()
+		}
+		clear(words)
 		pg.live = 0
 		putPage(pg)
 	}
@@ -143,9 +148,8 @@ func (s *shadowMem) word(addr int64) *shadowWord {
 // the empty-clock header when the flavor was never read), and each
 // distinct recorded reader carries the seed's 24-byte read-event map
 // entry (the seed shared one map across both flavors, so a thread that
-// read both ways counts once). Read history the epoch layout has retired
-// (demoted read-sets) is no longer charged — that shrinkage is precisely
-// the layout's saving.
+// read both ways counts once). Every read the run recorded stays charged,
+// as in the seed; only the shadow GC's retirement shrinks the figure.
 //
 // Every lockset state past Virgin, live in its word or parked by the GC,
 // is charged the seed's per-variable cost (lockset.Var.Bytes), so the

@@ -57,11 +57,8 @@ func TestShadowBytesLazyClocks(t *testing.T) {
 		t.Errorf("empty shadow bytes = %d, want 0", n)
 	}
 	w := s.word(0)
-	if !w.reads.empty() || !w.readsAtomic.empty() {
-		t.Error("fresh word must not carry read state")
-	}
-	if w.reads.set != nil || w.readsAtomic.set != nil {
-		t.Error("fresh word must not allocate read-sets")
+	if w.reads != (readState{}) || w.readsAtomic != (readState{}) {
+		t.Error("fresh word must not carry read state or read-sets")
 	}
 	// Write-only word: 96 + two empty-clock headers.
 	if n := s.bytes(); n != 96+24+24 {

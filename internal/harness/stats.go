@@ -20,7 +20,6 @@ type RunStats struct {
 	Events      atomic.Int64
 	ShadowBytes atomic.Int64
 	Promotions  atomic.Int64
-	Demotions   atomic.Int64
 	// Sync-side clock-store counters (hb.Stats, summed over runs): how
 	// often release/acquire stayed on the O(1) epoch path versus re-basing
 	// or inflating to a full vector clock.
@@ -43,7 +42,6 @@ func (s *RunStats) Observe(rep *detect.Report) {
 	s.Events.Add(rep.Events)
 	s.ShadowBytes.Add(rep.ShadowBytes)
 	s.Promotions.Add(rep.ReadSetPromotions)
-	s.Demotions.Add(rep.ReadSetDemotions)
 	s.EpochHits.Add(rep.SyncEpochHits)
 	s.Rebases.Add(rep.SyncRebases)
 	s.Inflates.Add(rep.SyncInflates)
@@ -61,8 +59,8 @@ func (s *RunStats) Footer(elapsed time.Duration) string {
 	if secs := elapsed.Seconds(); secs > 0 {
 		fmt.Fprintf(&b, " (%.0f events/sec)", float64(events)/secs)
 	}
-	fmt.Fprintf(&b, "\nstats: shadow bytes %d (summed over runs), read-set promotions %d, demotions %d\n",
-		s.ShadowBytes.Load(), s.Promotions.Load(), s.Demotions.Load())
+	fmt.Fprintf(&b, "\nstats: shadow bytes %d (summed over runs), read-set promotions %d\n",
+		s.ShadowBytes.Load(), s.Promotions.Load())
 	hits, rebases, inflates := s.EpochHits.Load(), s.Rebases.Load(), s.Inflates.Load()
 	fmt.Fprintf(&b, "stats: sync epoch hits %d, rebases %d, inflates %d", hits, rebases, inflates)
 	if total := hits + rebases + inflates; total > 0 {

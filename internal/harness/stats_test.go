@@ -15,7 +15,6 @@ func TestRunStatsObserve(t *testing.T) {
 		Events:            100,
 		ShadowBytes:       2048,
 		ReadSetPromotions: 3,
-		ReadSetDemotions:  1,
 		SyncEpochHits:     90,
 		SyncRebases:       7,
 		SyncInflates:      3,

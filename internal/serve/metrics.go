@@ -115,8 +115,9 @@ type Snapshot struct {
 	EventsPerSecond float64 `json:"events_per_second"`
 	ShadowBytes     int64   `json:"shadow_bytes"`
 
+	// ReadSetPromotions sums the runs' epoch → read-set transitions (the
+	// Result frame's read_set_promotions).
 	ReadSetPromotions int64 `json:"read_set_promotions"`
-	ReadSetDemotions  int64 `json:"read_set_demotions"`
 	SyncEpochHits     int64 `json:"sync_epoch_hits"`
 	SyncRebases       int64 `json:"sync_rebases"`
 	SyncInflates      int64 `json:"sync_inflates"`
@@ -170,7 +171,6 @@ func (s *Server) Snapshot() Snapshot {
 		Events:               m.stats.Events.Load(),
 		ShadowBytes:          m.stats.ShadowBytes.Load(),
 		ReadSetPromotions:    m.stats.Promotions.Load(),
-		ReadSetDemotions:     m.stats.Demotions.Load(),
 		SyncEpochHits:        m.stats.EpochHits.Load(),
 		SyncRebases:          m.stats.Rebases.Load(),
 		SyncInflates:         m.stats.Inflates.Load(),
@@ -279,7 +279,6 @@ func (snap Snapshot) prometheus() string {
 	g("events_per_second", "live events over uptime", snap.EventsPerSecond)
 	c("shadow_bytes_total", "shadow bytes summed over completed runs", snap.ShadowBytes)
 	c("read_set_promotions_total", "epoch to read-set promotions", snap.ReadSetPromotions)
-	c("read_set_demotions_total", "read-set to epoch demotions", snap.ReadSetDemotions)
 	c("sync_epoch_hits_total", "clock-store release/acquire epoch hits", snap.SyncEpochHits)
 	c("sync_rebases_total", "clock-store rebases", snap.SyncRebases)
 	c("sync_inflates_total", "clock-store inflations to full vector clocks", snap.SyncInflates)

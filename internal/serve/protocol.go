@@ -191,13 +191,13 @@ type RunResult struct {
 	SpinLoops         int    `json:"spin_loops"`
 	InferredLockWords int    `json:"inferred_lock_words,omitempty"`
 	ShadowBytes       int64  `json:"shadow_bytes"`
-	ReadSetPromotions int64  `json:"read_set_promotions"`
-	ReadSetDemotions  int64  `json:"read_set_demotions"`
-	SyncEpochHits     int64  `json:"sync_epoch_hits"`
-	SyncRebases       int64  `json:"sync_rebases"`
-	SyncInflates      int64  `json:"sync_inflates"`
-	Warnings          int    `json:"warnings"`
-	RacyContexts      int    `json:"racy_contexts"`
+	// ReadSetPromotions counts the run's epoch → read-set transitions.
+	ReadSetPromotions int64 `json:"read_set_promotions"`
+	SyncEpochHits     int64 `json:"sync_epoch_hits"`
+	SyncRebases       int64 `json:"sync_rebases"`
+	SyncInflates      int64 `json:"sync_inflates"`
+	Warnings          int   `json:"warnings"`
+	RacyContexts      int   `json:"racy_contexts"`
 
 	Steps   int64 `json:"steps"`
 	Threads int   `json:"threads"`
@@ -214,7 +214,6 @@ func runResult(run int, seed int64, rep *detect.Report, res vm.Result, last bool
 		InferredLockWords: rep.InferredLockWords,
 		ShadowBytes:       rep.ShadowBytes,
 		ReadSetPromotions: rep.ReadSetPromotions,
-		ReadSetDemotions:  rep.ReadSetDemotions,
 		SyncEpochHits:     rep.SyncEpochHits,
 		SyncRebases:       rep.SyncRebases,
 		SyncInflates:      rep.SyncInflates,
@@ -241,7 +240,6 @@ func (r *RunResult) Report(warnings []WireWarning) (*detect.Report, error) {
 		InferredLockWords: r.InferredLockWords,
 		ShadowBytes:       r.ShadowBytes,
 		ReadSetPromotions: r.ReadSetPromotions,
-		ReadSetDemotions:  r.ReadSetDemotions,
 		SyncEpochHits:     r.SyncEpochHits,
 		SyncRebases:       r.SyncRebases,
 		SyncInflates:      r.SyncInflates,
