@@ -100,7 +100,7 @@ soak-smoke:
 # the 64-session server baseline (per-session memory must return to the
 # warm-up baseline).
 memory-smoke:
-	$(GO) test -count=1 -run 'TestLongTraceFlatMemory|TestLongTraceGCEquivalence' ./internal/synth/
+	$(GO) test -count=1 -run 'TestLongTraceFlatMemory|TestLongTraceGCEquivalence' ./internal/detect/
 	$(GO) test -count=1 -run 'TestServerSoakMemoryBaseline' ./internal/serve/
 
 # Server conformance: byte-identical streamed reports vs direct Prepared.Run

@@ -164,8 +164,9 @@ func BenchmarkDetectorThroughput(b *testing.B) {
 }
 
 // BenchmarkLongTracePipeline is the long-stream throughput figure: one
-// GC'd Helgrind+ lib detector over synth.LongTrace's lock-churn stream (20
-// windows, about half a million events), reported in events/s. The run
+// Helgrind+ lib detector over synth.LongTrace's lock-churn stream (20
+// windows, about half a million events, so the shadow GC cycles every
+// detect.GCPeriod of them), reported in events/s. The run
 // takes the production pipeline, which overlaps detection with the vm once
 // the stream passes event.OverlapThreshold; the plain-vs-overlap
 // comparison behind that threshold is BenchmarkPipelineCrossover in
@@ -174,7 +175,7 @@ func BenchmarkLongTracePipeline(b *testing.B) {
 	var events int64
 	for i := 0; i < b.N; i++ {
 		rep, err := synth.LongTrace(1, synth.LongTraceOpts{
-			Cfg: detect.HelgrindPlusLib(), Opts: detect.RunOpts{GCShadow: true}, Windows: 20,
+			Cfg: detect.HelgrindPlusLib(), Windows: 20,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -3,7 +3,9 @@
 // Server mode (default) runs detection as a service: clients open
 // sessions over a length-prefixed wire protocol (internal/serve), each
 // session gets its own detector over a process-wide compiled-workload
-// cache, and race reports stream back incrementally. SIGINT/SIGTERM
+// cache, and race reports stream back incrementally. Every session's
+// detector runs the quiescence shadow GC every detect.GCPeriod events, so
+// long streams keep their shadow state bounded. SIGINT/SIGTERM
 // drains gracefully: accepting stops, admitted sessions finish, then the
 // process exits (or is forced down after -drain-timeout).
 //
@@ -61,7 +63,6 @@ func main() {
 	metrics := flag.String("metrics", "", "HTTP metrics address, e.g. 127.0.0.1:7335 (empty = off)")
 	maxSessions := flag.Int("max-sessions", 64, "concurrent session cap (oldest is evicted at the cap)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on SIGTERM before hard close")
-	noGC := flag.Bool("no-gc-shadow", false, "disable the quiescence shadow-state GC sessions run with by default")
 	runTimeout := flag.Duration("run-timeout", 0, "per-run wall-clock budget; an over-budget run ends its session with a run-timeout error (0 = unbounded)")
 	shed := flag.Bool("shed", false, "answer saturation with a retryable busy frame instead of evicting the oldest session")
 	memBudget := flag.Int64("memory-budget", 0, "heap-in-use bytes above which new sessions are shed (requires -shed; 0 = no memory gate)")
@@ -111,7 +112,7 @@ func main() {
 	}
 	srv := serve.New(serve.Config{
 		Network: *network, Addr: *addr, MetricsAddr: *metrics,
-		MaxSessions: *maxSessions, DisableShadowGC: *noGC, TraceDir: *traceDir,
+		MaxSessions: *maxSessions, TraceDir: *traceDir,
 		RunTimeout: *runTimeout, Shed: *shed, MemoryBudgetBytes: *memBudget,
 		Fault: faults,
 	})

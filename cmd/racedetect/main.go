@@ -6,7 +6,7 @@
 //
 //	racedetect -w <workload> [-tool lib|spin|nolib|drd|eraser] [-window 7] [-seed 1] [-seeds N] [-v]
 //	racedetect -w <workload> [-tool ...] [-seed 1] -record out.trace
-//	racedetect -replay in.trace [-gc-shadow] [-fingerprint]
+//	racedetect -replay in.trace [-fingerprint]
 //
 // Workloads: any PARSEC model name (x264, dedup, ...), a data-race-test
 // case name (adhoc_spin11_b7_atomic_long, ww_two_threads, ...), or a
@@ -21,29 +21,30 @@
 // the trace decoder with -replay — passes event.OverlapThreshold events,
 // the rest goes into double-buffered segments consumed by the detector
 // concurrently with production, because it pays only on long streams
-// (docs/ARCHITECTURE.md, the vm→detector pipeline section). Reports are
-// byte-identical with the pipeline knobs on or off; only wall-clock time
-// and memory change.
+// (docs/ARCHITECTURE.md, the vm→detector pipeline section). Nor is the
+// shadow GC: every detector retires quiescent shadow state every
+// detect.GCPeriod events, so only a long stream runs a cycle. Neither
+// changes the report; they trade wall-clock time and memory only.
 //
 // With -stats the run's pipeline counters are printed: events processed,
 // events/sec, shadow bytes, read-set promotions (how often the
 // FastTrack epoch fast path had to fall back to a read-set), and the
 // clock store's sync epoch hits / rebases / inflates (how often
-// release/acquire stayed on the O(1) object-epoch path), plus per-stage
+// release/acquire stayed on the O(1) object-epoch path), the shadow-GC
+// cycles and retirements when a cycle ran, plus per-stage
 // timing histograms from the observability layer (internal/obs).
 //
 // With -trace out.json the run records per-stage spans — vm quanta,
 // segment pipeline batches and stalls, GC cycles, report merge — and writes Chrome trace-event JSON loadable
-// in chrome://tracing or Perfetto. -gc-events shortens the shadow-GC
-// cycle period (with -gc-shadow) so short workloads exercise GC cycles
-// too.
+// in chrome://tracing or Perfetto. Only a stream past detect.GCPeriod
+// events shows a GC cycle (freqmine under the default spin tool does).
 //
 // With -record the workload runs once with no detector and its event
 // stream is written as a binary trace (internal/event's record/replay
 // format, with the workload/tool/seed provenance and interning tables in
 // the header). With -replay a recorded trace is fed straight into a
-// detector — no vm in the loop — honoring -gc-shadow; the
-// workload and tool come from the trace header, and the report is
+// detector — no vm in the loop; the workload and tool come from the
+// trace header, and the report is
 // byte-identical to the live run's. -fingerprint appends a fingerprint=
 // line (a digest of the full report) so scripts can compare runs cheaply
 // — the replay smoke asserts a replay matches the live run.
@@ -73,8 +74,6 @@ func main() {
 	window := flag.Int("window", 7, "spin-loop basic-block window")
 	seed := flag.Int64("seed", 1, "scheduler seed")
 	seeds := flag.Int("seeds", 0, "run seeds 1..N in parallel and report per-seed contexts")
-	gcShadow := flag.Bool("gc-shadow", false, "retire quiescent shadow state during the run (bounded memory, identical warnings)")
-	gcEvents := flag.Int64("gc-events", 0, "shadow-GC cycle period in events (0 = default; needs -gc-shadow)")
 	stats := flag.Bool("stats", false, "print pipeline stats: events, events/sec, shadow bytes, read-set promotions")
 	trace := flag.String("trace", "", "write Chrome trace-event JSON of the run's pipeline spans to this file")
 	verbose := flag.Bool("v", false, "print every warning, not just the summary")
@@ -88,9 +87,8 @@ func main() {
 		fmt.Print(workloads.FormatList())
 		return
 	}
-	opts := detect.RunOpts{GCShadow: *gcShadow, GCEvents: *gcEvents}
 	if *replayPath != "" {
-		if err := runReplay(*replayPath, opts, *fingerprint, *verbose); err != nil {
+		if err := runReplay(*replayPath, *fingerprint, *verbose); err != nil {
 			fmt.Fprintf(os.Stderr, "racedetect: %v\n", err)
 			os.Exit(1)
 		}
@@ -131,7 +129,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "racedetect: -seed is ignored with -seeds (running seeds 1..%d)\n", *seeds)
 			}
 		})
-		if err := runSeeds(build, cfg, *workload, *seeds, opts, rec, *verbose, *stats); err != nil {
+		if err := runSeeds(build, cfg, *workload, *seeds, rec, *verbose, *stats); err != nil {
 			fmt.Fprintf(os.Stderr, "racedetect: %v\n", err)
 			os.Exit(1)
 		}
@@ -139,7 +137,7 @@ func main() {
 		return
 	}
 
-	opts.Obs = rec.Pipeline(fmt.Sprintf("%s %s seed=%d", *workload, cfg.Name, *seed))
+	opts := detect.RunOpts{Obs: rec.Pipeline(fmt.Sprintf("%s %s seed=%d", *workload, cfg.Name, *seed))}
 	start := time.Now()
 	rep, res, err := detect.Prepare(build()).Run(cfg, *seed, opts)
 	elapsed := time.Since(start)
@@ -203,9 +201,8 @@ func runRecord(path string, build func() *ir.Program, workload string,
 }
 
 // runReplay feeds a recorded trace into a fresh detector with no vm: the
-// workload and tool configuration are rebuilt from the trace header, the
-// pipeline shape comes from the command line as for a live run.
-func runReplay(path string, opts detect.RunOpts, fingerprint, verbose bool) error {
+// workload and tool configuration are rebuilt from the trace header.
+func runReplay(path string, fingerprint, verbose bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -224,7 +221,7 @@ func runReplay(path string, opts detect.RunOpts, fingerprint, verbose bool) erro
 		return fmt.Errorf("trace tool: %w", err)
 	}
 	start := time.Now()
-	rep, n, err := detect.ReplayTrace(tr, build(), cfg, opts)
+	rep, n, err := detect.ReplayTrace(tr, build(), cfg, detect.RunOpts{})
 	elapsed := time.Since(start)
 	if err != nil {
 		return err
@@ -255,7 +252,7 @@ func printFingerprint(rep *detect.Report) {
 // engine; the program is compiled once and shared by the seed jobs, and
 // results are printed in seed order (with every warning, when verbose).
 func runSeeds(build func() *ir.Program, cfg detect.Config, workload string, n int,
-	opts detect.RunOpts, rec *obs.Recorder, verbose, stats bool) error {
+	rec *obs.Recorder, verbose, stats bool) error {
 	eng := sched.Default()
 	prep := detect.PrepareBuild(build)
 	seedList := make([]int64, n)
@@ -264,9 +261,7 @@ func runSeeds(build func() *ir.Program, cfg detect.Config, workload string, n in
 	}
 	start := time.Now()
 	reps, err := sched.Map(eng, seedList, func(s int64) (*detect.Report, error) {
-		o := opts
-		o.Obs = rec.Pipeline(fmt.Sprintf("%s %s seed=%d", workload, cfg.Name, s))
-		rep, _, err := prep.Run(cfg, s, o)
+		rep, _, err := prep.Run(cfg, s, detect.RunOpts{Obs: rec.Pipeline(fmt.Sprintf("%s %s seed=%d", workload, cfg.Name, s))})
 		if err != nil {
 			return nil, fmt.Errorf("seed %d: %w", s, err)
 		}

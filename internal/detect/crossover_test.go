@@ -99,7 +99,8 @@ func TestLongTracePipelineEquivalence(t *testing.T) {
 	run := func(opts detect.RunOpts) (*detect.Report, int64) {
 		t.Helper()
 		rec := obs.New()
-		opts.GCShadow, opts.GCEvents, opts.Obs = true, 2048, rec.Pipeline("longtrace")
+		opts = detect.WithGCPeriod(opts, 2048)
+		opts.Obs = rec.Pipeline("longtrace")
 		rep, err := synth.LongTrace(1, synth.LongTraceOpts{Windows: 4, Opts: opts})
 		if err != nil {
 			t.Fatal(err)
@@ -190,7 +191,6 @@ func BenchmarkPipelineCrossover(b *testing.B) {
 	for _, windows := range []int{1, 4, 20} {
 		windows := windows
 		streams = append(streams, stream{fmt.Sprintf("longtrace-%dw", windows), func(b *testing.B, opts detect.RunOpts) *detect.Report {
-			opts.GCShadow = true
 			rep, err := synth.LongTrace(1, synth.LongTraceOpts{Cfg: detect.HelgrindPlusLib(), Opts: opts, Windows: windows})
 			if err != nil {
 				b.Fatal(err)
@@ -247,7 +247,8 @@ func TestDetectorPanicReachesCaller(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := tc.opts
-		opts.GCShadow, opts.GCEvents, opts.Fault = true, 256, reg
+		opts = detect.WithGCPeriod(opts, 256)
+		opts.Fault = reg
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -102,7 +102,8 @@ type Report struct {
 	// SyncObjects counts the happens-before engine's live sync-object and
 	// barrier states at report time — the soak tests' plateau gauge.
 	SyncObjects int64
-	// GC counters (all zero unless EnableShadowGC ran; see gc.go). Like
+	// GC counters (see gc.go; all zero on a stream shorter than
+	// GCPeriod events, which never reaches a cycle). Like
 	// ShadowBytes and the representation counters these depend on layout
 	// and cycle timing — the report fingerprint excludes them.
 	//
@@ -229,8 +230,8 @@ type Detector struct {
 	pipe      *event.Segmented
 	ins       *spin.Instrumentation
 
-	// Quiescence GC schedule and counters (see gc.go); gcEvery == 0 means
-	// the GC is off.
+	// Quiescence GC schedule and counters (see gc.go): a cycle runs every
+	// gcEvery events, GCPeriod unless a test's RunOpts sets another.
 	gcEvery                  int64
 	nextGC                   int64
 	gcCycles                 int64
@@ -256,8 +257,10 @@ type siteKey struct {
 // New builds a detector for one run. The instrumentation must be the one
 // produced by cfg.Instrument on the program being executed (nil when the
 // spin feature is off); the program supplies the static symbol table for
-// sync-variable resolution. Close the detector when done to recycle its
-// shadow pages (Prepared.Run and ReplayTrace do this for you).
+// sync-variable resolution. The detector runs a quiescence GC cycle
+// every GCPeriod events (gc.go), so only a long stream ever reaches one.
+// Close the detector when done to recycle its shadow pages (Prepared.Run
+// and ReplayTrace do this for you).
 func New(cfg Config, ins *spin.Instrumentation, prog *ir.Program) *Detector {
 	h := hb.New()
 	adhoc := core.New(h, ins, prog)
@@ -271,6 +274,8 @@ func New(cfg Config, ins *spin.Instrumentation, prog *ir.Program) *Detector {
 		reportedSite: make(map[siteKey]bool),
 		plainLeft:    math.MaxInt,
 		ins:          ins,
+		gcEvery:      GCPeriod,
+		nextGC:       GCPeriod,
 	}
 }
 
@@ -331,7 +336,7 @@ func (d *Detector) Handle(ev *event.Event) {
 	case event.KindThreadExit:
 		d.hb.ThreadExited(ev.Tid)
 	}
-	if d.gcEvery > 0 && d.events >= d.nextGC {
+	if d.events >= d.nextGC {
 		d.collectGarbage()
 	}
 }
@@ -375,7 +380,7 @@ func (a *applier) Handle(ev *event.Event) {
 	case event.KindThreadExit:
 		d.hb.ThreadExited(ev.Tid)
 	}
-	if d.gcEvery > 0 && d.events >= d.nextGC {
+	if d.events >= d.nextGC {
 		d.collectGarbage()
 	}
 }

@@ -50,3 +50,22 @@ func forcePipeline(o RunOpts, plain, size int) RunOpts {
 	o.newPipeline = func(down event.Sink) *event.Segmented { return newSegmented(down, plain, size) }
 	return o
 }
+
+// WithGCPeriod returns o with the shadow GC cycling every period events in
+// place of GCPeriod, so a short run exercises many cycles.
+func WithGCPeriod(o RunOpts, period int64) RunOpts {
+	o.gcPeriod = period
+	return o
+}
+
+// NoGC returns o with the shadow GC disarmed: the unbounded detector the
+// GC tests compare against.
+func NoGC(o RunOpts) RunOpts { return WithGCPeriod(o, math.MaxInt64) }
+
+// GCPeriodOf returns the period the shadow GC of a run under o cycles at.
+func GCPeriodOf(o RunOpts) int64 {
+	if o.gcPeriod == 0 {
+		return GCPeriod
+	}
+	return o.gcPeriod
+}

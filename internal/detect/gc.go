@@ -65,20 +65,19 @@ import (
 	"adhocrace/internal/vc"
 )
 
-// DefaultGCEvents is the default GC cycle period, in events.
-const DefaultGCEvents = 1 << 16
+// GCPeriod is the GC cycle period, in events. Every detector cycles at
+// it, so the stream's length alone decides whether a cycle ever runs.
+// 1<<16 leaves short runs alone and bounds long ones: of the 1,626 runs
+// of tables -t all -synth-n 30, only freqmine's pass it (21 cycles, no word retired),
+// while one synth.LongTrace window of 500 phases holds 108.5 MB of shadow
+// without the GC and 6.3 MB with it (docs/ARCHITECTURE.md, "Bounded
+// memory").
+const GCPeriod = 1 << 16
 
-// EnableShadowGC turns on the quiescence GC with the given cycle period in
-// events (<= 0 means DefaultGCEvents). Must be called before the first
-// event. Warnings are byte-identical with the GC on or off; only memory
-// consumption and the representation counters change.
-func (d *Detector) EnableShadowGC(every int64) {
-	if every <= 0 {
-		every = DefaultGCEvents
-	}
-	d.gcEvery = every
-	d.nextGC = every
-}
+// EnableShadowGC does nothing: every detector runs the GC at GCPeriod.
+//
+// Deprecated: New arms the GC.
+func (d *Detector) EnableShadowGC(int64) {}
 
 // collectGarbage runs one GC cycle at the current stream position.
 func (d *Detector) collectGarbage() {

@@ -114,14 +114,14 @@ func TestShadowGCPrecisionContract(t *testing.T) {
 
 	for _, tc := range cases {
 		for shape, opts := range []detect.RunOpts{
-			{GCShadow: true, GCEvents: 1},
-			detect.ForceOverlap(detect.RunOpts{GCShadow: true, GCEvents: 1}, 64),
+			detect.WithGCPeriod(detect.RunOpts{}, 1),
+			detect.ForceOverlap(detect.WithGCPeriod(detect.RunOpts{}, 1), 64),
 		} {
 			gc, _, err := detect.Prepare(buildPhasedRace(tc.phases)).Run(tc.cfg, 1, opts)
 			if err != nil {
 				t.Fatalf("%s (gc, shape %d): %v", tc.name, shape, err)
 			}
-			ref, _, err := detect.Prepare(buildPhasedRace(tc.phases)).Run(tc.cfg, 1, detect.RunOpts{})
+			ref, _, err := detect.Prepare(buildPhasedRace(tc.phases)).Run(tc.cfg, 1, detect.NoGC(detect.RunOpts{}))
 			if err != nil {
 				t.Fatalf("%s (unbounded): %v", tc.name, err)
 			}

@@ -20,7 +20,7 @@ import (
 // pipeline, and overlap forced from the first event at two segment sizes
 // (cycles land on both sides of segment boundaries).
 func gcSweepOpts() []detect.RunOpts {
-	gc := detect.RunOpts{GCShadow: true, GCEvents: 64}
+	gc := detect.WithGCPeriod(detect.RunOpts{}, 64)
 	return []detect.RunOpts{
 		gc,
 		detect.ForceOverlap(gc, event.DefaultSegmentEvents),
@@ -37,7 +37,7 @@ func checkGCEquivalence(t *testing.T, build func() *ir.Program, name string, cfg
 	if err != nil {
 		t.Fatalf("%s under %s seed %d (gc): %v", name, cfg.Name, seed, err)
 	}
-	ref, _, err := detect.Prepare(build()).Run(cfg, seed, detect.RunOpts{})
+	ref, _, err := detect.Prepare(build()).Run(cfg, seed, detect.NoGC(detect.RunOpts{}))
 	if err != nil {
 		t.Fatalf("%s under %s seed %d (unbounded): %v", name, cfg.Name, seed, err)
 	}

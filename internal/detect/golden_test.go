@@ -130,7 +130,7 @@ func goldenShapes() []detect.RunOpts {
 		{},
 		detect.ForceOverlap(detect.RunOpts{}, event.DefaultSegmentEvents),
 		detect.ForceOverlap(detect.RunOpts{}, 64),
-		{GCShadow: true, GCEvents: 256},
+		detect.WithGCPeriod(detect.RunOpts{}, 256),
 	}
 }
 
@@ -225,7 +225,7 @@ func checkGolden(t *testing.T, cases []goldenCase, shape func(i int) detect.RunO
 			t.Errorf("missing golden key %q (got %q)", key, lines[i])
 		case w != lines[i]:
 			t.Errorf("fingerprint changed (entry %d, gc=%d)\n  want %s\n  got  %s\n--- current fingerprint ---\n%s",
-				i, shape(i).GCEvents, w, lines[i], texts[i])
+				i, detect.GCPeriodOf(shape(i)), w, lines[i], texts[i])
 		}
 	}
 	return seen
@@ -283,12 +283,13 @@ func TestGoldenFingerprints(t *testing.T) {
 // lives in its own package's tests.
 
 // syncSweepShapes are the shapes the clock store is checked across: the
-// golden shapes without the shadow GC, which retires clock-store state
-// and so is checked on its own (TestShadowGCEquivalence*).
+// golden shapes at the default GC period, which no suite case or synth
+// seed reaches. The GC retires clock-store state and so is checked on its
+// own (TestShadowGCEquivalence*).
 func syncSweepShapes() []detect.RunOpts {
 	var out []detect.RunOpts
 	for _, o := range goldenShapes() {
-		if !o.GCShadow {
+		if detect.GCPeriodOf(o) == detect.GCPeriod {
 			out = append(out, o)
 		}
 	}

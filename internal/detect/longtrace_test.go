@@ -4,7 +4,7 @@
 // TestLongTraceFlatMemory as the CI gate (it fails on a >2× plateau
 // growth); -longtrace-events scales TestLongTraceBigRun to the 100M+
 // event validation runs.
-package synth_test
+package detect_test
 
 import (
 	"flag"
@@ -23,12 +23,14 @@ var longTraceEvents = flag.Int64("longtrace-events", 0,
 	"minimum event count for TestLongTraceBigRun (0 = skip)")
 
 // TestLongTraceGCEquivalence replays the same windowed trace with the GC
-// off and with it cycling every 2048 events: one fingerprint, two
+// disarmed and with it cycling every 2048 events: one fingerprint, two
 // detectors. Four windows (about 104k events) pass event.OverlapThreshold,
 // so GC cycles run both before and after the pipeline starts overlapping.
 func TestLongTraceGCEquivalence(t *testing.T) {
 	base := synth.LongTraceOpts{Windows: 4}
-	ref, err := synth.LongTrace(1, base)
+	o := base
+	o.Opts = detect.NoGC(detect.RunOpts{})
+	ref, err := synth.LongTrace(1, o)
 	if err != nil {
 		t.Fatalf("unbounded: %v", err)
 	}
@@ -36,8 +38,7 @@ func TestLongTraceGCEquivalence(t *testing.T) {
 		t.Fatalf("%d events never pass the overlap threshold %d", ref.Events, event.OverlapThreshold)
 	}
 	want := harness.ReportFingerprint(ref)
-	o := base
-	o.Opts = detect.RunOpts{GCShadow: true, GCEvents: 2048}
+	o.Opts = detect.WithGCPeriod(detect.RunOpts{}, 2048)
 	rep, err := synth.LongTrace(1, o)
 	if err != nil {
 		t.Fatalf("gc: %v", err)
@@ -62,7 +63,7 @@ func TestLongTraceFlatMemory(t *testing.T) {
 
 	var shadowSamples []int64
 	gcOpts := o
-	gcOpts.Opts = detect.RunOpts{GCShadow: true, GCEvents: 2048}
+	gcOpts.Opts = detect.WithGCPeriod(detect.RunOpts{}, 2048)
 	gcOpts.OnWindow = func(w int, rep *detect.Report) {
 		shadowSamples = append(shadowSamples, rep.ShadowBytes)
 	}
@@ -80,6 +81,7 @@ func TestLongTraceFlatMemory(t *testing.T) {
 		t.Errorf("hb objects not collected: %d live, %d phases", gc.SyncObjects, o.Phases)
 	}
 
+	o.Opts = detect.NoGC(detect.RunOpts{})
 	ref, err := synth.LongTrace(1, o)
 	if err != nil {
 		t.Fatalf("unbounded run: %v", err)
@@ -109,7 +111,7 @@ func TestLongTraceBigRun(t *testing.T) {
 		t.Fatalf("probe window: %v", err)
 	}
 	o.Windows = int(*longTraceEvents/probe.Events) + 1
-	o.Opts = detect.RunOpts{GCShadow: true, GCEvents: 1 << 14}
+	o.Opts = detect.WithGCPeriod(detect.RunOpts{}, 1<<14)
 
 	// The shadow baseline is the max over the first 16 windows: a window
 	// is ~6.3 GC periods long, so the end-of-window sample precesses

@@ -25,7 +25,7 @@ func TestObsReportUnchanged(t *testing.T) {
 		t.Fatal("no freqmine model")
 	}
 	cfg := detect.HelgrindPlusLibSpin(7)
-	opts := detect.RunOpts{GCShadow: true, GCEvents: 4096}
+	opts := detect.WithGCPeriod(detect.RunOpts{}, 4096)
 
 	base, _, err := detect.Prepare(m.Build()).Run(cfg, 1, opts)
 	if err != nil {
@@ -54,10 +54,7 @@ func TestObsTraceCoversPipeline(t *testing.T) {
 		t.Fatal("no freqmine model")
 	}
 	rec := obs.NewTracing()
-	opts := detect.RunOpts{
-		GCShadow: true, GCEvents: 4096,
-		Obs: rec.Pipeline("freqmine trace"),
-	}
+	opts := detect.WithGCPeriod(detect.RunOpts{Obs: rec.Pipeline("freqmine trace")}, 4096)
 	rep, res, err := detect.Prepare(m.Build()).Run(detect.HelgrindPlusLibSpin(7), 1, opts)
 	if err != nil {
 		t.Fatalf("run: %v", err)

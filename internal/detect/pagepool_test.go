@@ -42,9 +42,9 @@ func dirtyConfigs() []Config {
 // readers.
 var dirtyModels = []string{"vips", "ferret", "x264", "dedup", "facesim"}
 
-// dirtyGCEvents is the GC period of the dirtying runs, short enough that
+// dirtyGCPeriod is the GC period of the dirtying runs, short enough that
 // the GC retires words and frees pages within one model run.
-const dirtyGCEvents = 64
+const dirtyGCPeriod = 64
 
 func parsecModel(t *testing.T, name string) parsec.Model {
 	t.Helper()
@@ -135,15 +135,15 @@ func (s *dirtyStats) observePages(d *Detector) {
 	}
 }
 
-// runDirty runs one model under cfg with the GC on, checks every page the
-// GC frees, then closes the detector and checks every page Close
-// released. It also checks that Report is the same before and after
+// runDirty runs one model under cfg with the GC at dirtyGCPeriod, checks
+// every page the GC frees, then closes the detector and checks every page
+// Close released. It also checks that Report is the same before and after
 // Close.
 func runDirty(t *testing.T, m parsec.Model, cfg Config, stats *dirtyStats) {
 	t.Helper()
 	p := m.Build()
 	pr := Prepare(p)
-	d, _ := pr.NewRun(cfg, RunOpts{GCShadow: true, GCEvents: dirtyGCEvents})
+	d, _ := pr.NewRun(cfg, WithGCPeriod(RunOpts{}, dirtyGCPeriod))
 	tr := &pageTracker{t: t, d: d, known: make(map[*shadowPage]bool)}
 	if _, err := vm.Run(p, vm.Options{Seed: 1, KnownLibs: cfg.KnownLibs, Instr: pr.Instrument(cfg),
 		Sink: tr, Decoded: pr.Decoded(cfg)}); err != nil {
@@ -186,20 +186,21 @@ func runDirty(t *testing.T, m parsec.Model, cfg Config, stats *dirtyStats) {
 }
 
 // followerReports runs the follow-up workloads — every PARSEC model under
-// the paper tools, plain and with the GC on — and renders each full
-// report, ShadowBytes and every counter included, one line per run.
+// the paper tools, at the default GC period and at dirtyGCPeriod — and
+// renders each full report, ShadowBytes and every counter included, one
+// line per run.
 func followerReports(t *testing.T) []string {
 	t.Helper()
 	var lines []string
 	for _, m := range parsec.Models() {
 		pr := Prepare(m.Build())
 		for _, cfg := range PaperTools(7) {
-			for _, opts := range []RunOpts{{}, {GCShadow: true, GCEvents: dirtyGCEvents}} {
+			for _, opts := range []RunOpts{{}, WithGCPeriod(RunOpts{}, dirtyGCPeriod)} {
 				rep, _, err := pr.Run(cfg, 1, opts)
 				if err != nil {
 					t.Fatalf("%s under %s: %v", m.Name, cfg.Name, err)
 				}
-				lines = append(lines, fmt.Sprintf("%s gc=%v %+v", m.Name, opts.GCShadow, *rep))
+				lines = append(lines, fmt.Sprintf("%s gc=%d %+v", m.Name, GCPeriodOf(opts), *rep))
 			}
 		}
 	}
@@ -274,7 +275,11 @@ func TestPagePoolConcurrentJobs(t *testing.T) {
 		pr := Prepare(m.Build())
 		for _, cfg := range dirtyConfigs() {
 			for seed := int64(1); seed <= 2; seed++ {
-				jobs = append(jobs, job{pr, cfg, seed, RunOpts{GCShadow: seed == 2, GCEvents: dirtyGCEvents}})
+				opts := RunOpts{}
+				if seed == 2 {
+					opts = WithGCPeriod(opts, dirtyGCPeriod)
+				}
+				jobs = append(jobs, job{pr, cfg, seed, opts})
 			}
 		}
 	}

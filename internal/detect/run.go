@@ -12,23 +12,18 @@ import (
 	"adhocrace/internal/vm"
 )
 
-// RunOpts selects the pipeline shape of one detector run. Every
-// combination produces byte-identical reports; the knobs trade wall-clock
-// time and memory only. Whether event production (the vm, or a trace
-// decoder in replay) overlaps with detection is not a knob: the run's
-// event.Segmented starts overlapping once the stream passes
-// event.OverlapThreshold events.
+// RunOpts carries a run's observers and controls: a warning callback, an
+// event tap, the stop signals, failpoints and observability. None of them
+// selects a pipeline shape or changes the report. Stream length picks the
+// shape: the run's event.Segmented starts overlapping event production
+// (the vm, or a trace decoder in replay) with detection once the stream
+// passes event.OverlapThreshold, and the detector runs a shadow-GC cycle
+// every GCPeriod events.
 type RunOpts struct {
-	// GCShadow enables the quiescence shadow-state GC (see gc.go): shadow
-	// words, read-sets, sync objects, and release histories dominated by
-	// every live thread's clock are retired during the run. Warnings stay
-	// byte-identical to the unbounded detector (the equivalence suite's
-	// bar); ShadowBytes and the representation counters reflect the
-	// retirement — that bounded footprint is the point.
+	// GCShadow is ignored: every detector runs the shadow GC.
+	//
+	// Deprecated: the GC is always armed (GCPeriod).
 	GCShadow bool
-	// GCEvents sets the GC cycle period in events (0 means
-	// DefaultGCEvents). Only meaningful with GCShadow.
-	GCEvents int64
 
 	// OnWarning, when set, observes every warning of the run exactly once,
 	// inline as the detector appends it — the server's incremental report
@@ -65,9 +60,11 @@ type RunOpts struct {
 	Obs *obs.Pipeline
 
 	// newPipeline, when set, builds the run's overlap pipeline in place
-	// of event.NewSegmented: the seam through which this package's tests
-	// force a pipeline shape (export_test.go).
+	// of event.NewSegmented, and gcPeriod, when non-zero, replaces
+	// GCPeriod: the seams through which this package's tests force a
+	// pipeline shape or a GC period (export_test.go).
 	newPipeline func(event.Sink) *event.Segmented
+	gcPeriod    int64
 }
 
 // Prepared is a workload compiled once and shared by many detector runs.
@@ -122,8 +119,8 @@ func (pr *Prepared) Decoded(cfg Config) *vm.Decoded {
 	}).(*vm.Decoded)
 }
 
-// Run executes the prepared workload under one tool configuration, seed,
-// and pipeline shape, feeding the event stream through a fresh detector.
+// Run executes the prepared workload under one tool configuration, seed
+// and opts, feeding the event stream through a fresh detector.
 // It is the one way to drive a detector live; ReplayTrace drives one from
 // a recording. A one-shot run is Prepare(p).Run(cfg, seed, RunOpts{}); a
 // caller counting events sets opts.Tap to an event.Counter.
@@ -144,9 +141,9 @@ func (pr *Prepared) Run(cfg Config, seed int64, opts RunOpts) (*Report, vm.Resul
 }
 
 // NewRun builds the detector for a run of the prepared workload under cfg
-// and the requested pipeline shape — shadow GC, observability,
-// failpoints, warning observer — and returns it with the sink the event
-// stream feeds: the detector itself, behind opts.Tap when one is set.
+// and opts — observability, failpoints, warning observer — and returns
+// it with the sink the event stream feeds: the detector itself, behind
+// opts.Tap when one is set.
 // The detector owns the run's overlap pipeline (event.NewSegmented): it
 // applies events on the producer's goroutine until the stream passes
 // event.OverlapThreshold, then hands them to the pipeline's consumer.
@@ -156,8 +153,8 @@ func (pr *Prepared) Run(cfg Config, seed int64, opts RunOpts) (*Report, vm.Resul
 // closes the detector, which stops the consumer if one started.
 func (pr *Prepared) NewRun(cfg Config, opts RunOpts) (d *Detector, sink event.Sink) {
 	d = New(cfg, pr.Instrument(cfg), pr.Prog)
-	if opts.GCShadow {
-		d.EnableShadowGC(opts.GCEvents)
+	if opts.gcPeriod != 0 {
+		d.gcEvery, d.nextGC = opts.gcPeriod, opts.gcPeriod
 	}
 	d.setObs(opts.Obs)
 	d.fault = opts.Fault

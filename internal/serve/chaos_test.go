@@ -22,9 +22,10 @@ import (
 	"adhocrace/internal/workloads/dataracetest"
 )
 
-// longStream is a workload whose run passes event.OverlapThreshold under
-// the spin preset (freqmine: about 93k events), so its sessions start the
-// segment pipeline and reach the segment-rotation failpoint.
+// longStream is a workload whose run passes event.OverlapThreshold and
+// detect.GCPeriod under the spin preset (freqmine: about 93k events), so
+// its sessions reach the GC-cycle failpoint, start the segment pipeline
+// and reach the segment-rotation failpoint.
 const longStream = "freqmine"
 
 // chaosCompare checks a fault-free session outcome byte-for-byte against
@@ -85,7 +86,7 @@ func TestChaosEachFailpoint(t *testing.T) {
 		{site: fault.DetectMerge, mode: fault.ModeError, wantErr: true, wantCode: serve.CodeInternal, wantPanicCounted: true},
 		{site: fault.DetectMerge, mode: fault.ModePanic, wantErr: true, wantCode: serve.CodeInternal, wantPanicCounted: true},
 		{site: fault.GCCycle, mode: fault.ModeError, wantErr: true, wantCode: serve.CodeInternal, wantPanicCounted: true,
-			prep: func(r *serve.SessionRequest) { r.GCEvents = 64 }},
+			prep: func(r *serve.SessionRequest) { r.Workload = longStream }},
 		{site: fault.CacheBuild, mode: fault.ModeError, wantErr: true, wantCode: serve.CodeInternal,
 			prep: func(r *serve.SessionRequest) { r.Workload = "synth:777" }},
 		{site: fault.ServeAccept, mode: fault.ModeError, wantErr: true, wantCode: serve.CodeInternal},
@@ -168,13 +169,14 @@ func TestChaosEachFailpoint(t *testing.T) {
 func TestChaosConformanceSweep(t *testing.T) {
 	checkLeaks := leakCheck(t)
 
-	stride, synths, streamRate, gcRate := 1, 8, int64(101), int64(101)
+	// GC cycles are the rarest stream-side evaluations: only the
+	// long-stream runs pass detect.GCPeriod, once each, about a dozen per
+	// full sweep. So that site gets the tightest rate in both matrices.
+	stride, synths, streamRate, gcRate := 1, 8, int64(101), int64(4)
 	if testing.Short() {
 		// The smoke matrix gives stream-side sites far fewer hits; scale
-		// their rates down so each still fires. GC cycles are the rarest
-		// stream-side evaluations (one per shadow-GC period), so that site
-		// gets the tightest rate.
-		stride, synths, streamRate, gcRate = 6, 4, 11, 2
+		// their rates down so each still fires.
+		stride, synths, streamRate = 6, 4, 11
 	}
 
 	// Rates tuned to each site's evaluation frequency, so every site
@@ -205,21 +207,22 @@ func TestChaosConformanceSweep(t *testing.T) {
 		}
 		req := serve.SessionRequest{
 			Workload: c.Name, Tool: confTools[ci%len(confTools)], Window: 7,
-			Seed: int64(1 + i%3), Repeat: 1, GCEvents: 256,
+			Seed: int64(1 + i%3), Repeat: 1,
 		}
 		jobs = append(jobs, req)
 		i++
 	}
-	// Big streams: synth jobs with a tiny GC period evaluate GC cycles, and
-	// long-stream jobs at the default period reach segment rotations (a
-	// tiny period would fault them at a GC cycle long before their stream
-	// passes the overlap threshold).
+	// Big streams: synth jobs, and two long-stream jobs per synth job.
+	// Long-stream runs pass detect.GCPeriod, and so reach the GC site,
+	// once each (at event 65,536), before their segment rotations; they
+	// are the sweep's only GC evaluations, hence two per synth job.
 	for s := 1; s <= synths; s++ {
 		jobs = append(jobs, serve.SessionRequest{
 			Workload: fmt.Sprintf("synth:%d", s), Tool: "spin", Seed: 1, Repeat: 2,
-			GCEvents: 64,
 		}, serve.SessionRequest{
 			Workload: longStream, Tool: "spin", Seed: int64(s), Repeat: 2,
+		}, serve.SessionRequest{
+			Workload: longStream, Tool: "spin", Seed: int64(synths + s), Repeat: 2,
 		})
 	}
 

@@ -19,7 +19,7 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
-	seed(FrameRequest, &SessionRequest{Workload: "synth:1", Tool: "spin", Repeat: 3, GCEvents: 64})
+	seed(FrameRequest, &SessionRequest{Workload: "synth:1", Tool: "spin", Repeat: 3})
 	seed(FrameAccepted, &Accepted{SessionID: 7, Workload: "synth:1", Config: "spin"})
 	seed(FrameWarning, &WireWarning{Run: 1, Kind: "ww"})
 	seed(FrameResult, &RunResult{Run: 0, Seed: 1, Last: true})

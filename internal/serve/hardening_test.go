@@ -168,6 +168,12 @@ func TestGarbageFrameIsolation(t *testing.T) {
 			[]byte(`{"workload":"synth:5","tool":"spin","segment_events":64}`)), accepted},
 		{"retired segment_events field out of its old range", frame(byte(serve.FrameRequest),
 			[]byte(`{"workload":"synth:5","tool":"spin","overlap":true,"segment_events":2097152}`)), accepted},
+		// The retired GC period: every detector cycles at detect.GCPeriod
+		// now, so the field is ignored, also beyond its old 1<<20 bound.
+		{"retired gc_events field", frame(byte(serve.FrameRequest),
+			[]byte(`{"workload":"synth:5","tool":"spin","gc_events":64}`)), accepted},
+		{"retired gc_events field out of its old range", frame(byte(serve.FrameRequest),
+			[]byte(`{"workload":"synth:5","tool":"spin","gc_events":2097152}`)), accepted},
 	}
 	for _, tc := range cases {
 		conn := ln.dial(t)

@@ -98,12 +98,11 @@ const (
 
 // SessionRequest opens a detection session: one workload under one tool
 // preset, run Repeat times with consecutive seeds on the server's engine.
-// The pipeline knobs mirror the racedetect CLI and detect.RunOpts; every
-// combination yields byte-identical reports, so they trade wall-clock and
-// memory only. Fields of retired knobs that older clients may still send
-// — overlap, segment_events, shards, adaptive_segments — are decoded and
-// ignored: each run overlaps detection with the vm once its stream is
-// long, whatever the request says.
+// It carries no pipeline knob. Fields of retired knobs that older clients
+// may still send — overlap, segment_events, shards, adaptive_segments and
+// the GC period — are decoded and ignored: each run overlaps detection with
+// the vm once its stream is long, and runs a shadow-GC cycle every
+// detect.GCPeriod events, whatever the request says.
 type SessionRequest struct {
 	// Workload names a registered workload (internal/workloads): a PARSEC
 	// model, a data-race-test case, or synth:<seed>.
@@ -117,10 +116,6 @@ type SessionRequest struct {
 	// Repeat runs seeds Seed..Seed+Repeat-1 in one session (default 1),
 	// sharing the compiled workload across runs.
 	Repeat int `json:"repeat,omitempty"`
-	// GCEvents overrides the quiescence shadow-GC cycle period in events
-	// (0 keeps detect.DefaultGCEvents). Only meaningful while the server
-	// runs with the GC enabled; reports are byte-identical at any period.
-	GCEvents int64 `json:"gc_events,omitempty"`
 }
 
 // Accepted acknowledges a valid request.

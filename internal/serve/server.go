@@ -24,7 +24,10 @@ import (
 )
 
 // Config parameterizes a Server. The zero value serves on a default TCP
-// address with library defaults for every knob.
+// address with library defaults for every knob. No field shapes a
+// session's pipeline: like every detector, a session's runs overlap once
+// their stream is long and run the shadow GC every detect.GCPeriod
+// events, which keeps a long-lived server's shadow state bounded.
 type Config struct {
 	// Network/Addr locate the protocol listener ("tcp" or "unix";
 	// default tcp 127.0.0.1:7334).
@@ -71,13 +74,6 @@ type Config struct {
 	// handle. Nil (the default, and the only production configuration
 	// unless -failpoints asks otherwise) keeps every site a nil-check.
 	Fault *fault.Registry
-
-	// DisableShadowGC turns off the quiescence shadow-state GC
-	// (detect.RunOpts.GCShadow) that sessions otherwise run with. The GC is
-	// on by default because a long-lived server is exactly the deployment
-	// whose shadow state must stay bounded; reports are byte-identical
-	// either way.
-	DisableShadowGC bool
 
 	// TraceDir, when non-empty, gives every session a span-recording
 	// observability pipeline and writes its Chrome trace-event JSON to
@@ -472,9 +468,6 @@ func normalize(req *SessionRequest) error {
 	}
 	if req.Repeat > 1_000_000 {
 		return fmt.Errorf("repeat %d out of range", req.Repeat)
-	}
-	if req.GCEvents < 0 || req.GCEvents > 1<<20 {
-		return fmt.Errorf("gc period %d out of range", req.GCEvents)
 	}
 	return nil
 }

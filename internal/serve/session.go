@@ -268,8 +268,6 @@ func (ss *session) run() {
 	ss.obs.Add(obs.CtrSessions, 1)
 	run := 0
 	opts := detect.RunOpts{
-		GCShadow:  !ss.srv.cfg.DisableShadowGC,
-		GCEvents:  ss.req.GCEvents,
 		Fault:     ss.srv.cfg.Fault,
 		Obs:       ss.obs,
 		Tap:       &ss.tap,

@@ -49,8 +49,10 @@ type LongTraceOpts struct {
 	MaxSteps int64
 	// Cfg is the tool configuration (zero Name means HelgrindPlusLib).
 	Cfg detect.Config
-	// Opts is the pipeline shape of the one detector every window feeds,
-	// with the same meaning as in detect.Prepared.Run.
+	// Opts are the run options of the one detector every window feeds, as
+	// in detect.Prepared.Run. Like every detector it runs a shadow-GC
+	// cycle every detect.GCPeriod events, about every two and a half
+	// windows at the default shape.
 	Opts detect.RunOpts
 	// OnWindow, when set, observes the cumulative report after each
 	// window — the soak tests' sampling hook.
@@ -134,7 +136,7 @@ func buildLongTraceProgram(o LongTraceOpts) *ir.Program {
 // LongTrace streams Windows replays of the seeded churn workload through
 // one persistent detector and returns the cumulative report. The window
 // scheduling seeds derive from seed deterministically, so two LongTrace
-// calls differing only in GC knobs see byte-identical event streams.
+// calls differing only in Opts see byte-identical event streams.
 // The detector and its pipeline come from detect.Prepared.NewRun, as for
 // any other run, so the stream overlaps with detection once it is long.
 func LongTrace(seed int64, o LongTraceOpts) (*detect.Report, error) {

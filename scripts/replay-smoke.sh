@@ -3,10 +3,11 @@
 #
 # Records one workload's trace, replays it through racedetect, and asserts
 # the replayed report's fingerprint equals the live run's for the same
-# workload, tool and seed — once plain and once with the shadow GC. Then
-# does the same for a workload whose stream passes the overlap threshold
-# (event.OverlapThreshold), so the replay and the live run both switch to
-# the overlapped pipeline mid-stream. Cheap enough for every CI run.
+# workload, tool and seed. Then does the same for a workload whose stream
+# passes the overlap threshold (event.OverlapThreshold) and the shadow-GC
+# period (detect.GCPeriod), so the replay and the live run both switch to
+# the overlapped pipeline mid-stream and cross a GC cycle; the live run's
+# -stats must show that cycle. Cheap enough for every CI run.
 #
 # Usage: [GO=go] [WORKLOAD=adhoc_spin11_b7_atomic_long] [LONG_WORKLOAD=freqmine] [TOOL=spin] replay-smoke.sh
 set -eu
@@ -19,18 +20,14 @@ trap 'rm -rf "$tmp"' EXIT
 
 "$GO" build -o "$tmp/racedetect" ./cmd/racedetect
 
-fp() {
-	"$tmp/racedetect" "$@" -fingerprint | sed -n 's/^fingerprint=//p'
-}
-
-# check WORKLOAD MODE [KNOBS...]: the replay of WORKLOAD's trace must
-# fingerprint like its live run under the same knobs.
+# check WORKLOAD MODE: the replay of WORKLOAD's trace must fingerprint
+# like its live run, whose -stats output is left in $tmp/$WORKLOAD.live.
 check() {
 	w="$1"
 	mode="$2"
-	shift 2
-	live="$(fp -w "$w" -tool "$tool" -seed 1 "$@")"
-	replay="$(fp -replay "$tmp/$w.trace" "$@")"
+	"$tmp/racedetect" -w "$w" -tool "$tool" -seed 1 -stats -fingerprint >"$tmp/$w.live"
+	live="$(sed -n 's/^fingerprint=//p' "$tmp/$w.live")"
+	replay="$("$tmp/racedetect" -replay "$tmp/$w.trace" -fingerprint | sed -n 's/^fingerprint=//p')"
 	if [ -z "$live" ]; then
 		echo "replay-smoke: no fingerprint from the live $w $mode run" >&2
 		exit 1
@@ -47,6 +44,9 @@ for w in "$workload" "$long"; do
 done
 
 check "$workload" plain
-# The GC variant cycles every 64 events so even a short run retires state.
-check "$workload" gc -gc-shadow -gc-events 64
-check "$long" "long stream, overlapped"
+check "$long" "long stream, overlapped, GC"
+if ! grep -q 'shadow-gc cycles [1-9]' "$tmp/$long.live"; then
+	echo "replay-smoke: FAIL ($long): the live run ran no shadow-GC cycle" >&2
+	exit 1
+fi
+echo "replay-smoke: ok — the live $long run crossed a shadow-GC cycle"

@@ -2,8 +2,8 @@
 # trace-smoke.sh — the observability layer's end-to-end gate.
 #
 # Runs a workload whose stream passes the overlap threshold
-# (event.OverlapThreshold) through racedetect with -trace and the shadow
-# GC on a short cycle period, so every pipeline stage actually executes,
+# (event.OverlapThreshold) and the shadow-GC period (detect.GCPeriod)
+# through racedetect with -trace, so every pipeline stage actually executes,
 # then validates the emitted Chrome trace-event JSON with cmd/tracecheck:
 # the file must parse and carry at least one event on every pipeline stage
 # track — vm quanta, segment pipeline, report merge, and a GC cycle.
@@ -16,9 +16,7 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 trace="$tmp/trace.json"
 
-"${GO:-go}" run ./cmd/racedetect \
-	-w "$w" -gc-shadow -gc-events 4096 \
-	-trace "$trace"
+"${GO:-go}" run ./cmd/racedetect -w "$w" -trace "$trace"
 
 "${GO:-go}" run ./cmd/tracecheck \
 	-require 'vm,pipeline,merge,gc' "$trace"
