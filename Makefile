@@ -47,7 +47,8 @@ bench-compare:
 
 # Record/replay determinism gate: a recorded trace replayed through
 # racedetect must print the live run's fingerprint, plain, with the
-# shadow GC, and on a stream long enough to start the overlap. See
+# shadow GC, and on a stream long enough to start the overlap; the
+# committed sparse-spawn trace must be rejected with exit 1. See
 # scripts/replay-smoke.sh.
 replay-smoke:
 	GO=$(GO) sh scripts/replay-smoke.sh
@@ -57,13 +58,17 @@ replay-smoke:
 # engine's workers) scored against the synthesis engine's ground-truth
 # oracle; fails on any oracle-vs-spin disagreement — plus 10s of
 # coverage-guided fuzzing over the binary trace decoder (no panics,
-# bounded allocation on corrupt headers). Detection of synth programs
+# bounded allocation on corrupt headers) and 10s over decoding and
+# detection together under every paper preset (FuzzReplayTrace: no
+# panics, allocation bounded by the stream's length and the replay
+# thread bound; its seed corpus runs in `make test`). Detection of synth programs
 # with overlap forced from the first event is gated by
 # TestPipelineDeterminismSynth and the golden fingerprints
 # (internal/detect). See cmd/racefuzz and
 # docs/ARCHITECTURE.md.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTraceDecode -fuzztime 10s ./internal/event/
+	$(GO) test -run '^$$' -fuzz FuzzReplayTrace -fuzztime 10s ./internal/detect/
 	$(GO) run ./cmd/racefuzz -n 200 -strict
 
 fmt-check:

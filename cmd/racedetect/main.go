@@ -64,7 +64,6 @@ import (
 	"adhocrace/internal/ir"
 	"adhocrace/internal/obs"
 	"adhocrace/internal/sched"
-	"adhocrace/internal/serve"
 	"adhocrace/internal/workloads"
 )
 
@@ -100,7 +99,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg, err := serve.ToolConfig(*tool, *window)
+	cfg, err := detect.Preset(*tool, *window)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "racedetect: %v\n", err)
 		os.Exit(2)
@@ -216,7 +215,7 @@ func runReplay(path string, fingerprint, verbose bool) error {
 	if !ok {
 		return fmt.Errorf("trace workload %q not in the registry (recorded elsewhere?)", meta.Workload)
 	}
-	cfg, err := serve.ToolConfig(meta.Tool, meta.Window)
+	cfg, err := detect.Preset(meta.Tool, meta.Window)
 	if err != nil {
 		return fmt.Errorf("trace tool: %w", err)
 	}

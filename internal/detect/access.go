@@ -84,30 +84,29 @@ func (d *Detector) maybeReport(ev *event.Event, idx int64, w *shadowWord, isWrit
 		if d.adhoc.IsSyncVar(ev.Addr, ev.Sym) {
 			return
 		}
-	} else if d.cfg.AtomicSuppression && w.atomicEver {
+	} else if d.cfg.Tool == HelgrindPlus && w.atomicEver {
+		// Helgrind+ without the spin feature: the atomic sync-variable
+		// heuristic.
 		return
 	}
-	// Bounded history (DRD segment recycling).
-	if d.cfg.HistoryWindow > 0 && otherEvent >= 0 && idx-otherEvent > d.cfg.HistoryWindow {
-		return
-	}
-	// Long-run MSM: arm on first observation, report on second.
-	if d.cfg.LongRunMSM && !w.suspected {
-		w.suspected = true
-		return
-	}
-	// Deduplication.
-	if d.cfg.DedupPerAddr {
-		if w.reported {
+	if d.cfg.Tool == DRDTool {
+		// DRD recycles old segments, so far-apart accesses no longer
+		// pair (bounded history), and reports each (address, site) pair
+		// once.
+		if otherEvent >= 0 && idx-otherEvent > drdHistory {
 			return
 		}
-		w.reported = true
-	} else {
 		k := siteKey{ev.Addr, ev.Loc}
 		if d.reportedSite[k] {
 			return
 		}
 		d.reportedSite[k] = true
+	} else {
+		// Helgrind+ reports the first racy context per address.
+		if w.reported {
+			return
+		}
+		w.reported = true
 	}
 	// Warnings are rare; only here do the interned ids become strings.
 	tab := d.adhoc.Table()

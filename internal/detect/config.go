@@ -22,20 +22,26 @@ import (
 // Tool selects the detection algorithm.
 type Tool uint8
 
-// Tools.
+// Tools. Each tool fixes its own detection policy; no Config field
+// restates it.
 const (
 	// HelgrindPlus is the hybrid detector: vector-clock happens-before
-	// race checking with Eraser lockset classification, per-address
-	// report deduplication, unlimited access history, and — configurably —
-	// the spin-loop feature.
+	// race checking with Eraser lockset classification, the first racy
+	// context per address reported, unlimited access history, and the
+	// spin-loop feature when SpinWindow > 0. With the spin feature off it
+	// suppresses reports on any address ever accessed atomically, the
+	// coarse sync-variable heuristic that the spin feature replaces with
+	// exact spin-confirmed classification.
 	HelgrindPlus Tool = iota
-	// DRDTool is the pure happens-before baseline: per-access-site report
-	// granularity, a bounded segment history (old accesses are recycled
-	// and can no longer pair into races), atomic accesses excluded from
-	// race checking, and no barrier awareness.
+	// DRDTool is the pure happens-before baseline: every (address,
+	// access site) pair reported once, a bounded segment history (two
+	// accesses more than drdHistory events apart never pair into a race),
+	// atomic accesses excluded from race checking, and no barrier
+	// awareness (barrier waits create no happens-before edges).
 	DRDTool
-	// EraserTool is the classic lockset-only detector (test reference;
-	// not part of the paper's tables).
+	// EraserTool is the classic lockset-only detector, reporting the
+	// first lockset violation per address (test reference; not part of
+	// the paper's tables).
 	EraserTool
 )
 
@@ -59,34 +65,9 @@ type Config struct {
 	// KnownLibs is the set of library tags whose calls are intercepted:
 	// their internals are hidden and replaced by semantic sync events.
 	KnownLibs map[ir.LibTag]bool
-	// SyncSupport lists the semantic sync kinds the detector turns into
-	// happens-before edges. Nil means all kinds. DRD famously lacks
-	// barrier support.
-	SyncSupport map[ir.SyncKind]bool
 	// SpinWindow is the basic-block window of the spin-loop
 	// instrumentation; 0 disables the feature.
 	SpinWindow int
-	// AtomicSuppression, when true (Helgrind+ with the spin feature off),
-	// suppresses race reports on any address that has ever been accessed
-	// atomically — the coarse sync-variable heuristic the spin feature
-	// replaces with exact spin-confirmed classification.
-	AtomicSuppression bool
-	// AtomicsInvisible, when true (DRD), excludes atomic accesses from
-	// race checking entirely.
-	AtomicsInvisible bool
-	// HistoryWindow bounds, in events, how far apart two accesses may be
-	// and still be paired into a race report; 0 means unlimited. Models
-	// DRD's segment recycling.
-	HistoryWindow int64
-	// DedupPerAddr, when true (Helgrind+), reports only the first racy
-	// context per address; otherwise every (address, location) pair
-	// reports once (DRD).
-	DedupPerAddr bool
-	// LongRunMSM, when true, uses the long-running-application memory
-	// state machine: the first racy observation on an address is only
-	// recorded as suspicion; a second racy observation reports. Less
-	// sensitive, fewer false positives (integration-testing mode).
-	LongRunMSM bool
 	// InferLocks enables the paper's future-work extension: identify lock
 	// words (conditions of CAS-acquire spin loops) so that fast-path
 	// acquires outside the loop also synchronize. Improves the accuracy
@@ -94,9 +75,9 @@ type Config struct {
 	InferLocks bool
 }
 
-// drdHistoryWindow is the event-distance budget modeling DRD's segment
+// drdHistory is the event-distance budget modeling DRD's segment
 // recycling.
-const drdHistoryWindow = 2000
+const drdHistory = 2000
 
 func pthreadGlib() map[ir.LibTag]bool {
 	return map[ir.LibTag]bool{ir.LibPthread: true, ir.LibGlib: true}
@@ -106,11 +87,9 @@ func pthreadGlib() map[ir.LibTag]bool {
 // GLIB interception, no spin detection, atomic sync-variable heuristic.
 func HelgrindPlusLib() Config {
 	return Config{
-		Name:              "Helgrind+ lib",
-		Tool:              HelgrindPlus,
-		KnownLibs:         pthreadGlib(),
-		AtomicSuppression: true,
-		DedupPerAddr:      true,
+		Name:      "Helgrind+ lib",
+		Tool:      HelgrindPlus,
+		KnownLibs: pthreadGlib(),
 	}
 }
 
@@ -118,11 +97,10 @@ func HelgrindPlusLib() Config {
 // spin-loop feature with basic-block window k.
 func HelgrindPlusLibSpin(window int) Config {
 	return Config{
-		Name:         sprintfCfg("Helgrind+ lib+spin(%d)", window),
-		Tool:         HelgrindPlus,
-		KnownLibs:    pthreadGlib(),
-		SpinWindow:   window,
-		DedupPerAddr: true,
+		Name:       fmt.Sprintf("Helgrind+ lib+spin(%d)", window),
+		Tool:       HelgrindPlus,
+		KnownLibs:  pthreadGlib(),
+		SpinWindow: window,
 	}
 }
 
@@ -130,11 +108,10 @@ func HelgrindPlusLibSpin(window int) Config {
 // detector — no library knowledge at all, spin detection only.
 func HelgrindPlusNolibSpin(window int) Config {
 	return Config{
-		Name:         sprintfCfg("Helgrind+ nolib+spin(%d)", window),
-		Tool:         HelgrindPlus,
-		KnownLibs:    map[ir.LibTag]bool{},
-		SpinWindow:   window,
-		DedupPerAddr: true,
+		Name:       fmt.Sprintf("Helgrind+ nolib+spin(%d)", window),
+		Tool:       HelgrindPlus,
+		KnownLibs:  map[ir.LibTag]bool{},
+		SpinWindow: window,
 	}
 }
 
@@ -142,38 +119,26 @@ func HelgrindPlusNolibSpin(window int) Config {
 // future-work extension enabled: lock-operation identification.
 func HelgrindPlusNolibSpinLocks(window int) Config {
 	cfg := HelgrindPlusNolibSpin(window)
-	cfg.Name = sprintfCfg("Helgrind+ nolib+spin(%d)+locks", window)
+	cfg.Name = fmt.Sprintf("Helgrind+ nolib+spin(%d)+locks", window)
 	cfg.InferLocks = true
 	return cfg
 }
 
 // DRD is the paper's comparison baseline.
 func DRD() Config {
-	sup := map[ir.SyncKind]bool{
-		ir.SyncMutexLock: true, ir.SyncMutexUnlock: true,
-		ir.SyncCondSignal: true, ir.SyncCondWait: true,
-		ir.SyncSemPost: true, ir.SyncSemWait: true,
-		ir.SyncRWLockRd: true, ir.SyncRWLockWr: true, ir.SyncRWUnlock: true,
-		ir.SyncOnceEnter: true, ir.SyncQueuePut: true, ir.SyncQueueGet: true,
-		// SyncBarrierWait deliberately absent: DRD has no barrier model.
-	}
 	return Config{
-		Name:             "DRD",
-		Tool:             DRDTool,
-		KnownLibs:        map[ir.LibTag]bool{ir.LibPthread: true},
-		SyncSupport:      sup,
-		AtomicsInvisible: true,
-		HistoryWindow:    drdHistoryWindow,
+		Name:      "DRD",
+		Tool:      DRDTool,
+		KnownLibs: map[ir.LibTag]bool{ir.LibPthread: true},
 	}
 }
 
 // Eraser is the pure lockset reference detector.
 func Eraser() Config {
 	return Config{
-		Name:         "Eraser",
-		Tool:         EraserTool,
-		KnownLibs:    pthreadGlib(),
-		DedupPerAddr: true,
+		Name:      "Eraser",
+		Tool:      EraserTool,
+		KnownLibs: pthreadGlib(),
 	}
 }
 
@@ -188,17 +153,42 @@ func PaperTools(window int) []Config {
 	}
 }
 
-func sprintfCfg(format string, a ...any) string {
-	return fmt.Sprintf(format, a...)
+// maxWindow bounds the spin window Preset accepts.
+const maxWindow = 1024
+
+// Preset resolves a short tool name to its configuration: the one tool
+// vocabulary of racedetect's -tool flag, the server's session requests
+// and the differential fuzzer. window parameterizes the spin presets;
+// window <= 0 uses the paper's window of 7, and a window past 1024 is an
+// error.
+func Preset(tool string, window int) (Config, error) {
+	if window <= 0 {
+		window = 7
+	}
+	if window > maxWindow {
+		return Config{}, fmt.Errorf("detect: spin window %d out of range", window)
+	}
+	switch tool {
+	case "lib":
+		return HelgrindPlusLib(), nil
+	case "spin", "":
+		return HelgrindPlusLibSpin(window), nil
+	case "nolib":
+		return HelgrindPlusNolibSpin(window), nil
+	case "nolib+locks":
+		return HelgrindPlusNolibSpinLocks(window), nil
+	case "drd":
+		return DRD(), nil
+	case "eraser":
+		return Eraser(), nil
+	}
+	return Config{}, fmt.Errorf("unknown tool %q (want lib, spin, nolib, nolib+locks, drd, eraser)", tool)
 }
 
 // supportsSync reports whether the configuration turns the given sync kind
-// into happens-before edges.
+// into happens-before edges: every kind but DRD's barrier waits.
 func (c *Config) supportsSync(k ir.SyncKind) bool {
-	if c.SyncSupport == nil {
-		return true
-	}
-	return c.SyncSupport[k]
+	return c.Tool != DRDTool || k != ir.SyncBarrierWait
 }
 
 // Instrument runs the instrumentation phase of the configuration over a

@@ -184,9 +184,6 @@ type shadowWord struct {
 	// atomicEver marks addresses ever accessed atomically (the Helgrind+
 	// lib sync-variable heuristic).
 	atomicEver bool
-	// suspected supports the long-run MSM: first racy observation arms
-	// it, the second reports.
-	suspected bool
 	// reported supports per-address deduplication.
 	reported bool
 }
@@ -386,7 +383,7 @@ func (a *applier) Handle(ev *event.Event) {
 }
 
 func (d *Detector) onAccess(ev *event.Event) {
-	if d.cfg.Tool == DRDTool && d.cfg.AtomicsInvisible && ev.Kind.IsAtomic() {
+	if d.cfg.Tool == DRDTool && ev.Kind.IsAtomic() {
 		// DRD excludes atomic accesses from race checking entirely; they
 		// neither race nor pair against plain accesses.
 		return

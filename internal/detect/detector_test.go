@@ -138,73 +138,7 @@ func TestMixedAtomicPlainIsARace(t *testing.T) {
 	}
 }
 
-func TestLongRunMSMNeedsSecondObservation(t *testing.T) {
-	// A single conflicting access pair: one store vs one load. The
-	// long-run MSM arms on the only racy observation and stays silent.
-	single := func() *ir.Program {
-		b := ir.NewBuilder("single-pair")
-		x := b.Global("X")
-		w := b.Func("w", 0)
-		w.SetLoc("w.c", 10)
-		one := w.Const(1)
-		w.StoreAddr(x, one)
-		w.Ret(ir.NoReg)
-		r := b.Func("r", 0)
-		r.SetLoc("r.c", 10)
-		_ = r.LoadAddr(x)
-		r.Ret(ir.NoReg)
-		m := b.Func("main", 0)
-		t1 := m.Spawn("w")
-		t2 := m.Spawn("r")
-		m.Join(t1)
-		m.Join(t2)
-		m.Ret(ir.NoReg)
-		return b.MustBuild()
-	}
-	cfg := HelgrindPlusLibSpin(7)
-	cfg.LongRunMSM = true
-	cfg.Name = "Helgrind+ long-run"
-	rep := mustRun(t, single(), cfg, 1)
-	if rep.HasWarnings() {
-		t.Errorf("long-run MSM reported on first observation: %v", rep.Warnings)
-	}
-
-	// A program where the racy pair recurs must still be caught.
-	b := ir.NewBuilder("repeat-racy")
-	x := b.Global("X")
-	for _, name := range []string{"a", "b"} {
-		f := b.Func(name, 0)
-		f.SetLoc(name+".c", 10)
-		one := f.Const(1)
-		for k := 0; k < 4; k++ {
-			v := f.LoadAddr(x)
-			f.StoreAddr(x, f.Add(v, one))
-		}
-		f.Ret(ir.NoReg)
-	}
-	m := b.Func("main", 0)
-	t1 := m.Spawn("a")
-	t2 := m.Spawn("b")
-	m.Join(t1)
-	m.Join(t2)
-	m.Ret(ir.NoReg)
-	p2, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for seed := int64(1); seed <= 5; seed++ {
-		if mustRun(t, p2, cfg, seed).HasWarnings() {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Error("long-run MSM never reported a recurring race")
-	}
-}
-
-func TestHistoryWindowDropsFarPairs(t *testing.T) {
+func TestDRDHistoryDropsFarPairs(t *testing.T) {
 	// Writer touches X, grinds a long private delay; reader touches X
 	// afterwards. Unlimited history catches it; a small window does not.
 	b := ir.NewBuilder("window")
@@ -371,9 +305,6 @@ func TestConfigPresetNames(t *testing.T) {
 	}
 	if HelgrindPlusLib().SpinWindow != 0 {
 		t.Error("lib preset must disable the spin feature")
-	}
-	if !DRD().AtomicsInvisible || DRD().HistoryWindow == 0 {
-		t.Error("DRD preset must bound history and skip atomics")
 	}
 	drd := DRD()
 	if drd.supportsSync(ir.SyncBarrierWait) {

@@ -26,11 +26,11 @@ package detect
 // epoch against one component of the accessor's clock — exactly the
 // per-component test wm bounds). Retiring the word — zeroing it and
 // recycling its read-sets through readSetPool — is output-invisible, with
-// two carve-outs. The sticky flags (atomicEver, suspected, reported) gate
+// two carve-outs. The sticky flags (atomicEver, reported) gate
 // *suppression*, not ordering, and forgetting them could resurrect a
-// deduplicated warning or rewind the long-run state machine. Under Eraser
-// the word's lockset state *is* the report, and the happens-before
-// watermark says nothing about it.
+// suppressed or deduplicated warning. Under Eraser the word's lockset
+// state *is* the report, and the happens-before watermark says nothing
+// about it.
 // Both are parked in a per-page side table (retiredFlags) and restored when
 // the word is next touched, so the precision delta of the GC is exactly
 // zero — which TestShadowGCEquivalence* holds corpus-wide and
@@ -117,11 +117,11 @@ func (d *Detector) collect(wm *vc.Clock) {
 			if !w.reads.orderedBefore(wm) || !w.readsAtomic.orderedBefore(wm) {
 				continue
 			}
-			if w.atomicEver || w.suspected || w.reported {
+			if w.atomicEver || w.reported {
 				if rf == nil {
 					rf = d.shadow.retiredOf(key)
 				}
-				rf.set(i, w.atomicEver, w.suspected, w.reported)
+				rf.set(i, w.atomicEver, w.reported)
 			}
 			if eraser && w.ls.State() != lockset.Virgin {
 				if rf == nil {
@@ -152,7 +152,6 @@ func (d *Detector) collect(wm *vc.Clock) {
 // state — restored on the word's next touch.
 type retiredFlags struct {
 	atomicEver [pageWords / 64]uint64
-	suspected  [pageWords / 64]uint64
 	reported   [pageWords / 64]uint64
 	// flagged marks a table whose bitmaps hold a flag; shadowMem.bytes
 	// charges the bitmaps only then.
@@ -162,14 +161,11 @@ type retiredFlags struct {
 	locks *[pageWords]lockset.Var
 }
 
-func (rf *retiredFlags) set(i int, atomicEver, suspected, reported bool) {
+func (rf *retiredFlags) set(i int, atomicEver, reported bool) {
 	rf.flagged = true
 	bit := uint64(1) << (uint(i) & 63)
 	if atomicEver {
 		rf.atomicEver[i>>6] |= bit
-	}
-	if suspected {
-		rf.suspected[i>>6] |= bit
 	}
 	if reported {
 		rf.reported[i>>6] |= bit
@@ -189,7 +185,6 @@ func (rf *retiredFlags) park(i int, ls lockset.Var) {
 func (rf *retiredFlags) restore(i int, w *shadowWord) {
 	bit := uint64(1) << (uint(i) & 63)
 	w.atomicEver = rf.atomicEver[i>>6]&bit != 0
-	w.suspected = rf.suspected[i>>6]&bit != 0
 	w.reported = rf.reported[i>>6]&bit != 0
 	if rf.locks != nil {
 		w.ls = rf.locks[i]
@@ -197,12 +192,12 @@ func (rf *retiredFlags) restore(i int, w *shadowWord) {
 	}
 }
 
-// bytes is the table's charge in the memory figure: the three bitmaps and
+// bytes is the table's charge in the memory figure: the two bitmaps and
 // their map entry once a flag is set, plus every parked lockset state.
 func (rf *retiredFlags) bytes() int64 {
 	var n int64
 	if rf.flagged {
-		n = 3*(pageWords/8) + 48
+		n = 2*(pageWords/8) + 48
 	}
 	if rf.locks != nil {
 		for i := range rf.locks {

@@ -85,7 +85,6 @@ func TestGCPreservesStickyFlags(t *testing.T) {
 	if !w.atomicEver {
 		t.Fatalf("atomic access must set atomicEver")
 	}
-	w.suspected = true
 	w.reported = true
 
 	s.collect(gcClock(map[int]uint64{0: 9, 1: 9}))
@@ -93,9 +92,9 @@ func TestGCPreservesStickyFlags(t *testing.T) {
 		t.Fatalf("flagged dominated word not retired")
 	}
 	w = s.shadow.word(0x40)
-	if !w.atomicEver || !w.suspected || !w.reported {
-		t.Errorf("sticky flags lost across retirement: atomicEver=%v suspected=%v reported=%v",
-			w.atomicEver, w.suspected, w.reported)
+	if !w.atomicEver || !w.reported {
+		t.Errorf("sticky flags lost across retirement: atomicEver=%v reported=%v",
+			w.atomicEver, w.reported)
 	}
 	// The bitmap side table is charged, so accounting still round-trips
 	// (word cost + one retired-flags page entry).

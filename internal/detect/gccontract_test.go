@@ -1,7 +1,7 @@
 // Shadow-GC precision contract: the named cases below are exactly the
 // places where retiring a dominated shadow word could change what the
 // detector reports — per-address deduplication, atomic-ever suppression,
-// long-run MSM arming, DRD's bounded history, and Eraser's reported bit.
+// DRD's bounded history, and Eraser's reported bit.
 // Each case replays a two-phase spawn-join program racing on one address,
 // with the GC cycling every event so the word is provably retired between
 // the phases, and pins the exact warning count plus byte-identical
@@ -76,10 +76,6 @@ func buildPhasedRace(phases []gcPhase) *ir.Program {
 }
 
 func TestShadowGCPrecisionContract(t *testing.T) {
-	longRun := detect.HelgrindPlusLib()
-	longRun.Name = "helgrind+lib+longrun"
-	longRun.LongRunMSM = true
-
 	cases := []struct {
 		name   string
 		cfg    detect.Config
@@ -95,11 +91,6 @@ func TestShadowGCPrecisionContract(t *testing.T) {
 		// if the brand survives retirement.
 		{"atomic-suppression", detect.HelgrindPlusLib(),
 			[]gcPhase{{race: true, atomic: true}, {race: true}}, 0},
-		// Long-run MSM: phase 1's race arms the suspected bit silently;
-		// phase 2's race reports only if the arming survives retirement —
-		// a lost bit would re-arm and report nothing.
-		{"longrun-arming", longRun,
-			[]gcPhase{{race: true}, {race: true}}, 1},
 		// DRD bounded history: phase 1 is race-free (and retired); phase
 		// 2's conflicting pair is padded past the 2000-event window, so
 		// the unbounded detector suppresses it too.

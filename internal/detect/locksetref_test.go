@@ -181,10 +181,10 @@ func checkLocksetState(d *Detector, ref *refLockset) error {
 	for _, rf := range d.shadow.retired {
 		var bits uint64
 		for j := range rf.atomicEver {
-			bits |= rf.atomicEver[j] | rf.suspected[j] | rf.reported[j]
+			bits |= rf.atomicEver[j] | rf.reported[j]
 		}
 		if bits != 0 {
-			want += 3*(pageWords/8) + 48
+			want += 2*(pageWords/8) + 48
 		}
 	}
 	if got := d.shadowBytes(); got != want {

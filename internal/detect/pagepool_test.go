@@ -28,14 +28,10 @@ import (
 const poolFreshEnv = "DETECT_POOL_FRESH_PROCESS"
 
 // dirtyConfigs are the presets the dirtying runs use: between them they
-// promote read-sets, set atomicEver (every preset), reported (per-address
-// dedup) and suspected (the long-run state machine, which no preset
-// enables).
+// promote read-sets and set atomicEver (every preset) and reported
+// (Helgrind+'s per-address dedup).
 func dirtyConfigs() []Config {
-	msm := HelgrindPlusLib()
-	msm.Name += " long-run"
-	msm.LongRunMSM = true
-	return []Config{HelgrindPlusLib(), HelgrindPlusLibSpin(7), DRD(), msm}
+	return []Config{HelgrindPlusLib(), HelgrindPlusLibSpin(7), DRD()}
 }
 
 // dirtyModels are racy PARSEC models: warnings, atomics and concurrent
@@ -108,7 +104,7 @@ func checkZeroPage(t *testing.T, what string, pg *shadowPage) {
 // the sets a later run held that came from there.
 type dirtyStats struct {
 	promotions, retired, pagesFreed int64
-	atomicEver, suspected, reported int
+	atomicEver, reported            int
 	released                        map[*readSet]bool
 	recycled                        int
 }
@@ -124,9 +120,6 @@ func (s *dirtyStats) observePages(d *Detector) {
 			}
 			if w.atomicEver {
 				s.atomicEver++
-			}
-			if w.suspected {
-				s.suspected++
 			}
 			if w.reported {
 				s.reported++
@@ -228,9 +221,9 @@ func TestRecycledPagesMatchFreshProcess(t *testing.T) {
 	// The dirtying must have exercised every kind of word state, and a
 	// later run must have promoted into a set an earlier one released.
 	if stats.promotions == 0 || stats.retired == 0 || stats.pagesFreed == 0 ||
-		stats.atomicEver == 0 || stats.suspected == 0 || stats.reported == 0 || stats.recycled == 0 {
-		t.Fatalf("dirtying runs left too little state: promotions %d, retired %d, pages freed %d, atomicEver %d, suspected %d, reported %d, recycled sets %d",
-			stats.promotions, stats.retired, stats.pagesFreed, stats.atomicEver, stats.suspected, stats.reported, stats.recycled)
+		stats.atomicEver == 0 || stats.reported == 0 || stats.recycled == 0 {
+		t.Fatalf("dirtying runs left too little state: promotions %d, retired %d, pages freed %d, atomicEver %d, reported %d, recycled sets %d",
+			stats.promotions, stats.retired, stats.pagesFreed, stats.atomicEver, stats.reported, stats.recycled)
 	}
 
 	t.Logf("dirtying: %d promotions, %d read-sets recycled from an earlier run", stats.promotions, stats.recycled)

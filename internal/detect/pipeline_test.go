@@ -114,11 +114,14 @@ func TestPipelineDeterminismSynth(t *testing.T) {
 	if testing.Short() {
 		seeds = 8
 	}
-	cfgs := synth.PresetConfigs(7)
 	for seed := int64(1); seed <= seeds; seed++ {
 		build := func() *ir.Program { return synth.Generate(seed, synth.Options{}).Prog }
 		for _, preset := range synth.PresetNames {
-			checkPipelineDeterminism(t, build, fmt.Sprintf("synth_%d", seed), cfgs[preset], 1)
+			cfg, err := detect.Preset(preset, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPipelineDeterminism(t, build, fmt.Sprintf("synth_%d", seed), cfg, 1)
 		}
 	}
 }

@@ -155,7 +155,7 @@ func (s *shadowMem) word(addr int64) *shadowWord {
 // is charged the seed's per-variable cost (lockset.Var.Bytes), so the
 // figure matches the map-keyed tracker the state used to live in.
 func (s *shadowMem) bytes() int64 {
-	// Retired-flag bitmaps are real residency and are charged (3 bitmaps
+	// Retired-flag bitmaps are real residency and are charged (2 bitmaps
 	// of pageWords bits plus the map entry), so retirement accounting
 	// round-trips honestly: allocate → retire → reallocate returns to the
 	// same figure.

@@ -55,6 +55,14 @@ const (
 	maxTid = 1 << 30
 )
 
+// MaxReplayThreads bounds the threads of one replayed stream, thread 0
+// included. A detector's vector clocks cost O(threads²) entries however
+// the ids arrive, so the bound is what caps a hostile trace's memory. The
+// largest registered workload reaches 49 threads (x264) and a 500-phase
+// synth.LongTrace window 1,001. At the bound, a replay of 1,023 dense
+// spawns allocates about 4.6 MB.
+const MaxReplayThreads = 1 << 10
+
 // Trace decode errors, distinguishable by errors.Is.
 var (
 	// ErrTraceMagic: the input does not start with a trace header.
@@ -627,9 +635,16 @@ func (t *TraceReader) readSpinRead(ev *Event) error {
 // way the vm does, and returns the events delivered. One Event is reused
 // for every Handle call, so the sink must not retain the pointer — the
 // standard Sink contract.
+//
+// Replay holds the stream to what a vm run can emit, from its first event
+// on, before the sink sees an event: thread ids are dense (a spawn's
+// child is the next unused id, at most MaxReplayThreads in all), and every
+// event's thread, and a join's child, was spawned before (thread 0
+// always exists). Any other stream is ErrTraceCorrupt naming the event.
 func (t *TraceReader) Replay(s Sink) (int64, error) {
 	var ev Event
 	start := t.count
+	threads := Tid(1)
 	for {
 		ok, err := t.Next(&ev)
 		if err != nil {
@@ -638,10 +653,37 @@ func (t *TraceReader) Replay(s Sink) (int64, error) {
 		if !ok {
 			break
 		}
+		if err := t.checkThreads(&ev, &threads); err != nil {
+			return int64(t.count - start - 1), err
+		}
 		s.Handle(&ev)
 	}
 	if f, ok := s.(Flusher); ok {
 		f.Flush()
 	}
 	return int64(t.count - start), nil
+}
+
+// checkThreads admits ev against the threads spawned so far, counting a
+// spawn's child.
+func (t *TraceReader) checkThreads(ev *Event, threads *Tid) error {
+	switch {
+	case ev.Tid >= *threads:
+		return t.badEvent("thread %d acts before it is spawned", ev.Tid)
+	case ev.Kind == KindJoin && ev.Child >= *threads:
+		return t.badEvent("thread %d joins thread %d, which was never spawned", ev.Tid, ev.Child)
+	case ev.Kind != KindSpawn:
+		return nil
+	case ev.Child != *threads:
+		return t.badEvent("thread %d spawns thread %d, want the next id %d", ev.Tid, ev.Child, *threads)
+	case *threads == MaxReplayThreads:
+		return t.badEvent("spawn past %d threads", MaxReplayThreads)
+	}
+	*threads++
+	return nil
+}
+
+// badEvent wraps ErrTraceCorrupt naming the event just decoded.
+func (t *TraceReader) badEvent(format string, a ...any) error {
+	return fmt.Errorf("%w: event %d: %s", ErrTraceCorrupt, t.count-1, fmt.Sprintf(format, a...))
 }

@@ -7,11 +7,12 @@
 // seed) detector runs, and a Runner is the one way to run one. Each job
 // runs the plain detector (detect.RunOpts carrying only the runner's
 // observability pipeline); the only parallelism is across jobs, on the
-// runner's sched.Engine workers. The shadow GC belongs to the single-run
-// entry points (racedetect, raced, synth.LongTrace, detect.ReplayTrace),
-// where a run is long enough for it to pay; overlap starts by itself in
-// any run whose stream passes event.OverlapThreshold events. Results are assembled in submission order, so output is
-// byte-identical for every worker count, Workers: 1 included. Jobs own all
+// runner's sched.Engine workers. Neither the shadow GC nor the overlap is
+// a knob here: like every detector, a job's detector runs a GC cycle every
+// detect.GCPeriod events and overlaps once its stream passes
+// event.OverlapThreshold events, so only a long stream does either.
+// Results are assembled in submission order, so output is byte-identical
+// for every worker count, Workers: 1 included. Jobs own all
 // mutable state (vm, detector) but share their workload's compiled inputs
 // — one detect.Prepared per program carries the ir.Program and the
 // per-window instrumentation, both immutable at run time — so a table run

@@ -32,7 +32,7 @@ const longStream = "freqmine"
 // direct runs of the same request. Errors via t.Errorf only — it runs on
 // fleet goroutines.
 func chaosCompare(t *testing.T, req serve.SessionRequest, out *client.Outcome) {
-	cfg, err := serve.ToolConfig(req.Tool, req.Window)
+	cfg, err := detect.Preset(req.Tool, req.Window)
 	if err != nil {
 		t.Errorf("%s/%s: %v", req.Workload, req.Tool, err)
 		return

@@ -33,7 +33,7 @@ type confJob struct {
 // Errors go through t.Errorf (never Fatalf — jobs run off the test
 // goroutine).
 func (j confJob) run(t *testing.T, c *client.Client) {
-	cfg, err := serve.ToolConfig(j.tool, j.window)
+	cfg, err := detect.Preset(j.tool, j.window)
 	if err != nil {
 		t.Errorf("%s/%s: %v", j.workload, j.tool, err)
 		return

@@ -390,28 +390,7 @@ func readRequest(r io.Reader) (*SessionRequest, error) {
 	return req, nil
 }
 
-// ToolConfig resolves a tool preset name (the racedetect -tool vocabulary)
-// to its detector configuration. window <= 0 uses the paper's default of 7.
-func ToolConfig(tool string, window int) (detect.Config, error) {
-	if window <= 0 {
-		window = 7
-	}
-	if window > 1024 {
-		return detect.Config{}, fmt.Errorf("serve: spin window %d out of range", window)
-	}
-	switch tool {
-	case "lib":
-		return detect.HelgrindPlusLib(), nil
-	case "spin", "":
-		return detect.HelgrindPlusLibSpin(window), nil
-	case "nolib":
-		return detect.HelgrindPlusNolibSpin(window), nil
-	case "nolib+locks":
-		return detect.HelgrindPlusNolibSpinLocks(window), nil
-	case "drd":
-		return detect.DRD(), nil
-	case "eraser":
-		return detect.Eraser(), nil
-	}
-	return detect.Config{}, fmt.Errorf("unknown tool %q (want lib, spin, nolib, nolib+locks, drd, eraser)", tool)
-}
+// ToolConfig forwards to detect.Preset.
+//
+// Deprecated: use detect.Preset; kept only for perfbench/raced.go.
+func ToolConfig(tool string, window int) (detect.Config, error) { return detect.Preset(tool, window) }

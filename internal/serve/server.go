@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"adhocrace/internal/detect"
 	"adhocrace/internal/fault"
 	"adhocrace/internal/obs"
 )
@@ -308,7 +309,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.rejectConn(conn, CodeBadRequest, err.Error())
 		return
 	}
-	cfg, err := ToolConfig(req.Tool, req.Window)
+	cfg, err := detect.Preset(req.Tool, req.Window)
 	if err != nil {
 		s.metrics.sessionsRejected.Add(1)
 		s.rejectConn(conn, CodeBadRequest, err.Error())

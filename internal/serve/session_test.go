@@ -3,6 +3,8 @@ package serve
 import (
 	"net"
 	"testing"
+
+	"adhocrace/internal/detect"
 )
 
 // TestSessionDoneOnceFinalFrameQueued pins the completion-vs-disconnect
@@ -40,7 +42,7 @@ func TestSessionDoneOnceFinalFrameQueued(t *testing.T) {
 func runToFinalFrame(t *testing.T, srv *Server) (ss *session, server, client net.Conn) {
 	t.Helper()
 	req := SessionRequest{Workload: "synth:3", Tool: "spin", Seed: 1, Repeat: 2}
-	cfg, err := ToolConfig(req.Tool, req.Window)
+	cfg, err := detect.Preset(req.Tool, req.Window)
 	if err != nil {
 		t.Fatal(err)
 	}

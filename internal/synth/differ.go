@@ -10,19 +10,6 @@ import (
 	"adhocrace/internal/sched"
 )
 
-// PresetConfigs returns the tool presets the differ runs, keyed by the
-// short names of PresetNames. The window parameterizes the spin preset
-// (the paper's value is 7; lowering it below a generated loop's block
-// count injects oracle-vs-spin disagreements on purpose).
-func PresetConfigs(window int) map[string]detect.Config {
-	return map[string]detect.Config{
-		"spin":   detect.HelgrindPlusLibSpin(window),
-		"lib":    detect.HelgrindPlusLib(),
-		"drd":    detect.DRD(),
-		"eraser": detect.Eraser(),
-	}
-}
-
 // Differ runs generated workloads under every tool preset on the parallel
 // experiment engine and scores each preset against the oracle.
 type Differ struct {
@@ -152,7 +139,10 @@ func fragIndexOf(s string) (int, bool) {
 // nothing (ir.Program caches symbol tables lazily).
 func (d *Differ) runPreset(rebuild func() *Workload, preset string) ([]FragOutcome, error) {
 	w := rebuild()
-	cfg := PresetConfigs(d.window())[preset]
+	cfg, err := detect.Preset(preset, d.window())
+	if err != nil {
+		return nil, fmt.Errorf("synth: %s: %w", preset, err)
+	}
 	rep, _, err := detect.Prepare(w.Prog).Run(cfg, d.schedSeed(), detect.RunOpts{Obs: d.Obs})
 	if err != nil {
 		return nil, fmt.Errorf("synth: %s on %s: %w", preset, w.Name, err)

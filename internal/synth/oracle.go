@@ -11,9 +11,9 @@ import (
 	"adhocrace/internal/vm"
 )
 
-// Preset names, in report order. They map to the detect presets the differ
-// runs: spin = Helgrind+ lib+spin(7), lib = Helgrind+ lib, drd = DRD,
-// eraser = Eraser.
+// Preset names, in report order: the short names detect.Preset resolves
+// to the presets the differ runs (spin = Helgrind+ lib+spin at the
+// differ's window, lib = Helgrind+ lib, drd = DRD, eraser = Eraser).
 var PresetNames = []string{"spin", "lib", "drd", "eraser"}
 
 // Expect is the oracle's prediction for one (fragment, preset) pair.

@@ -7,7 +7,12 @@
 # passes the overlap threshold (event.OverlapThreshold) and the shadow-GC
 # period (detect.GCPeriod), so the replay and the live run both switch to
 # the overlapped pipeline mid-stream and cross a GC cycle; the live run's
-# -stats must show that cycle. Cheap enough for every CI run.
+# -stats must show that cycle. Last, a hostile trace: the committed
+# sparse-spawn trace (internal/detect/testdata/sparse_spawn.trace, a valid
+# header and one spawn of thread 65,536) must make racedetect -replay exit
+# 1 with an error on stderr — a rejected stream, not a runtime fatal
+# (exit 2) from the clocks such a thread id would allocate. Cheap enough
+# for every CI run.
 #
 # Usage: [GO=go] [WORKLOAD=adhoc_spin11_b7_atomic_long] [LONG_WORKLOAD=freqmine] [TOOL=spin] replay-smoke.sh
 set -eu
@@ -50,3 +55,13 @@ if ! grep -q 'shadow-gc cycles [1-9]' "$tmp/$long.live"; then
 	exit 1
 fi
 echo "replay-smoke: ok — the live $long run crossed a shadow-GC cycle"
+
+hostile=internal/detect/testdata/sparse_spawn.trace
+status=0
+"$tmp/racedetect" -replay "$hostile" >"$tmp/hostile.out" 2>"$tmp/hostile.err" || status=$?
+if [ "$status" -ne 1 ] || ! [ -s "$tmp/hostile.err" ]; then
+	echo "replay-smoke: FAIL (hostile trace): racedetect -replay $hostile exited $status, want 1 with an error on stderr" >&2
+	cat "$tmp/hostile.err" >&2
+	exit 1
+fi
+echo "replay-smoke: ok — the sparse-spawn trace is rejected: $(cat "$tmp/hostile.err")"
