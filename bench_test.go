@@ -222,10 +222,10 @@ func replayFixture(b *testing.B) ([]byte, *ir.Program, detect.Config) {
 }
 
 // BenchmarkTraceDecode is the trace-decode layer alone: the recorded
-// x264/spin(7) stream opened with NewTraceReader (header and interning
-// tables included) and decoded into a discarding sink, reported as
-// ns/event. The steady-state decode loop allocates nothing, so allocs/op
-// is the header's cost.
+// x264/spin(7) stream opened with NewTraceReader (header included: meta,
+// and the interning table's sizes and digest) and decoded into a
+// discarding sink, reported as ns/event. The steady-state decode loop
+// allocates nothing, so allocs/op is the reader's and its header's cost.
 func BenchmarkTraceDecode(b *testing.B) {
 	data, _, _ := replayFixture(b)
 	discard := event.SinkFunc(func(*event.Event) {})
@@ -249,8 +249,7 @@ func BenchmarkTraceDecode(b *testing.B) {
 // through a fresh detector per iteration, with throughput reported as
 // events/sec. No vm runs inside the timed loop, and the instrumentation is
 // computed once, memoized on the program, so an iteration times trace
-// decode, the header's interning check and detection — the replay hot
-// path. scripts/bench-save.sh records its events/sec as the BENCH
+// decode, the header's digest check and detection — the replay hot path. scripts/bench-save.sh records its events/sec as the BENCH
 // record's EventsPerSec; bench-compare.sh gates on its ns/op.
 func BenchmarkReplayEventsPerSec(b *testing.B) {
 	data, prog, cfg := replayFixture(b)

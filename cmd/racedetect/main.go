@@ -41,8 +41,8 @@
 //
 // With -record the workload runs once with no detector and its event
 // stream is written as a binary trace (internal/event's record/replay
-// format, with the workload/tool/seed provenance and interning tables in
-// the header). With -replay a recorded trace is fed straight into a
+// format, with the workload/tool/seed provenance and the program's
+// interning-table digest in the header). With -replay a recorded trace is fed straight into a
 // detector — no vm in the loop; the workload and tool come from the
 // trace header, and the report is
 // byte-identical to the live run's. -fingerprint appends a fingerprint=

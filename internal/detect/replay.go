@@ -46,8 +46,8 @@ func RecordTrace(w io.Writer, p *ir.Program, cfg Config, seed int64, meta event.
 // ReplayTrace feeds a recorded trace through a fresh detector built for
 // cfg and opts (observer, obs and failpoints apply, as live; the vm-side
 // controls — interrupt, deadline — have no vm to act on). The program must be the same build that was
-// recorded: its interning table is checked against the trace header
-// before any event is decoded. The instrumentation is the one memoized on
+// recorded: its interning table's sizes and digest are checked against
+// the trace header before any event is decoded. The instrumentation is the one memoized on
 // p, so repeated replays against one program pay only for decoding and
 // detection. Returns the report and the events replayed.
 func ReplayTrace(tr *event.TraceReader, p *ir.Program, cfg Config, opts RunOpts) (*Report, int64, error) {

@@ -139,6 +139,53 @@ func TestTraceReplayWrongProgram(t *testing.T) {
 	}
 }
 
+// TestReplaySharedProgramConcurrent replays the traces of one program
+// build, shared and never run before, from 4 goroutines under every
+// PaperTools(7) preset (run it under -race): the goroutines race to build
+// its interning table and memos and read the table's Len and Digest, and
+// every replay must fingerprint like the live run of its preset.
+func TestReplaySharedProgramConcurrent(t *testing.T) {
+	const name, replayers = "adhoc_spin11_b7_atomic_long", 4
+	recorded := buildWorkload(t, name)
+	cfgs := detect.PaperTools(7)
+	traces := make([][]byte, len(cfgs))
+	want := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		traces[i] = recordCase(t, recorded, cfg, 1)
+		rep, _, err := detect.Prepare(recorded).Run(cfg, 1, detect.RunOpts{})
+		if err != nil {
+			t.Fatalf("%s live: %v", cfg.Name, err)
+		}
+		want[i] = harness.ReportFingerprint(rep)
+	}
+	shared := buildWorkload(t, name)
+	var wg sync.WaitGroup
+	for g := 0; g < replayers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range cfgs {
+				// Walk the presets in a different order per replayer.
+				i := (k + g) % len(cfgs)
+				tr, err := event.NewTraceReader(bytes.NewReader(traces[i]))
+				if err != nil {
+					t.Errorf("%s: %v", cfgs[i].Name, err)
+					return
+				}
+				rep, _, err := detect.ReplayTrace(tr, shared, cfgs[i], detect.RunOpts{})
+				if err != nil {
+					t.Errorf("replayer %d, %s: %v", g, cfgs[i].Name, err)
+					return
+				}
+				if got := harness.ReportFingerprint(rep); got != want[i] {
+					t.Errorf("replayer %d, %s: replay fingerprint differs from the live run", g, cfgs[i].Name)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestReplayInstrumentationMemo pins that the instrumentation phase runs
 // once per program and spin window, whoever asks: RecordTrace stores it on
 // the recorded program, the first ReplayTrace against a fresh build stores

@@ -3,8 +3,8 @@
 // memory the detector cannot afford. The regression case is the
 // sparse-spawn trace (testdata/sparse_spawn.trace): a valid header and one
 // spawn of thread 65,536, whose vector clocks alone would cost O(65,536²)
-// entries. FuzzReplayTrace decodes and detects mutated traces under every
-// paper preset and bounds each stream's allocation.
+// entries. FuzzReplayTrace decodes and detects mutated event streams under
+// every paper preset and bounds each stream's allocation.
 package detect_test
 
 import (
@@ -27,7 +27,8 @@ import (
 var sparseSpawnPath = filepath.Join("testdata", "sparse_spawn.trace")
 
 // fuzzWorkloads are the registered suite cases the fuzz seeds record;
-// FuzzReplayTrace replays only against these programs.
+// FuzzReplayTrace replays only against these programs, and the first byte
+// of its input picks one.
 var fuzzWorkloads = []string{"ww_two_threads", "adhoc_spin11_b7_atomic_long"}
 
 func buildWorkload(tb testing.TB, name string) *ir.Program {
@@ -39,13 +40,17 @@ func buildWorkload(tb testing.TB, name string) *ir.Program {
 	return build()
 }
 
+// fuzzMeta is the header meta of every trace the fuzz seeds record.
+func fuzzMeta(name string) event.TraceMeta {
+	return event.TraceMeta{Workload: name, Tool: "spin", Window: 7, Seed: 1}
+}
+
 // sparseSpawnTrace is a trace of ww_two_threads whose only event is thread
 // 0 spawning thread 65,536.
 func sparseSpawnTrace(tb testing.TB) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	tw := event.NewTraceWriter(&buf, event.TraceMeta{Workload: fuzzWorkloads[0], Tool: "spin", Window: 7, Seed: 1},
-		buildWorkload(tb, fuzzWorkloads[0]).Interning())
+	tw := event.NewTraceWriter(&buf, fuzzMeta(fuzzWorkloads[0]), buildWorkload(tb, fuzzWorkloads[0]).Interning())
 	tw.Handle(&event.Event{Kind: event.KindSpawn, Tid: 0, Child: 1 << 16})
 	if err := tw.Close(); err != nil {
 		tb.Fatal(err)
@@ -160,67 +165,71 @@ const (
 	maxFuzzTrace = 64 << 10
 )
 
-// headerBytes is the length of an empty trace of p: the share of a
-// stream's bytes that carries no event.
-func headerBytes(p *ir.Program) int {
+// traceHeader is the header of p's traces recorded with fuzzMeta: the
+// bytes in front of the first event.
+func traceHeader(p *ir.Program, name string) []byte {
 	var buf bytes.Buffer
-	tw := event.NewTraceWriter(&buf, event.TraceMeta{}, p.Interning())
-	tw.Close()
-	return buf.Len()
+	event.NewTraceWriter(&buf, fuzzMeta(name), p.Interning()).Flush()
+	return buf.Bytes()
 }
 
-// FuzzReplayTrace decodes a trace and detects its stream under every
-// PaperTools(7) preset. Corrupt input must be an error, never a panic, and
-// the four replays together must allocate within the budget of the
-// stream's event bytes.
+// FuzzReplayTrace detects an event stream under every PaperTools(7)
+// preset. The input is one byte that picks a program of fuzzWorkloads,
+// then the event section of a trace, which the body puts behind that
+// program's header, so mutations reach the detector instead of dying at
+// CheckTable (FuzzTraceDecode covers the header). Corrupt input must be an
+// error, never a panic, and the four replays together must allocate within
+// the budget of the stream's event bytes.
 func FuzzReplayTrace(f *testing.F) {
-	f.Add(sparseSpawnTrace(f))
-	progs := make(map[string]*ir.Program, len(fuzzWorkloads))
-	header := make(map[string]int, len(fuzzWorkloads))
+	progs := make([]*ir.Program, len(fuzzWorkloads))
+	headers := make([][]byte, len(fuzzWorkloads))
 	cfgs := detect.PaperTools(7)
-	for _, name := range fuzzWorkloads {
-		p := buildWorkload(f, name)
-		progs[name], header[name] = p, headerBytes(p)
-		var buf bytes.Buffer
-		if _, _, err := detect.RecordTrace(&buf, p, cfgs[1], 1, event.TraceMeta{Workload: name, Tool: "spin", Window: 7, Seed: 1}); err != nil {
-			f.Fatal(err)
+	seed := func(sel int, trace []byte) {
+		events, ok := bytes.CutPrefix(trace, headers[sel])
+		if !ok {
+			f.Fatalf("seed trace of %s does not start with its header", fuzzWorkloads[sel])
 		}
-		f.Add(buf.Bytes())
+		f.Add(append([]byte{byte(sel)}, events...))
+	}
+	for i, name := range fuzzWorkloads {
+		p := buildWorkload(f, name)
+		progs[i], headers[i] = p, traceHeader(p, name)
 		// Warm the program's memoized instrumentation, so the budget
 		// charges only the replays.
 		for _, cfg := range cfgs {
 			detect.Prepare(p).Instrument(cfg)
 		}
 	}
+	seed(0, sparseSpawnTrace(f))
+	for i, p := range progs {
+		var buf bytes.Buffer
+		if _, _, err := detect.RecordTrace(&buf, p, cfgs[1], 1, fuzzMeta(fuzzWorkloads[i])); err != nil {
+			f.Fatal(err)
+		}
+		seed(i, buf.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > maxFuzzTrace {
+		if len(data) == 0 || len(data) > maxFuzzTrace {
 			return
 		}
-		tr, err := event.NewTraceReader(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		name := tr.Meta().Workload
-		p, ok := progs[name]
-		if !ok {
-			return
-		}
+		sel := int(data[0]) % len(fuzzWorkloads)
+		trace := append(append([]byte(nil), headers[sel]...), data[1:]...)
+		p := progs[sel]
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
-		for i, cfg := range cfgs {
-			if i > 0 {
-				if tr, err = event.NewTraceReader(bytes.NewReader(data)); err != nil {
-					t.Fatalf("trace reopened with %v", err)
-				}
+		for _, cfg := range cfgs {
+			tr, err := event.NewTraceReader(bytes.NewReader(trace))
+			if err != nil {
+				t.Fatalf("header of %s rejected: %v", fuzzWorkloads[sel], err)
 			}
 			detect.ReplayTrace(tr, p, cfg, detect.RunOpts{})
 		}
 		runtime.ReadMemStats(&ms)
-		events := max(len(data)-header[name], 0)
+		events := len(data) - 1
 		budget := uint64(len(cfgs)) * (replayFixedBytes + replayThreadBytes + uint64(events)*replayPerByteBytes)
 		if got := ms.TotalAlloc - before; got > budget {
-			t.Fatalf("%d-byte trace of %s (%d event bytes) allocated %d bytes, budget %d", len(data), name, events, got, budget)
+			t.Fatalf("%d event bytes of %s allocated %d bytes, budget %d", events, fuzzWorkloads[sel], got, budget)
 		}
 	})
 }

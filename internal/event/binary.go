@@ -3,27 +3,31 @@ package event
 // Binary trace record/replay.
 //
 // A recorded trace is the detector's entire input — the totally ordered
-// event stream plus the interning tables that give its Sym/Loc ids
-// meaning — so replaying one through a fresh detector reproduces the
-// original report byte for byte without running the vm at all. That is
-// what the replay benchmarks measure (decode and detection, no vm) and
-// what `racedetect -record/-replay` expose on the command line.
+// event stream, whose Sym/Loc ids index the recorded program's interning
+// table — so replaying one through a fresh detector against a rebuild of
+// that program reproduces the original report byte for byte without
+// running the vm at all. That is what the replay benchmarks measure
+// (decode and detection, no vm) and what `racedetect -record/-replay`
+// expose on the command line.
 //
-// Layout (all integers varint-encoded, signed fields zigzag):
+// Layout (integers varint-encoded, signed fields zigzag, except the
+// digest's eight little-endian bytes):
 //
 //	"ADRT" magic | version | meta (workload, tool, window, seed)
-//	sym table    | loc table          (dense, index == id)
+//	nsyms | nlocs | digest            (ir.Interning Len and Digest)
 //	events: tag(kind+1) + per-kind fields ...
 //	end: tag 0 + total event count    (truncation check)
 //
-// Events are encoded per kind — only the fields that kind populates are
-// in the stream — so a typical access costs a handful of bytes. The
-// reader decodes into a caller-owned Event with no allocation in the
-// steady state; all header allocations are bounded up front so a corrupt
-// or adversarial header cannot balloon memory (the fuzz target's bar).
+// The header names the interning table instead of copying it: a replay
+// needs the rebuilt program anyway, and CheckTable holds the program's
+// table to the recorded sizes and digest. Events are encoded per kind —
+// only the fields that kind populates are in the stream — so a typical
+// access costs a handful of bytes. The reader decodes into a caller-owned
+// Event with no allocation in the steady state; every header length is
+// bounded, so a corrupt or adversarial header cannot balloon memory (the
+// fuzz target's bar).
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -35,7 +39,7 @@ import (
 // TraceVersion is the current binary trace format version. A reader
 // rejects every other version — the format carries no compatibility
 // shims; re-record instead.
-const TraceVersion = 1
+const TraceVersion = 2
 
 // traceMagic brands a binary trace file ("ad-hoc race trace").
 const traceMagic = "ADRT"
@@ -98,9 +102,9 @@ type TraceWriter struct {
 }
 
 // NewTraceWriter writes the trace header (magic, version, meta, and the
-// interning tables — pass the recorded program's ir.Program.Interning; nil
-// means an empty table) and returns the streaming writer. The caller must
-// Close it to finalize the trace.
+// interning table's sizes and digest — pass the recorded program's
+// ir.Program.Interning; nil means an empty table) and returns the
+// streaming writer. The caller must Close it to finalize the trace.
 func NewTraceWriter(w io.Writer, meta TraceMeta, tab *ir.Interning) *TraceWriter {
 	if tab == nil {
 		tab = ir.NewInterning()
@@ -112,17 +116,10 @@ func NewTraceWriter(w io.Writer, meta TraceMeta, tab *ir.Interning) *TraceWriter
 	t.str(meta.Tool)
 	t.buf = binary.AppendUvarint(t.buf, uint64(meta.Window))
 	t.buf = binary.AppendVarint(t.buf, meta.Seed)
-	syms := tab.Syms()
-	t.buf = binary.AppendUvarint(t.buf, uint64(len(syms)))
-	for _, s := range syms {
-		t.str(s)
-	}
-	locs := tab.Locs()
-	t.buf = binary.AppendUvarint(t.buf, uint64(len(locs)))
-	for _, l := range locs {
-		t.str(l.File)
-		t.buf = binary.AppendUvarint(t.buf, uint64(l.Line))
-	}
+	nsyms, nlocs := tab.Len()
+	t.buf = binary.AppendUvarint(t.buf, uint64(nsyms))
+	t.buf = binary.AppendUvarint(t.buf, uint64(nlocs))
+	t.buf = binary.LittleEndian.AppendUint64(t.buf, tab.Digest())
 	return t
 }
 
@@ -215,16 +212,18 @@ func (t *TraceWriter) Close() error {
 // of traceWindow bytes and decoded from the slice, so a one-byte varint —
 // most tags, tids, syms and locs — costs a compare and an index.
 type TraceReader struct {
-	r     io.Reader
-	rerr  error // first error r returned (io.EOF at the end of input)
-	pos   int   // win[pos:end] is read but not yet decoded
-	end   int
-	meta  TraceMeta
-	syms  []string
-	locs  []ir.Loc
-	count uint64
-	done  bool
-	win   [traceWindow]byte
+	r    io.Reader
+	rerr error // first error r returned (io.EOF at the end of input)
+	pos  int   // win[pos:end] is read but not yet decoded
+	end  int
+	meta TraceMeta
+	// nsyms, nlocs and digest are the recorded program's
+	// ir.Interning.Len and Digest; decoded ids are bounds-checked
+	// against the sizes.
+	nsyms, nlocs, digest uint64
+	count                uint64
+	done                 bool
+	win                  [traceWindow]byte
 }
 
 // NewTraceReader parses the trace header and returns a reader positioned
@@ -348,66 +347,23 @@ func (t *TraceReader) appendN(dst []byte, n int) ([]byte, bool) {
 	return dst, true
 }
 
-// headerStrings gathers a header's strings into one arena, so that every
-// string the header holds is cut from a single allocation. A string equal
-// to the one before it — the usual case for the location table's file
-// names — is stored once and counted as a run.
-type headerStrings struct {
-	arena []byte
-	runs  []strRun
-}
-
-// strRun is one string, ending at arena offset end, repeated count times
-// in header order.
-type strRun struct{ end, count int }
-
-// read decodes one length-prefixed string, bounded by maxStringLen.
-func (h *headerStrings) read(t *TraceReader) bool {
+// str decodes one length-prefixed string, bounded by maxStringLen.
+func (t *TraceReader) str() (string, bool) {
 	n, ok := t.uvarint()
 	if !ok || n > maxStringLen {
-		return false
+		return "", false
 	}
-	start := len(h.arena)
-	if h.arena, ok = t.appendN(h.arena, int(n)); !ok {
-		return false
-	}
-	if k := len(h.runs) - 1; k >= 0 {
-		prev := 0
-		if k > 0 {
-			prev = h.runs[k-1].end
-		}
-		if bytes.Equal(h.arena[prev:start], h.arena[start:]) {
-			h.arena = h.arena[:start]
-			h.runs[k].count++
-			return true
-		}
-	}
-	h.runs = append(h.runs, strRun{end: len(h.arena), count: 1})
-	return true
+	b, ok := t.appendN(nil, int(n))
+	return string(b), ok
 }
 
-// cut converts the arena to one string and returns a function yielding
-// the header's strings in order, each a slice of that string.
-func (h *headerStrings) cut() func() string {
-	all := string(h.arena)
-	run, used, start := 0, 0, 0
-	return func() string {
-		r := h.runs[run]
-		s := all[start:r.end]
-		if used++; used == r.count {
-			run, used, start = run+1, 0, r.end
-		}
-		return s
-	}
-}
-
-// readHeader decodes meta and the interning tables.
+// readHeader decodes meta and the interning table's sizes and digest.
 func (t *TraceReader) readHeader() error {
-	var h headerStrings
-	if !h.read(t) {
+	var ok bool
+	if t.meta.Workload, ok = t.str(); !ok {
 		return t.corrupt("workload name")
 	}
-	if !h.read(t) {
+	if t.meta.Tool, ok = t.str(); !ok {
 		return t.corrupt("tool name")
 	}
 	window, ok := t.uvarint()
@@ -418,40 +374,18 @@ func (t *TraceReader) readHeader() error {
 	if t.meta.Seed, ok = t.varint(); !ok {
 		return t.corrupt("seed")
 	}
-	nsyms, ok := t.uvarint()
-	if !ok || nsyms > maxTableEntries {
+	if t.nsyms, ok = t.uvarint(); !ok || t.nsyms > maxTableEntries {
 		return t.corrupt("symbol table size")
 	}
-	t.syms = make([]string, nsyms)
-	for range t.syms {
-		if !h.read(t) {
-			return t.corrupt("symbol table")
-		}
-	}
-	nlocs, ok := t.uvarint()
-	if !ok || nlocs > maxTableEntries {
+	if t.nlocs, ok = t.uvarint(); !ok || t.nlocs > maxTableEntries {
 		return t.corrupt("location table size")
 	}
-	t.locs = make([]ir.Loc, nlocs)
-	for i := range t.locs {
-		if !h.read(t) {
-			return t.corrupt("location table")
-		}
-		line, ok := t.uvarint()
-		if !ok || line > maxTableEntries {
-			return t.corrupt("location line")
-		}
-		t.locs[i].Line = int(line)
+	var d [8]byte
+	digest, ok := t.appendN(d[:0], len(d))
+	if !ok {
+		return t.corrupt("table digest")
 	}
-	next := h.cut()
-	t.meta.Workload = next()
-	t.meta.Tool = next()
-	for i := range t.syms {
-		t.syms[i] = next()
-	}
-	for i := range t.locs {
-		t.locs[i].File = next()
-	}
+	t.digest = binary.LittleEndian.Uint64(digest)
 	return nil
 }
 
@@ -463,36 +397,24 @@ func (t *TraceReader) corrupt(what string) error {
 // Meta returns the recorded provenance.
 func (t *TraceReader) Meta() TraceMeta { return t.meta }
 
-// Syms returns the recorded symbol table (index == ir.SymID). The caller
-// must not mutate it.
-func (t *TraceReader) Syms() []string { return t.syms }
-
-// Locs returns the recorded location table (index == ir.LocID).
-func (t *TraceReader) Locs() []ir.Loc { return t.locs }
-
 // Count returns the events decoded so far.
 func (t *TraceReader) Count() int64 { return int64(t.count) }
 
-// CheckTable verifies the recorded interning tables are identical to a
-// replay-side table — the contract that makes the trace's Sym/Loc ids
-// meaningful against a rebuilt program. Interning is deterministic for a
-// given program build (function/block/instruction order), so a mismatch
-// means the replayer rebuilt a different program than was recorded.
+// CheckTable verifies the recorded interning table's sizes and digest
+// match a replay-side table — the contract that makes the trace's Sym/Loc
+// ids meaningful against a rebuilt program. Interning is deterministic for
+// a given program build (function/block/instruction order), so a mismatch
+// means the replayer rebuilt a different program than was recorded. A
+// hostile trace can copy any digest; Next's bounds checks, not this one,
+// are what keep its ids inside the table.
 func (t *TraceReader) CheckTable(tab *ir.Interning) error {
-	syms, locs := tab.Syms(), tab.Locs()
-	if len(syms) != len(t.syms) || len(locs) != len(t.locs) {
+	nsyms, nlocs := tab.Len()
+	if uint64(nsyms) != t.nsyms || uint64(nlocs) != t.nlocs {
 		return fmt.Errorf("event: trace interning mismatch: recorded %d syms / %d locs, program has %d / %d",
-			len(t.syms), len(t.locs), len(syms), len(locs))
+			t.nsyms, t.nlocs, nsyms, nlocs)
 	}
-	for i := range syms {
-		if syms[i] != t.syms[i] {
-			return fmt.Errorf("event: trace interning mismatch: sym %d is %q, program has %q", i, t.syms[i], syms[i])
-		}
-	}
-	for i := range locs {
-		if locs[i] != t.locs[i] {
-			return fmt.Errorf("event: trace interning mismatch: loc %d is %v, program has %v", i, t.locs[i], locs[i])
-		}
+	if d := tab.Digest(); d != t.digest {
+		return fmt.Errorf("event: trace interning mismatch: recorded digest %016x, program has %016x", t.digest, d)
 	}
 	return nil
 }
@@ -500,7 +422,7 @@ func (t *TraceReader) CheckTable(tab *ir.Interning) error {
 // Next decodes the next event into ev, returning false at the trace's
 // end marker (with the recorded count verified). Allocation-free in the
 // steady state; every decoded id is bounds-checked against the header's
-// tables so downstream consumers can trust the ids.
+// table sizes so downstream consumers can trust the ids.
 func (t *TraceReader) Next(ev *Event) (bool, error) {
 	if t.done {
 		return false, nil
@@ -570,12 +492,12 @@ func (t *TraceReader) readAccess(ev *Event) error {
 		return t.corrupt("access value")
 	}
 	sym, ok := t.uvarint()
-	if !ok || sym >= uint64(len(t.syms)) {
+	if !ok || sym >= t.nsyms {
 		return t.corrupt("access sym id")
 	}
 	ev.Sym = ir.SymID(sym)
 	loc, ok := t.uvarint()
-	if !ok || loc >= uint64(len(t.locs)) {
+	if !ok || loc >= t.nlocs {
 		return t.corrupt("access loc id")
 	}
 	ev.Loc = ir.LocID(loc)
@@ -603,7 +525,7 @@ func (t *TraceReader) readSync(ev *Event) error {
 		return t.corrupt("sync addr2")
 	}
 	loc, ok := t.uvarint()
-	if !ok || loc >= uint64(len(t.locs)) {
+	if !ok || loc >= t.nlocs {
 		return t.corrupt("sync loc id")
 	}
 	ev.Loc = ir.LocID(loc)
@@ -624,7 +546,7 @@ func (t *TraceReader) readSpinRead(ev *Event) error {
 		return t.corrupt("spin value")
 	}
 	loc, ok := t.uvarint()
-	if !ok || loc >= uint64(len(t.locs)) {
+	if !ok || loc >= t.nlocs {
 		return t.corrupt("spin loc id")
 	}
 	ev.Loc = ir.LocID(loc)

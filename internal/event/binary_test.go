@@ -12,13 +12,21 @@ import (
 	"adhocrace/internal/ir"
 )
 
+// Locations of testTable.
+var a7, b42 = ir.Loc{File: "a.c", Line: 7}, ir.Loc{File: "b.c", Line: 42}
+
 // testTable builds a small interning table for synthetic traces.
-func testTable() *ir.Interning {
+func testTable() *ir.Interning { return table([]string{"FLAG", "LOCK"}, a7, b42) }
+
+// table interns syms and then locs into a fresh table.
+func table(syms []string, locs ...ir.Loc) *ir.Interning {
 	tab := ir.NewInterning()
-	tab.InternSym("FLAG")
-	tab.InternSym("LOCK")
-	tab.InternLoc(ir.Loc{File: "a.c", Line: 7})
-	tab.InternLoc(ir.Loc{File: "b.c", Line: 42})
+	for _, s := range syms {
+		tab.InternSym(s)
+	}
+	for _, l := range locs {
+		tab.InternLoc(l)
+	}
 	return tab
 }
 
@@ -75,7 +83,7 @@ func encodeTrace(t *testing.T, meta TraceMeta, tab *ir.Interning, evs []Event) [
 
 // TestTraceRoundTrip pins the format's core property: every field of
 // every kind survives encode → decode exactly, along with the meta and
-// interning tables.
+// the interning table's sizes and digest.
 func TestTraceRoundTrip(t *testing.T) {
 	tab := testTable()
 	meta := TraceMeta{Workload: "wl", Tool: "spin", Window: 7, Seed: -3}
@@ -88,6 +96,11 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 	if tr.Meta() != meta {
 		t.Fatalf("meta round trip: got %+v want %+v", tr.Meta(), meta)
+	}
+	nsyms, nlocs := tab.Len()
+	if tr.nsyms != uint64(nsyms) || tr.nlocs != uint64(nlocs) || tr.digest != tab.Digest() {
+		t.Fatalf("table round trip: got %d/%d/%016x want %d/%d/%016x",
+			tr.nsyms, tr.nlocs, tr.digest, nsyms, nlocs, tab.Digest())
 	}
 	if err := tr.CheckTable(tab); err != nil {
 		t.Fatalf("table round trip: %v", err)
@@ -117,25 +130,32 @@ func TestTraceRoundTrip(t *testing.T) {
 }
 
 // TestTraceCheckTableMismatch verifies a replayer rebuilding a different
-// program is rejected before any event decodes.
+// program is rejected before any event decodes, however small the
+// difference: each table below differs from the recorded one (or, for the
+// boundary shift, from its twin) in one way the digest must see.
 func TestTraceCheckTableMismatch(t *testing.T) {
-	data := encodeTrace(t, TraceMeta{}, testTable(), testEvents(3))
-	tr, err := NewTraceReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("reader: %v", err)
-	}
-	other := testTable()
-	other.InternSym("EXTRA")
-	if err := tr.CheckTable(other); err == nil {
-		t.Fatal("CheckTable accepted a mismatched table")
-	}
-	renamed := ir.NewInterning()
-	renamed.InternSym("GALF")
-	renamed.InternSym("KCOL")
-	renamed.InternLoc(ir.Loc{File: "a.c", Line: 7})
-	renamed.InternLoc(ir.Loc{File: "b.c", Line: 42})
-	if err := tr.CheckTable(renamed); err == nil {
-		t.Fatal("CheckTable accepted renamed symbols")
+	for _, tc := range []struct {
+		name          string
+		recorded, got *ir.Interning
+	}{
+		{"extra sym", testTable(), table([]string{"FLAG", "LOCK", "EXTRA"}, a7, b42)},
+		{"renamed syms", testTable(), table([]string{"GALF", "KCOL"}, a7, b42)},
+		{"line differs", testTable(), table([]string{"FLAG", "LOCK"}, a7, ir.Loc{File: "b.c", Line: 43})},
+		{"syms swapped", testTable(), table([]string{"LOCK", "FLAG"}, a7, b42)},
+		{"string boundary", table([]string{"ab", "c"}, a7), table([]string{"a", "bc"}, a7)},
+		{"extra loc", testTable(), table([]string{"FLAG", "LOCK"}, a7, b42, ir.Loc{File: "c.c", Line: 1})},
+	} {
+		data := encodeTrace(t, TraceMeta{}, tc.recorded, testEvents(3))
+		tr, err := NewTraceReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: reader: %v", tc.name, err)
+		}
+		if err := tr.CheckTable(tc.recorded); err != nil {
+			t.Fatalf("%s: CheckTable rejected the recorded table: %v", tc.name, err)
+		}
+		if err := tr.CheckTable(tc.got); err == nil {
+			t.Errorf("%s: CheckTable accepted a mismatched table", tc.name)
+		}
 	}
 }
 
@@ -152,11 +172,20 @@ func TestTraceHeaderRejection(t *testing.T) {
 		t.Fatalf("empty input: got %v, want ErrTraceMagic", err)
 	}
 
-	// The version is the single uvarint byte right after the magic.
-	skew := append([]byte(nil), data...)
-	skew[4] = TraceVersion + 1
-	if _, err := NewTraceReader(bytes.NewReader(skew)); !errors.Is(err, ErrTraceVersion) {
-		t.Fatalf("version skew: got %v, want ErrTraceVersion", err)
+	// The version is the single uvarint byte right after the magic; v1
+	// is as foreign as any other.
+	for _, v := range []byte{1, TraceVersion + 1} {
+		skew := append([]byte(nil), data...)
+		skew[4] = v
+		if _, err := NewTraceReader(bytes.NewReader(skew)); !errors.Is(err, ErrTraceVersion) {
+			t.Fatalf("version %d: got %v, want ErrTraceVersion", v, err)
+		}
+	}
+
+	// A meta string past maxStringLen is corrupt, whatever follows.
+	long := encodeTrace(t, TraceMeta{Workload: strings.Repeat("w", maxStringLen+1)}, testTable(), nil)
+	if _, err := NewTraceReader(bytes.NewReader(long)); !errors.Is(err, ErrTraceCorrupt) {
+		t.Fatalf("over-long workload name: got %v, want ErrTraceCorrupt", err)
 	}
 
 	// Truncating anywhere inside the header must reject, never panic.
@@ -258,12 +287,11 @@ func TestTraceReaderZeroAlloc(t *testing.T) {
 // decoded is everything a reader yields for one input: the header, the
 // events up to the first error, and that error (nil at a clean end).
 type decoded struct {
-	meta  TraceMeta
-	syms  []string
-	locs  []ir.Loc
-	evs   []Event
-	count int64
-	err   error
+	meta                 TraceMeta
+	nsyms, nlocs, digest uint64
+	evs                  []Event
+	count                int64
+	err                  error
 }
 
 // decodeAll decodes a whole trace read through r.
@@ -272,7 +300,7 @@ func decodeAll(r io.Reader) decoded {
 	if err != nil {
 		return decoded{err: err}
 	}
-	d := decoded{meta: tr.Meta(), syms: tr.Syms(), locs: tr.Locs()}
+	d := decoded{meta: tr.Meta(), nsyms: tr.nsyms, nlocs: tr.nlocs, digest: tr.digest}
 	var ev Event
 	for {
 		ok, err := tr.Next(&ev)
@@ -305,8 +333,8 @@ func sameDecode(a, b decoded) string {
 		return "error " + errClass(a.err) + " vs " + errClass(b.err)
 	case a.meta != b.meta:
 		return "meta"
-	case !reflect.DeepEqual(a.syms, b.syms) || !reflect.DeepEqual(a.locs, b.locs):
-		return "interning tables"
+	case a.nsyms != b.nsyms || a.nlocs != b.nlocs || a.digest != b.digest:
+		return "interning table sizes or digest"
 	case a.count != b.count || !reflect.DeepEqual(a.evs, b.evs):
 		return "events"
 	}
@@ -324,15 +352,11 @@ var readerShapes = []struct {
 	{"half", func(b []byte) io.Reader { return iotest.HalfReader(bytes.NewReader(b)) }},
 }
 
-// longStringTable is testTable plus a symbol of symLen bytes and location
-// files longer than the read window, so header reads refill mid-string.
-func longStringTable(symLen int) *ir.Interning {
-	tab := testTable()
-	tab.InternSym(strings.Repeat("S", symLen))
-	tab.InternLoc(ir.Loc{File: strings.Repeat("f", traceWindow+17), Line: 3})
-	tab.InternLoc(ir.Loc{File: strings.Repeat("f", traceWindow+17), Line: 4})
-	tab.InternLoc(ir.Loc{File: "c.c", Line: 9})
-	return tab
+// longStringMeta is trace meta whose workload name is workloadLen bytes
+// and whose tool name is longer than the read window, so header reads
+// refill mid-string.
+func longStringMeta(workloadLen int) TraceMeta {
+	return TraceMeta{Workload: strings.Repeat("w", workloadLen), Tool: strings.Repeat("t", traceWindow+17), Window: 7, Seed: -3}
 }
 
 // TestTraceDecodeReaderShapes decodes the same traces through every
@@ -342,15 +366,15 @@ func longStringTable(symLen int) *ir.Interning {
 func TestTraceDecodeReaderShapes(t *testing.T) {
 	meta := TraceMeta{Workload: "wl", Tool: "spin", Window: 7, Seed: -3}
 	traces := map[string]struct {
-		tab *ir.Interning
-		evs []Event
+		meta TraceMeta
+		evs  []Event
 	}{
-		"short":        {testTable(), testEvents(40)},
-		"multi-window": {testTable(), testEvents(5000)},
-		"long-strings": {longStringTable(maxStringLen), testEvents(900)},
+		"short":        {meta, testEvents(40)},
+		"multi-window": {meta, testEvents(5000)},
+		"long-strings": {longStringMeta(maxStringLen), testEvents(900)},
 	}
 	for name, tc := range traces {
-		data := encodeTrace(t, meta, tc.tab, tc.evs)
+		data := encodeTrace(t, tc.meta, testTable(), tc.evs)
 		want := decodeAll(readerShapes[0].wrap(data))
 		if want.err != nil || !reflect.DeepEqual(want.evs, tc.evs) || want.count != int64(len(tc.evs)) {
 			t.Fatalf("%s: round trip failed: err=%v, %d of %d events", name, want.err, len(want.evs), len(tc.evs))
@@ -364,7 +388,7 @@ func TestTraceDecodeReaderShapes(t *testing.T) {
 
 	// Every cut of a trace whose header and events each span a window
 	// boundary.
-	data := encodeTrace(t, meta, longStringTable(100), testEvents(150))
+	data := encodeTrace(t, longStringMeta(100), testTable(), testEvents(150))
 	if len(data) < traceWindow+150 {
 		t.Fatalf("truncation trace is %d bytes, want its events past the first window", len(data))
 	}
@@ -395,13 +419,14 @@ func TestTraceDecodeReaderShapes(t *testing.T) {
 // on valid traces the decoded count must match the reader's tally, and
 // decoding one byte per Read must match decoding whole buffers exactly
 // (the window's refills are invisible). The larger seeds hold events and
-// header strings that straddle the read window.
+// a header string that straddle the read window.
 func FuzzTraceDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("ADRT"))
-	valid := func(tab *ir.Interning, n int) []byte {
+	meta := TraceMeta{Workload: "wl", Tool: "spin", Window: 7, Seed: 1}
+	valid := func(meta TraceMeta, n int) []byte {
 		var buf bytes.Buffer
-		tw := NewTraceWriter(&buf, TraceMeta{Workload: "wl", Tool: "spin", Window: 7, Seed: 1}, tab)
+		tw := NewTraceWriter(&buf, meta, testTable())
 		evs := testEvents(n)
 		for i := range evs {
 			tw.Handle(&evs[i])
@@ -409,13 +434,14 @@ func FuzzTraceDecode(f *testing.F) {
 		tw.Close()
 		return buf.Bytes()
 	}
-	f.Add(valid(testTable(), 0))
-	f.Add(valid(testTable(), 13))
-	f.Add(valid(testTable(), 13)[:20])
-	f.Add(valid(testTable(), 13)[:40])
-	f.Add(valid(testTable(), 700))
-	straddle := testTable()
-	straddle.InternLoc(ir.Loc{File: strings.Repeat("f", traceWindow-40), Line: 1})
+	f.Add(valid(meta, 0))
+	f.Add(valid(meta, 13))
+	f.Add(valid(meta, 13)[:20])
+	f.Add(valid(meta, 13)[:40])
+	f.Add(valid(meta, 700))
+	// The workload name starts a few bytes in and ends past the window.
+	straddle := meta
+	straddle.Workload = strings.Repeat("w", traceWindow)
 	f.Add(valid(straddle, 200))
 	f.Add(valid(straddle, 200)[:traceWindow+3])
 	f.Fuzz(func(t *testing.T, data []byte) {

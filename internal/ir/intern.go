@@ -7,9 +7,9 @@ package ir
 // buffer was full of pointers the GC had to scan and the
 // copies had to write-barrier. Interning replaces both with dense uint32
 // ids resolved once at compile/decode time; the strings are materialized
-// only at warning-formatting time (warnings are rare) and in the trace
-// dump tools. Id 0 is reserved for "no symbol" / "unknown location" in
-// both spaces, so the zero Event stays meaningful.
+// only at warning-formatting time (warnings are rare). Id 0 is reserved
+// for "no symbol" / "unknown location" in both spaces, so the zero Event
+// stays meaningful.
 
 // SymID is an interned static symbol. 0 means no symbol (a computed
 // address).
@@ -27,27 +27,57 @@ const (
 // Interning is a symbol and location table. Ids are assigned densely in
 // first-intern order, which is deterministic for a given program build —
 // the record/replay format relies on that to keep ids stable between the
-// recording run and a replay against a rebuilt program.
+// recording run and a replay against a rebuilt program, and a trace names
+// its table by Len and Digest alone.
 //
 // Concurrency: Intern* mutate and must stay on one goroutine (the eager
 // Program.Interning build, or a single-threaded test). The lookup methods
-// (SymName, LocAt, SymOf, LocOf) are read-only and safe concurrently once
-// the table is built — which is why Program.Interning interns every
-// instruction up front instead of lazily per event.
+// (SymName, LocAt, SymOf, LocOf, Len, Digest) are read-only and safe
+// concurrently once the table is built — which is why Program.Interning
+// interns every instruction up front instead of lazily per event.
 type Interning struct {
 	syms  []string
 	locs  []Loc
 	symIx map[string]SymID
 	locIx map[Loc]LocID
+	// symHash and locHash are FNV-1a over the entries interned so far,
+	// in id order, each string framed by its length.
+	symHash, locHash uint64
+}
+
+// FNV-1a 64-bit parameters (hash/fnv's).
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvUint folds x's eight bytes, low first, into the FNV-1a state h.
+func fnvUint(h, x uint64) uint64 {
+	for range 8 {
+		h = (h ^ x&0xff) * fnvPrime
+		x >>= 8
+	}
+	return h
+}
+
+// fnvString folds s, framed by its length, into the FNV-1a state h.
+func fnvString(h uint64, s string) uint64 {
+	h = fnvUint(h, uint64(len(s)))
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
 }
 
 // NewInterning returns a table holding only the null entries.
 func NewInterning() *Interning {
 	return &Interning{
-		syms:  []string{""},
-		locs:  []Loc{{}},
-		symIx: map[string]SymID{"": NoSym},
-		locIx: map[Loc]LocID{{}: NoLoc},
+		syms:    []string{""},
+		locs:    []Loc{{}},
+		symIx:   map[string]SymID{"": NoSym},
+		locIx:   map[Loc]LocID{{}: NoLoc},
+		symHash: fnvOffset,
+		locHash: fnvOffset,
 	}
 }
 
@@ -59,6 +89,7 @@ func (t *Interning) InternSym(s string) SymID {
 	id := SymID(len(t.syms))
 	t.syms = append(t.syms, s)
 	t.symIx[s] = id
+	t.symHash = fnvString(t.symHash, s)
 	return id
 }
 
@@ -70,6 +101,7 @@ func (t *Interning) InternLoc(l Loc) LocID {
 	id := LocID(len(t.locs))
 	t.locs = append(t.locs, l)
 	t.locIx[l] = id
+	t.locHash = fnvUint(fnvString(t.locHash, l.File), uint64(l.Line))
 	return id
 }
 
@@ -99,13 +131,15 @@ func (t *Interning) LocAt(id LocID) Loc {
 	return t.locs[id]
 }
 
-// Syms returns the dense symbol slice (index == SymID). Callers must not
-// mutate it; the trace recorder serializes it into the stream header.
-func (t *Interning) Syms() []string { return t.syms }
+// Len returns the table's sizes, null entries included: every SymID is
+// below syms and every LocID below locs.
+func (t *Interning) Len() (syms, locs int) { return len(t.syms), len(t.locs) }
 
-// Locs returns the dense location slice (index == LocID). Callers must
-// not mutate it.
-func (t *Interning) Locs() []Loc { return t.locs }
+// Digest fingerprints the table's contents: equal tables, entry for entry
+// in id order, have equal digests. It catches an accidental mismatch
+// between builds (the trace header carries it in place of the table), not
+// a forged one.
+func (t *Interning) Digest() uint64 { return fnvUint(t.symHash, t.locHash) }
 
 // Interning returns the program's symbol/location table, building it on
 // first use: every instruction's Sym and Loc is interned, in function /
