@@ -61,11 +61,10 @@ func BenchmarkTable2(b *testing.B) {
 	}
 }
 
-func benchParsecTable(b *testing.B, key, title string,
-	table func() (map[string]map[string]float64, []string, error), programs []parsec.Model) {
+func benchParsecTable(b *testing.B, r *harness.Runner, key, title string, programs []parsec.Model) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		cells, tools, err := table()
+		cells, tools, err := r.ParsecTable(programs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -78,23 +77,22 @@ func benchParsecTable(b *testing.B, key, title string,
 }
 
 func BenchmarkTable4(b *testing.B) {
-	benchParsecTable(b, "t4", "Table 4 (slide 27)", runner().Table4, parsec.WithoutAdhoc())
+	benchParsecTable(b, runner(), "t4", "Table 4 (slide 27)", parsec.WithoutAdhoc())
 }
 
 func BenchmarkTable5(b *testing.B) {
-	benchParsecTable(b, "t5", "Table 5 (slides 28/29)", runner().Table5, parsec.WithAdhoc())
+	benchParsecTable(b, runner(), "t5", "Table 5 (slides 28/29)", parsec.WithAdhoc())
 }
 
 // BenchmarkTable5Sequential is Table 5 on one engine worker, every job
 // inline — compare against BenchmarkTable5 (GOMAXPROCS workers) to read
 // off the experiment engine's speedup on a multicore runner.
 func BenchmarkTable5Sequential(b *testing.B) {
-	r := harness.NewRunner(sched.Options{Workers: 1})
-	benchParsecTable(b, "t5seq", "Table 5 (sequential engine)", r.Table5, parsec.WithAdhoc())
+	benchParsecTable(b, harness.NewRunner(sched.Options{Workers: 1}), "t5seq", "Table 5 (sequential engine)", parsec.WithAdhoc())
 }
 
 func BenchmarkTable6(b *testing.B) {
-	benchParsecTable(b, "t6", "Table 6 (slide 30)", runner().Table6, parsec.Models())
+	benchParsecTable(b, runner(), "t6", "Table 6 (slide 30)", parsec.Models())
 }
 
 // BenchmarkFigureMemory regenerates the slide-31 memory figure: shadow

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	racedetect -w <workload> [-tool lib|spin|nolib|drd|eraser] [-window 7] [-seed 1] [-seeds N] [-v]
+//	racedetect -w <workload> [-tool lib|spin|nolib|drd|eraser] [-window 7] [-seed 1 | -seeds N] [-fingerprint] [-v]
 //	racedetect -w <workload> [-tool ...] [-seed 1] -record out.trace
 //	racedetect -replay in.trace [-fingerprint]
 //
@@ -13,9 +13,12 @@
 // generated program of the synthesis engine (synth:<seed>). Use -list to
 // enumerate; the lookup lives in internal/workloads.
 //
-// With -seeds N the workload runs under scheduler seeds 1..N on the
-// parallel experiment engine (one isolated program + detector per seed)
-// and the per-seed racy-context counts are reported in seed order.
+// With -seeds N the workload runs under scheduler seeds 1..N as one job
+// batch of a harness.Runner (harness.Runner.SeedReports: the program is
+// compiled once and shared, each seed gets its own vm and detector) and
+// the per-seed racy-context counts are reported in seed order, each
+// followed by its fingerprint= line under -fingerprint. -seeds records or
+// replays nothing: with -record or -replay it is a usage error.
 //
 // Overlap is not a flag: once a run's event stream — from the vm, or from
 // the trace decoder with -replay — passes event.OverlapThreshold events,
@@ -86,6 +89,10 @@ func main() {
 		fmt.Print(workloads.FormatList())
 		return
 	}
+	if *seeds > 0 && (*record != "" || *replayPath != "") {
+		fmt.Fprintln(os.Stderr, "racedetect: -seeds cannot be combined with -record or -replay")
+		os.Exit(2)
+	}
 	if *replayPath != "" {
 		if err := runReplay(*replayPath, *fingerprint, *verbose); err != nil {
 			fmt.Fprintf(os.Stderr, "racedetect: %v\n", err)
@@ -128,7 +135,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "racedetect: -seed is ignored with -seeds (running seeds 1..%d)\n", *seeds)
 			}
 		})
-		if err := runSeeds(build, cfg, *workload, *seeds, rec, *verbose, *stats); err != nil {
+		if err := runSeeds(build, cfg, *workload, *seeds, rec, *verbose, *stats, *fingerprint); err != nil {
 			fmt.Fprintf(os.Stderr, "racedetect: %v\n", err)
 			os.Exit(1)
 		}
@@ -153,7 +160,9 @@ func main() {
 		printFingerprint(rep)
 	}
 	if *stats {
-		printStats([]*detect.Report{rep}, elapsed)
+		var runStats harness.RunStats
+		runStats.Observe(rep)
+		fmt.Print(runStats.Footer(elapsed))
 		fmt.Print(rec.Summary())
 	}
 	writeTrace(rec, *trace)
@@ -247,37 +256,38 @@ func printFingerprint(rep *detect.Report) {
 	fmt.Printf("fingerprint=%x\n", sha256.Sum256([]byte(harness.ReportFingerprint(rep))))
 }
 
-// runSeeds fans the workload out over seeds 1..n on the experiment
-// engine; the program is compiled once and shared by the seed jobs, and
-// results are printed in seed order (with every warning, when verbose).
+// runSeeds runs the workload under seeds 1..n as one batch of a
+// harness.Runner; the program is compiled once and shared by the seed
+// jobs, and results are printed in seed order (with every warning, when
+// verbose, and a fingerprint= line per seed, with fingerprint). Every
+// seed job records into one pipeline of rec.
 func runSeeds(build func() *ir.Program, cfg detect.Config, workload string, n int,
-	rec *obs.Recorder, verbose, stats bool) error {
-	eng := sched.Default()
-	prep := detect.PrepareBuild(build)
+	rec *obs.Recorder, verbose, stats, fingerprint bool) error {
+	var runStats harness.RunStats
+	runner := harness.NewRunner(sched.Options{}).WithStats(&runStats).
+		WithObs(rec.Pipeline(fmt.Sprintf("%s %s seeds=1..%d", workload, cfg.Name, n)))
 	seedList := make([]int64, n)
 	for i := range seedList {
 		seedList[i] = int64(i + 1)
 	}
+	prep := detect.PrepareBuild(build)
 	start := time.Now()
-	reps, err := sched.Map(eng, seedList, func(s int64) (*detect.Report, error) {
-		rep, _, err := prep.Run(cfg, s, detect.RunOpts{Obs: rec.Pipeline(fmt.Sprintf("%s %s seed=%d", workload, cfg.Name, s))})
-		if err != nil {
-			return nil, fmt.Errorf("seed %d: %w", s, err)
-		}
-		return rep, nil
-	})
+	reps, err := runner.SeedReports(prep, workload, cfg, seedList)
 	elapsed := time.Since(start)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("workload %s under %s, seeds 1..%d (%d workers)\n",
-		workload, cfg.Name, n, eng.Workers())
+		workload, cfg.Name, n, runner.Workers())
 	total := 0
 	for i, rep := range reps {
 		c := rep.RacyContexts()
 		total += c
 		fmt.Printf("  seed %-3d events=%-9d warnings=%-6d racy contexts=%d\n",
 			seedList[i], rep.Events, len(rep.Warnings), c)
+		if fingerprint {
+			printFingerprint(rep)
+		}
 		if verbose {
 			for _, w := range rep.Warnings {
 				fmt.Printf("    %s\n", w)
@@ -286,7 +296,7 @@ func runSeeds(build func() *ir.Program, cfg detect.Config, workload string, n in
 	}
 	fmt.Printf("  mean racy contexts: %.1f\n", float64(total)/float64(n))
 	if stats {
-		printStats(reps, elapsed)
+		fmt.Print(runStats.Footer(elapsed))
 		fmt.Print(rec.Summary())
 	}
 	return nil
@@ -309,14 +319,4 @@ func writeTrace(rec *obs.Recorder, path string) {
 		os.Exit(1)
 	}
 	fmt.Printf("trace written to %s (load in chrome://tracing or Perfetto)\n", path)
-}
-
-// printStats renders the -stats block from one or more run reports,
-// through the same accumulator and format the tables footer uses.
-func printStats(reps []*detect.Report, elapsed time.Duration) {
-	var stats harness.RunStats
-	for _, rep := range reps {
-		stats.Observe(rep)
-	}
-	fmt.Print(stats.Footer(elapsed))
 }

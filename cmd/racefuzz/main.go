@@ -1,9 +1,10 @@
 // Command racefuzz is the differential fuzz harness over the workload
 // synthesis engine: it generates seeded random programs with ground truth
-// (internal/synth), runs each under the spin/lib/drd/eraser tool presets on
-// the parallel experiment engine, scores every preset against the built-in
-// happens-before oracle, and — on request — shrinks oracle-vs-spin
-// disagreements to minimal reproducers emitted as Go source ready for
+// (internal/synth), runs each under the spin/lib/drd/eraser tool presets as
+// one job batch of a harness.Runner (harness.Runner.Corpus), scores every
+// preset against the built-in happens-before oracle, and — on request —
+// shrinks oracle-vs-spin disagreements to minimal reproducers
+// (synth.Shrink) emitted as Go source ready for
 // internal/workloads/dataracetest.
 //
 // Usage:
@@ -62,22 +63,17 @@ func main() {
 	verbose := flag.Bool("v", false, "print per-fragment ground truth of each generated program")
 	flag.Parse()
 
-	d := &synth.Differ{
-		Eng:         sched.New(sched.Options{Workers: *workers}),
-		SchedSeed:   *schedSeed,
-		Window:      *window,
-		OracleCheck: !*noOracle,
-	}
+	runner := harness.NewRunner(sched.Options{Workers: *workers})
 	var runStats *harness.RunStats
 	if *stats {
 		runStats = &harness.RunStats{}
-		d.Observe = runStats.Observe
+		runner.WithStats(runStats)
 	}
 
 	if *sweep || *verbose {
 		windows := spin.DefaultSweepWindows
 		for s := *start; s < *start+*n; s++ {
-			w := synth.Generate(s, d.Opts)
+			w := synth.Generate(s)
 			if *verbose {
 				fmt.Print(w.Describe())
 			}
@@ -88,7 +84,7 @@ func main() {
 	}
 
 	corpusStart := time.Now()
-	rep, err := d.RunCorpus(*start, *n)
+	rep, err := runner.Corpus(*start, *n, *schedSeed, *window, !*noOracle)
 	elapsed := time.Since(corpusStart)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "racefuzz: %v\n", err)
@@ -100,7 +96,7 @@ func main() {
 	}
 
 	if *shrink || *emit != "" {
-		if err := shrinkFirst(d, rep, *emit); err != nil {
+		if err := shrinkFirst(rep, *emit); err != nil {
 			fmt.Fprintf(os.Stderr, "racefuzz: %v\n", err)
 			os.Exit(1)
 		}
@@ -118,9 +114,10 @@ func main() {
 	}
 }
 
-// shrinkFirst shrinks the first oracle-vs-spin disagreement of the corpus
-// and prints (and optionally writes) the reproducer.
-func shrinkFirst(d *synth.Differ, rep *synth.CorpusReport, emitPath string) error {
+// shrinkFirst shrinks the first oracle-vs-spin disagreement of the corpus,
+// at the corpus's window and scheduler seed, and prints (and optionally
+// writes) the reproducer.
+func shrinkFirst(rep *harness.CorpusReport, emitPath string) error {
 	var target *synth.Disagreement
 	for i := range rep.Disagreements {
 		if rep.Disagreements[i].Preset == "spin" {
@@ -133,8 +130,8 @@ func shrinkFirst(d *synth.Differ, rep *synth.CorpusReport, emitPath string) erro
 		return nil
 	}
 	fmt.Printf("shrinking: %s\n", target)
-	w := synth.Generate(target.Seed, d.Opts)
-	min, err := d.Shrink(w, *target)
+	w := synth.Generate(target.Seed)
+	min, err := synth.Shrink(w, *target, rep.Window, rep.SchedSeed)
 	if err != nil {
 		return err
 	}

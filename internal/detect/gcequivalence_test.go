@@ -76,7 +76,7 @@ func TestShadowGCEquivalenceSynth(t *testing.T) {
 	cfgs := []detect.Config{detect.HelgrindPlusLibSpin(7), detect.DRD()}
 	sweep := gcSweepOpts()
 	for seed := int64(1); seed <= seeds; seed++ {
-		w := synth.Generate(seed, synth.Options{})
+		w := synth.Generate(seed)
 		opts := sweep[int(seed)%len(sweep)]
 		for _, cfg := range cfgs {
 			checkGCEquivalence(t, func() *ir.Program { return w.Prog }, w.Name, cfg, 1, opts)

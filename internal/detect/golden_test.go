@@ -98,7 +98,7 @@ func goldenSynth(seeds int64) []goldenCase {
 	var grid []goldenCase
 	cfgs := []detect.Config{detect.HelgrindPlusLibSpin(7), detect.DRD()}
 	for seed := int64(1); seed <= seeds; seed++ {
-		w := synth.Generate(seed, synth.Options{})
+		w := synth.Generate(seed)
 		for _, cfg := range cfgs {
 			grid = append(grid, goldenCase{w.Name, func() *ir.Program { return w.Prog }, cfg, goldenRunSeed})
 		}

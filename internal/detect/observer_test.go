@@ -61,7 +61,7 @@ func TestWarningObserverSynth(t *testing.T) {
 	cfgs := []detect.Config{detect.HelgrindPlusLibSpin(7), detect.DRD()}
 	sweep := []detect.RunOpts{{}, detect.ForceOverlap(detect.RunOpts{}, event.DefaultSegmentEvents), detect.ForceOverlap(detect.RunOpts{}, 64)}
 	for seed := int64(1); seed <= seeds; seed++ {
-		w := synth.Generate(seed, synth.Options{})
+		w := synth.Generate(seed)
 		opts := sweep[int(seed)%len(sweep)]
 		for _, cfg := range cfgs {
 			checkObserver(t, func() *ir.Program { return w.Prog }, w.Name, cfg, opts)

@@ -106,7 +106,7 @@ func TestPipelineDeterminismParsec(t *testing.T) {
 }
 
 // TestPipelineDeterminismSynth sweeps generated programs (seeds 1–25, fewer
-// under -short) under the differ's four presets: the batch tools run synth
+// under -short) under the synth corpus's four presets: the batch tools run synth
 // programs on the plain detector, so this is where overlapped detection of
 // them is held to byte-identical reports.
 func TestPipelineDeterminismSynth(t *testing.T) {
@@ -115,7 +115,7 @@ func TestPipelineDeterminismSynth(t *testing.T) {
 		seeds = 8
 	}
 	for seed := int64(1); seed <= seeds; seed++ {
-		build := func() *ir.Program { return synth.Generate(seed, synth.Options{}).Prog }
+		build := func() *ir.Program { return synth.Generate(seed).Prog }
 		for _, preset := range synth.PresetNames {
 			cfg, err := detect.Preset(preset, 7)
 			if err != nil {

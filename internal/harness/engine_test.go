@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"adhocrace/internal/detect"
 	"adhocrace/internal/sched"
 	"adhocrace/internal/workloads/parsec"
 )
@@ -46,11 +47,11 @@ func TestParallelAccuracyTableMatchesSequential(t *testing.T) {
 // TestParallelTable5MatchesSequential asserts byte-identical PARSEC table
 // output between the two modes, including the formatted rendering.
 func TestParallelTable5MatchesSequential(t *testing.T) {
-	wantCells, wantTools, err := seq().Table5()
+	wantCells, wantTools, err := seq().ParsecTable(parsec.WithAdhoc())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotCells, gotTools, err := par().Table5()
+	gotCells, gotTools, err := par().ParsecTable(parsec.WithAdhoc())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,24 +73,33 @@ func TestParallelTable5MatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelRacyContextsMatchesSequential covers the per-seed assembly:
-// PerSeed must come back in Seeds order regardless of completion order.
-func TestParallelRacyContextsMatchesSequential(t *testing.T) {
-	cfg := Table1Configs()[1]
+// seedContexts runs ferret under cfg at every seed of Seeds through
+// SeedReports and returns the per-seed racy-context counts.
+func seedContexts(t *testing.T, r *Runner, cfg detect.Config) []int {
+	t.Helper()
 	m, ok := parsec.ByName("ferret")
 	if !ok {
 		t.Fatal("no ferret model")
 	}
-	want, err := seq().RacyContexts(m.Build, m.Name, cfg)
+	reps, err := r.SeedReports(detect.PrepareBuild(m.Build), m.Name, cfg, Seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := par().RacyContexts(m.Build, m.Name, cfg)
-	if err != nil {
-		t.Fatal(err)
+	counts := make([]int, len(reps))
+	for i, rep := range reps {
+		counts[i] = rep.RacyContexts()
 	}
+	return counts
+}
+
+// TestParallelRacyContextsMatchesSequential covers the per-seed assembly:
+// reports must come back in seed order regardless of completion order.
+func TestParallelRacyContextsMatchesSequential(t *testing.T) {
+	cfg := Table1Configs()[1]
+	want := seedContexts(t, seq(), cfg)
+	got := seedContexts(t, par(), cfg)
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("parallel %+v != sequential %+v", got, want)
+		t.Errorf("parallel %v != sequential %v", got, want)
 	}
 }
 

@@ -1,22 +1,25 @@
 // Package harness runs the paper's experiments: the data-race-test
 // accuracy tables (slides 24/25), the PARSEC racy-context tables (slides
-// 27-30), the memory/runtime overhead figures (slides 31/32), and the
-// synth corpus rows.
+// 27-30), the memory/runtime overhead figures (slides 31/32), the synth
+// corpus rows, the racefuzz corpus and racedetect's seed sweep.
 //
 // Every experiment is a batch of short, independent (tool × workload ×
-// seed) detector runs, and a Runner is the one way to run one. Each job
-// runs the plain detector (detect.RunOpts carrying only the runner's
-// observability pipeline); the only parallelism is across jobs, on the
-// runner's sched.Engine workers. Neither the shadow GC nor the overlap is
-// a knob here: like every detector, a job's detector runs a GC cycle every
-// detect.GCPeriod events and overlaps once its stream passes
-// event.OverlapThreshold events, so only a long stream does either.
-// Results are assembled in submission order, so output is byte-identical
-// for every worker count, Workers: 1 included. Jobs own all
-// mutable state (vm, detector) but share their workload's compiled inputs
-// — one detect.Prepared per program carries the ir.Program and the
-// per-window instrumentation, both immutable at run time — so a table run
-// compiles each workload once instead of once per (tool, seed) cell.
+// seed) detector runs, and this package is the only one that runs such
+// batches: each experiment builds a job list and hands it to runJobs, the
+// one function that runs jobs on the runner's sched.Engine workers. Each
+// job runs the plain detector (detect.RunOpts carrying only the runner's
+// observability pipeline), its report is observed into the runner's
+// RunStats and folded, inside the job, to the value the table keeps.
+// Neither the shadow GC nor the overlap is a knob here: like every
+// detector, a job's detector runs a GC cycle every detect.GCPeriod events
+// and overlaps once its stream passes event.OverlapThreshold events, so
+// only a long stream does either. Results are assembled in submission
+// order, so output is byte-identical for every worker count, Workers: 1
+// included. Jobs own all mutable state (vm, detector) but share their
+// program's compiled inputs — one detect.Prepared per program carries the
+// ir.Program and the per-window instrumentation, both immutable at run
+// time — so a batch compiles (or generates) each program once instead of
+// once per (tool, seed) cell.
 package harness
 
 import (
@@ -26,7 +29,6 @@ import (
 	"sync"
 
 	"adhocrace/internal/detect"
-	"adhocrace/internal/ir"
 	"adhocrace/internal/obs"
 	"adhocrace/internal/sched"
 	"adhocrace/internal/workloads/dataracetest"
@@ -56,6 +58,9 @@ type Runner struct {
 // in order.
 func NewRunner(opts sched.Options) *Runner { return &Runner{eng: sched.New(opts)} }
 
+// Workers returns the runner's engine concurrency bound.
+func (r *Runner) Workers() int { return r.eng.Workers() }
+
 // WithStats attaches a stats accumulator observing every run's report.
 func (r *Runner) WithStats(s *RunStats) *Runner {
 	r.stats = s
@@ -73,8 +78,39 @@ func (r *Runner) WithObs(p *obs.Pipeline) *Runner {
 // the plain detector, recording into the runner's pipeline.
 func (r *Runner) runOpts() detect.RunOpts { return detect.RunOpts{Obs: r.obs} }
 
-// observe folds a finished run's report into the attached stats, if any.
-func (r *Runner) observe(rep *detect.Report) { r.stats.Observe(rep) }
+// job is one detector run of a batch: prep's program under cfg at
+// scheduler seed seed; workload names the program in errors. Jobs of one
+// program share its Prepared, so a batch compiles each program once. A
+// job with no configuration (zero cfg.Name) runs no detector: its fold
+// gets a nil report (the synth corpus's oracle jobs).
+type job struct {
+	prep     *detect.Prepared
+	cfg      detect.Config
+	seed     int64
+	workload string
+}
+
+// runJobs is the one way a batch runs: every job on the runner's engine,
+// each the plain detector with the runner's RunOpts. Each report is
+// observed into the attached RunStats and folded inside its job to the
+// value the caller keeps, so a batch holds no reports; results come back
+// in job order, byte-identical for every worker count. A failed run's
+// error names the job: "<preset> on <workload> seed <s>".
+func runJobs[T any](r *Runner, jobs []job, fold func(job, *detect.Report) (T, error)) ([]T, error) {
+	opts := r.runOpts()
+	return sched.Map(r.eng, jobs, func(j job) (T, error) {
+		if j.cfg.Name == "" {
+			return fold(j, nil)
+		}
+		rep, _, err := j.prep.Run(j.cfg, j.seed, opts)
+		if err != nil {
+			var zero T
+			return zero, fmt.Errorf("%s on %s seed %d: %w", j.cfg.Name, j.workload, j.seed, err)
+		}
+		r.stats.Observe(rep)
+		return fold(j, rep)
+	})
+}
 
 // AccuracyRow is one tool's line in the test-suite accuracy table.
 type AccuracyRow struct {
@@ -85,16 +121,6 @@ type AccuracyRow struct {
 	Correct     int
 	// FailedCases lists the failing case names for diagnosis.
 	FailedCases []string
-}
-
-// accuracyJob is one (tool, case) cell of an accuracy table. The prepared
-// workload is shared by every cell of the same case — jobs reading one
-// compiled program is what keeps a 4-tool table at 120 compilations, not
-// 480.
-type accuracyJob struct {
-	cfg  detect.Config
-	name string
-	prep *detect.Prepared
 }
 
 // prepareSuite compiles the accuracy suite once, in suite order.
@@ -121,20 +147,6 @@ var (
 func preparedSuite() []*detect.Prepared {
 	suiteOnce.Do(func() { suitePreps = prepareSuite(dataracetest.Suite()) })
 	return suitePreps
-}
-
-// runAccuracyJobs scores a list of (tool, case) jobs on the engine and
-// returns whether each case warned, in job order.
-func (r *Runner) runAccuracyJobs(jobs []accuracyJob, seed int64) ([]bool, error) {
-	opts := r.runOpts()
-	return sched.Map(r.eng, jobs, func(j accuracyJob) (bool, error) {
-		rep, _, err := j.prep.Run(j.cfg, seed, opts)
-		if err != nil {
-			return false, fmt.Errorf("%s on %s: %w", j.cfg.Name, j.name, err)
-		}
-		r.observe(rep)
-		return rep.HasWarnings(), nil
-	})
 }
 
 // foldAccuracy turns per-case outcomes (in suite order) into a table row:
@@ -165,13 +177,15 @@ func foldAccuracy(tool string, cases []dataracetest.Case, warned []bool) Accurac
 func (r *Runner) AccuracyTable(cfgs []detect.Config, seed int64) ([]AccuracyRow, error) {
 	cases := dataracetest.Suite()
 	preps := preparedSuite()
-	jobs := make([]accuracyJob, 0, len(cfgs)*len(cases))
+	jobs := make([]job, 0, len(cfgs)*len(cases))
 	for _, cfg := range cfgs {
 		for i, c := range cases {
-			jobs = append(jobs, accuracyJob{cfg: cfg, name: c.Name, prep: preps[i]})
+			jobs = append(jobs, job{prep: preps[i], cfg: cfg, seed: seed, workload: c.Name})
 		}
 	}
-	warned, err := r.runAccuracyJobs(jobs, seed)
+	warned, err := runJobs(r, jobs, func(_ job, rep *detect.Report) (bool, error) {
+		return rep.HasWarnings(), nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -208,54 +222,14 @@ func FormatAccuracy(title string, rows []AccuracyRow) string {
 	return b.String()
 }
 
-// ContextResult is the racy-context score of one (program, tool) pair:
-// the mean over Seeds of distinct warned source locations, capped.
-type ContextResult struct {
-	Program string
-	Tool    string
-	Mean    float64
-	PerSeed []int
-}
-
-// contextRun measures one (program, tool, seed) run and returns the
-// capped distinct-context count. Concurrent runs share the prepared
-// workload's immutable inputs and nothing else.
-func (r *Runner) contextRun(prep *detect.Prepared, program string, cfg detect.Config, seed int64) (int, error) {
-	rep, _, err := prep.Run(cfg, seed, r.runOpts())
-	if err != nil {
-		return 0, fmt.Errorf("%s on %s seed %d: %w", cfg.Name, program, seed, err)
+// SeedReports runs prep's program under cfg at each of seeds (the
+// racedetect -seeds batch) and returns the reports in seed order.
+func (r *Runner) SeedReports(prep *detect.Prepared, workload string, cfg detect.Config, seeds []int64) ([]*detect.Report, error) {
+	jobs := make([]job, len(seeds))
+	for i, s := range seeds {
+		jobs[i] = job{prep: prep, cfg: cfg, seed: s, workload: workload}
 	}
-	r.observe(rep)
-	n := rep.RacyContexts()
-	if n > ContextCap {
-		n = ContextCap
-	}
-	return n, nil
-}
-
-// foldContexts assembles per-seed counts into a result.
-func foldContexts(program, tool string, perSeed []int) ContextResult {
-	res := ContextResult{Program: program, Tool: tool, PerSeed: perSeed}
-	total := 0
-	for _, n := range perSeed {
-		total += n
-	}
-	res.Mean = float64(total) / float64(len(perSeed))
-	return res
-}
-
-// RacyContexts measures one program under one tool configuration across
-// the standard seeds; the program is compiled once and shared by the seed
-// jobs.
-func (r *Runner) RacyContexts(build func() *ir.Program, program string, cfg detect.Config) (ContextResult, error) {
-	prep := detect.PrepareBuild(build)
-	perSeed, err := sched.Map(r.eng, Seeds, func(seed int64) (int, error) {
-		return r.contextRun(prep, program, cfg, seed)
-	})
-	if err != nil {
-		return ContextResult{Program: program, Tool: cfg.Name}, err
-	}
-	return foldContexts(program, cfg.Name, perSeed), nil
+	return runJobs(r, jobs, func(_ job, rep *detect.Report) (*detect.Report, error) { return rep, nil })
 }
 
 // FormatContexts renders a racy-context table: one row per program, one

@@ -5,16 +5,15 @@ import (
 	"strings"
 
 	"adhocrace/internal/detect"
-	"adhocrace/internal/sched"
 	"adhocrace/internal/workloads/parsec"
 )
 
 // ParsecTable runs the racy-context experiment for the given models under
-// the four paper tools and returns cells[program][tool] = mean contexts.
-// The whole (program × tool × seed) cross product is submitted as one job
-// batch; cells are folded in submission order, so the table is identical
-// whichever order the jobs finished in. Each model is compiled once and
-// shared by its (tool × seed) jobs.
+// the four paper tools and returns cells[program][tool], the mean over
+// Seeds of distinct warned source locations, each run capped at
+// ContextCap. The whole (program × tool × seed) cross product is one job
+// batch; each model is compiled once and shared by its (tool × seed)
+// jobs.
 func (r *Runner) ParsecTable(models []parsec.Model) (map[string]map[string]float64, []string, error) {
 	tools := detect.PaperTools(7)
 	toolNames := make([]string, len(tools))
@@ -22,55 +21,36 @@ func (r *Runner) ParsecTable(models []parsec.Model) (map[string]map[string]float
 		toolNames[i] = t.Name
 	}
 
-	type ctxJob struct {
-		prep *detect.Prepared
-		name string
-		cfg  detect.Config
-		seed int64
-	}
-	jobs := make([]ctxJob, 0, len(models)*len(tools)*len(Seeds))
+	jobs := make([]job, 0, len(models)*len(tools)*len(Seeds))
 	for _, m := range models {
 		prep := detect.PrepareBuild(m.Build)
 		for _, cfg := range tools {
 			for _, seed := range Seeds {
-				jobs = append(jobs, ctxJob{prep: prep, name: m.Name, cfg: cfg, seed: seed})
+				jobs = append(jobs, job{prep: prep, cfg: cfg, seed: seed, workload: m.Name})
 			}
 		}
 	}
-	counts, err := sched.Map(r.eng, jobs, func(j ctxJob) (int, error) {
-		return r.contextRun(j.prep, j.name, j.cfg, j.seed)
+	counts, err := runJobs(r, jobs, func(_ job, rep *detect.Report) (int, error) {
+		return min(rep.RacyContexts(), ContextCap), nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 
 	cells := make(map[string]map[string]float64, len(models))
-	i := 0
 	for _, m := range models {
 		row := make(map[string]float64, len(tools))
 		for _, cfg := range tools {
-			row[cfg.Name] = foldContexts(m.Name, cfg.Name, counts[i:i+len(Seeds)]).Mean
-			i += len(Seeds)
+			total := 0
+			for _, n := range counts[:len(Seeds)] {
+				total += n
+			}
+			counts = counts[len(Seeds):]
+			row[cfg.Name] = float64(total) / float64(len(Seeds))
 		}
 		cells[m.Name] = row
 	}
 	return cells, toolNames, nil
-}
-
-// Table4 reproduces slide 27: programs without ad-hoc synchronizations.
-func (r *Runner) Table4() (map[string]map[string]float64, []string, error) {
-	return r.ParsecTable(parsec.WithoutAdhoc())
-}
-
-// Table5 reproduces slides 28/29: programs with ad-hoc synchronizations.
-func (r *Runner) Table5() (map[string]map[string]float64, []string, error) {
-	return r.ParsecTable(parsec.WithAdhoc())
-}
-
-// Table6 reproduces slide 30: the universal-detector table over all 13
-// programs.
-func (r *Runner) Table6() (map[string]map[string]float64, []string, error) {
-	return r.ParsecTable(parsec.Models())
 }
 
 // FormatTable3 renders the slide-26 program inventory.
@@ -125,38 +105,41 @@ func (r OverheadRow) EventRatio() float64 {
 	return float64(r.EventsSpin) / float64(r.EventsLib)
 }
 
-// overhead measures the memory/runtime overhead figures for one model:
-// Helgrind+ lib vs Helgrind+ lib+spin(7) on the same program and seed.
-func (r *Runner) overhead(m parsec.Model) (OverheadRow, error) {
-	row := OverheadRow{Program: m.Name}
-	prep := detect.PrepareBuild(m.Build)
-	opts := r.runOpts()
-
-	repLib, _, err := prep.Run(detect.HelgrindPlusLib(), 1, opts)
-	if err != nil {
-		return row, fmt.Errorf("lib on %s: %w", m.Name, err)
-	}
-	r.observe(repLib)
-	row.EventsLib = repLib.Events
-	row.ShadowLib = repLib.ShadowBytes
-
-	repSpin, _, err := prep.Run(detect.HelgrindPlusLibSpin(7), 1, opts)
-	if err != nil {
-		return row, fmt.Errorf("lib+spin on %s: %w", m.Name, err)
-	}
-	r.observe(repSpin)
-	row.EventsSpin = repSpin.Events
-	row.ShadowSpin = repSpin.ShadowBytes
-	row.Loops = repSpin.SpinLoops
-	row.Edges = repSpin.SpinEdges
-	return row, nil
+// overheadRun is what one overhead job keeps of its report.
+type overheadRun struct {
+	events, shadow, edges int64
+	loops                 int
 }
 
-// OverheadAll measures every model, one job per model.
+// OverheadAll measures the memory/runtime overhead figures for every
+// model: Helgrind+ lib and Helgrind+ lib+spin(7) on the same program and
+// seed, two jobs per model.
 func (r *Runner) OverheadAll() ([]OverheadRow, error) {
-	return sched.Map(r.eng, parsec.Models(), func(m parsec.Model) (OverheadRow, error) {
-		return r.overhead(m)
+	models := parsec.Models()
+	jobs := make([]job, 0, 2*len(models))
+	for _, m := range models {
+		prep := detect.PrepareBuild(m.Build)
+		jobs = append(jobs,
+			job{prep: prep, cfg: detect.HelgrindPlusLib(), seed: 1, workload: m.Name},
+			job{prep: prep, cfg: detect.HelgrindPlusLibSpin(7), seed: 1, workload: m.Name})
+	}
+	runs, err := runJobs(r, jobs, func(_ job, rep *detect.Report) (overheadRun, error) {
+		return overheadRun{events: rep.Events, shadow: rep.ShadowBytes, edges: rep.SpinEdges, loops: rep.SpinLoops}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]OverheadRow, len(models))
+	for i, m := range models {
+		lib, spin := runs[2*i], runs[2*i+1]
+		rows[i] = OverheadRow{
+			Program:   m.Name,
+			EventsLib: lib.events, EventsSpin: spin.events,
+			ShadowLib: lib.shadow, ShadowSpin: spin.shadow,
+			Loops: spin.loops, Edges: spin.edges,
+		}
+	}
+	return rows, nil
 }
 
 // FormatOverhead renders the memory (slide 31) and runtime (slide 32)

@@ -18,7 +18,7 @@ const (
 // clean, where the spin feature eliminates false positives completely,
 // which residues remain, and where DRD saturates.
 func TestTable6Shapes(t *testing.T) {
-	cells, _, err := newRunner().Table6()
+	cells, _, err := newRunner().ParsecTable(parsec.Models())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,21 +158,11 @@ func TestOverheadFiguresMinor(t *testing.T) {
 }
 
 func TestRacyContextsDeterministicPerSeed(t *testing.T) {
-	m, ok := parsec.ByName("ferret")
-	if !ok {
-		t.Fatal("no ferret model")
-	}
-	a, err := newRunner().RacyContexts(m.Build, m.Name, Table1Configs()[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := newRunner().RacyContexts(m.Build, m.Name, Table1Configs()[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.PerSeed {
-		if a.PerSeed[i] != b.PerSeed[i] {
-			t.Errorf("seed %d: %d vs %d — runs must be reproducible", i, a.PerSeed[i], b.PerSeed[i])
+	a := seedContexts(t, newRunner(), Table1Configs()[1])
+	b := seedContexts(t, newRunner(), Table1Configs()[1])
+	for i := range a {
+		if a[i] != b[i] {
+			t.Errorf("seed %d: %d vs %d — runs must be reproducible", Seeds[i], a[i], b[i])
 		}
 	}
 }

@@ -45,7 +45,7 @@ func TestRunStatsObserve(t *testing.T) {
 }
 
 func TestRunStatsObserveNilSafe(t *testing.T) {
-	// Both receivers are optional at the call sites (Runner.observe runs
+	// Both receivers are optional at the call sites (runJobs observes
 	// unconditionally; reports can be absent on error paths).
 	var s *RunStats
 	s.Observe(&detect.Report{Events: 1}) // must not panic

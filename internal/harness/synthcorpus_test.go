@@ -2,10 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"adhocrace/internal/obs"
 	"adhocrace/internal/sched"
+	"adhocrace/internal/synth"
 )
 
 // TestSynthCorpusDeterminism: the corpus rows are byte-identical on the
@@ -70,5 +72,75 @@ func TestSynthCorpusHealthy(t *testing.T) {
 	}
 	if out := FormatSynth("t", rows, rep); out == "" {
 		t.Error("empty formatted table")
+	}
+}
+
+// corpusSize returns the acceptance corpus size (500 seeds; trimmed under
+// -short).
+func corpusSize() int64 {
+	if testing.Short() {
+		return 80
+	}
+	return 500
+}
+
+// TestCorpusOracleAgreement is the acceptance corpus: over 500 seeds,
+//
+//   - the generator's declared ground truth matches an exact
+//     happens-before oracle execution of every program;
+//   - the spin preset matches ground truth on every program whose idioms
+//     are within the paper's model, and shows exactly the documented
+//     false positive on the excluded idiom (spin-retry);
+//   - lib and eraser match their expected FP/FN signature exactly;
+//   - drd matches its signature, with proximity-dependent predictions
+//     (bounded segment history vs scheduler interleaving) held in
+//     aggregate: at most 2% variance per category.
+func TestCorpusOracleAgreement(t *testing.T) {
+	r, err := newRunner().Corpus(1, corpusSize(), 1, 7, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.OracleViolations) > 0 {
+		t.Fatalf("oracle violations:\n%s", strings.Join(r.OracleViolations, "\n"))
+	}
+	for _, dis := range r.Disagreements {
+		if !dis.Proximity {
+			t.Errorf("hard disagreement: %s", dis)
+		}
+	}
+	for _, p := range synth.PresetNames {
+		for cat, tally := range r.Cat[p] {
+			if tally.ProximityMiss*50 > tally.Match {
+				t.Errorf("%s on %s: %d proximity misses vs %d matches (>2%%)",
+					p, cat, tally.ProximityMiss, tally.Match)
+			}
+		}
+	}
+	// The corpus must actually exercise the excluded idiom: its exclusion
+	// is categorized, not skipped.
+	if tally := r.Cat["spin"]["spin-retry"]; tally == nil || tally.Match == 0 {
+		t.Error("corpus never exercised the excluded spin-retry idiom")
+	}
+	t.Logf("corpus: %d programs, %d fragments, %d disagreements (all proximity)",
+		r.Programs, r.Fragments, len(r.Disagreements))
+}
+
+// TestCorpusDeterminism: the whole corpus report, oracle jobs included,
+// is byte-identical on the one-worker engine and a parallel engine.
+func TestCorpusDeterminism(t *testing.T) {
+	var base string
+	for i, r := range []*Runner{seq(), NewRunner(sched.Options{Workers: 4})} {
+		rep, err := r.Corpus(1, 25, 1, 7, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := rep.Format()
+		if i == 0 {
+			base = got
+			continue
+		}
+		if got != base {
+			t.Fatalf("parallel report differs from the one-worker baseline:\n%s\n--- vs ---\n%s", got, base)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -56,6 +57,27 @@ func TestTablesGolden(t *testing.T) {
 		}
 		if w != g {
 			t.Errorf("table line %d changed\n  want %s\n  got  %s", i+1, w, g)
+		}
+	}
+}
+
+// TestTablesRunCount: with RunStats attached, each table observes exactly
+// its detector runs — one per job, none twice. The golden pins the text,
+// which a job that runs unobserved, or is observed twice, leaves intact.
+func TestTablesRunCount(t *testing.T) {
+	for _, c := range []struct {
+		table string
+		runs  int64
+	}{
+		{"1", 480}, {"2", 480}, {"3", 0}, {"4", 100}, {"5", 160}, {"6", 260},
+		{"perf", 26}, {"synth", 120}, {"all", 1626},
+	} {
+		var stats RunStats
+		if err := newRunner().WithStats(&stats).WriteTables(io.Discard, c.table, tablesGoldenSynthN); err != nil {
+			t.Fatal(err)
+		}
+		if got := stats.Runs.Load(); got != c.runs {
+			t.Errorf("table %s: %d runs observed, want %d", c.table, got, c.runs)
 		}
 	}
 }

@@ -7,7 +7,7 @@
 // Helgrind+ is a hybrid detector: it carries lockset state next to the
 // happens-before clocks. In this reproduction the lockset state machine
 // is the whole of the Eraser tool (detect.Eraser, which raced and the
-// synthesis differ expose as "eraser") and is carried by the hybrid
+// synth corpus expose as "eraser") and is carried by the hybrid
 // presets for the memory figure; the hybrid's reporting decisions live in
 // package detect.
 //

@@ -264,7 +264,7 @@ func TestRunTimeoutDeadline(t *testing.T) {
 // eviction). The counter feeds raced_sessions_shed.
 func TestShedBusyAtCap(t *testing.T) {
 	checkLeaks := leakCheck(t)
-	srv, ln := pipeServer(t, serve.Config{MaxSessions: 1, OutboxFrames: 4, Shed: true})
+	srv, ln := pipeServer(t, serve.Config{MaxSessions: 1, Shed: true}.WithOutboxFrames(4))
 
 	// Occupy the only slot with a long session whose frames a background
 	// reader drains.

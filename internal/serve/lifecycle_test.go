@@ -50,7 +50,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // goroutines or shadow state, and account the disconnect.
 func TestClientDisconnectMidStream(t *testing.T) {
 	checkLeaks := leakCheck(t)
-	srv, ln := pipeServer(t, serve.Config{MaxSessions: 2, OutboxFrames: 4})
+	srv, ln := pipeServer(t, serve.Config{MaxSessions: 2}.WithOutboxFrames(4))
 
 	conn := ln.dial(t)
 	s := openRaw(t, conn, serve.SessionRequest{Workload: "ww_two_threads", Tool: "spin", Repeat: 100_000})
@@ -82,10 +82,9 @@ func TestClientDisconnectMidStream(t *testing.T) {
 func TestSlowReaderBackpressure(t *testing.T) {
 	checkLeaks := leakCheck(t)
 	const repeat = 50
-	srv, ln := pipeServer(t, serve.Config{
-		MaxSessions: 2, OutboxFrames: 2,
-		WriteStallTimeout: -1, // a stalled client is the point of the test
-	})
+	srv, ln := pipeServer(t, serve.Config{MaxSessions: 2}.
+		WithOutboxFrames(2).
+		WithWriteStallTimeout(-1)) // a stalled client is the point of the test
 
 	conn := ln.dial(t)
 	s := openRaw(t, conn, serve.SessionRequest{Workload: "ww_two_threads", Tool: "spin", Repeat: repeat})
@@ -145,7 +144,7 @@ func TestSlowReaderBackpressure(t *testing.T) {
 // runs; the cap stays a strict bound (peak == cap).
 func TestEvictionAtCap(t *testing.T) {
 	checkLeaks := leakCheck(t)
-	srv, ln := pipeServer(t, serve.Config{MaxSessions: 1, OutboxFrames: 4})
+	srv, ln := pipeServer(t, serve.Config{MaxSessions: 1}.WithOutboxFrames(4))
 
 	// Session A: long-running, with a live reader that records its end.
 	connA := ln.dial(t)
@@ -268,10 +267,9 @@ func TestNoEvictionWhenClientsMatchCap(t *testing.T) {
 // is torn down and accounted as a disconnect.
 func TestWriteStallEviction(t *testing.T) {
 	checkLeaks := leakCheck(t)
-	srv, ln := pipeServer(t, serve.Config{
-		MaxSessions: 2, OutboxFrames: 2,
-		WriteStallTimeout: 100 * time.Millisecond,
-	})
+	srv, ln := pipeServer(t, serve.Config{MaxSessions: 2}.
+		WithOutboxFrames(2).
+		WithWriteStallTimeout(100*time.Millisecond))
 	conn := ln.dial(t)
 	openRaw(t, conn, serve.SessionRequest{Workload: "ww_two_threads", Tool: "spin", Repeat: 100_000})
 	// Read nothing more.
@@ -288,7 +286,7 @@ func TestWriteStallEviction(t *testing.T) {
 func TestDrainGraceful(t *testing.T) {
 	checkLeaks := leakCheck(t)
 	const repeat = 60
-	srv, ln := pipeServer(t, serve.Config{MaxSessions: 2, OutboxFrames: 4})
+	srv, ln := pipeServer(t, serve.Config{MaxSessions: 2}.WithOutboxFrames(4))
 
 	// A connection that will send its request only after draining starts.
 	lateConn := ln.dial(t)

@@ -42,12 +42,13 @@ type Config struct {
 	// cap, a new session evicts the oldest running one. A session stops
 	// counting once it has queued its final result frame.
 	MaxSessions int
-	// OutboxFrames bounds each session's outgoing frame queue (default
-	// 64); a full outbox is the backpressure that stalls the session's vm.
-	OutboxFrames int
-	// WriteStallTimeout declares a client dead when one frame write blocks
-	// this long (default 60s; <0 disables).
-	WriteStallTimeout time.Duration
+	// outboxFrames bounds each session's outgoing frame queue (64); a full
+	// outbox is the backpressure that stalls the session's vm.
+	outboxFrames int
+	// writeStall declares a client dead when one frame write blocks this
+	// long (60s). Tests shrink both (export_test.go); a negative stall
+	// disables the check.
+	writeStall time.Duration
 	// RunTimeout bounds each run's wall-clock time (detect.RunOpts.
 	// Deadline, polled by the vm alongside the interrupt flag). A run that
 	// exceeds it ends the session with a CodeTimeout error frame. 0 (the
@@ -97,13 +98,13 @@ func (c Config) withDefaults() Config {
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 64
 	}
-	if c.OutboxFrames <= 0 {
-		c.OutboxFrames = 64
+	if c.outboxFrames <= 0 {
+		c.outboxFrames = 64
 	}
-	if c.WriteStallTimeout == 0 {
-		c.WriteStallTimeout = 60 * time.Second
-	} else if c.WriteStallTimeout < 0 {
-		c.WriteStallTimeout = 0
+	if c.writeStall == 0 {
+		c.writeStall = 60 * time.Second
+	} else if c.writeStall < 0 {
+		c.writeStall = 0
 	}
 	return c
 }

@@ -110,7 +110,7 @@ func newSession(srv *Server, id uint64, req SessionRequest, cfg detect.Config,
 	ss := &session{
 		id: id, srv: srv, req: req, cfg: cfg, prep: prep, conn: conn,
 		started:    time.Now(),
-		outbox:     make(chan outFrame, srv.cfg.OutboxFrames),
+		outbox:     make(chan outFrame, srv.cfg.outboxFrames),
 		final:      make(chan outFrame, 1),
 		cancel:     make(chan struct{}),
 		writerDone: make(chan struct{}),
@@ -368,7 +368,7 @@ func (ss *session) writeFrame(fr outFrame) error {
 	if err := ss.srv.cfg.Fault.Fire(fault.ServeFrameWrite); err != nil {
 		return err
 	}
-	if d := ss.srv.cfg.WriteStallTimeout; d > 0 {
+	if d := ss.srv.cfg.writeStall; d > 0 {
 		ss.conn.SetWriteDeadline(time.Now().Add(d))
 	}
 	return WriteFrame(ss.conn, fr.t, fr.body)

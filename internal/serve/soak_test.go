@@ -31,7 +31,7 @@ func TestServerSoak(t *testing.T) {
 		}
 	}
 	checkLeaks := leakCheck(t)
-	srv := startServer(t, serve.Config{MaxSessions: 32, OutboxFrames: 8})
+	srv := startServer(t, serve.Config{MaxSessions: 32}.WithOutboxFrames(8))
 	addr := srv.Addr().String()
 
 	tools := []string{"spin", "drd"}
@@ -160,7 +160,7 @@ func TestServerSoakAbruptTeardown(t *testing.T) {
 	if err := reg.ArmSeeded(fault.ServeFrameWrite, fault.ModeSleep, 25, 11); err != nil {
 		t.Fatal(err)
 	}
-	srv := startServer(t, serve.Config{MaxSessions: 16, OutboxFrames: 4, Fault: reg})
+	srv := startServer(t, serve.Config{MaxSessions: 16, Fault: reg}.WithOutboxFrames(4))
 	addr := srv.Addr().String()
 
 	var severed, completed atomic.Int64

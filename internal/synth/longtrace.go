@@ -19,8 +19,8 @@ import (
 // (detect/gc.go) has to hold the footprint flat.
 //
 // Each window runs Phases sequential spawn-join rounds. Round p spawns
-// Workers threads that make Passes mutex-protected passes over the
-// phase's private Span-word slice of DATA, plus one deliberately
+// ltWorkers threads that make ltPasses mutex-protected passes over the
+// phase's private ltSpan-word slice of DATA, plus one deliberately
 // unprotected store to RACY[p] each — so every window churns the whole
 // shadow table and the warning machinery, and every join renders the
 // round's state dominated, GC bait by construction. At the default shape
@@ -28,25 +28,22 @@ import (
 // has passed event.OverlapThreshold and overlaps with detection, as any
 // long run does.
 
+// One phase's churn shape (above).
+const (
+	ltSpan    = 48
+	ltWorkers = 2
+	ltPasses  = 4
+)
+
 // LongTraceOpts shapes the windowed replay. The zero value of any field
 // picks the default noted on it.
 type LongTraceOpts struct {
 	// Phases is the number of sequential spawn-join churn rounds per
 	// window (default 32).
 	Phases int
-	// Span is the number of DATA words each phase touches (default 48).
-	Span int
-	// Workers is the number of threads spawned per phase (default 2).
-	Workers int
-	// Passes is how many locked passes each worker makes over the phase's
-	// slice (default 4).
-	Passes int
 	// Windows is the number of vm.Run replays fed to the one detector
 	// (default 1).
 	Windows int
-	// MaxSteps bounds each window's execution (vm.Options.MaxSteps;
-	// 0 means the vm default).
-	MaxSteps int64
 	// Cfg is the tool configuration (zero Name means HelgrindPlusLib).
 	Cfg detect.Config
 	// Opts are the run options of the one detector every window feeds, as
@@ -63,15 +60,6 @@ func (o LongTraceOpts) withDefaults() LongTraceOpts {
 	if o.Phases <= 0 {
 		o.Phases = 32
 	}
-	if o.Span <= 0 {
-		o.Span = 48
-	}
-	if o.Workers <= 0 {
-		o.Workers = 2
-	}
-	if o.Passes <= 0 {
-		o.Passes = 4
-	}
 	if o.Windows <= 0 {
 		o.Windows = 1
 	}
@@ -82,13 +70,13 @@ func (o LongTraceOpts) withDefaults() LongTraceOpts {
 }
 
 // buildLongTraceProgram builds the phased churn workload: per phase, a
-// worker function making Passes locked passes over the phase's DATA slice
+// worker function making ltPasses locked passes over the phase's DATA slice
 // and one unprotected RACY store, and a main that spawns and joins the
 // phase's workers in sequence.
 func buildLongTraceProgram(o LongTraceOpts) *ir.Program {
 	b := ir.NewBuilder("longtrace")
 	lib := synclib.Install(b, ir.LibPthread)
-	data := b.GlobalArray("DATA", o.Phases*o.Span)
+	data := b.GlobalArray("DATA", o.Phases*ltSpan)
 	racy := b.GlobalArray("RACY", o.Phases)
 	mus := make([]int64, o.Phases)
 	for p := range mus {
@@ -97,10 +85,10 @@ func buildLongTraceProgram(o LongTraceOpts) *ir.Program {
 
 	for p := 0; p < o.Phases; p++ {
 		f := b.Func(fmt.Sprintf("phase%d", p), 0)
-		lo := f.Const(int64(p * o.Span))
-		hi := f.Const(int64((p + 1) * o.Span))
+		lo := f.Const(int64(p * ltSpan))
+		hi := f.Const(int64((p + 1) * ltSpan))
 		one := f.Const(1)
-		for pass := 0; pass < o.Passes; pass++ {
+		for pass := 0; pass < ltPasses; pass++ {
 			lib.Lock(f, mus[p], "")
 			idx := f.Mov(lo)
 			head, body, done := f.NewBlock(), f.NewBlock(), f.NewBlock()
@@ -121,7 +109,7 @@ func buildLongTraceProgram(o LongTraceOpts) *ir.Program {
 
 	m := b.Func("main", 0)
 	for p := 0; p < o.Phases; p++ {
-		tids := make([]int, o.Workers)
+		tids := make([]int, ltWorkers)
 		for w := range tids {
 			tids[w] = m.Spawn(fmt.Sprintf("phase%d", p))
 		}
@@ -154,7 +142,6 @@ func LongTrace(seed int64, o LongTraceOpts) (*detect.Report, error) {
 			Instr:     ins,
 			Decoded:   dec,
 			Sink:      sink,
-			MaxSteps:  o.MaxSteps,
 			Interrupt: o.Opts.Interrupt,
 			Deadline:  o.Opts.Deadline,
 			Obs:       o.Opts.Obs,

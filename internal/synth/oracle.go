@@ -12,8 +12,8 @@ import (
 )
 
 // Preset names, in report order: the short names detect.Preset resolves
-// to the presets the differ runs (spin = Helgrind+ lib+spin at the
-// differ's window, lib = Helgrind+ lib, drd = DRD, eraser = Eraser).
+// to the presets a synth corpus runs (spin = Helgrind+ lib+spin at the
+// corpus's window, lib = Helgrind+ lib, drd = DRD, eraser = Eraser).
 var PresetNames = []string{"spin", "lib", "drd", "eraser"}
 
 // Expect is the oracle's prediction for one (fragment, preset) pair.

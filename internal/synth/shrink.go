@@ -3,23 +3,30 @@ package synth
 import (
 	"fmt"
 	"strings"
+
+	"adhocrace/internal/detect"
 )
 
 // Shrink reduces a workload to a minimal fragment set that still exhibits
 // the given disagreement, by greedy fragment deletion: repeatedly try
 // dropping each fragment other than the disagreeing one, rebuild, re-run
-// the disagreeing preset, and keep any deletion under which the
-// disagreement persists. The result is 1-minimal — no single further
-// deletion preserves the disagreement — and deterministic.
-func (d *Differ) Shrink(w *Workload, dis Disagreement) (*Workload, error) {
+// the disagreeing preset at the given spin window and scheduler seed, and
+// keep any deletion under which the disagreement persists. The runs are
+// sequential Prepared.Run calls. The result is 1-minimal — no single
+// further deletion preserves the disagreement — and deterministic.
+func Shrink(w *Workload, dis Disagreement, window int, schedSeed int64) (*Workload, error) {
+	cfg, err := detect.Preset(dis.Preset, window)
+	if err != nil {
+		return nil, fmt.Errorf("synth: %s: %w", dis.Preset, err)
+	}
 	frags := append([]Fragment(nil), w.Frags...)
 	reproduces := func(fs []Fragment) (bool, error) {
-		name := fmt.Sprintf("%s_shrink", w.Name)
-		outcomes, err := d.runPreset(func() *Workload { return Assemble(name, fs) }, dis.Preset)
+		cand := Assemble(fmt.Sprintf("%s_shrink", w.Name), fs)
+		rep, _, err := detect.Prepare(cand.Prog).Run(cfg, schedSeed, detect.RunOpts{})
 		if err != nil {
-			return false, err
+			return false, fmt.Errorf("synth: %s on %s: %w", dis.Preset, cand.Name, err)
 		}
-		for _, o := range outcomes {
+		for _, o := range Score(cand, dis.Preset, rep) {
 			if o.Frag.Index == dis.Frag.Index {
 				return o.Warned == dis.Warned && !o.Match(), nil
 			}

@@ -6,21 +6,40 @@ import (
 	"go/token"
 	"strings"
 	"testing"
+
+	"adhocrace/internal/detect"
 )
 
-// findInjected runs a corpus with a deliberately undersized spin window,
-// which un-classifies every generated loop larger than the window and so
-// injects oracle-vs-spin disagreements (false positives on race-free
-// hand-offs the full-window preset resolves).
-func findInjected(t *testing.T, d *Differ) Disagreement {
+// injectedWindow is undersized on purpose: it un-classifies every
+// generated loop larger than itself and so injects oracle-vs-spin
+// disagreements (false positives on race-free hand-offs the full-window
+// preset resolves).
+const injectedWindow = 3
+
+// runSpin runs w under the spin preset at window and scores the report.
+func runSpin(t *testing.T, w *Workload, window int) []FragOutcome {
 	t.Helper()
-	r, err := d.RunCorpus(1, 40)
+	cfg, err := detect.Preset("spin", window)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dis := range r.Disagreements {
-		if dis.Preset == "spin" && dis.Frag.Kind == KindSpinPlain && dis.Frag.Blocks > d.Window {
-			return dis
+	rep, _, err := detect.Prepare(w.Prog).Run(cfg, 1, detect.RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Score(w, "spin", rep)
+}
+
+// findInjected scores seeds 1..40 under the spin preset at the injected
+// window and returns the first disagreement on a loop larger than it.
+func findInjected(t *testing.T) Disagreement {
+	t.Helper()
+	for seed := int64(1); seed <= 40; seed++ {
+		for _, o := range runSpin(t, Generate(seed), injectedWindow) {
+			if !o.Match() && o.Frag.Kind == KindSpinPlain && o.Frag.Blocks > injectedWindow {
+				return Disagreement{Seed: seed, Preset: "spin", Frag: o.Frag,
+					Expected: o.Expected.Warn, Warned: o.Warned}
+			}
 		}
 	}
 	t.Fatal("window injection produced no spin disagreement in 40 seeds")
@@ -32,13 +51,12 @@ func findInjected(t *testing.T, d *Differ) Disagreement {
 // source is compilable (parses and formats cleanly) and round-trips the
 // fragment list.
 func TestShrinkInjectedDisagreement(t *testing.T) {
-	d := &Differ{Window: 3}
-	dis := findInjected(t, d)
-	w := Generate(dis.Seed, d.Opts)
+	dis := findInjected(t)
+	w := Generate(dis.Seed)
 	if len(w.Frags) < 2 {
 		t.Skipf("seed %d generated a single fragment; nothing to shrink", dis.Seed)
 	}
-	min, err := d.Shrink(w, dis)
+	min, err := Shrink(w, dis, injectedWindow, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,12 +69,7 @@ func TestShrinkInjectedDisagreement(t *testing.T) {
 
 	// The minimal workload still reproduces: spin at the injected window
 	// warns on a fragment the oracle declares race-free.
-	outs, err := d.runPreset(func() *Workload {
-		return Assemble(min.Name, min.Frags)
-	}, "spin")
-	if err != nil {
-		t.Fatal(err)
-	}
+	outs := runSpin(t, Assemble(min.Name, min.Frags), injectedWindow)
 	if len(outs) != 1 || !outs[0].Warned || outs[0].Match() {
 		t.Fatalf("minimal reproducer no longer disagrees: %+v", outs)
 	}
@@ -82,13 +95,12 @@ func TestShrinkInjectedDisagreement(t *testing.T) {
 // TestShrinkRejectsNonReproducing: shrinking a disagreement that does not
 // exist fails loudly instead of fabricating a reproducer.
 func TestShrinkRejectsNonReproducing(t *testing.T) {
-	d := &Differ{} // full window: no injected disagreement
-	w := Generate(1, Options{})
-	_, err := d.Shrink(w, Disagreement{
+	w := Generate(1)
+	_, err := Shrink(w, Disagreement{
 		Seed: 1, Preset: "spin", Frag: w.Frags[0],
 		Expected: !Expectations(w.Frags[0].Kind)["spin"].Warn,
 		Warned:   !Expectations(w.Frags[0].Kind)["spin"].Warn,
-	})
+	}, 7, 1) // full window: no injected disagreement
 	if err == nil {
 		t.Fatal("Shrink accepted a non-reproducing disagreement")
 	}

@@ -11,16 +11,20 @@
 // The paper's accuracy claims rest on a fixed 120-case suite; the space of
 // ad-hoc synchronization idioms in the wild is far larger (Xiong et al.,
 // OSDI 2010). This package makes scenario coverage unbounded: Generate(seed)
-// yields a labelled program per seed, Differ runs it under the spin/lib/
-// drd/eraser tool presets and scores each against the oracle (FP/FN per
-// idiom category), and Shrink reduces any oracle-vs-tool disagreement to a
-// minimal reproducer that EmitGo renders as compilable Go source ready to
-// paste into internal/workloads/dataracetest.
+// yields a labelled program per seed, Expectations predicts each tool
+// preset's behaviour per fragment, CheckOracle validates the labels on a
+// real execution, Score turns a preset's report into per-fragment
+// outcomes against those predictions, and Shrink reduces any
+// oracle-vs-tool disagreement to a minimal reproducer that EmitGo renders
+// as compilable Go source ready to paste into
+// internal/workloads/dataracetest. Running a corpus — every preset on
+// every seed, as one job batch — is the harness's job
+// (harness.Runner.Corpus); this package runs no batches.
 //
 // Determinism: the same seed produces a byte-identical program (asserted on
-// the disassembly), oracle, and differential report, under any worker
-// count — generation draws from a private math/rand source and the
-// differential runs go through the order-preserving experiment engine.
+// the disassembly) and oracle — generation draws from a private math/rand
+// source — and so a byte-identical differential report under any worker
+// count of the harness's order-preserving engine.
 package synth
 
 import (
@@ -271,26 +275,13 @@ func (w *Workload) Racy() bool {
 	return false
 }
 
-// Options bound the generator's choices.
-type Options struct {
-	// MinFrags/MaxFrags bound the fragment count (defaults 2 and 5).
-	MinFrags, MaxFrags int
-	// MaxWorkers caps the total worker-thread budget (default 14).
-	MaxWorkers int
-}
-
-func (o Options) withDefaults() Options {
-	if o.MinFrags <= 0 {
-		o.MinFrags = 2
-	}
-	if o.MaxFrags < o.MinFrags {
-		o.MaxFrags = o.MinFrags + 3
-	}
-	if o.MaxWorkers <= 0 {
-		o.MaxWorkers = 14
-	}
-	return o
-}
+// Generator bounds: a program composes minFrags..maxFrags fragments
+// whose worker threads total at most maxWorkers.
+const (
+	minFrags   = 2
+	maxFrags   = 5
+	maxWorkers = 14
+)
 
 // kindDeck is the weighted draw the generator picks kinds from: spin
 // idioms dominate (they are the paper's subject), with enough lib-protected
@@ -313,11 +304,10 @@ var kindDeck = []Kind{
 // Generate produces the workload for one seed. Identical seeds yield
 // byte-identical workloads: the fragment list, the program disassembly, and
 // the oracle all reproduce exactly.
-func Generate(seed int64, opts Options) *Workload {
-	o := opts.withDefaults()
+func Generate(seed int64) *Workload {
 	rng := rand.New(rand.NewSource(seed))
-	n := o.MinFrags + rng.Intn(o.MaxFrags-o.MinFrags+1)
-	budget := o.MaxWorkers
+	n := minFrags + rng.Intn(maxFrags-minFrags+1)
+	budget := maxWorkers
 	fillers := 0 // window-separating fragments are capped at two per program
 	var frags []Fragment
 	for i := 0; i < n; i++ {

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"adhocrace/internal/sched"
 	"adhocrace/internal/spin"
 )
 
@@ -12,8 +11,8 @@ import (
 // (disassembly), fragment list, and ground truth; different seeds differ.
 func TestGenerateDeterminism(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1000} {
-		a := Generate(seed, Options{})
-		b := Generate(seed, Options{})
+		a := Generate(seed)
+		b := Generate(seed)
 		if a.Describe() != b.Describe() {
 			t.Fatalf("seed %d: ground truth differs across regenerations", seed)
 		}
@@ -21,7 +20,7 @@ func TestGenerateDeterminism(t *testing.T) {
 			t.Fatalf("seed %d: disassembly differs across regenerations", seed)
 		}
 	}
-	if Generate(1, Options{}).Prog.Disassemble() == Generate(2, Options{}).Prog.Disassemble() {
+	if Generate(1).Prog.Disassemble() == Generate(2).Prog.Disassemble() {
 		t.Fatal("seeds 1 and 2 generated identical programs")
 	}
 }
@@ -57,84 +56,6 @@ func TestExpectationsShape(t *testing.T) {
 	}
 	if !sawExcluded {
 		t.Error("no excluded idiom in the fragment library")
-	}
-}
-
-// corpusSize returns the acceptance corpus size (500 seeds; trimmed under
-// -short).
-func corpusSize(t *testing.T) int64 {
-	if testing.Short() {
-		return 80
-	}
-	return 500
-}
-
-// TestCorpusOracleAgreement is the acceptance corpus: over 500 seeds,
-//
-//   - the generator's declared ground truth matches an exact
-//     happens-before oracle execution of every program;
-//   - the spin preset matches ground truth on every program whose idioms
-//     are within the paper's model, and shows exactly the documented
-//     false positive on the excluded idiom (spin-retry);
-//   - lib and eraser match their expected FP/FN signature exactly;
-//   - drd matches its signature, with proximity-dependent predictions
-//     (bounded segment history vs scheduler interleaving) held in
-//     aggregate: at most 2% variance per category.
-func TestCorpusOracleAgreement(t *testing.T) {
-	n := corpusSize(t)
-	d := &Differ{OracleCheck: true}
-	r, err := d.RunCorpus(1, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.OracleViolations) > 0 {
-		t.Fatalf("oracle violations:\n%s", strings.Join(r.OracleViolations, "\n"))
-	}
-	for _, dis := range r.Disagreements {
-		if !dis.Proximity {
-			t.Errorf("hard disagreement: %s", dis)
-		}
-	}
-	for _, p := range PresetNames {
-		for cat, tally := range r.Cat[p] {
-			if tally.ProximityMiss*50 > tally.Match {
-				t.Errorf("%s on %s: %d proximity misses vs %d matches (>2%%)",
-					p, cat, tally.ProximityMiss, tally.Match)
-			}
-		}
-	}
-	// The corpus must actually exercise the excluded idiom: its exclusion
-	// is categorized, not skipped.
-	if tally := r.Cat["spin"]["spin-retry"]; tally == nil || tally.Match == 0 {
-		t.Error("corpus never exercised the excluded spin-retry idiom")
-	}
-	t.Logf("corpus: %d programs, %d fragments, %d disagreements (all proximity)",
-		r.Programs, r.Fragments, len(r.Disagreements))
-}
-
-// TestDifferDeterminism: the corpus report is byte-identical on the
-// one-worker engine and a parallel engine. Overlapped detection of synth
-// programs is covered where that knob lives (TestPipelineDeterminismSynth
-// in internal/detect).
-func TestDifferDeterminism(t *testing.T) {
-	variants := []*Differ{
-		{Eng: sched.New(sched.Options{Workers: 1})},
-		{Eng: sched.New(sched.Options{Workers: 4})},
-	}
-	var base string
-	for i, d := range variants {
-		r, err := d.RunCorpus(1, 25)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := r.Format()
-		if i == 0 {
-			base = got
-			continue
-		}
-		if got != base {
-			t.Fatalf("variant %d report differs from the one-worker baseline:\n%s\n--- vs ---\n%s", i, got, base)
-		}
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // on generated programs rather than the fixed suite.
 func TestTraceRoundTrip(t *testing.T) {
 	for _, seed := range []int64{3, 11, 27} {
-		w := Generate(seed, Options{})
+		w := Generate(seed)
 		cfg := detect.HelgrindPlusLibSpin(7)
 		ins := cfg.Instrument(w.Prog)
 

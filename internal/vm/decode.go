@@ -214,7 +214,7 @@ func (v *VM) runThread(t *thread, quantum int) error {
 			return nil
 		}
 		v.steps++
-		if v.steps > v.opts.MaxSteps {
+		if v.steps > v.opts.maxSteps {
 			return ErrStepLimit
 		}
 		f := t.frames[len(t.frames)-1]

@@ -61,7 +61,7 @@ func (r *refInterp) runThread(t *thread, quantum int) error {
 			return nil
 		}
 		v.steps++
-		if v.steps > v.opts.MaxSteps {
+		if v.steps > v.opts.maxSteps {
 			return ErrStepLimit
 		}
 		yielded, err := r.step(t)

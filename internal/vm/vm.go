@@ -25,9 +25,9 @@ import (
 type Options struct {
 	// Seed drives the scheduler. Runs with equal seeds are identical.
 	Seed int64
-	// MaxSteps aborts runaway executions (livelock/deadlock guard).
-	// 0 means the default of 4M steps.
-	MaxSteps int64
+	// maxSteps aborts runaway executions (livelock/deadlock guard); 0
+	// means maxStepsDefault. Only tests lower it.
+	maxSteps int64
 	// KnownLibs is the set of library tags the detector intercepts.
 	// Calls into functions tagged with a known library emit sync events
 	// and hide their internal memory traffic.
@@ -63,7 +63,8 @@ type Options struct {
 }
 
 const (
-	defaultMaxSteps = 4 << 20
+	// maxStepsDefault is the step bound of every run (ErrStepLimit).
+	maxStepsDefault = 4 << 20
 	// maxQuantum bounds the number of instructions a thread runs between
 	// scheduling points; each quantum is drawn from 1..maxQuantum.
 	maxQuantum     = 12
@@ -75,7 +76,8 @@ const (
 	deadlinePollQuanta = 256
 )
 
-// ErrStepLimit is returned when the run exceeds MaxSteps.
+// ErrStepLimit is returned when a run exceeds its step bound (4M steps),
+// the vm's livelock guard.
 var ErrStepLimit = errors.New("vm: step limit exceeded (livelock?)")
 
 // ErrDeadlock is returned when no thread is runnable but some are blocked.
@@ -173,8 +175,8 @@ type VM struct {
 
 // New prepares a run of the program.
 func New(p *ir.Program, opts Options) *VM {
-	if opts.MaxSteps == 0 {
-		opts.MaxSteps = defaultMaxSteps
+	if opts.maxSteps == 0 {
+		opts.maxSteps = maxStepsDefault
 	}
 	seed := uint64(opts.Seed)
 	if seed == 0 {

@@ -252,7 +252,7 @@ func TestStepLimit(t *testing.T) {
 	f.SetBlock(loop)
 	f.Nop()
 	f.Jmp(loop)
-	_, err := Run(b.MustBuild(), Options{Seed: 1, MaxSteps: 1000})
+	_, err := Run(b.MustBuild(), Options{Seed: 1, maxSteps: 1000})
 	if err != ErrStepLimit {
 		t.Fatalf("err = %v, want ErrStepLimit", err)
 	}

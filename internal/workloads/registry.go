@@ -39,7 +39,7 @@ func Find(name string) (func() *ir.Program, bool) {
 			return nil, false
 		}
 		return func() *ir.Program {
-			return synth.Generate(seed, synth.Options{}).Prog
+			return synth.Generate(seed).Prog
 		}, true
 	}
 	return nil, false
