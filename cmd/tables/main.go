@@ -17,8 +17,9 @@
 //	      scored against the synthesis engine's ground-truth oracle
 //	      (beyond the paper: see internal/synth and cmd/racefuzz)
 //
-// Every table is a batch of short, independent detector runs, each on the
-// plain detector. The only parallelism is across runs, on the experiment
+// Every table is a batch of short, independent (workload, seed) jobs, each
+// one vm run feeding the plain detector of every tool the table compares.
+// The only parallelism is across jobs, on the experiment
 // engine's workers: -workers bounds it (0 = GOMAXPROCS), and -workers 1
 // runs every job inline, in order. Output is byte-identical for every
 // worker count. The shadow GC pays only on long streams, so it lives on
@@ -28,7 +29,8 @@
 // reaches.
 //
 // -stats appends a footer with the detector pipeline counters aggregated
-// over every run: events processed, events/sec, shadow bytes, read-set
+// over every detector run (the vm_steps and vm_quanta counters over the
+// shared vm runs): events processed, events/sec, shadow bytes, read-set
 // promotions (how often the FastTrack epoch fast path promoted to a
 // read-set), and the clock store's sync epoch hits / rebases / inflates
 // (how often release/acquire stayed on the O(1) epoch path), plus the

@@ -7,6 +7,7 @@ import (
 	"adhocrace/internal/event"
 	"adhocrace/internal/ir"
 	"adhocrace/internal/spin"
+	"adhocrace/internal/vm"
 )
 
 // Bridges for the external test package (detect_test, used by tests that
@@ -68,4 +69,25 @@ func GCPeriodOf(o RunOpts) int64 {
 		return GCPeriod
 	}
 	return o.gcPeriod
+}
+
+// SharedStreams runs pr's program once at seed for the consumers of a
+// RunAll — a detector per configuration of cfgs, then a view per library
+// set of views — and returns the stream each consumer's filter passes on,
+// in consumer order, with the run's result.
+func SharedStreams(pr *Prepared, cfgs []Config, views []map[ir.LibTag]bool, seed int64) ([][]event.Event, vm.Result, error) {
+	var cons []consumer
+	for _, cfg := range cfgs {
+		cons = append(cons, consumer{libs: cfg.KnownLibs, window: cfg.SpinWindow})
+	}
+	for _, libs := range views {
+		cons = append(cons, consumer{libs: libs})
+	}
+	out := make([][]event.Event, len(cons))
+	sinks := make([]event.Sink, len(cons))
+	for i := range cons {
+		sinks[i] = event.SinkFunc(func(ev *event.Event) { out[i] = append(out[i], *ev) })
+	}
+	res, err := pr.runShared(cons, sinks, seed, RunOpts{})
+	return out, res, err
 }

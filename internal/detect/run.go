@@ -121,9 +121,10 @@ func (pr *Prepared) Decoded(cfg Config) *vm.Decoded {
 
 // Run executes the prepared workload under one tool configuration, seed
 // and opts, feeding the event stream through a fresh detector.
-// It is the one way to drive a detector live; ReplayTrace drives one from
-// a recording. A one-shot run is Prepare(p).Run(cfg, seed, RunOpts{}); a
-// caller counting events sets opts.Tap to an event.Counter.
+// It is the one way to drive one detector live; RunAll drives several
+// from one vm run, and ReplayTrace drives one from a recording. A
+// one-shot run is Prepare(p).Run(cfg, seed, RunOpts{}); a caller counting
+// events sets opts.Tap to an event.Counter.
 func (pr *Prepared) Run(cfg Config, seed int64, opts RunOpts) (*Report, vm.Result, error) {
 	d, sink := pr.NewRun(cfg, opts)
 	defer d.Close()
@@ -147,8 +148,8 @@ func (pr *Prepared) Run(cfg Config, seed int64, opts RunOpts) (*Report, vm.Resul
 // The detector owns the run's overlap pipeline (event.NewSegmented): it
 // applies events on the producer's goroutine until the stream passes
 // event.OverlapThreshold, then hands them to the pipeline's consumer.
-// Prepared.Run and ReplayTrace feed it one stream; synth.LongTrace feeds
-// it many vm runs in turn. The producer must flush the sink before
+// Prepared.Run and ReplayTrace feed it one stream, RunAll one filtered
+// share of a stream; synth.LongTrace feeds it many vm runs in turn. The producer must flush the sink before
 // reading the report (vm.Run and TraceReader.Replay do), and the caller
 // closes the detector, which stops the consumer if one started.
 func (pr *Prepared) NewRun(cfg Config, opts RunOpts) (d *Detector, sink event.Sink) {

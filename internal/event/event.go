@@ -51,6 +51,14 @@ const (
 	// KindSpinExit marks a thread leaving an instrumented spinning read
 	// loop through one of its exit branches.
 	KindSpinExit
+	// KindLibCall / KindLibReturn bracket a call into a sync function of
+	// a library that some, not all, consumers of a shared run intercept
+	// (vm.DecodeShared). They carry the call's Sync, Addr, Addr2 and Loc,
+	// and the callee's function index in Value. They never leave a shared
+	// run: each consumer's filter turns the outermost call it intercepts
+	// into KindSyncPre/KindSyncPost and drops the rest.
+	KindLibCall
+	KindLibReturn
 )
 
 var kindNames = [...]string{
@@ -60,6 +68,7 @@ var kindNames = [...]string{
 	KindSpawn: "spawn", KindJoin: "join",
 	KindThreadStart: "thread-start", KindThreadExit: "thread-exit",
 	KindSpinRead: "spin-read", KindSpinExit: "spin-exit",
+	KindLibCall: "lib-call", KindLibReturn: "lib-return",
 }
 
 // String returns the event kind name.
@@ -87,6 +96,8 @@ func (k Kind) IsAtomic() bool { return k == KindAtomicRead || k == KindAtomicWri
 //   - spawn/join: Child
 //   - spin-read: SpinLoop, Addr, Value, Loc (also emitted as a plain access)
 //   - spin-exit: SpinLoop
+//   - lib-call/lib-return: as sync pre/post, plus the callee's function
+//     index in Value
 //
 // The struct is deliberately pointer-free: Sym and Loc are interned ids
 // resolved against the program's ir.Interning table (strings are

@@ -3,23 +3,28 @@
 // 27-30), the memory/runtime overhead figures (slides 31/32), the synth
 // corpus rows, the racefuzz corpus and racedetect's seed sweep.
 //
-// Every experiment is a batch of short, independent (tool × workload ×
-// seed) detector runs, and this package is the only one that runs such
-// batches: each experiment builds a job list and hands it to runJobs, the
-// one function that runs jobs on the runner's sched.Engine workers. Each
-// job runs the plain detector (detect.RunOpts carrying only the runner's
-// observability pipeline), its report is observed into the runner's
-// RunStats and folded, inside the job, to the value the table keeps.
-// Neither the shadow GC nor the overlap is a knob here: like every
-// detector, a job's detector runs a GC cycle every detect.GCPeriod events
-// and overlaps once its stream passes event.OverlapThreshold events, so
-// only a long stream does either. Results are assembled in submission
-// order, so output is byte-identical for every worker count, Workers: 1
-// included. Jobs own all mutable state (vm, detector) but share their
-// program's compiled inputs — one detect.Prepared per program carries the
-// ir.Program and the per-window instrumentation, both immutable at run
-// time — so a batch compiles (or generates) each program once instead of
-// once per (tool, seed) cell.
+// Every experiment is a batch of short, independent (workload × seed) vm
+// runs, each feeding the detectors of every tool the experiment compares,
+// and this package is the only one that runs such batches: each
+// experiment builds a job list and hands it to runJobs, the one function
+// that runs jobs on the runner's sched.Engine workers. A job is one vm
+// run (detect.Prepared.RunAll) whose stream a filter per tool rebuilds
+// into exactly the stream that tool's own run would emit, so a (workload,
+// seed) costs one interleaving however many tools read it; the synth
+// corpus's ground-truth oracle rides on the same run. Each detector is
+// the plain one (detect.RunOpts carrying only the runner's observability
+// pipeline); its report is observed into the runner's RunStats and
+// folded, inside the job, to the value the table keeps. Neither the
+// shadow GC nor the overlap is a knob here: like every detector, a job's
+// detectors run a GC cycle every detect.GCPeriod events and overlap once
+// their stream passes event.OverlapThreshold events, so only a long
+// stream does either. Results are assembled in submission order, so
+// output is byte-identical for every worker count, Workers: 1 included.
+// Jobs own all mutable state (vm, detectors) but share their program's
+// compiled inputs — one detect.Prepared per program carries the
+// ir.Program, the per-window instrumentation and the shared run's decoded
+// form, all immutable at run time — so a batch compiles (or generates)
+// each program once.
 package harness
 
 import (
@@ -31,6 +36,7 @@ import (
 	"adhocrace/internal/detect"
 	"adhocrace/internal/obs"
 	"adhocrace/internal/sched"
+	"adhocrace/internal/synth"
 	"adhocrace/internal/workloads/dataracetest"
 )
 
@@ -78,38 +84,71 @@ func (r *Runner) WithObs(p *obs.Pipeline) *Runner {
 // the plain detector, recording into the runner's pipeline.
 func (r *Runner) runOpts() detect.RunOpts { return detect.RunOpts{Obs: r.obs} }
 
-// job is one detector run of a batch: prep's program under cfg at
-// scheduler seed seed; workload names the program in errors. Jobs of one
-// program share its Prepared, so a batch compiles each program once. A
-// job with no configuration (zero cfg.Name) runs no detector: its fold
-// gets a nil report (the synth corpus's oracle jobs).
+// job is one vm run of a batch: prep's program at scheduler seed seed,
+// feeding a detector per configuration of cfgs and, when oracle is set,
+// that workload's ground-truth oracle (synth.Oracle), all from the one
+// stream (detect.Prepared.RunAll). workload names the program in errors.
+// Jobs of one program share its Prepared, so a batch compiles each
+// program once.
 type job struct {
 	prep     *detect.Prepared
-	cfg      detect.Config
+	cfgs     []detect.Config
 	seed     int64
 	workload string
+	oracle   *synth.Workload
+}
+
+// outcome is what one job's run produced: a report per configuration, in
+// job order, and, when the job has an oracle, its violations.
+type outcome struct {
+	reports   []*detect.Report
+	oracleBad []string
 }
 
 // runJobs is the one way a batch runs: every job on the runner's engine,
-// each the plain detector with the runner's RunOpts. Each report is
-// observed into the attached RunStats and folded inside its job to the
-// value the caller keeps, so a batch holds no reports; results come back
-// in job order, byte-identical for every worker count. A failed run's
-// error names the job: "<preset> on <workload> seed <s>".
-func runJobs[T any](r *Runner, jobs []job, fold func(job, *detect.Report) (T, error)) ([]T, error) {
+// one vm run per job feeding the plain detector of each of its
+// configurations, with the runner's RunOpts. Each report is observed into
+// the attached RunStats, and each job's outcome is folded inside the job
+// to the value the caller keeps, so a batch holds no reports; results come
+// back in job order, byte-identical for every worker count. A failed
+// run's error names the job and every consumer of its run:
+// "<workload> seed <s> (<preset>, …): <err>".
+func runJobs[T any](r *Runner, jobs []job, fold func(job, outcome) (T, error)) ([]T, error) {
 	opts := r.runOpts()
 	return sched.Map(r.eng, jobs, func(j job) (T, error) {
-		if j.cfg.Name == "" {
-			return fold(j, nil)
+		var views []detect.View
+		var oracle *synth.Oracle
+		if j.oracle != nil {
+			oracle = synth.NewOracle(j.oracle)
+			views = []detect.View{{KnownLibs: synth.OracleLibs(), Sink: oracle}}
 		}
-		rep, _, err := j.prep.Run(j.cfg, j.seed, opts)
+		reps, _, err := j.prep.RunAll(j.cfgs, views, j.seed, opts)
+		r.stats.observeVMRun()
 		if err != nil {
 			var zero T
-			return zero, fmt.Errorf("%s on %s seed %d: %w", j.cfg.Name, j.workload, j.seed, err)
+			return zero, fmt.Errorf("%s seed %d (%s): %w", j.workload, j.seed, j.consumers(), err)
 		}
-		r.stats.Observe(rep)
-		return fold(j, rep)
+		for _, rep := range reps {
+			r.stats.Observe(rep)
+		}
+		out := outcome{reports: reps}
+		if oracle != nil {
+			out.oracleBad = oracle.Violations(j.seed)
+		}
+		return fold(j, out)
 	})
+}
+
+// consumers lists the job's preset names, and the oracle, for errors.
+func (j job) consumers() string {
+	names := make([]string, 0, len(j.cfgs)+1)
+	for _, cfg := range j.cfgs {
+		names = append(names, cfg.Name)
+	}
+	if j.oracle != nil {
+		names = append(names, "oracle")
+	}
+	return strings.Join(names, ", ")
 }
 
 // AccuracyRow is one tool's line in the test-suite accuracy table.
@@ -170,28 +209,32 @@ func foldAccuracy(tool string, cases []dataracetest.Case, warned []bool) Accurac
 }
 
 // AccuracyTable scores several configurations (Table 1 uses the four paper
-// tools; Table 2 the spin-window sweep). The full (tool × case) job list
-// is submitted as one batch so a many-core runner parallelizes across
-// tools as well as cases; every tool's cell of one case shares that case's
-// compiled workload.
+// tools; Table 2 the spin-window sweep). Each case is one job whose vm run
+// feeds every configuration, so the batch runs the vm once per case.
 func (r *Runner) AccuracyTable(cfgs []detect.Config, seed int64) ([]AccuracyRow, error) {
 	cases := dataracetest.Suite()
 	preps := preparedSuite()
-	jobs := make([]job, 0, len(cfgs)*len(cases))
-	for _, cfg := range cfgs {
-		for i, c := range cases {
-			jobs = append(jobs, job{prep: preps[i], cfg: cfg, seed: seed, workload: c.Name})
-		}
+	jobs := make([]job, len(cases))
+	for i, c := range cases {
+		jobs[i] = job{prep: preps[i], cfgs: cfgs, seed: seed, workload: c.Name}
 	}
-	warned, err := runJobs(r, jobs, func(_ job, rep *detect.Report) (bool, error) {
-		return rep.HasWarnings(), nil
+	warned, err := runJobs(r, jobs, func(_ job, out outcome) ([]bool, error) {
+		w := make([]bool, len(out.reports))
+		for i, rep := range out.reports {
+			w[i] = rep.HasWarnings()
+		}
+		return w, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]AccuracyRow, 0, len(cfgs))
+	col := make([]bool, len(cases))
 	for i, cfg := range cfgs {
-		rows = append(rows, foldAccuracy(cfg.Name, cases, warned[i*len(cases):(i+1)*len(cases)]))
+		for ci := range cases {
+			col[ci] = warned[ci][i]
+		}
+		rows = append(rows, foldAccuracy(cfg.Name, cases, col))
 	}
 	return rows, nil
 }
@@ -227,9 +270,9 @@ func FormatAccuracy(title string, rows []AccuracyRow) string {
 func (r *Runner) SeedReports(prep *detect.Prepared, workload string, cfg detect.Config, seeds []int64) ([]*detect.Report, error) {
 	jobs := make([]job, len(seeds))
 	for i, s := range seeds {
-		jobs[i] = job{prep: prep, cfg: cfg, seed: s, workload: workload}
+		jobs[i] = job{prep: prep, cfgs: []detect.Config{cfg}, seed: s, workload: workload}
 	}
-	return runJobs(r, jobs, func(_ job, rep *detect.Report) (*detect.Report, error) { return rep, nil })
+	return runJobs(r, jobs, func(_ job, out outcome) (*detect.Report, error) { return out.reports[0], nil })
 }
 
 // FormatContexts renders a racy-context table: one row per program, one

@@ -1,10 +1,14 @@
 package harness
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"adhocrace/internal/detect"
+	"adhocrace/internal/ir"
+	"adhocrace/internal/synth"
+	"adhocrace/internal/vm"
 )
 
 // TestTable1MatchesPaper asserts the exact slide-24 table. These are the
@@ -122,3 +126,47 @@ func TestFormatTable3HasAllPrograms(t *testing.T) {
 }
 
 func contains(s, sub string) bool { return strings.Contains(s, sub) }
+
+// deadlockProgram's main spawns a child that joins main while main joins
+// the child: every run ends in vm.ErrDeadlock.
+func deadlockProgram() *ir.Program {
+	b := ir.NewBuilder("deadlock")
+	child := b.Func("child", 1)
+	child.Join(0)
+	child.Ret(ir.NoReg)
+	m := b.Func("main", 0)
+	m.Join(m.Spawn("child", m.Const(0)))
+	m.Ret(ir.NoReg)
+	return b.MustBuild()
+}
+
+// TestFailedJobNamesConsumers: a job whose one vm run fails reports the
+// workload, the seed and every consumer of the run — each preset, and the
+// oracle when it rides along — and wraps the vm's error.
+func TestFailedJobNamesConsumers(t *testing.T) {
+	prep := detect.Prepare(deadlockProgram())
+	w := &synth.Workload{Name: "deadlock", Prog: prep.Prog}
+	for _, c := range []struct {
+		job  job
+		want string
+	}{
+		{job{prep: prep, cfgs: Table1Configs(), seed: 3, workload: "deadlock"},
+			"deadlock seed 3 (Helgrind+ lib, Helgrind+ lib+spin(7), Helgrind+ nolib+spin(7), DRD): " + vm.ErrDeadlock.Error()},
+		{job{prep: prep, cfgs: []detect.Config{detect.DRD()}, seed: 1, workload: "deadlock", oracle: w},
+			"deadlock seed 1 (DRD, oracle): " + vm.ErrDeadlock.Error()},
+		{job{prep: prep, cfgs: []detect.Config{detect.Eraser()}, seed: 2, workload: "deadlock"},
+			"deadlock seed 2 (Eraser): " + vm.ErrDeadlock.Error()},
+	} {
+		var stats RunStats
+		_, err := runJobs(newRunner().WithStats(&stats), []job{c.job}, func(job, outcome) (bool, error) {
+			t.Error("a failed job was folded")
+			return false, nil
+		})
+		if err == nil || err.Error() != c.want || !errors.Is(err, vm.ErrDeadlock) {
+			t.Errorf("err = %v, want %q wrapping vm.ErrDeadlock", err, c.want)
+		}
+		if runs, vmRuns := stats.Runs.Load(), stats.VMRuns.Load(); runs != 0 || vmRuns != 1 {
+			t.Errorf("%s: %d runs observed, %d vm runs; want 0 and 1", c.want, runs, vmRuns)
+		}
+	}
+}

@@ -11,9 +11,8 @@ import (
 // ParsecTable runs the racy-context experiment for the given models under
 // the four paper tools and returns cells[program][tool], the mean over
 // Seeds of distinct warned source locations, each run capped at
-// ContextCap. The whole (program × tool × seed) cross product is one job
-// batch; each model is compiled once and shared by its (tool × seed)
-// jobs.
+// ContextCap. Every (program, seed) is one job whose vm run feeds all four
+// tools; each model is compiled once and shared by its seed jobs.
 func (r *Runner) ParsecTable(models []parsec.Model) (map[string]map[string]float64, []string, error) {
 	tools := detect.PaperTools(7)
 	toolNames := make([]string, len(tools))
@@ -21,17 +20,19 @@ func (r *Runner) ParsecTable(models []parsec.Model) (map[string]map[string]float
 		toolNames[i] = t.Name
 	}
 
-	jobs := make([]job, 0, len(models)*len(tools)*len(Seeds))
+	jobs := make([]job, 0, len(models)*len(Seeds))
 	for _, m := range models {
 		prep := detect.PrepareBuild(m.Build)
-		for _, cfg := range tools {
-			for _, seed := range Seeds {
-				jobs = append(jobs, job{prep: prep, cfg: cfg, seed: seed, workload: m.Name})
-			}
+		for _, seed := range Seeds {
+			jobs = append(jobs, job{prep: prep, cfgs: tools, seed: seed, workload: m.Name})
 		}
 	}
-	counts, err := runJobs(r, jobs, func(_ job, rep *detect.Report) (int, error) {
-		return min(rep.RacyContexts(), ContextCap), nil
+	counts, err := runJobs(r, jobs, func(_ job, out outcome) ([]int, error) {
+		n := make([]int, len(out.reports))
+		for i, rep := range out.reports {
+			n[i] = min(rep.RacyContexts(), ContextCap)
+		}
+		return n, nil
 	})
 	if err != nil {
 		return nil, nil, err
@@ -40,14 +41,14 @@ func (r *Runner) ParsecTable(models []parsec.Model) (map[string]map[string]float
 	cells := make(map[string]map[string]float64, len(models))
 	for _, m := range models {
 		row := make(map[string]float64, len(tools))
-		for _, cfg := range tools {
+		for ti, cfg := range tools {
 			total := 0
 			for _, n := range counts[:len(Seeds)] {
-				total += n
+				total += n[ti]
 			}
-			counts = counts[len(Seeds):]
 			row[cfg.Name] = float64(total) / float64(len(Seeds))
 		}
+		counts = counts[len(Seeds):]
 		cells[m.Name] = row
 	}
 	return cells, toolNames, nil
@@ -105,41 +106,25 @@ func (r OverheadRow) EventRatio() float64 {
 	return float64(r.EventsSpin) / float64(r.EventsLib)
 }
 
-// overheadRun is what one overhead job keeps of its report.
-type overheadRun struct {
-	events, shadow, edges int64
-	loops                 int
-}
-
 // OverheadAll measures the memory/runtime overhead figures for every
 // model: Helgrind+ lib and Helgrind+ lib+spin(7) on the same program and
-// seed, two jobs per model.
+// seed, one job per model.
 func (r *Runner) OverheadAll() ([]OverheadRow, error) {
 	models := parsec.Models()
-	jobs := make([]job, 0, 2*len(models))
-	for _, m := range models {
-		prep := detect.PrepareBuild(m.Build)
-		jobs = append(jobs,
-			job{prep: prep, cfg: detect.HelgrindPlusLib(), seed: 1, workload: m.Name},
-			job{prep: prep, cfg: detect.HelgrindPlusLibSpin(7), seed: 1, workload: m.Name})
-	}
-	runs, err := runJobs(r, jobs, func(_ job, rep *detect.Report) (overheadRun, error) {
-		return overheadRun{events: rep.Events, shadow: rep.ShadowBytes, edges: rep.SpinEdges, loops: rep.SpinLoops}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]OverheadRow, len(models))
+	cfgs := []detect.Config{detect.HelgrindPlusLib(), detect.HelgrindPlusLibSpin(7)}
+	jobs := make([]job, len(models))
 	for i, m := range models {
-		lib, spin := runs[2*i], runs[2*i+1]
-		rows[i] = OverheadRow{
-			Program:   m.Name,
-			EventsLib: lib.events, EventsSpin: spin.events,
-			ShadowLib: lib.shadow, ShadowSpin: spin.shadow,
-			Loops: spin.loops, Edges: spin.edges,
-		}
+		jobs[i] = job{prep: detect.PrepareBuild(m.Build), cfgs: cfgs, seed: 1, workload: m.Name}
 	}
-	return rows, nil
+	return runJobs(r, jobs, func(j job, out outcome) (OverheadRow, error) {
+		lib, spin := out.reports[0], out.reports[1]
+		return OverheadRow{
+			Program:   j.workload,
+			EventsLib: lib.Events, EventsSpin: spin.Events,
+			ShadowLib: lib.ShadowBytes, ShadowSpin: spin.ShadowBytes,
+			Loops: spin.SpinLoops, Edges: spin.SpinEdges,
+		}, nil
+	})
 }
 
 // FormatOverhead renders the memory (slide 31) and runtime (slide 32)

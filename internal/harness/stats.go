@@ -16,7 +16,10 @@ import (
 // deterministic as the table above it (events/sec excepted, which is wall
 // clock by definition).
 type RunStats struct {
+	// Runs counts detector runs (reports observed); VMRuns counts vm runs,
+	// each of which feeds every detector of its job.
 	Runs        atomic.Int64
+	VMRuns      atomic.Int64
 	Events      atomic.Int64
 	ShadowBytes atomic.Int64
 	Promotions  atomic.Int64
@@ -48,6 +51,13 @@ func (s *RunStats) Observe(rep *detect.Report) {
 	s.GCCycles.Add(rep.GCCycles)
 	s.GCWordsRetired.Add(rep.GCWordsRetired)
 	s.GCSyncRetired.Add(rep.GCSyncObjsRetired)
+}
+
+// observeVMRun counts one vm run.
+func (s *RunStats) observeVMRun() {
+	if s != nil {
+		s.VMRuns.Add(1)
+	}
 }
 
 // Footer renders the stats block printed under a table run. elapsed is the

@@ -51,50 +51,45 @@ type CorpusReport struct {
 	OracleViolations []string
 }
 
-// corpusOut is what one corpus job keeps: a preset job's per-fragment
-// outcomes, or an oracle job's violations.
+// corpusOut is what one corpus job keeps: its presets' per-fragment
+// outcomes and its oracle's violations.
 type corpusOut struct {
 	outcomes  []synth.FragOutcome
 	oracleBad []string
 }
 
-// Corpus scores generator seeds start..start+n-1: every synth preset (the
-// spin preset at the given window) at scheduler seed schedSeed, plus, with
-// oracle, a check of each program's declared ground truth against an
-// oracle execution (synth.CheckOracle). Each seed is generated once and
-// its program shared by its preset and oracle jobs, all of them one job
-// batch. The report is byte-identical for every worker count.
-func (r *Runner) Corpus(start, n, schedSeed int64, window int, oracle bool) (*CorpusReport, error) {
+// Corpus scores the generated workloads ws, which are generator seeds
+// start, start+1, … in order: every synth preset (the spin preset at the
+// given window) at scheduler seed schedSeed and, with oracle, a check of
+// each program's declared ground truth against an oracle execution
+// (synth.Oracle). Each workload is one job whose vm run feeds every
+// preset and its oracle. The report is byte-identical for every worker
+// count.
+func (r *Runner) Corpus(start int64, ws []*synth.Workload, schedSeed int64, window int, oracle bool) (*CorpusReport, error) {
 	cfgs := make([]detect.Config, len(synth.PresetNames))
-	presetOf := make(map[string]string, len(cfgs))
 	for i, p := range synth.PresetNames {
 		cfg, err := detect.Preset(p, window)
 		if err != nil {
 			return nil, fmt.Errorf("synth: %s: %w", p, err)
 		}
 		cfgs[i] = cfg
-		presetOf[cfg.Name] = p
 	}
-	byName := make(map[string]*synth.Workload, n)
-	var jobs []job
-	for s := start; s < start+n; s++ {
-		w := synth.Generate(s)
+	byName := make(map[string]*synth.Workload, len(ws))
+	jobs := make([]job, len(ws))
+	for i, w := range ws {
 		byName[w.Name] = w
-		prep := detect.Prepare(w.Prog)
-		for _, cfg := range cfgs {
-			jobs = append(jobs, job{prep: prep, cfg: cfg, seed: schedSeed, workload: w.Name})
-		}
+		jobs[i] = job{prep: detect.Prepare(w.Prog), cfgs: cfgs, seed: schedSeed, workload: w.Name}
 		if oracle {
-			jobs = append(jobs, job{prep: prep, seed: schedSeed, workload: w.Name})
+			jobs[i].oracle = w
 		}
 	}
-	outs, err := runJobs(r, jobs, func(j job, rep *detect.Report) (corpusOut, error) {
+	outs, err := runJobs(r, jobs, func(j job, out outcome) (corpusOut, error) {
 		w := byName[j.workload]
-		if rep == nil {
-			bad, err := synth.CheckOracle(w, j.seed)
-			return corpusOut{oracleBad: bad}, err
+		res := corpusOut{oracleBad: out.oracleBad}
+		for i, rep := range out.reports {
+			res.outcomes = append(res.outcomes, synth.Score(w, synth.PresetNames[i], rep)...)
 		}
-		return corpusOut{outcomes: synth.Score(w, presetOf[j.cfg.Name], rep)}, nil
+		return res, nil
 	})
 	if err != nil {
 		return nil, err
@@ -103,8 +98,8 @@ func (r *Runner) Corpus(start, n, schedSeed int64, window int, oracle bool) (*Co
 	rep := &CorpusReport{
 		// cfgs[0] is the spin preset (PresetNames[0]), whose window
 		// detect.Preset has normalized.
-		Start: start, N: n, SchedSeed: schedSeed, Window: cfgs[0].SpinWindow,
-		Programs: int(n),
+		Start: start, N: int64(len(ws)), SchedSeed: schedSeed, Window: cfgs[0].SpinWindow,
+		Programs: len(ws),
 		Cat:      make(map[string]map[string]*Tally),
 	}
 	for _, p := range synth.PresetNames {
@@ -129,7 +124,7 @@ func (r *Runner) Corpus(start, n, schedSeed int64, window int, oracle bool) (*Co
 			}
 			if !o.Match() {
 				rep.Disagreements = append(rep.Disagreements, synth.Disagreement{
-					Seed: byName[jobs[ji].workload].Seed, Preset: o.Preset, Frag: o.Frag,
+					Seed: ws[ji].Seed, Preset: o.Preset, Frag: o.Frag,
 					Expected: o.Expected.Warn, Warned: o.Warned,
 					Proximity: o.Expected.Proximity,
 				})
@@ -187,10 +182,10 @@ func (r *CorpusReport) Format() string {
 }
 
 // SynthCorpus scores every synth preset over generated seeds 1..n at the
-// full spin window, without oracle jobs (Corpus), and returns one row per
+// full spin window, without the oracle (Corpus), and returns one row per
 // preset in PresetNames order.
 func (r *Runner) SynthCorpus(n int64, schedSeed int64) ([]SynthRow, *CorpusReport, error) {
-	rep, err := r.Corpus(1, n, schedSeed, 7, false)
+	rep, err := r.Corpus(1, synth.GenerateSeeds(1, n), schedSeed, 7, false)
 	if err != nil {
 		return nil, nil, err
 	}

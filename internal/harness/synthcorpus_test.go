@@ -96,7 +96,7 @@ func corpusSize() int64 {
 //     (bounded segment history vs scheduler interleaving) held in
 //     aggregate: at most 2% variance per category.
 func TestCorpusOracleAgreement(t *testing.T) {
-	r, err := newRunner().Corpus(1, corpusSize(), 1, 7, true)
+	r, err := newRunner().Corpus(1, synth.GenerateSeeds(1, corpusSize()), 1, 7, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,12 +125,13 @@ func TestCorpusOracleAgreement(t *testing.T) {
 		r.Programs, r.Fragments, len(r.Disagreements))
 }
 
-// TestCorpusDeterminism: the whole corpus report, oracle jobs included,
+// TestCorpusDeterminism: the whole corpus report, oracle included,
 // is byte-identical on the one-worker engine and a parallel engine.
 func TestCorpusDeterminism(t *testing.T) {
 	var base string
+	ws := synth.GenerateSeeds(1, 25)
 	for i, r := range []*Runner{seq(), NewRunner(sched.Options{Workers: 4})} {
-		rep, err := r.Corpus(1, 25, 1, 7, true)
+		rep, err := r.Corpus(1, ws, 1, 7, true)
 		if err != nil {
 			t.Fatal(err)
 		}

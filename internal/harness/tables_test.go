@@ -7,6 +7,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"adhocrace/internal/synth"
 )
 
 var update = flag.Bool("update", false, "regenerate testdata/tables_all.txt from the current detector")
@@ -62,15 +64,18 @@ func TestTablesGolden(t *testing.T) {
 }
 
 // TestTablesRunCount: with RunStats attached, each table observes exactly
-// its detector runs — one per job, none twice. The golden pins the text,
-// which a job that runs unobserved, or is observed twice, leaves intact.
+// its detector runs — one per preset of each job, none twice — and runs
+// the vm once per job, every preset of a (program, seed) fed by that one
+// run (the synth corpus's oracle too, when it rides along). The golden
+// pins the text, which a job that runs unobserved, is observed twice, or
+// re-runs the vm per preset leaves intact.
 func TestTablesRunCount(t *testing.T) {
 	for _, c := range []struct {
-		table string
-		runs  int64
+		table        string
+		runs, vmRuns int64
 	}{
-		{"1", 480}, {"2", 480}, {"3", 0}, {"4", 100}, {"5", 160}, {"6", 260},
-		{"perf", 26}, {"synth", 120}, {"all", 1626},
+		{"1", 480, 120}, {"2", 480, 120}, {"3", 0, 0}, {"4", 100, 25}, {"5", 160, 40}, {"6", 260, 65},
+		{"perf", 26, 13}, {"synth", 120, 30}, {"all", 1626, 413},
 	} {
 		var stats RunStats
 		if err := newRunner().WithStats(&stats).WriteTables(io.Discard, c.table, tablesGoldenSynthN); err != nil {
@@ -79,5 +84,17 @@ func TestTablesRunCount(t *testing.T) {
 		if got := stats.Runs.Load(); got != c.runs {
 			t.Errorf("table %s: %d runs observed, want %d", c.table, got, c.runs)
 		}
+		if got := stats.VMRuns.Load(); got != c.vmRuns {
+			t.Errorf("table %s: %d vm runs, want %d", c.table, got, c.vmRuns)
+		}
+	}
+	// The synth corpus with its oracle: the oracle rides on each seed's
+	// one run.
+	var stats RunStats
+	if _, err := newRunner().WithStats(&stats).Corpus(1, synth.GenerateSeeds(1, tablesGoldenSynthN), 1, 7, true); err != nil {
+		t.Fatal(err)
+	}
+	if runs, vmRuns := stats.Runs.Load(), stats.VMRuns.Load(); runs != 120 || vmRuns != 30 {
+		t.Errorf("synth corpus with oracle: %d runs, %d vm runs, want 120 and 30", runs, vmRuns)
 	}
 }

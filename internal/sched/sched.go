@@ -2,9 +2,9 @@
 // executor with bounded concurrency and deterministic result assembly
 // (Engine).
 //
-// The harness submits every (tool × workload × seed) detector run as one
-// Engine job. Jobs are independent — each runs its own vm and a fresh
-// detect.Detector over immutable compiled inputs — so they can execute on
+// The harness submits every (workload × seed) vm run as one Engine job.
+// Jobs are independent — each runs its own vm and fresh detectors over
+// immutable compiled inputs — so they can execute on
 // any worker in any order; determinism is recovered at assembly time by
 // keying every job with its index in the submission order. A run through
 // the engine therefore produces byte-identical tables for every worker

@@ -8,7 +8,6 @@ import (
 	"adhocrace/internal/hb"
 	"adhocrace/internal/ir"
 	"adhocrace/internal/vc"
-	"adhocrace/internal/vm"
 )
 
 // Preset names, in report order: the short names detect.Preset resolves
@@ -90,30 +89,20 @@ func Expectations(k Kind) map[string]Expect {
 	}
 }
 
-// CheckOracle validates a workload's declared ground truth against one
-// actual execution: it runs the program on the vm with an oracle sink that
-// maintains exact happens-before — library synchronization, spawn/join,
-// and, crucially, the generator's own knowledge of every ad-hoc flag
-// protocol (a read observing value v of a flag word joins the clock of the
-// write that published v) — and race-checks every RoleData variable. It
-// returns one message per disagreement between the declared labels and the
-// observed execution; an empty slice means the oracle holds.
-func CheckOracle(w *Workload, seed int64) ([]string, error) {
-	o := newOracleSink(w)
-	_, err := vm.Run(w.Prog, vm.Options{
-		Seed: seed,
-		KnownLibs: map[ir.LibTag]bool{
-			ir.LibPthread: true, ir.LibGlib: true, ir.LibOMP: true,
-		},
-		Sink: o,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("synth: oracle run of %s (seed %d): %w", w.Name, seed, err)
-	}
+// OracleLibs returns the libraries an oracle's execution intercepts:
+// pthread, GLIB and OpenMP.
+func OracleLibs() map[ir.LibTag]bool {
+	return map[ir.LibTag]bool{ir.LibPthread: true, ir.LibGlib: true, ir.LibOMP: true}
+}
+
+// Violations returns one message per disagreement between the workload's
+// declared labels and the execution the oracle observed; seed names the
+// execution in the messages.
+func (o *Oracle) Violations(seed int64) []string {
 	var bad []string
 	syms := make([]string, 0, len(o.racyObserved))
 	declared := make(map[string]bool)
-	for _, v := range w.Vars {
+	for _, v := range o.w.Vars {
 		if v.Role == RoleData {
 			declared[v.Sym] = v.Racy
 			syms = append(syms, v.Sym)
@@ -126,7 +115,7 @@ func CheckOracle(w *Workload, seed int64) ([]string, error) {
 				sym, declared[sym], o.racyObserved[sym], seed))
 		}
 	}
-	return bad, nil
+	return bad
 }
 
 // oracleShadow is the per-address race-check state of the oracle sink.
@@ -141,10 +130,15 @@ type oracleShadow struct {
 	readsAtomic *vc.Clock
 }
 
-// oracleSink is the ground-truth happens-before engine: library sync and
+// Oracle is the ground-truth happens-before engine, an event.Sink fed one
+// execution of a workload intercepting OracleLibs — in the synth corpus,
+// one more consumer of the presets' run (detect.View): library sync and
 // spawn/join edges like any detector, plus value-transfer edges on the
-// generator's flag words — knowledge no black-box tool has.
-type oracleSink struct {
+// generator's flag words — knowledge no black-box tool has — and an exact
+// race check of every RoleData variable. A read observing value v of a
+// flag word joins the clock of the write that published v.
+type Oracle struct {
+	w     *Workload
 	hb    hb.Engine
 	flags map[int64]bool // flag-word addresses
 	data  map[int64]string
@@ -156,8 +150,10 @@ type oracleSink struct {
 	racyObserved map[string]bool
 }
 
-func newOracleSink(w *Workload) *oracleSink {
-	o := &oracleSink{
+// NewOracle returns a fresh oracle for one execution of w.
+func NewOracle(w *Workload) *Oracle {
+	o := &Oracle{
+		w:            w,
 		hb:           hb.New(),
 		flags:        make(map[int64]bool),
 		data:         make(map[int64]string),
@@ -180,7 +176,7 @@ func newOracleSink(w *Workload) *oracleSink {
 }
 
 // Handle implements event.Sink.
-func (o *oracleSink) Handle(ev *event.Event) {
+func (o *Oracle) Handle(ev *event.Event) {
 	switch ev.Kind {
 	case event.KindSpawn:
 		o.hb.Spawn(ev.Tid, ev.Child)
@@ -233,7 +229,7 @@ func (o *oracleSink) Handle(ev *event.Event) {
 }
 
 // check runs the exact happens-before race check on a data access.
-func (o *oracleSink) check(ev *event.Event, isWrite bool) {
+func (o *Oracle) check(ev *event.Event, isWrite bool) {
 	sym, tracked := o.data[ev.Addr]
 	if !tracked {
 		return

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"adhocrace/internal/detect"
+	"adhocrace/internal/vm"
 )
 
 // injectedWindow is undersized on purpose: it un-classifies every
@@ -107,18 +108,18 @@ func TestShrinkRejectsNonReproducing(t *testing.T) {
 }
 
 // TestOracleRejectsWrongLabels: the runtime oracle catches a deliberately
-// mislabelled workload — flip a racy fragment's declared truth and
-// CheckOracle must flag it.
+// mislabelled workload — flip a racy fragment's declared truth and an
+// Oracle fed its execution must flag it.
 func TestOracleRejectsWrongLabels(t *testing.T) {
 	w := Assemble("mislabel", []Fragment{{Kind: KindRacyPlain, Index: 0, Threads: 2}})
 	for i := range w.Vars {
 		w.Vars[i].Racy = false // lie: the race is real
 	}
-	bad, err := CheckOracle(w, 1)
-	if err != nil {
+	o := NewOracle(w)
+	if _, err := vm.Run(w.Prog, vm.Options{Seed: 1, KnownLibs: OracleLibs(), Sink: o}); err != nil {
 		t.Fatal(err)
 	}
-	if len(bad) == 0 {
+	if bad := o.Violations(1); len(bad) == 0 {
 		t.Fatal("oracle accepted a mislabelled racy fragment")
 	}
 }

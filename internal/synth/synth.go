@@ -12,7 +12,7 @@
 // ad-hoc synchronization idioms in the wild is far larger (Xiong et al.,
 // OSDI 2010). This package makes scenario coverage unbounded: Generate(seed)
 // yields a labelled program per seed, Expectations predicts each tool
-// preset's behaviour per fragment, CheckOracle validates the labels on a
+// preset's behaviour per fragment, an Oracle validates the labels on a
 // real execution, Score turns a preset's report into per-fragment
 // outcomes against those predictions, and Shrink reduces any
 // oracle-vs-tool disagreement to a minimal reproducer that EmitGo renders
@@ -299,6 +299,16 @@ var kindDeck = []Kind{
 	KindRacyAdhoc,
 	KindRacyWindow,
 	KindRacyAtomicMix,
+}
+
+// GenerateSeeds produces the workloads of seeds start..start+n-1, in
+// order.
+func GenerateSeeds(start, n int64) []*Workload {
+	ws := make([]*Workload, 0, max(n, 0))
+	for s := start; s < start+n; s++ {
+		ws = append(ws, Generate(s))
+	}
+	return ws
 }
 
 // Generate produces the workload for one seed. Identical seeds yield

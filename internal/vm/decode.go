@@ -32,12 +32,17 @@ import (
 )
 
 // Decoded is the dense executable form of a program under one
-// instrumentation. It is immutable after Decode and safe to share across
-// concurrent runs (detect.Prepared memoizes one per spin window).
+// instrumentation (Decode), or under several at once (DecodeShared). It is
+// immutable once built and safe to share across concurrent runs
+// (detect.Prepared memoizes one per spin window, and one per shared plan).
 type Decoded struct {
 	prog  *ir.Program
 	ins   *spin.Instrumentation
 	funcs []*dfunc
+	// loops is set on a shared form only: loops[i][site] is the loop id +
+	// 1 the site's mark carries under the i-th instrumentation, 0 where
+	// that instrumentation marks nothing there.
+	loops [][]int32
 }
 
 // Matches reports whether this decoded form was built from exactly the
@@ -47,11 +52,24 @@ func (d *Decoded) Matches(p *ir.Program, ins *spin.Instrumentation) bool {
 	return d != nil && d.prog == p && d.ins == ins
 }
 
+// SiteLoops returns, for a shared form, the spin-site table of its i-th
+// instrumentation: entry s is the loop id + 1 that a mark carrying site s
+// has under it, 0 where it marks nothing there. Nil on a Decode form.
+func (d *Decoded) SiteLoops(i int) []int32 {
+	if d.loops == nil {
+		return nil
+	}
+	return d.loops[i]
+}
+
 // dfunc is one decoded function: its blocks concatenated into a flat code
 // array (block b starts at entry[b]; block 0, the entry block, at pc 0).
 type dfunc struct {
 	fn   *ir.Func
 	code []dinstr
+	// marked is set, on a shared form, when calls into fn emit lib-call
+	// and lib-return markers (DecodeShared).
+	marked bool
 }
 
 // dinstr is one decoded instruction. Everything the exec function needs is
@@ -70,15 +88,16 @@ type dinstr struct {
 	// carries (already resolved through the program's ir.Interning).
 	sym ir.SymID
 	loc ir.LocID
-	// spin is the instrumented spin-read loop id + 1 for condition-load
-	// sites (0 = not a condition load) — spin.Instrumentation's per-load
-	// nested map lookup, baked.
+	// spin is the spin-read mark id + 1 for condition-load sites (0 = not
+	// a condition load) — spin.Instrumentation's per-load nested map
+	// lookup, baked. The mark id is the loop id, or on a shared form the
+	// site id.
 	spin int32
-	// spinExit is the instrumented loop id + 1 when this Br is one of the
-	// loop's exit branches; exitT1/exitT2 say whether taking the then/else
-	// target leaves the loop (the LoopContains lookup, baked per target).
-	spinExit       int32
-	exitT1, exitT2 bool
+	// exit1/exit2 are the spin-exit mark id + 1 when taking this Br's
+	// then/else target leaves an instrumented loop through one of its exit
+	// branches (the ExitBranchLoop and LoopContains lookups, baked per
+	// target); 0 when that target stays inside.
+	exit1, exit2 int32
 	// callee is the static call/spawn target.
 	callee *ir.Func
 	// args are the caller registers feeding the callee's parameters.
@@ -90,10 +109,86 @@ type dinstr struct {
 // spin marks). The result is immutable and reusable across runs; VM.New
 // decodes on demand when no pre-built form is supplied.
 func Decode(p *ir.Program, ins *spin.Instrumentation) *Decoded {
+	sites := spinSites{}
+	if ins != nil {
+		sites.ins = []*spin.Instrumentation{ins}
+	}
+	d := decode(p, &sites, nil)
+	d.ins = ins
+	return d
+}
+
+// DecodeShared builds the executable form of one run that feeds several
+// consumers, each filtering its own stream out of it
+// (detect.Prepared.RunAll). Calls into every sync function of a marked
+// library emit lib-call and lib-return markers (event.KindLibCall) at any
+// depth outside an intercepted call, and every site any of ins marks
+// emits its spin mark with a site id in SpinLoop; SiteLoops(i) maps site
+// ids to ins[i]'s loop ids. A run uses the form with Options.Instr nil
+// and Options.KnownLibs the libraries it intercepts outright, disjoint
+// from marked.
+func DecodeShared(p *ir.Program, marked map[ir.LibTag]bool, ins []*spin.Instrumentation) *Decoded {
+	sites := spinSites{ins: ins, loops: make([][]int32, len(ins))}
+	d := decode(p, &sites, marked)
+	d.loops = sites.loops
+	return d
+}
+
+// spinSites resolves the spin marks of a decode. Under one
+// instrumentation (loops nil) a mark carries its loop id; on a shared
+// form each site any of ins marks gets the next site id, and loops[i]
+// records the loop id + 1 the site has under ins[i].
+type spinSites struct {
+	ins   []*spin.Instrumentation
+	loops [][]int32
+	ids   []int32 // scratch: a site's loop id + 1 per instrumentation
+}
+
+// mark returns the mark id + 1 of a site, 0 when no instrumentation marks
+// it. loopOf gives the site's loop id under one instrumentation, or -1.
+func (s *spinSites) mark(loopOf func(ins *spin.Instrumentation) int) int32 {
+	if s.loops == nil {
+		if len(s.ins) == 0 {
+			return 0
+		}
+		return int32(loopOf(s.ins[0]) + 1)
+	}
+	hit := false
+	s.ids = s.ids[:0]
+	for _, ins := range s.ins {
+		id := int32(loopOf(ins) + 1)
+		s.ids = append(s.ids, id)
+		hit = hit || id != 0
+	}
+	if !hit {
+		return 0
+	}
+	for i := range s.loops {
+		s.loops[i] = append(s.loops[i], s.ids[i])
+	}
+	return int32(len(s.loops[0]))
+}
+
+// exit returns the mark id + 1 of taking target from the Br ending block
+// of fn: the branch exits an instrumented loop and the target lies
+// outside it.
+func (s *spinSites) exit(fn, block, target int) int32 {
+	return s.mark(func(ins *spin.Instrumentation) int {
+		id := ins.ExitBranchLoop(fn, block)
+		if id < 0 || ins.LoopContains(id, target) {
+			return -1
+		}
+		return id
+	})
+}
+
+// decode flattens p, resolving spin marks through sites; calls into the
+// sync functions of marked libraries emit markers.
+func decode(p *ir.Program, sites *spinSites, marked map[ir.LibTag]bool) *Decoded {
 	tab := p.Interning()
-	d := &Decoded{prog: p, ins: ins, funcs: make([]*dfunc, len(p.Funcs))}
+	d := &Decoded{prog: p, funcs: make([]*dfunc, len(p.Funcs))}
 	for fi, fn := range p.Funcs {
-		df := &dfunc{fn: fn}
+		df := &dfunc{fn: fn, marked: fn.Lib != ir.LibNone && fn.Sync != ir.SyncNone && marked[fn.Lib]}
 		starts := make([]int32, len(fn.Blocks))
 		total := 0
 		for bi, b := range fn.Blocks {
@@ -123,23 +218,16 @@ func Decode(p *ir.Program, ins *spin.Instrumentation) *Decoded {
 				}
 				switch in.Op {
 				case ir.OpLoad, ir.OpAtomicLoad, ir.OpAtomicCAS, ir.OpAtomicAdd:
-					if ins != nil {
-						if id := ins.SpinReadLoop(fn.Index, bi, ii); id >= 0 {
-							di.spin = int32(id) + 1
-						}
-					}
+					di.spin = sites.mark(func(ins *spin.Instrumentation) int {
+						return ins.SpinReadLoop(fn.Index, bi, ii)
+					})
 				case ir.OpJmp:
 					di.t1 = starts[in.Imm]
 				case ir.OpBr:
 					di.t1 = starts[in.Imm]
 					di.t2 = starts[in.Imm2]
-					if ins != nil {
-						if id := ins.ExitBranchLoop(fn.Index, bi); id >= 0 {
-							di.spinExit = int32(id) + 1
-							di.exitT1 = !ins.LoopContains(id, int(in.Imm))
-							di.exitT2 = !ins.LoopContains(id, int(in.Imm2))
-						}
-					}
+					di.exit1 = sites.exit(fn.Index, bi, int(in.Imm))
+					di.exit2 = sites.exit(fn.Index, bi, int(in.Imm2))
 				case ir.OpCall, ir.OpSpawn:
 					di.callee = p.Funcs[in.Imm]
 					di.args = decodeArgs(in.Args)
@@ -465,13 +553,13 @@ func execJmp(v *VM, t *thread, f *frame, in *dinstr) (bool, error) {
 
 func execBr(v *VM, t *thread, f *frame, in *dinstr) (bool, error) {
 	if f.regs[in.a] != 0 {
-		if in.exitT1 {
-			v.emitSpin(t, event.KindSpinExit, in.spinExit-1, 0, 0, ir.NoLoc)
+		if in.exit1 != 0 {
+			v.emitSpin(t, event.KindSpinExit, in.exit1-1, 0, 0, ir.NoLoc)
 		}
 		f.ip = int(in.t1)
 	} else {
-		if in.exitT2 {
-			v.emitSpin(t, event.KindSpinExit, in.spinExit-1, 0, 0, ir.NoLoc)
+		if in.exit2 != 0 {
+			v.emitSpin(t, event.KindSpinExit, in.exit2-1, 0, 0, ir.NoLoc)
 		}
 		f.ip = int(in.t2)
 	}

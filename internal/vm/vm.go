@@ -7,6 +7,10 @@
 // calls into libraries the detector knows (Valgrind's interceptors), hides
 // memory traffic inside those known-library frames, and fires the spin-read
 // and spin-exit marks placed by the instrumentation phase (package spin).
+// What it emits never changes the interleaving, so one run can feed
+// several detectors: a DecodeShared form adds lib-call/lib-return markers
+// and site-numbered spin marks from which each consumer's filter (package
+// detect) rebuilds its own stream.
 package vm
 
 import (
@@ -28,11 +32,17 @@ type Options struct {
 	// maxSteps aborts runaway executions (livelock/deadlock guard); 0
 	// means maxStepsDefault. Only tests lower it.
 	maxSteps int64
-	// KnownLibs is the set of library tags the detector intercepts.
-	// Calls into functions tagged with a known library emit sync events
-	// and hide their internal memory traffic.
+	// KnownLibs is the set of library tags the run intercepts. Calls into
+	// functions tagged with a known library emit sync events and hide
+	// their internal memory traffic. A one-preset run sets its preset's
+	// libraries: detect.Prepared.Run and RecordTrace, synth.LongTrace,
+	// and perfbench's vm layers. A shared run (detect.Prepared.RunAll)
+	// sets the libraries every one of its consumers intercepts and leaves
+	// the rest to its DecodeShared form's markers.
 	KnownLibs map[ir.LibTag]bool
 	// Instr is the spin-loop instrumentation to honor; nil disables marks.
+	// The one-preset runs above set their preset's; a shared run leaves it
+	// nil and takes its spin sites from its DecodeShared form.
 	Instr *spin.Instrumentation
 	// Sink receives the event stream; nil discards it. A buffering sink
 	// (event.Flusher — the overlap pipeline's event.Segmented, a trace
@@ -58,7 +68,8 @@ type Options struct {
 	// Decoded, when non-nil, supplies a pre-decoded form of the program
 	// (vm.Decode) so the run skips the decode pass. It must have been built
 	// from exactly this program and Instr; anything else is re-decoded.
-	// detect.Prepared memoizes one per spin window for shared runs.
+	// detect.Prepared memoizes one per spin window. A DecodeShared form
+	// (built with no Instr) also carries the run's markers and spin sites.
 	Decoded *Decoded
 }
 
@@ -118,8 +129,11 @@ type frame struct {
 	// value (NoReg to discard).
 	retDst int
 	// intercepted marks this frame as the outermost frame of a known-lib
-	// call; sync Post fires when it returns.
+	// call; sync Post fires when it returns. marked marks a call into a
+	// marked library's sync function (DecodeShared); its lib-return marker
+	// fires when it returns. Both carry the call's sync fields below.
 	intercepted bool
+	marked      bool
 	syncKind    ir.SyncKind
 	syncAddr    int64
 	syncAddr2   int64
@@ -374,7 +388,7 @@ func (v *VM) emitRMWWrite(t *thread, addr, value int64, sym ir.SymID, loc ir.Loc
 }
 
 func (v *VM) emitSpin(t *thread, kind event.Kind, loopID int32, addr, value int64, loc ir.LocID) {
-	if v.sink == nil || t.libDepth > 0 || v.opts.Instr == nil {
+	if v.sink == nil || t.libDepth > 0 {
 		return
 	}
 	v.ev = event.Event{Kind: kind, Tid: t.id, SpinLoop: loopID, Addr: addr, Value: value, Loc: loc}
@@ -386,6 +400,17 @@ func (v *VM) emitSync(t *thread, kind event.Kind, sk ir.SyncKind, addr, addr2 in
 		return
 	}
 	v.ev = event.Event{Kind: kind, Tid: t.id, Sync: sk, Addr: addr, Addr2: addr2, Loc: loc}
+	v.sink.Handle(&v.ev)
+}
+
+// emitMark emits a lib-call or lib-return marker of a marked call: the
+// frame's sync fields, and the callee's function index in Value.
+func (v *VM) emitMark(t *thread, kind event.Kind, f *frame) {
+	if v.sink == nil {
+		return
+	}
+	v.ev = event.Event{Kind: kind, Tid: t.id, Sync: f.syncKind, Addr: f.syncAddr, Addr2: f.syncAddr2,
+		Value: int64(f.fn.Index), Loc: f.callLoc}
 	v.sink.Handle(&v.ev)
 }
 
@@ -458,32 +483,47 @@ func (v *VM) intercepted(idx int) bool {
 // pushCall enters a prepared callee frame, firing the interception
 // bookkeeping (sync Pre, library suppression) of a call.
 func (v *VM) pushCall(t *thread, nf *frame, callee *ir.Func, loc ir.LocID) {
-	if t.libDepth == 0 && v.intercepted(callee.Index) {
+	switch {
+	case t.libDepth > 0:
+		t.libDepth++
+	case v.intercepted(callee.Index):
 		nf.intercepted = true
-		nf.syncKind = callee.Sync
-		if callee.NParams > 0 {
-			nf.syncAddr = nf.regs[0]
-		}
-		if callee.NParams > 1 {
-			nf.syncAddr2 = nf.regs[1]
-		}
-		nf.callLoc = loc
+		syncFields(nf, callee, loc)
 		v.emitSync(t, event.KindSyncPre, nf.syncKind, nf.syncAddr, nf.syncAddr2, loc)
 		t.libDepth++
-	} else if t.libDepth > 0 {
-		t.libDepth++
+	case nf.dfn.marked:
+		nf.marked = true
+		syncFields(nf, callee, loc)
+		v.emitMark(t, event.KindLibCall, nf)
 	}
 	t.frames = append(t.frames, nf)
+}
+
+// syncFields records on a library call's frame the sync fields its events
+// carry: the callee's sync kind, its first two arguments as the primitive
+// addresses, and the call's location.
+func syncFields(nf *frame, callee *ir.Func, loc ir.LocID) {
+	nf.syncKind = callee.Sync
+	if callee.NParams > 0 {
+		nf.syncAddr = nf.regs[0]
+	}
+	if callee.NParams > 1 {
+		nf.syncAddr2 = nf.regs[1]
+	}
+	nf.callLoc = loc
 }
 
 // returnFrom pops the current frame. When the thread's last frame returns,
 // the thread is done and joiners are woken.
 func (v *VM) returnFrom(t *thread, val int64) (bool, error) {
 	f := t.frames[len(t.frames)-1]
-	if f.intercepted {
+	switch {
+	case f.intercepted:
 		t.libDepth--
 		v.emitSync(t, event.KindSyncPost, f.syncKind, f.syncAddr, f.syncAddr2, f.callLoc)
-	} else if t.libDepth > 0 {
+	case f.marked:
+		v.emitMark(t, event.KindLibReturn, f)
+	case t.libDepth > 0:
 		t.libDepth--
 	}
 	t.frames = t.frames[:len(t.frames)-1]
