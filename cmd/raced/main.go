@@ -11,7 +11,7 @@
 //
 //	raced [-network tcp|unix] [-addr 127.0.0.1:7334] [-metrics 127.0.0.1:7335]
 //	      [-max-sessions 64] [-drain-timeout 30s]
-//	      [-run-timeout D] [-shed] [-memory-budget BYTES]
+//	      [-run-timeout D] [-memory-budget BYTES]
 //	      [-trace-dir DIR] [-block-profile-rate N] [-failpoints SPEC]
 //
 // The metrics endpoint serves /metrics (Prometheus text, including the
@@ -24,10 +24,10 @@
 // sampling rate (ns) so /debug/pprof/block shows contention.
 //
 // -run-timeout bounds each run server-side (over-budget runs end the
-// session with a run-timeout error). -shed answers saturation with a
-// retryable Busy frame instead of evicting the oldest session;
-// -memory-budget adds a heap-in-use admission gate to the same shedding
-// policy. -failpoints arms the deterministic fault-injection registry
+// session with a run-timeout error). A request past -max-sessions is shed
+// with a retryable Busy frame and never starts; running sessions are never
+// disturbed. -memory-budget adds a heap-in-use gate to the same admission.
+// -failpoints arms the deterministic fault-injection registry
 // (internal/fault) from a spec like
 // "serve.frame.write=error%97/3,gc.cycle=panic@2" — a chaos-testing
 // handle, never armed by default.
@@ -38,14 +38,16 @@
 //	raced -connect 127.0.0.1:7334 -w x264 [-network tcp] [-tool spin] [-window 7]
 //	      [-seed 1] [-repeat 1] [-retry N] [-v]
 //
-// -retry N retries shed (Busy) or evicted sessions up to N times with
-// capped exponential backoff, resuming at the first missing run; the
-// report then prints when the session set completes rather than live.
+// -retry N re-sends a shed (Busy) request up to N times with capped
+// exponential backoff. A shed request never started, so the admitted
+// session streams live exactly as it does without -retry.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -58,34 +60,45 @@ import (
 )
 
 func main() {
-	network := flag.String("network", "tcp", "protocol listener network: tcp or unix")
-	addr := flag.String("addr", "127.0.0.1:7334", "protocol listener address (server mode)")
-	metrics := flag.String("metrics", "", "HTTP metrics address, e.g. 127.0.0.1:7335 (empty = off)")
-	maxSessions := flag.Int("max-sessions", 64, "concurrent session cap (oldest is evicted at the cap)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on SIGTERM before hard close")
-	runTimeout := flag.Duration("run-timeout", 0, "per-run wall-clock budget; an over-budget run ends its session with a run-timeout error (0 = unbounded)")
-	shed := flag.Bool("shed", false, "answer saturation with a retryable busy frame instead of evicting the oldest session")
-	memBudget := flag.Int64("memory-budget", 0, "heap-in-use bytes above which new sessions are shed (requires -shed; 0 = no memory gate)")
-	failpoints := flag.String("failpoints", "", "arm fault-injection points, e.g. 'serve.frame.write=error%97/3,gc.cycle=panic@2' (chaos testing)")
-	traceDir := flag.String("trace-dir", "", "write per-session Chrome trace-event JSON into this directory")
-	blockRate := flag.Int("block-profile-rate", 0, "runtime block-profile sampling rate in ns (0 = off; see /debug/pprof/block)")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	connect := flag.String("connect", "", "client mode: server address to dial")
-	workload := flag.String("w", "", "client: workload name")
-	tool := flag.String("tool", "spin", "client: tool preset")
-	window := flag.Int("window", 7, "client: spin-loop basic-block window")
-	seed := flag.Int64("seed", 1, "client: first scheduler seed")
-	repeat := flag.Int("repeat", 1, "client: runs per session (seeds seed..seed+repeat-1)")
-	retry := flag.Int("retry", 0, "client: retries for shed/evicted sessions (capped backoff, run-resume)")
-	verbose := flag.Bool("v", false, "client: print every warning as it streams")
-	flag.Parse()
+// run is raced with the given arguments, writing to stdout and stderr; it
+// returns the exit status. Server mode returns only after a drain.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("raced", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	network := fs.String("network", "tcp", "protocol listener network: tcp or unix")
+	addr := fs.String("addr", "127.0.0.1:7334", "protocol listener address (server mode)")
+	metrics := fs.String("metrics", "", "HTTP metrics address, e.g. 127.0.0.1:7335 (empty = off)")
+	maxSessions := fs.Int("max-sessions", 64, "concurrent session cap (a request past it gets a retryable busy frame)")
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on SIGTERM before hard close")
+	runTimeout := fs.Duration("run-timeout", 0, "per-run wall-clock budget; an over-budget run ends its session with a run-timeout error (0 = unbounded)")
+	memBudget := fs.Int64("memory-budget", 0, "heap-in-use bytes above which new sessions get a retryable busy frame (0 = no memory gate)")
+	failpoints := fs.String("failpoints", "", "arm fault-injection points, e.g. 'serve.frame.write=error%97/3,gc.cycle=panic@2' (chaos testing)")
+	traceDir := fs.String("trace-dir", "", "write per-session Chrome trace-event JSON into this directory")
+	blockRate := fs.Int("block-profile-rate", 0, "runtime block-profile sampling rate in ns (0 = off; see /debug/pprof/block)")
+
+	connect := fs.String("connect", "", "client mode: server address to dial")
+	workload := fs.String("w", "", "client: workload name")
+	tool := fs.String("tool", "spin", "client: tool preset")
+	window := fs.Int("window", 7, "client: spin-loop basic-block window")
+	seed := fs.Int64("seed", 1, "client: first scheduler seed")
+	repeat := fs.Int("repeat", 1, "client: runs per session (seeds seed..seed+repeat-1)")
+	retry := fs.Int("retry", 0, "client: retries for a request shed with a busy frame (capped backoff)")
+	verbose := fs.Bool("v", false, "client: print every warning as it streams")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *connect != "" {
-		runClient(*network, *connect, serve.SessionRequest{
+		return runClient(*network, *connect, serve.SessionRequest{
 			Workload: *workload, Tool: *tool, Window: *window,
 			Seed: *seed, Repeat: *repeat,
-		}, *verbose, *retry)
-		return
+		}, *verbose, *retry, stdout, stderr)
 	}
 
 	if *network == "unix" {
@@ -97,39 +110,39 @@ func main() {
 	}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "raced: trace-dir: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "raced: trace-dir: %v\n", err)
+			return 1
 		}
 	}
 	var faults *fault.Registry
 	if *failpoints != "" {
 		var err error
 		if faults, err = fault.Parse(*failpoints); err != nil {
-			fmt.Fprintf(os.Stderr, "raced: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "raced: %v\n", err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "raced: CHAOS MODE — failpoints armed: %s\n", *failpoints)
+		fmt.Fprintf(stderr, "raced: CHAOS MODE — failpoints armed: %s\n", *failpoints)
 	}
 	srv := serve.New(serve.Config{
 		Network: *network, Addr: *addr, MetricsAddr: *metrics,
 		MaxSessions: *maxSessions, TraceDir: *traceDir,
-		RunTimeout: *runTimeout, Shed: *shed, MemoryBudgetBytes: *memBudget,
+		RunTimeout: *runTimeout, MemoryBudgetBytes: *memBudget,
 		Fault: faults,
 	})
 	if err := srv.Start(); err != nil {
-		fmt.Fprintf(os.Stderr, "raced: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "raced: %v\n", err)
+		return 1
 	}
-	fmt.Printf("raced: serving on %s %s", *network, srv.Addr())
+	fmt.Fprintf(stdout, "raced: serving on %s %s", *network, srv.Addr())
 	if *metrics != "" {
-		fmt.Printf(", metrics on http://%s/metrics", *metrics)
+		fmt.Fprintf(stdout, ", metrics on http://%s/metrics", *metrics)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	sig := <-sigs
-	fmt.Printf("raced: %s, draining (budget %s)\n", sig, *drainTimeout)
+	fmt.Fprintf(stdout, "raced: %s, draining (budget %s)\n", sig, *drainTimeout)
 
 	// Force a hard close if the drain outlives its budget (or a second
 	// signal arrives).
@@ -137,9 +150,9 @@ func main() {
 	go func() {
 		select {
 		case <-time.After(*drainTimeout):
-			fmt.Fprintln(os.Stderr, "raced: drain budget exceeded, closing hard")
+			fmt.Fprintln(stderr, "raced: drain budget exceeded, closing hard")
 		case <-sigs:
-			fmt.Fprintln(os.Stderr, "raced: second signal, closing hard")
+			fmt.Fprintln(stderr, "raced: second signal, closing hard")
 		case <-done:
 			return
 		}
@@ -148,63 +161,43 @@ func main() {
 	srv.Drain()
 	close(done)
 	snap := srv.Snapshot()
-	fmt.Printf("raced: drained; %d sessions served (%d completed), %d runs, %d events\n",
+	fmt.Fprintf(stdout, "raced: drained; %d sessions served (%d completed), %d runs, %d events\n",
 		snap.SessionsTotal, snap.SessionsCompleted, snap.Runs, snap.Events)
+	return 0
 }
 
-// runClient drives one session and prints the stream. With retries, the
-// buffered RunRetry path replaces live streaming: shed and evicted
-// sessions back off and resume at the first missing run.
-func runClient(network, addr string, req serve.SessionRequest, verbose bool, retries int) {
-	c := client.New(network, addr)
-	if retries > 0 {
-		out, err := c.RunRetry(req, client.RetryPolicy{Attempts: 1 + retries})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "raced: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("session %d: workload %s under %s (seed %d, %d run(s))\n",
-			out.SessionID, req.Workload, out.Config, req.Seed, len(out.Runs))
-		for _, run := range out.Runs {
-			if verbose {
-				for _, w := range run.Warnings {
-					fmt.Printf("  run %d: %s at %s:%d addr=%d tid=%d other=%d write=%v\n",
-						w.Run, w.Kind, w.File, w.Line, w.Addr, w.Tid, w.Other, w.Write)
-				}
-			}
-			r := run.Result
-			fmt.Printf("  run %d (seed %d): steps=%d threads=%d events=%d warnings=%d racy contexts=%d\n",
-				r.Run, r.Seed, r.Steps, r.Threads, r.Events, r.Warnings, r.RacyContexts)
-		}
-		return
-	}
-	s, err := c.Open(req)
+// runClient drives one session and prints its stream live; it returns
+// the exit status. With retries, a shed request backs off and is sent
+// again before the session streams.
+func runClient(network, addr string, req serve.SessionRequest, verbose bool, retries int,
+	stdout, stderr io.Writer) int {
+	s, err := client.New(network, addr).OpenRetry(req, client.RetryPolicy{Attempts: 1 + max(retries, 0)})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "raced: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "raced: %v\n", err)
+		return 1
 	}
 	defer s.Close()
-	fmt.Printf("session %d: workload %s under %s (seed %d, %d run(s))\n",
+	fmt.Fprintf(stdout, "session %d: workload %s under %s (seed %d, %d run(s))\n",
 		s.ID, req.Workload, s.Config, req.Seed, req.Repeat)
 	for {
 		fr, err := s.Next()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "raced: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "raced: %v\n", err)
+			return 1
 		}
 		switch fr.Type {
 		case serve.FrameWarning:
 			if verbose {
 				w := fr.Warning
-				fmt.Printf("  run %d: %s at %s:%d addr=%d tid=%d other=%d write=%v\n",
+				fmt.Fprintf(stdout, "  run %d: %s at %s:%d addr=%d tid=%d other=%d write=%v\n",
 					w.Run, w.Kind, w.File, w.Line, w.Addr, w.Tid, w.Other, w.Write)
 			}
 		case serve.FrameResult:
 			r := fr.Result
-			fmt.Printf("  run %d (seed %d): steps=%d threads=%d events=%d warnings=%d racy contexts=%d\n",
+			fmt.Fprintf(stdout, "  run %d (seed %d): steps=%d threads=%d events=%d warnings=%d racy contexts=%d\n",
 				r.Run, r.Seed, r.Steps, r.Threads, r.Events, r.Warnings, r.RacyContexts)
 			if r.Last {
-				return
+				return 0
 			}
 		}
 	}

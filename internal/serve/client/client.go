@@ -85,9 +85,10 @@ func (c *Client) Open(req serve.SessionRequest) (*Session, error) {
 }
 
 // Next reads the session's next frame. A server-side error frame is
-// returned as an error (*serve.WireError), a shed rejection as
-// *serve.Busy; the frame after the last run's result is io.EOF territory
-// — callers stop at Result.Last or on error.
+// returned as an error (*serve.WireError), a shed rejection (which comes
+// instead of the accepted frame) as *serve.Busy; the frame after the last
+// run's result is io.EOF territory — callers stop at Result.Last or on
+// error.
 func (s *Session) Next() (*serve.Frame, error) {
 	if s.frameTimeout > 0 {
 		s.conn.SetReadDeadline(time.Now().Add(s.frameTimeout))
@@ -139,6 +140,21 @@ func (c *Client) Run(req serve.SessionRequest) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.collect()
+}
+
+// RunRetry is Run opened through OpenRetry: a shed request backs off and
+// is sent again; once admitted, the session runs as Run's does.
+func (c *Client) RunRetry(req serve.SessionRequest, p RetryPolicy) (*Outcome, error) {
+	s, err := c.OpenRetry(req, p)
+	if err != nil {
+		return nil, err
+	}
+	return s.collect()
+}
+
+// collect reads the session to its terminal frame, then closes it.
+func (s *Session) collect() (*Outcome, error) {
 	defer s.Close()
 	out := &Outcome{SessionID: s.ID, Config: s.Config}
 	var warnings []serve.WireWarning
@@ -168,7 +184,7 @@ func (c *Client) Run(req serve.SessionRequest) (*Outcome, error) {
 	}
 }
 
-// RetryPolicy shapes RunRetry's backoff on retryable rejections. The zero
+// RetryPolicy shapes OpenRetry's backoff on a Busy rejection. The zero
 // value means the defaults in parentheses.
 type RetryPolicy struct {
 	// Attempts is the total number of tries, first included (5).
@@ -203,71 +219,33 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// Retryable reports whether err invites another attempt: a Busy shed
-// (the server chose not to admit) or an eviction under the session cap
-// (the server chose to stop an admitted run). Everything else — bad
-// requests, run failures, transport errors — is terminal.
+// Retryable reports whether err invites another attempt: a Busy shed, the
+// server's answer to a request it did not admit, so no run started.
+// Everything else — bad requests, run failures, transport errors — is
+// terminal.
 func Retryable(err error) bool {
 	var busy *serve.Busy
-	if errors.As(err, &busy) {
-		return true
-	}
-	var we *serve.WireError
-	return errors.As(err, &we) && we.Code == serve.CodeEvicted
+	return errors.As(err, &busy)
 }
 
-// RunRetry is Run with capped exponential backoff (plus deterministic
-// jitter) on retryable rejections. A retry never repeats a finished run:
-// the request resumes at the first missing run — Seed advanced, Repeat
-// shrunk — and the merged outcome renumbers run indices contiguously, so
-// the caller sees exactly Repeat runs with their original per-run seeds.
-func (c *Client) RunRetry(req serve.SessionRequest, p RetryPolicy) (*Outcome, error) {
+// OpenRetry is Open with capped exponential backoff (plus deterministic
+// jitter) on retryable rejections. The server sheds a request before it
+// accepts it, so a retry re-sends the request as it was and an admitted
+// session streams exactly as Open's does.
+func (c *Client) OpenRetry(req serve.SessionRequest, p RetryPolicy) (*Session, error) {
 	p = p.withDefaults()
-	if req.Seed == 0 {
-		req.Seed = 1 // the server's normalize default; resume math needs it fixed now
-	}
-	if req.Repeat <= 0 {
-		req.Repeat = 1
-	}
 	jitter := uint64(p.Seed)
-	origSeed, origRepeat := req.Seed, req.Repeat
-	out := &Outcome{}
 	var err error
 	for attempt := 0; attempt < p.Attempts; attempt++ {
 		if attempt > 0 {
 			p.Sleep(retryDelay(p, attempt, err, &jitter))
 		}
-		var part *Outcome
-		part, err = c.Run(req)
-		if part != nil {
-			out.SessionID, out.Config = part.SessionID, part.Config
-			for _, r := range part.Runs {
-				r.Result.Run = len(out.Runs)
-				r.Result.Last = false
-				for i := range r.Warnings {
-					r.Warnings[i].Run = r.Result.Run
-				}
-				out.Runs = append(out.Runs, r)
-			}
+		var s *Session
+		if s, err = c.Open(req); err == nil || !Retryable(err) {
+			return s, err
 		}
-		if err == nil {
-			if n := len(out.Runs); n > 0 {
-				out.Runs[n-1].Result.Last = true
-			}
-			return out, nil
-		}
-		if !Retryable(err) {
-			return out, err
-		}
-		// Resume past the runs already in hand.
-		done := len(out.Runs)
-		if done >= origRepeat {
-			break
-		}
-		req.Seed = origSeed + int64(done)
-		req.Repeat = origRepeat - done
 	}
-	return out, err
+	return nil, err
 }
 
 // retryDelay computes the attempt's backoff: base doubled per retry,

@@ -1,7 +1,8 @@
 // Hardening contracts: panic isolation between concurrent sessions,
 // garbage-frame rejection, per-run deadlines, overload shedding with
-// retryable Busy frames, the retrying client's resume math, and the
-// client-side frame deadline. The isolation tests run over net.Pipe so a
+// retryable Busy frames (and the admission slot a contained panic must
+// give back), the retrying client's backoff, and the client-side frame
+// deadline. The isolation tests run over net.Pipe so a
 // crashing session and a healthy one share one deterministic server.
 package serve_test
 
@@ -259,12 +260,12 @@ func TestRunTimeoutDeadline(t *testing.T) {
 	checkLeaks()
 }
 
-// TestShedBusyAtCap: with shedding on, a request past the session budget
-// gets a retryable Busy frame and the running session is left alone (no
-// eviction). The counter feeds raced_sessions_shed.
+// TestShedBusyAtCap: a request past the session budget gets a retryable
+// Busy frame and the running session is left alone. The counter feeds
+// raced_sessions_shed.
 func TestShedBusyAtCap(t *testing.T) {
 	checkLeaks := leakCheck(t)
-	srv, ln := pipeServer(t, serve.Config{MaxSessions: 1, Shed: true}.WithOutboxFrames(4))
+	srv, ln := pipeServer(t, serve.Config{MaxSessions: 1}.WithOutboxFrames(4))
 
 	// Occupy the only slot with a long session whose frames a background
 	// reader drains.
@@ -294,9 +295,8 @@ func TestShedBusyAtCap(t *testing.T) {
 	}
 	conn.Close()
 
-	snap := srv.Snapshot()
-	if snap.SessionsShed != 1 || snap.SessionsEvicted != 0 {
-		t.Errorf("shed=%d evicted=%d, want 1/0 (shedding must not evict)", snap.SessionsShed, snap.SessionsEvicted)
+	if shed := srv.Snapshot().SessionsShed; shed != 1 {
+		t.Errorf("shed = %d, want 1", shed)
 	}
 	if srv.ActiveSessions() != 1 {
 		t.Errorf("occupier lost its slot")
@@ -309,10 +309,10 @@ func TestShedBusyAtCap(t *testing.T) {
 }
 
 // TestShedMemoryBudget: an impossible memory budget sheds every request
-// with the memory reason.
+// with the memory reason, even with session slots free.
 func TestShedMemoryBudget(t *testing.T) {
 	checkLeaks := leakCheck(t)
-	srv := startServer(t, serve.Config{MaxSessions: 4, Shed: true, MemoryBudgetBytes: 1})
+	srv := startServer(t, serve.Config{MaxSessions: 4, MemoryBudgetBytes: 1})
 	c := client.New("tcp", srv.Addr().String())
 	_, err := c.Run(serve.SessionRequest{Workload: "synth:5", Tool: "spin"})
 	var busy *serve.Busy
@@ -326,11 +326,45 @@ func TestShedMemoryBudget(t *testing.T) {
 	checkLeaks()
 }
 
+// TestAdmissionSlotFreedAfterPanic: a session that panics between
+// admission and its run — here on its accepted frame, the first outbox
+// send — must give its admission token back. With one slot, a leaked token
+// would shed every later request with "session budget" forever.
+func TestAdmissionSlotFreedAfterPanic(t *testing.T) {
+	checkLeaks := leakCheck(t)
+	reg := fault.New()
+	if err := reg.Arm(fault.ServeOutboxSend, fault.ModePanic, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	srv := startServer(t, serve.Config{MaxSessions: 1, Fault: reg})
+	c := client.New("tcp", srv.Addr().String())
+	if _, err := c.Run(serve.SessionRequest{Workload: "synth:1", Tool: "spin", Seed: 1}); err == nil {
+		t.Fatalf("session survived a panic on its accepted frame")
+	}
+	waitFor(t, "panic counted", func() bool { return srv.Snapshot().SessionFailures == 1 })
+	waitFor(t, "teardown", func() bool { return srv.ActiveSessions() == 0 })
+	for i := 0; i < 3; i++ {
+		if _, err := c.Run(serve.SessionRequest{Workload: "synth:2", Tool: "spin", Seed: 1}); err != nil {
+			t.Fatalf("session %d after the contained panic: %v", i, err)
+		}
+	}
+	snap := srv.Snapshot()
+	if snap.SessionsShed != 0 || snap.SessionsActive != 0 {
+		t.Errorf("shed=%d active=%d, want 0/0: the slot or the gauge leaked", snap.SessionsShed, snap.SessionsActive)
+	}
+	if snap.SessionsTotal != 4 || snap.SessionsCompleted != 3 || snap.SessionsFailed != 1 {
+		t.Errorf("total=%d completed=%d failed=%d, want 4/3/1", snap.SessionsTotal, snap.SessionsCompleted, snap.SessionsFailed)
+	}
+	srv.Drain()
+	checkLeaks()
+}
+
 // TestRunRetryBusy: RunRetry turns a Busy shed into a backoff (floored by
-// the server's RetryAfterMs hint) and completes once the slot frees.
+// the server's RetryAfterMs hint) and completes once the slot frees, with
+// every run of the request and Last on the final one.
 func TestRunRetryBusy(t *testing.T) {
 	checkLeaks := leakCheck(t)
-	srv := startServer(t, serve.Config{MaxSessions: 1, Shed: true})
+	srv := startServer(t, serve.Config{MaxSessions: 1})
 	addr := srv.Addr().String()
 
 	occConn, err := net.Dial("tcp", addr)
@@ -377,61 +411,6 @@ func TestRunRetryBusy(t *testing.T) {
 		t.Errorf("no shed recorded")
 	}
 	<-occDone
-	waitFor(t, "sessions gone", func() bool { return srv.ActiveSessions() == 0 })
-	srv.Drain()
-	checkLeaks()
-}
-
-// TestRunRetryResumesAfterEviction: an eviction under the session cap is
-// retryable, and the retry resumes at the first missing run — the merged
-// outcome holds exactly Repeat runs, indices contiguous, every run keyed
-// by its original seed, no run repeated or lost.
-func TestRunRetryResumesAfterEviction(t *testing.T) {
-	checkLeaks := leakCheck(t)
-	srv := startServer(t, serve.Config{MaxSessions: 1})
-	addr := srv.Addr().String()
-
-	const repeat = 10000
-	type res struct {
-		out *client.Outcome
-		err error
-	}
-	resCh := make(chan res, 1)
-	go func() {
-		c := client.New("tcp", addr)
-		out, err := c.RunRetry(serve.SessionRequest{Workload: "synth:29", Tool: "spin", Seed: 10, Repeat: repeat},
-			client.RetryPolicy{BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond})
-		resCh <- res{out, err}
-	}()
-	waitFor(t, "victim making progress", func() bool { return srv.Snapshot().Runs > 0 })
-
-	// A newcomer evicts the victim mid-stream (evict-oldest admission).
-	// Its own fate is irrelevant — the victim's retry may well evict it
-	// right back.
-	nc := client.New("tcp", addr)
-	nc.Run(serve.SessionRequest{Workload: "synth:5", Tool: "spin", Seed: 1})
-
-	r := <-resCh
-	if r.err != nil {
-		t.Fatalf("RunRetry after eviction: %v", r.err)
-	}
-	if len(r.out.Runs) != repeat {
-		t.Fatalf("runs = %d, want %d", len(r.out.Runs), repeat)
-	}
-	for i, run := range r.out.Runs {
-		if run.Result.Run != i {
-			t.Fatalf("run %d misnumbered as %d after resume", i, run.Result.Run)
-		}
-		if run.Result.Seed != 10+int64(i) {
-			t.Fatalf("run %d has seed %d, want %d: the resume repeated or skipped seeds", i, run.Result.Seed, 10+int64(i))
-		}
-		if run.Result.Last != (i == repeat-1) {
-			t.Fatalf("run %d Last=%v", i, run.Result.Last)
-		}
-	}
-	if srv.Snapshot().SessionsEvicted == 0 {
-		t.Errorf("no eviction recorded; the resume path never ran")
-	}
 	waitFor(t, "sessions gone", func() bool { return srv.ActiveSessions() == 0 })
 	srv.Drain()
 	checkLeaks()

@@ -1,12 +1,11 @@
 // Session lifecycle edge cases, driven deterministically over an
 // in-memory pipe listener: client disconnect mid-stream, slow-reader
-// backpressure, eviction at the session cap, write-stall detection, and
-// graceful drain — each with goroutine-leak accounting. One closed-loop
-// probe at the cap runs over TCP, since it is about real reconnect timing.
+// backpressure, write-stall detection, and graceful drain — each with
+// goroutine-leak accounting. One closed-loop probe at the cap runs over
+// TCP, since it is about real reconnect timing.
 package serve_test
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -139,82 +138,14 @@ func TestSlowReaderBackpressure(t *testing.T) {
 	checkLeaks()
 }
 
-// TestEvictionAtCap: at the session cap the oldest running session is
-// evicted — its client gets a terminal evicted frame — and the newcomer
-// runs; the cap stays a strict bound (peak == cap).
-func TestEvictionAtCap(t *testing.T) {
-	checkLeaks := leakCheck(t)
-	srv, ln := pipeServer(t, serve.Config{MaxSessions: 1}.WithOutboxFrames(4))
-
-	// Session A: long-running, with a live reader that records its end.
-	connA := ln.dial(t)
-	sA := openRaw(t, connA, serve.SessionRequest{Workload: "ww_two_threads", Tool: "spin", Repeat: 100_000})
-	aDone := make(chan error, 1)
-	go func() {
-		for {
-			fr, err := sA.nextErr()
-			if err != nil {
-				aDone <- err
-				return
-			}
-			if fr.Type == serve.FrameError {
-				aDone <- fr.Err
-				return
-			}
-			if fr.Type == serve.FrameResult && fr.Result.Last {
-				aDone <- nil
-				return
-			}
-		}
-	}()
-	waitFor(t, "A running", func() bool {
-		snap := srv.Snapshot()
-		return len(snap.Sessions) == 1 && snap.Sessions[0].RunsDone > 0
-	})
-
-	// Session B arrives at the cap: A must be evicted, B must complete.
-	connB := ln.dial(t)
-	sB := openRaw(t, connB, serve.SessionRequest{Workload: "rw_two_threads", Tool: "spin"})
-	var bResult *serve.RunResult
-	for bResult == nil {
-		fr, err := sB.nextErr()
-		if err != nil {
-			t.Fatalf("B: %v", err)
-		}
-		if fr.Type == serve.FrameResult {
-			bResult = fr.Result
-		}
-	}
-	if !bResult.Last {
-		t.Errorf("B's result not terminal")
-	}
-
-	err := <-aDone
-	var we *serve.WireError
-	if !errors.As(err, &we) || we.Code != serve.CodeEvicted {
-		t.Errorf("A ended with %v, want evicted wire error", err)
-	}
-
-	waitFor(t, "teardown", func() bool { return srv.ActiveSessions() == 0 })
-	snap := srv.Snapshot()
-	if snap.SessionsEvicted != 1 || snap.SessionsCompleted != 1 {
-		t.Errorf("evicted=%d completed=%d, want 1/1", snap.SessionsEvicted, snap.SessionsCompleted)
-	}
-	if snap.SessionsPeak > 1 {
-		t.Errorf("peak = %d concurrent sessions, cap is 1", snap.SessionsPeak)
-	}
-	connA.Close()
-	connB.Close()
-	srv.Drain()
-	checkLeaks()
-}
-
-// TestNoEvictionWhenClientsMatchCap is the closed-loop probe at the cap:
-// as many clients as session slots, each opening its next session the
-// moment it has read the last frame of the one before. A session hands its
-// slot back before its client can read that frame, so a newcomer never
-// finds the cap full of finished sessions and nothing is evicted.
-func TestNoEvictionWhenClientsMatchCap(t *testing.T) {
+// TestNoShedWhenClientsMatchCap is the closed-loop probe at the cap: as
+// many clients as session slots, each opening its next session the moment
+// it has read the last frame of the one before. A session hands its slot
+// back before its client can read that frame, so a newcomer never finds
+// the cap full of finished sessions and nothing is shed; a regression
+// there fails a client's Run with a Busy error. The cap stays a strict
+// bound (peak ≤ cap).
+func TestNoShedWhenClientsMatchCap(t *testing.T) {
 	checkLeaks := leakCheck(t)
 	const clients = 2
 	srv := startServer(t, serve.Config{MaxSessions: clients})
@@ -247,9 +178,9 @@ func TestNoEvictionWhenClientsMatchCap(t *testing.T) {
 
 	waitFor(t, "teardown", func() bool { return srv.ActiveSessions() == 0 })
 	snap := srv.Snapshot()
-	if snap.SessionsEvicted != 0 || snap.SessionsDisconnected != 0 {
-		t.Errorf("evicted=%d disconnected=%d over %d sessions, want 0/0",
-			snap.SessionsEvicted, snap.SessionsDisconnected, sessions.Load())
+	if snap.SessionsShed != 0 || snap.SessionsDisconnected != 0 {
+		t.Errorf("shed=%d disconnected=%d over %d sessions, want 0/0",
+			snap.SessionsShed, snap.SessionsDisconnected, sessions.Load())
 	}
 	if snap.SessionsCompleted != sessions.Load() {
 		t.Errorf("server completed %d sessions, clients finished %d", snap.SessionsCompleted, sessions.Load())

@@ -30,12 +30,11 @@ type Metrics struct {
 	sessionsActive    atomic.Int64
 	sessionsPeak      atomic.Int64
 	sessionsCompleted atomic.Int64
-	sessionsEvicted   atomic.Int64
 	sessionsDisc      atomic.Int64
 	sessionsFailed    atomic.Int64
 	sessionsRejected  atomic.Int64
 	// sessionsShed counts connections refused with a retryable Busy frame
-	// under the shed admission policy (Config.Shed).
+	// at admission (session cap or memory budget).
 	sessionsShed atomic.Int64
 	// sessionFailures counts panics converted to terminal error frames at
 	// a containment boundary (session run, conn handler, teardown). One
@@ -69,8 +68,6 @@ func (m *Metrics) sessionEnded(code string) {
 	switch code {
 	case "":
 		m.sessionsCompleted.Add(1)
-	case CodeEvicted:
-		m.sessionsEvicted.Add(1)
 	case CodeDisconnected, CodeWriteStall:
 		m.sessionsDisc.Add(1)
 	default:
@@ -102,12 +99,16 @@ type Snapshot struct {
 	SessionsActive       int64 `json:"sessions_active"`
 	SessionsPeak         int64 `json:"sessions_peak"`
 	SessionsCompleted    int64 `json:"sessions_completed"`
-	SessionsEvicted      int64 `json:"sessions_evicted"`
 	SessionsDisconnected int64 `json:"sessions_disconnected"`
 	SessionsFailed       int64 `json:"sessions_failed"`
 	SessionsRejected     int64 `json:"sessions_rejected"`
 	SessionsShed         int64 `json:"sessions_shed"`
 	SessionFailures      int64 `json:"session_failures"`
+	// SessionsEvicted is always 0: the server sheds at its session cap
+	// and never evicts.
+	//
+	// Deprecated: kept only for the benchmark's serve.evictions reading.
+	SessionsEvicted int64 `json:"-"`
 
 	Runs            int64   `json:"runs"`
 	Events          int64   `json:"events"`
@@ -161,7 +162,6 @@ func (s *Server) Snapshot() Snapshot {
 		SessionsActive:       m.sessionsActive.Load(),
 		SessionsPeak:         m.sessionsPeak.Load(),
 		SessionsCompleted:    m.sessionsCompleted.Load(),
-		SessionsEvicted:      m.sessionsEvicted.Load(),
 		SessionsDisconnected: m.sessionsDisc.Load(),
 		SessionsFailed:       m.sessionsFailed.Load(),
 		SessionsRejected:     m.sessionsRejected.Load(),
@@ -267,7 +267,6 @@ func (snap Snapshot) prometheus() string {
 	g("sessions_active", "sessions currently running", float64(snap.SessionsActive))
 	g("sessions_peak", "maximum concurrent sessions observed", float64(snap.SessionsPeak))
 	c("sessions_completed", "sessions that ran to completion", snap.SessionsCompleted)
-	c("sessions_evicted", "sessions evicted under the session cap", snap.SessionsEvicted)
 	c("sessions_disconnected", "sessions ended by client disconnect or write stall", snap.SessionsDisconnected)
 	c("sessions_failed", "sessions ended by a run failure", snap.SessionsFailed)
 	c("sessions_rejected", "connections refused before admission", snap.SessionsRejected)

@@ -48,10 +48,10 @@ const (
 	// WireError body.
 	FrameError FrameType = 'E'
 	// FrameBusy (server → client): the server shed the request under its
-	// admission budget (Config.Shed); a Busy body. Terminal for the
-	// connection, retryable by contract — the client Retry helper backs
-	// off and re-sends, resuming at the first run the server never
-	// completed.
+	// admission budget (Config.MaxSessions, Config.MemoryBudgetBytes); a
+	// Busy body, sent instead of FrameAccepted. Terminal for the
+	// connection, retryable by contract — no run started, so the client's
+	// OpenRetry backs off and re-sends the request as it was.
 	FrameBusy FrameType = 'B'
 )
 
@@ -73,9 +73,6 @@ const (
 	CodeBadRequest = "bad-request"
 	// CodeDraining: the server is shutting down and admits no new sessions.
 	CodeDraining = "draining"
-	// CodeEvicted: the session was evicted to admit a newer one under the
-	// concurrent-session cap.
-	CodeEvicted = "evicted"
 	// CodeDisconnected: the client went away (connection error mid-session).
 	CodeDisconnected = "disconnected"
 	// CodeWriteStall: the client stopped reading for longer than the
@@ -261,7 +258,7 @@ type Busy struct {
 }
 
 // Error renders the busy rejection as a Go error, so clients can surface
-// it unhandled; the Retry helper matches it with errors.As instead.
+// it unhandled; the client's OpenRetry matches it with errors.As instead.
 func (b *Busy) Error() string {
 	if b.Reason == "" {
 		return "raced: busy"

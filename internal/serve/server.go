@@ -4,7 +4,8 @@
 // its own detector instance over a process-wide compiled-workload cache,
 // and streams race reports back incrementally as the detector produces
 // them. Each session runs on its connection's goroutine; a configurable
-// cap bounds concurrent sessions, with evict-oldest admission when full.
+// cap bounds concurrent sessions, and a request past it is shed with a
+// retryable Busy frame.
 // Detection inside a session is byte-identical to a direct Prepared.Run —
 // the conformance suite holds the server to exactly that bar.
 package serve
@@ -39,7 +40,8 @@ type Config struct {
 	MetricsAddr string
 
 	// MaxSessions caps concurrently running sessions (default 64). At the
-	// cap, a new session evicts the oldest running one. A session stops
+	// cap, a new request is shed: it gets a retryable Busy frame and never
+	// starts, and running sessions are never disturbed. A session stops
 	// counting once it has queued its final result frame.
 	MaxSessions int
 	// outboxFrames bounds each session's outgoing frame queue (64); a full
@@ -55,20 +57,9 @@ type Config struct {
 	// default) disables the deadline.
 	RunTimeout time.Duration
 
-	// Shed switches admission at the session cap from evict-oldest to load
-	// shedding: a request arriving with no free session slot — or, with
-	// MemoryBudgetBytes set, while heap occupancy exceeds the budget — is
-	// answered with a retryable Busy frame and the connection closed,
-	// instead of evicting the oldest running session. Running sessions are
-	// never disturbed under this policy; the client Retry helper turns the
-	// Busy into capped backoff.
-	Shed bool
-	// MemoryBudgetBytes, with Shed, adds a heap-occupancy gate to
-	// admission: requests are shed while the process's heap-in-use exceeds
+	// MemoryBudgetBytes adds a heap-occupancy gate to admission: requests
+	// are shed with a Busy frame while the process's heap-in-use exceeds
 	// the budget, even when session slots are free. 0 disables the gate.
-	// (Eviction would not help here — cancelling a session frees its
-	// memory only after GC — so the budget sheds rather than evicts under
-	// either policy's cap handling.)
 	MemoryBudgetBytes int64
 
 	// Fault, when non-nil, arms the server's and every session pipeline's
@@ -125,9 +116,9 @@ type Server struct {
 	// tokens is the admission semaphore: one token per running session.
 	tokens chan struct{}
 
-	// memSampledAt/memHeap cache the heap-occupancy gauge behind the shed
-	// gate — ReadMemStats stops the world briefly, so admission samples it
-	// at most once per memSampleInterval.
+	// memSampledAt/memHeap cache the heap-occupancy gauge behind the
+	// memory gate — ReadMemStats stops the world briefly, so admission
+	// samples it at most once per memSampleInterval.
 	memSampledAt atomic.Int64
 	memHeap      atomic.Int64
 
@@ -255,7 +246,7 @@ func (s *Server) isDraining() bool {
 	return s.draining
 }
 
-// ActiveSessions counts registered sessions (pending or running).
+// ActiveSessions counts registered sessions.
 func (s *Server) ActiveSessions() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -327,26 +318,19 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 
-	// Shed-policy admission happens before the session exists: saturation
-	// answers a retryable Busy frame instead of evicting a running victim.
-	preAdmitted := false
-	if s.cfg.Shed {
-		ok, reason := s.shedAdmit()
-		if !ok {
-			s.metrics.sessionsShed.Add(1)
-			s.rejectBusy(conn, reason)
-			return
-		}
-		preAdmitted = true
+	// Admission happens before the session exists: saturation answers a
+	// retryable Busy frame, and a running session is never disturbed.
+	if reason := s.admit(); reason != "" {
+		s.metrics.sessionsShed.Add(1)
+		s.rejectBusy(conn, reason)
+		return
 	}
 
 	// Register. Under drain no new sessions start.
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		if preAdmitted {
-			s.tokens <- struct{}{}
-		}
+		s.tokens <- struct{}{}
 		s.metrics.sessionsRejected.Add(1)
 		s.rejectConn(conn, CodeDraining, "server is draining")
 		return
@@ -355,33 +339,28 @@ func (s *Server) handleConn(conn net.Conn) {
 	ss := newSession(s, s.nextID, *req, cfg, prep, conn)
 	s.sessions[ss.id] = ss
 	s.mu.Unlock()
+	s.metrics.sessionStarted()
 
 	go ss.writeLoop()
 	go ss.readWatch()
 	// Teardown is deferred from the moment the session's goroutines exist:
-	// even a panic unwinding this handler leaves nothing behind.
+	// even a panic unwinding this handler leaves nothing behind, and the
+	// session's admission token goes back.
 	defer s.teardown(ss, conn)
 	ss.send(FrameAccepted, &Accepted{SessionID: ss.id, Workload: req.Workload, Config: cfg.Name})
-
-	if preAdmitted || s.admit(ss) {
-		s.metrics.sessionStarted()
-		ss.run()
-		ss.finish()
-		ss.end(ss.cancelCode())
-	} else {
-		// Canceled while waiting for admission (client gone or shutdown).
-		ss.setFinal(ss.cancelCode(), "session canceled before admission")
-		s.metrics.sessionsRejected.Add(1)
-	}
+	ss.run()
+	ss.finish()
+	ss.end(ss.cancelCode())
 }
 
-// teardown unwinds a session: mark done (readWatch stops counting
-// disconnects; already so after finish), drop the session from the
-// registry, join the writer, close the conn (which unblocks the reader),
-// join the reader. Runs deferred, so it completes even when the handler
-// panics — and the teardown failpoint is contained right here for the
-// same reason: an injected teardown panic must not skip the joins below
-// it.
+// teardown unwinds a session: finish it and count its outcome (no-ops
+// after the handler's own epilogue; after a panic that skipped it, they
+// return the admission token and count the session failed), drop the
+// session from the registry, join the writer, close the conn (which
+// unblocks the reader), join the reader. Runs deferred, so it completes
+// even when the handler panics — and the teardown failpoint is contained
+// right here for the same reason: an injected teardown panic must not
+// skip the joins below it.
 func (s *Server) teardown(ss *session, conn net.Conn) {
 	func() {
 		defer func() {
@@ -393,7 +372,8 @@ func (s *Server) teardown(ss *session, conn net.Conn) {
 			panic(err)
 		}
 	}()
-	ss.state.Store(stateDone)
+	ss.finish()
+	ss.end(CodeInternal)
 	s.mu.Lock()
 	delete(s.sessions, ss.id)
 	s.mu.Unlock()
@@ -404,22 +384,22 @@ func (s *Server) teardown(ss *session, conn net.Conn) {
 	ss.finishObs()
 }
 
-// shedAdmit is the non-blocking admission gate of the shed policy: the
-// memory budget first (a full heap is not cured by evicting — see
-// Config.MemoryBudgetBytes), then a token grab that refuses to wait.
-func (s *Server) shedAdmit() (ok bool, reason string) {
+// admit is the non-blocking admission gate: the memory budget first, then
+// a token grab that refuses to wait. It returns the reason a request is
+// shed, or "" once the caller holds a token.
+func (s *Server) admit() (reason string) {
 	if s.memOverBudget() {
-		return false, "memory budget"
+		return "memory budget"
 	}
 	select {
 	case <-s.tokens:
-		return true, ""
+		return ""
 	default:
-		return false, "session budget"
+		return "session budget"
 	}
 }
 
-// memSampleInterval caps how often the shed gate re-reads MemStats.
+// memSampleInterval caps how often the memory gate re-reads MemStats.
 const memSampleInterval = 100 * time.Millisecond
 
 // memOverBudget samples heap occupancy against the configured budget,
@@ -472,53 +452,6 @@ func normalize(req *SessionRequest) error {
 		return fmt.Errorf("repeat %d out of range", req.Repeat)
 	}
 	return nil
-}
-
-// admit blocks until the session holds an admission token or is canceled.
-// At the cap it evicts the oldest running session and waits for the freed
-// token — the cap stays a strict bound; the newcomer starts only after the
-// victim's run has fully stopped.
-func (s *Server) admit(ss *session) bool {
-	for {
-		select {
-		case <-s.tokens:
-			return true
-		case <-ss.cancel:
-			return false
-		default:
-		}
-		s.evictOldest()
-		select {
-		case <-s.tokens:
-			return true
-		case <-ss.cancel:
-			return false
-		}
-	}
-}
-
-// evictOldest cancels the oldest (lowest-id) running session not already
-// chosen for eviction. If every running session is already on its way out,
-// it does nothing — the caller blocks on the token those evictions will
-// free.
-func (s *Server) evictOldest() {
-	s.mu.Lock()
-	var victim *session
-	for _, ss := range s.sessions {
-		if ss.evicted || ss.state.Load() != stateRunning {
-			continue
-		}
-		if victim == nil || ss.id < victim.id {
-			victim = ss
-		}
-	}
-	if victim != nil {
-		victim.evicted = true
-	}
-	s.mu.Unlock()
-	if victim != nil {
-		victim.cancelWith(CodeEvicted)
-	}
 }
 
 // Drain stops the server gracefully: stop accepting, let every admitted

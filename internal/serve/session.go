@@ -21,8 +21,8 @@ import (
 //
 // Each connection carries one session, served by three goroutines:
 //
-//   - the conn handler (Server.handleConn): reads the request, admits the
-//     session under the cap, executes the run itself, and joins
+//   - the conn handler (Server.handleConn): reads the request, admits it
+//     under the cap (or sheds it), executes the run itself, and joins
 //     everything on the way out;
 //   - the writer (writeLoop): the only goroutine that writes the conn. It
 //     drains the outbox channel; the run never touches the
@@ -42,13 +42,6 @@ import (
 // never deadlock against a dead connection, and the handler can always
 // join the writer by closing the outbox.
 
-// sessionState tracks where a session is in its lifecycle (atomic).
-const (
-	statePending int32 = iota // registered, waiting for admission
-	stateRunning              // admitted, run in progress
-	stateDone                 // run over, admission token returned (finish)
-)
-
 // outFrame is one queued server-to-client frame.
 type outFrame struct {
 	t    FrameType
@@ -64,7 +57,9 @@ type session struct {
 	conn net.Conn
 
 	started time.Time
-	state   atomic.Int32
+	// done is set once the run is over and the admission token returned
+	// (finish).
+	done atomic.Bool
 	// ended guards the one terminal-outcome count (see end).
 	ended atomic.Bool
 
@@ -73,13 +68,13 @@ type session struct {
 	outbox chan outFrame
 	// final holds the terminal error frame, if any. It is a dedicated
 	// one-slot channel rather than an outbox send because the terminal
-	// frame must never be dropped by cancellation — an evicted session's
-	// client learns it was evicted from exactly this frame.
+	// frame must never be dropped by cancellation — a canceled session's
+	// client learns why from exactly this frame.
 	final chan outFrame
 
 	// cancel is closed (once) when the session should stop: client gone,
-	// evicted, server shutdown. stop is the vm-facing mirror the
-	// interpreter polls each scheduling quantum.
+	// run failed or timed out, server shutdown. stop is the vm-facing
+	// mirror the interpreter polls each scheduling quantum.
 	cancel     chan struct{}
 	cancelOnce sync.Once
 	stop       atomic.Bool
@@ -87,10 +82,6 @@ type session struct {
 
 	writerDone chan struct{}
 	readerDone chan struct{}
-
-	// evicted marks the session as already chosen for eviction (guarded by
-	// srv.mu), so the evict-oldest scan never picks a victim twice.
-	evicted bool
 
 	// Live gauges for the metrics endpoint.
 	tap       event.AtomicCounter
@@ -215,12 +206,12 @@ func (ss *session) send(t FrameType, body any) bool {
 // returns its admission token and active-session gauge. Idempotent. run
 // calls it just before queueing the final result frame, so by the time a
 // client can read that frame the session is done: the client closing its
-// end is no disconnect (readWatch), the session is no eviction victim
-// (evictOldest), and a client reconnecting at once finds its old slot
-// free. The conn handler calls it again after run returns, which covers
-// every other way out of run.
+// end is no disconnect (readWatch), and a client reconnecting at once
+// finds its old slot free instead of being shed. The conn handler calls it
+// again after run returns, and teardown once more, which covers every
+// other way out of the handler, a panic included.
 func (ss *session) finish() {
-	if ss.state.Swap(stateDone) != stateDone {
+	if !ss.done.Swap(true) {
 		ss.srv.metrics.sessionsActive.Add(-1)
 		ss.srv.tokens <- struct{}{}
 	}
@@ -264,7 +255,6 @@ func (ss *session) run() {
 			ss.cancelWith(CodeInternal)
 		}
 	}()
-	ss.state.Store(stateRunning)
 	ss.obs.Add(obs.CtrSessions, 1)
 	run := 0
 	opts := detect.RunOpts{
@@ -384,7 +374,7 @@ func (ss *session) readWatch() {
 	defer close(ss.readerDone)
 	var buf [1]byte
 	ss.conn.Read(buf[:])
-	if ss.state.Load() != stateDone {
+	if !ss.done.Load() {
 		ss.cancelWith(CodeDisconnected)
 	}
 }

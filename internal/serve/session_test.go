@@ -10,10 +10,10 @@ import (
 // TestSessionDoneOnceFinalFrameQueued pins the completion-vs-disconnect
 // accounting below the conn handler, where the interleaving is fixed: the
 // session's run queues its last result frame, the client reads it and
-// hangs up, and only then do the reader watch and an eviction scan look at
-// the session. A client closing after its last frame is a completed
-// session, not a disconnect, and a session that has streamed everything
-// is no eviction victim: its admission slot is already free.
+// hangs up, and only then does the reader watch look at the session. A
+// client closing after its last frame is a completed session, not a
+// disconnect, and a session that has streamed everything holds no
+// admission slot: a client reconnecting at once is not shed.
 func TestSessionDoneOnceFinalFrameQueued(t *testing.T) {
 	srv := New(Config{MaxSessions: 1})
 	defer srv.Close()
@@ -21,7 +21,6 @@ func TestSessionDoneOnceFinalFrameQueued(t *testing.T) {
 	defer client.Close()
 	client.Close()
 	ss.readWatch() // returns on the client's EOF
-	srv.evictOldest()
 	if ss.canceled() {
 		t.Errorf("session canceled (%s) after queueing its final frame", ss.cancelCode())
 	}
@@ -97,7 +96,7 @@ func TestSessionCompletedOnceFinalFrameQueued(t *testing.T) {
 	ss.finish()
 	ss.end(ss.cancelCode())
 	snap := srv.Snapshot()
-	if snap.SessionsCompleted != 1 || snap.SessionsFailed+snap.SessionsDisconnected+snap.SessionsEvicted != 0 {
+	if snap.SessionsCompleted != 1 || snap.SessionsFailed+snap.SessionsDisconnected != 0 {
 		t.Errorf("after the handler epilogue: %+v, want exactly one completed session", snap)
 	}
 	close(ss.outbox)
